@@ -77,6 +77,7 @@ from .throughput import (
     mrt_throughput,
     mrt_transmit_threshold,
     optimize_tau_throughput,
+    optimize_tau_throughput_batch,
     q_of_k,
     rs_of_tau,
     solve_k,

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .errors import InfeasibleError
 
 
@@ -161,12 +163,14 @@ class EffectiveCoeffs:
 
 
 def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
-    """Build the effective scalar coefficients for one channel state.
+    """Build the effective scalar coefficients of one channel state or a batch.
 
     Args:
         cfg: system parameters.
         draw: any object with ``G_hat``, ``G_check`` and ``G`` attributes
-            (a full ChannelDraw or a lightweight stand-in).
+            (a full ChannelDraw or a lightweight stand-in).  Equal-shape
+            arrays describe a batch of states; a, c, d and e are then
+            arrays over the states and b stays a scalar.
 
     Raises:
         InfeasibleError: if N_E == N_C, which leaves no eavesdropper-only
@@ -176,10 +180,13 @@ def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
         raise InfeasibleError(
             f"N_E - N_C must be positive to aim artificial noise (got {cfg.n_ec})"
         )
-    g_hat = float(draw.G_hat)
-    g_check = float(draw.G_check)
-    g_tot = float(draw.G)
-    if cfg.N_D > 0 and g_tot <= 0.0:
+    if isinstance(draw.G, np.ndarray):  # a batch of states
+        g_hat, g_tot = np.asarray(draw.G_hat, float), np.asarray(draw.G, float)
+        nonpositive = bool(np.any(g_tot <= 0.0))
+    else:
+        g_hat, g_tot = float(draw.G_hat), float(draw.G)
+        nonpositive = g_tot <= 0.0
+    if cfg.N_D > 0 and nonpositive:
         raise ValueError("draw.G must be positive when N_D > 0")
 
     beta_d = cfg.beta_d()

@@ -1,17 +1,22 @@
 """Throughput-maximizing power allocation under a secrecy outage cap.
 
 The secrecy-rate cap at split tau is set by the (1-eps)-quantile of the
-eavesdropper SNDR, expressed through the implicit function k(tau) solved by
-bisection on the monotone survival gap Q(k).  The module also carries the
-full-power (MRT) closed forms: the per-state rate, its transmission
-threshold, and the expected throughput as an exponential-integral sum.
+eavesdropper SNDR, expressed through the implicit function k(tau).  In the
+variable x = k/(a - c*tau*k) its defining equation Q(k) = 0 turns into an
+increasing, concave equation in x that does not involve a or c, which
+Newton's method solves from x = 0 without a bracket.  The rate optimizer
+works on arrays of channel states: one scan grid for all of them, then
+one batched false-position search for every stationary point.  The module
+also carries the full-power (MRT) closed forms: the per-state rate, its
+transmission threshold, and the expected throughput as an
+exponential-integral sum.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +26,7 @@ from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig, derive_coeffs
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng
-from .sndr import sndr_destination
+from .sndr import sndr_destination_values
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -90,9 +95,21 @@ def exp_integral_ei(x: float) -> float:
 # the implicit secrecy-cap function k(tau)
 # ---------------------------------------------------------------------------
 
+# Newton steps allowed for k(tau); the preset states settle in 2-6
+_NEWTON_MAX_ITERS = 100
+# relative size of the Newton step after which x(tau) counts as settled:
+# from below the root, the error left after a step of relative size r is at
+# most r^2/2 relative, so 1e-9 leaves round-off only
+_NEWTON_RTOL = 1e-9
+# bracket width at which a stationary point of the rate counts as found,
+# and the false-position steps allowed to get there
+_STATIONARY_XTOL = 1e-12
+_STATIONARY_MAX_ITERS = 100
+
+
 @dataclass(frozen=True)
 class KTauSolver:
-    """Eavesdropper-side scalars and tolerances for solving k(tau).
+    """Eavesdropper-side scalars for solving k(tau).
 
     a, b, c are the leakage, artificial-noise and transmit-distortion
     scales of one channel state; epsilon is the outage cap.
@@ -103,8 +120,6 @@ class KTauSolver:
     c: float
     n_ec: int
     epsilon: float
-    tol_k: float | None = None   # absolute; default 1e-10 * max(1, k_max)
-    max_iters: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -140,109 +155,107 @@ def k_max_tau1(a: float, c: float, epsilon: float) -> float:
     return -a * log_eps / (1.0 - c * log_eps)
 
 
-def _survival_batch(k, tau, a, b, c, n_ec):
-    """Vectorized outage survival exp(-k/rest) * (1 + (1-tau)*b*k/rest)^-n_ec."""
-    rest = a - c * tau * k
-    out = np.exp(-k / rest) * (1.0 + (1.0 - tau) * b * k / rest) ** (-n_ec)
-    return out
+def _solve_x(tau, b, n_ec: int, epsilon: float):
+    """x(tau) = k / (a - c*tau*k) elementwise over broadcastable tau/b arrays.
 
+    In x, Q(k) = 0 becomes
 
-def solve_k_batch(
-    tau, a, b, c, n_ec: int, epsilon: float, tol: float, max_iters: int = 200
-):
-    """Bisect k(tau) elementwise over broadcastable tau/a/b/c arrays."""
-    tau, a, b, c = np.broadcast_arrays(
-        np.asarray(tau, float), np.asarray(a, float), np.asarray(b, float), np.asarray(c, float)
-    )
-    if epsilon >= 1.0:
-        return np.zeros(tau.shape)
-    lo = np.zeros(tau.shape)
+        h(x) = x + n_ec * log1p((1 - tau)*b*x) + ln(eps) = 0,
+
+    free of a and c.  h is increasing and concave with h(0) = ln(eps) <= 0,
+    so Newton started at x = 0 climbs to the root without overshooting.
+    Each element stops on its own last step, so its value does not depend
+    on the rest of the batch.
+    """
+    tau = np.asarray(tau, float)
     log_eps = math.log(epsilon)
-    hi = -a * log_eps / (1.0 - c * log_eps)
-    live = a > 0.0
-    # guard against a violated upper bracket (k(tau) is increasing in tau for
-    # practical parameters, so hi = k(1) should already cover it)
-    for _ in range(64):
-        bad = live & (_survival_batch(hi, tau, a, b, c, n_ec) > epsilon)
-        if not bad.any():
-            break
-        cap = np.where(c * tau > 0.0, a / np.maximum(c * tau, 1e-300), np.inf)
-        hi = np.where(bad, np.minimum(2.0 * hi, 0.5 * (hi + cap)), hi)
-    span = float(np.max(hi - lo, initial=0.0))
-    if span <= 0.0:
-        return np.where(live, lo, 0.0)
-    iters = min(max_iters, max(1, int(math.ceil(math.log2(span / tol))) + 2))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        high_side = _survival_batch(mid, tau, a, b, c, n_ec) > epsilon
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(live, out, 0.0)
+    s = (1.0 - tau) * np.asarray(b, float)
+    ns = n_ec * s
+    x = np.zeros(s.shape)
+    live = np.ones(s.shape, bool)
+    for _ in range(_NEWTON_MAX_ITERS):
+        sx = s * x
+        step = (x + n_ec * np.log1p(sx) + log_eps) / (1.0 + ns / (1.0 + sx))
+        x = np.where(live, x - step, x)
+        live &= np.abs(step) > _NEWTON_RTOL * x
+        if not live.any():
+            return x
+    raise ConvergenceError(
+        f"Newton iteration for k(tau) did not settle in {_NEWTON_MAX_ITERS} steps "
+        f"at {int(live.sum())} of {live.size} points"
+    )
+
+
+def _k_of_x(x, tau, a, c):
+    return x * a / (1.0 + c * tau * x)
+
+
+def solve_k_batch(tau, a, b, c, n_ec: int, epsilon: float):
+    """k(tau) elementwise over broadcastable tau/a/b/c arrays.
+
+    x(tau) is solved over the broadcast of tau and b alone; then
+    k = x*a / (1 + c*tau*x), which keeps a - c*tau*k > 0 and reduces to
+    ``k_max_tau1`` at tau = 1.
+    """
+    return _k_of_x(_solve_x(tau, b, n_ec, epsilon), tau, a, c)
 
 
 def solve_k(tau: float, solver: KTauSolver) -> float:
-    """Bisect the unique root of Q(k) on [0, k(1)] for one split value."""
+    """k(tau) of one channel state at one split value."""
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
-    if solver.epsilon >= 1.0 or solver.a == 0.0:
-        return 0.0
-    k_hi = k_max_tau1(solver.a, solver.c, solver.epsilon)
-    tol = solver.tol_k if solver.tol_k is not None else 1e-10 * max(1.0, k_hi)
-    lo, hi = 0.0, k_hi
-    expand = 0
-    while q_of_k(hi, tau, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon) > 0.0:
-        cap = solver.a / (solver.c * tau) if solver.c * tau > 0.0 else math.inf
-        hi = min(2.0 * hi, 0.5 * (hi + cap))
-        expand += 1
-        if expand > 200:
-            raise ConvergenceError(
-                f"could not bracket k(tau): tau={tau}, bracket=[{lo}, {hi}]"
-            )
-    for _ in range(solver.max_iters):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if q_of_k(mid, tau, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection for k(tau) exhausted {solver.max_iters} iterations; "
-        f"bracket=[{lo}, {hi}], width={hi - lo:.3g}, tol={tol:.3g}"
-    )
+    return float(solve_k_batch(tau, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon))
+
+
+def _dk_dtau(x, tau, a, b, c, n_ec):
+    # dx/dtau = -h_tau / h_x, then differentiate k = a*x / (1 + c*tau*x);
+    # no division by a, so a = 0 gives k = 0 with slope 0
+    s = (1.0 - tau) * b
+    dx = n_ec * b * x / (1.0 + s * x + n_ec * s)
+    return a * (dx - c * x * x) / (1.0 + c * tau * x) ** 2
+
+
+def _x_of_k(k, tau, solver: KTauSolver):
+    # inverse of k = a*x / (1 + c*tau*x); at a = 0 every x maps to k = 0,
+    # and x = 0 serves, since the slopes carry a factor a
+    if solver.a == 0.0:
+        return 0.0 * np.asarray(k, float)
+    return k / (solver.a - solver.c * tau * k)
 
 
 def dk_dtau(k, tau, solver: KTauSolver):
     """Implicit-function derivative of k(tau); vectorizes over k, tau."""
-    a, b, c, n = solver.a, solver.b, solver.c, solver.n_ec
-    rest = a - c * tau * k
-    s = (1.0 - tau) * b * k / rest
-    num = n * b * k * (a - c * k) - c * k * k * (1.0 + s)
-    den = a * (1.0 + s) + n * (1.0 - tau) * a * b
-    return num / den
+    return _dk_dtau(_x_of_k(k, tau, solver), tau, solver.a, solver.b, solver.c, solver.n_ec)
 
 
 # ---------------------------------------------------------------------------
 # secrecy rate and its optimizer
 # ---------------------------------------------------------------------------
 
-def rs_of_tau(tau: float, k: float, coeffs: EffectiveCoeffs) -> float:
+def _rate(tau, k, d, e):
+    return np.log2((tau * (d + e) + 1.0) / ((tau * e + 1.0) * (1.0 + tau * k)))
+
+
+def _rate_slope(tau, x, a, b, c, d, e, n_ec):
+    """dR_s/dtau at x = x(tau), in bits/s/Hz per unit split."""
+    k = _k_of_x(x, tau, a, c)
+    dest = d / ((tau * (d + e) + 1.0) * (tau * e + 1.0))
+    cap = (k + tau * _dk_dtau(x, tau, a, b, c, n_ec)) / (1.0 + tau * k)
+    return (dest - cap) / LN2
+
+
+def rs_of_tau(tau, k, coeffs: EffectiveCoeffs):
     """Secrecy rate log2((tau(d+e)+1) / ((tau*e+1)(1+tau*k))) in bits/s/Hz."""
-    d, e = coeffs.d, coeffs.e
-    num = tau * (d + e) + 1.0
-    den = (tau * e + 1.0) * (1.0 + tau * k)
-    return math.log2(num / den)
+    return _rate(tau, k, coeffs.d, coeffs.e)
 
 
 def drs_dtau(tau: float, coeffs: EffectiveCoeffs, solver: KTauSolver, k: float | None = None) -> float:
     """Derivative of the secrecy rate in tau, using the implicit dk/dtau."""
     if k is None:
-        k = solve_k(tau, solver)
-    d, e = coeffs.d, coeffs.e
-    dest = d / ((tau * (d + e) + 1.0) * (tau * e + 1.0))
-    cap = (k + tau * dk_dtau(k, tau, solver)) / (1.0 + tau * k)
-    return (dest - cap) / LN2
+        x = float(_solve_x(tau, solver.b, solver.n_ec, solver.epsilon))
+    else:
+        x = _x_of_k(k, tau, solver)
+    return _rate_slope(tau, x, solver.a, solver.b, solver.c, coeffs.d, coeffs.e, solver.n_ec)
 
 
 class ThroughputCase(enum.Enum):
@@ -269,21 +282,125 @@ def _scan_grid(tau_floor: float, n_log: int = 33, n_lin: int = 96) -> np.ndarray
     return np.concatenate([log_part, lin_part])
 
 
-def _bisect_stationary(
-    lo: float, hi: float, coeffs: EffectiveCoeffs, solver: KTauSolver, iters: int = 80
-) -> float:
-    """Bisect a sign change of dR_s/dtau bracketed in (lo, hi)."""
-    f_lo = drs_dtau(lo, coeffs, solver)
-    for _ in range(iters):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = drs_dtau(mid, coeffs, solver)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _stationary_points(lo, hi, f_lo, f_hi, a, b, c, d, e, n_ec, epsilon):
+    """Roots of dR_s/dtau bracketed elementwise by [lo, hi] (Illinois false position).
+
+    f_lo and f_hi are the slopes at the bracket ends and must differ in
+    sign.  Converged elements leave the working set, so each root depends
+    only on its own bracket and coefficients.
+    """
+    root = np.empty(lo.shape)
+    live = np.arange(lo.size)
+    for _ in range(_STATIONARY_MAX_ITERS):
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f_t = _rate_slope(t, _solve_x(t, b, n_ec, epsilon), a, b, c, d, e, n_ec)
+        crossed = (f_t > 0.0) != (f_hi > 0.0)
+        lo, f_lo = np.where(crossed, hi, lo), np.where(crossed, f_hi, 0.5 * f_lo)
+        hi, f_hi = t, f_t
+        done = (np.abs(hi - lo) <= _STATIONARY_XTOL) | (f_t == 0.0)
+        root[live[done]] = t[done]
+        if done.all():
+            return root
+        keep = ~done
+        live, lo, hi, f_lo, f_hi = live[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep]
+        a, b, c, d, e = a[keep], b[keep], c[keep], d[keep], e[keep]
+    raise ConvergenceError(
+        f"stationary-point search did not settle in {_STATIONARY_MAX_ITERS} steps for {live.size} brackets"
+    )
+
+
+def optimize_tau_throughput_batch(
+    coeffs: EffectiveCoeffs,
+    n_ec: int,
+    epsilon: float,
+    tau_floor: float = 1e-6,
+    concavity_points: int = 64,
+    validate_grid: int = 0,
+) -> list[ThroughputResult]:
+    """Maximize the capped secrecy rate over the power split, per channel state.
+
+    ``coeffs`` carries one channel state per element of its a..e fields
+    (scalars broadcast).  Concavity of the rate in tau is classified
+    numerically (central differences of the analytic derivative at
+    ``concavity_points`` interior points of a scan grid).  The concave case
+    follows the boundary-or-unique-root rule; otherwise all stationary
+    points found by a sign-change scan are compared against the full-power
+    boundary.  A channel state whose rate is negative even at the optimum
+    cannot transmit and returns Silent.  The stationary points of all states
+    are solved together.
+
+    ``validate_grid`` > 0 additionally audits each result against a uniform
+    grid of that many splits and returns the grid point when it wins by
+    more than 1e-6 bits.
+    """
+    a, b, c, d, e = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, float)) for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e))
+    )
+    if a.size == 0:
+        return []
+    states = np.arange(a.size)
+    grid = _scan_grid(tau_floor)
+    # b stays unbroadcast here: a b shared by all states (as derive_coeffs
+    # builds it) costs one Newton solve per grid point, not one per state
+    col = (a[:, None], np.asarray(coeffs.b, float)[..., None], c[:, None])
+    x_grid = _solve_x(grid, col[1], n_ec, epsilon)
+    rp = _rate_slope(grid, x_grid, *col, d[:, None], e[:, None], n_ec)
+
+    # concavity probe: derivative differences at evenly spread interior points
+    idx = np.linspace(1, len(grid) - 2, concavity_points).astype(int)
+    second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
+    concave = np.all(second <= 1e-8, axis=1)
+    rising = rp[:, -1] > 0.0  # the rate still climbs at full power
+
+    # stationary points: the first sign change of a concave state that does
+    # not rise at full power, every sign change of a non-concave one
+    sign = rp > 0.0
+    flips = sign[:, :-1] != sign[:, 1:]
+    first = flips & (np.cumsum(flips, axis=1) == 1)
+    brackets = np.where(concave[:, None], first & ~rising[:, None], flips)
+    owner, left = np.nonzero(brackets)
+    roots = _stationary_points(
+        grid[left], grid[left + 1], rp[owner, left], rp[owner, left + 1],
+        a[owner], b[owner], c[owner], d[owner], e[owner], n_ec, epsilon,
+    )
+
+    # candidates: full power (unless a concave state has its interior root)
+    # and the stationary points; each state keeps its best rate, the larger
+    # split on a tie
+    interior = concave & ~rising & flips.any(axis=1)
+    cand_state = np.concatenate([states[~interior], owner])
+    cand_tau = np.concatenate([np.ones(int((~interior).sum())), roots])
+    cand_k = solve_k_batch(cand_tau, a[cand_state], b[cand_state], c[cand_state], n_ec, epsilon)
+    cand_rate = _rate(cand_tau, cand_k, d[cand_state], e[cand_state])
+    order = np.lexsort((cand_tau, cand_rate, cand_state))
+    ordered = cand_state[order]
+    best = order[np.append(ordered[1:] != ordered[:-1], True)]
+    tau_star, k_star, r_star = cand_tau[best], cand_k[best], cand_rate[best]
+
+    if validate_grid > 0:
+        taus = np.linspace(1.0 / validate_grid, 1.0, validate_grid)
+        rates = _rate(taus, solve_k_batch(taus, *col, n_ec, epsilon), d[:, None], e[:, None])
+        j = np.argmax(rates, axis=1)
+        better = rates[states, j] > r_star + 1e-6
+        if better.any():
+            tau_star = np.where(better, taus[j], tau_star)
+            k_star = solve_k_batch(tau_star, a, b, c, n_ec, epsilon)
+            r_star = _rate(tau_star, k_star, d, e)
+
+    # transmission region test at the chosen split
+    silent = sndr_destination_values(tau_star, d, e) + 1e-12 < tau_star * k_star
+    cases = np.where(
+        concave,
+        np.where(rising, ThroughputCase.CONCAVE_BOUNDARY, ThroughputCase.CONCAVE_INTERIOR),
+        np.where(rising, ThroughputCase.NONCONCAVE_TAU1_VS_1, ThroughputCase.NONCONCAVE_TAU1P_VS_TAU3),
+    )
+    return [
+        ThroughputResult(t, 0.0, ThroughputCase.SILENT, False, k) if mute
+        else ThroughputResult(t, max(r, 0.0), case, True, k)
+        for t, r, k, mute, case in zip(
+            tau_star.tolist(), r_star.tolist(), k_star.tolist(), silent.tolist(), cases.tolist()
+        )
+    ]
 
 
 def optimize_tau_throughput(
@@ -293,81 +410,16 @@ def optimize_tau_throughput(
     concavity_points: int = 64,
     validate_grid: int = 0,
 ) -> ThroughputResult:
-    """Maximize the capped secrecy rate over the power split.
+    """One-state call of ``optimize_tau_throughput_batch``.
 
-    Concavity of the rate in tau is classified numerically (central
-    differences of the analytic derivative at ``concavity_points`` interior
-    points).  The concave case follows the boundary-or-unique-root rule;
-    otherwise all stationary points found by a sign-change scan are
-    compared against the full-power boundary.  A channel state whose rate
-    is negative even at the optimum cannot transmit and returns Silent.
-
-    ``validate_grid`` > 0 additionally audits the result against a uniform
-    grid of that many splits and returns the grid point when it wins by
-    more than 1e-6 bits.
+    The cap k(tau) uses the solver's a, b, c; the destination side uses
+    the coefficients' d, e.
     """
-    grid = _scan_grid(tau_floor)
-    k_grid = solve_k_batch(
-        grid, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon,
-        tol=1e-12 * max(1.0, k_max_tau1(solver.a, solver.c, solver.epsilon)),
+    state = replace(coeffs, a=solver.a, b=solver.b, c=solver.c)
+    (result,) = optimize_tau_throughput_batch(
+        state, solver.n_ec, solver.epsilon, tau_floor, concavity_points, validate_grid
     )
-    d, e = coeffs.d, coeffs.e
-    dest = d / ((grid * (d + e) + 1.0) * (grid * e + 1.0))
-    cap = (k_grid + grid * dk_dtau(k_grid, grid, solver)) / (1.0 + grid * k_grid)
-    rp = (dest - cap) / LN2
-
-    # concavity probe: derivative differences at evenly spread interior points
-    idx = np.linspace(1, len(grid) - 2, concavity_points).astype(int)
-    second = (rp[idx + 1] - rp[idx - 1]) / (grid[idx + 1] - grid[idx - 1])
-    concave = bool(np.all(second <= 1e-8))
-
-    z_sign = drs_dtau(1.0, coeffs, solver, k=float(k_grid[-1]))
-
-    def rate_at(tau: float) -> tuple[float, float]:
-        k = solve_k(tau, solver)
-        return rs_of_tau(tau, k, coeffs), k
-
-    if concave:
-        if z_sign > 0.0:
-            tau_star, case = 1.0, ThroughputCase.CONCAVE_BOUNDARY
-        else:
-            sign = rp > 0.0
-            flips = np.nonzero(sign[:-1] != sign[1:])[0]
-            lo = float(grid[flips[0]]) if len(flips) else tau_floor
-            hi = float(grid[flips[0] + 1]) if len(flips) else 1.0
-            tau_star, case = _bisect_stationary(lo, hi, coeffs, solver), ThroughputCase.CONCAVE_INTERIOR
-    else:
-        sign = rp > 0.0
-        flips = np.nonzero(sign[:-1] != sign[1:])[0]
-        candidates = [1.0]
-        for i in flips:
-            candidates.append(_bisect_stationary(float(grid[i]), float(grid[i + 1]), coeffs, solver))
-        rated = [(rate_at(t)[0], t) for t in candidates]
-        tau_star = max(rated)[1]
-        case = (
-            ThroughputCase.NONCONCAVE_TAU1_VS_1
-            if z_sign > 0.0
-            else ThroughputCase.NONCONCAVE_TAU1P_VS_TAU3
-        )
-
-    r_star, k_star = rate_at(tau_star)
-
-    if validate_grid > 0:
-        taus = np.linspace(1.0 / validate_grid, 1.0, validate_grid)
-        ks = solve_k_batch(
-            taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon,
-            tol=1e-12 * max(1.0, k_max_tau1(solver.a, solver.c, solver.epsilon)),
-        )
-        rates = np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks)))
-        j = int(np.argmax(rates))
-        if float(rates[j]) > r_star + 1e-6:
-            tau_star = float(taus[j])
-            r_star, k_star = rate_at(tau_star)
-
-    # transmission region test at the chosen split
-    if sndr_destination(tau_star, coeffs) + 1e-12 < tau_star * k_star:
-        return ThroughputResult(tau_star, 0.0, ThroughputCase.SILENT, False, k_star)
-    return ThroughputResult(tau_star, max(r_star, 0.0), case, True, k_star)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +632,8 @@ class _ScalarDraw:
         return self.G_hat + self.G_check
 
 
-def _coeffs_from_scalars(cfg: SystemConfig, g_hat: float, g_check: float) -> EffectiveCoeffs:
+def _coeffs_from_scalars(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
+    """Coefficients of the states with the given gain scalars (floats or arrays)."""
     return derive_coeffs(cfg, _ScalarDraw(g_hat, g_check))
 
 
@@ -591,12 +644,9 @@ def avg_throughput_opa(cfg: SystemConfig, trials: int, rng, tau_floor: float = 1
     seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    rates = np.zeros(trials)
-    for i in range(trials):
-        coeffs = _coeffs_from_scalars(cfg, float(g_hat[i]), float(g_check[i]))
-        solver = KTauSolver(coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
-        res = optimize_tau_throughput(coeffs, solver, tau_floor=tau_floor)
-        rates[i] = res.R_s_star if res.transmit else 0.0
+    coeffs = _coeffs_from_scalars(cfg, g_hat, g_check)
+    results = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon, tau_floor=tau_floor)
+    rates = np.array([res.R_s_star for res in results])  # 0 when silent
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)
@@ -609,16 +659,9 @@ def avg_throughput_fixed_tau(cfg: SystemConfig, tau: float, trials: int, rng) ->
     seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    g = g_hat + g_check
-    beta_d, beta_e = cfg.beta_d(), cfg.beta_e()
-    a = np.where(g > 0.0, beta_e * g_hat / np.maximum(g, 1e-300), 0.0)
-    b = beta_e * (1.0 + cfg.k_tx**2) / cfg.n_ec
-    c = cfg.k_tx**2 * a
-    d = beta_d * g
-    e = cfg.k_tot2 * d
-    ks = solve_k_batch(tau, a, b, c, cfg.n_ec, cfg.epsilon, tol=1e-12)
-    rates = np.log2((tau * (d + e) + 1.0) / ((tau * e + 1.0) * (1.0 + tau * ks)))
-    rates = np.maximum(rates, 0.0)
+    coeffs = _coeffs_from_scalars(cfg, g_hat, g_check)
+    ks = solve_k_batch(tau, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
+    rates = np.maximum(rs_of_tau(tau, ks, coeffs), 0.0)
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)

@@ -169,8 +169,7 @@ def test_acceptance_4_throughput_optimizer():
         solver = KTauSolver(coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
         res = optimize_tau_throughput(coeffs, solver)
         taus = np.linspace(1e-4, 1.0, 10_000)
-        ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec,
-                           solver.epsilon, tol=1e-12)
+        ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
         assert np.all(np.diff(ks) >= -1e-9), f"draw {done}: cap not monotone"
         rates = np.log2((taus * (coeffs.d + coeffs.e) + 1.0)
                         / ((taus * coeffs.e + 1.0) * (1.0 + taus * ks)))

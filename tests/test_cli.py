@@ -28,6 +28,28 @@ def test_spec_validation():
         _tiny_spec(swept_key="nonsense")
     with pytest.raises(ValueError):
         _tiny_spec(values=[])
+    for budgets in ({"trials": 0}, {"uv_samples": 0}, {"trials": -3}):
+        with pytest.raises(ValueError):
+            _tiny_spec(**budgets)
+    with pytest.raises(ValueError):
+        cli.preset_specs("fig6", trials=0)
+    with pytest.raises(ValueError):
+        cli.main(["sweep", "--preset", "fig7", "--uv-samples", "0"])
+
+
+def test_sweep_reports_unchecked_rows(tmp_path, capsys):
+    # at 28 dBm with the eavesdropper at 5 m no state can transmit, so that
+    # row has no realized outage to check; the 55 dBm row is checked
+    spec_path = tmp_path / "silent.spec"
+    spec_path.write_text(
+        "mode=throughput_opa\nswept_key=P_dBm\nvalues=28,55\ntrials=20\nuv_samples=100\n"
+        "seed=3\nN_C=16\nd_D_m=300\nd_E_m=5\n"
+    )
+    rc = cli.main(["sweep", "--spec", str(spec_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert ",nan,nan," in out
+    assert "unchecked: 1 of 2 rows" in err
 
 
 def test_sweep_rows_and_mc_pairing():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from conftest import make_coeffs, workable_cfg
+from mmwsec import throughput
 from mmwsec.config import SystemConfig
 from mmwsec.errors import ConvergenceError, InfeasibleError
 from mmwsec.sop import cdf_Y_E
@@ -28,6 +30,7 @@ from mmwsec.throughput import (
     mrt_throughput_quad2d,
     mrt_transmit_threshold,
     optimize_tau_throughput,
+    optimize_tau_throughput_batch,
     q_of_k,
     rs_of_tau,
     solve_k,
@@ -193,12 +196,58 @@ def test_q_strictly_decreasing_in_k(rng):
         assert np.all(np.diff(qs[live]) < 0.0)
 
 
+def _bisect_k(tau, a, b, c, n_ec, eps):
+    """Reference k(tau): plain bisection of Q(k) over the feasible set, to the last bit."""
+    lo = 0.0
+    hi = a / (c * tau) if c * tau > 0.0 else max(1.0, a)
+    while c * tau == 0.0 and q_of_k(hi, tau, a, b, c, n_ec, eps) > 0.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if q_of_k(mid, tau, a, b, c, n_ec, eps) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_solve_k_batch_matches_bisection_oracle(rng):
+    # random configurations x splits, with c > 0, tau -> 1 and eps -> 1 drawn
+    # on purpose; the Newton loop raises ConvergenceError if it hits its cap
+    worst = 0.0
+    for _ in range(300):
+        cfg = SystemConfig(
+            M=100, N_D=20, N_C=int(rng.integers(1, 19)), P_dBm=float(rng.uniform(20, 85)),
+            k_tx=float(rng.uniform(0.0, 0.3)), k_rx=float(rng.uniform(0.0, 0.3)),
+            d_E_m=float(rng.uniform(5.0, 300.0)),
+            epsilon=float(rng.choice([rng.uniform(1e-4, 0.5), 1.0 - 10.0 ** rng.uniform(-4, -1)])),
+        )
+        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
+        taus = np.concatenate([
+            [0.0, 1.0], rng.uniform(0.0, 1.0, 4), 1.0 - 10.0 ** -rng.uniform(3, 12, 3),
+        ])
+        ks = solve_k_batch(taus, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
+        for tau, k in zip(taus, ks):
+            ref = _bisect_k(float(tau), co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
+            worst = max(worst, abs(k - ref) / ref)
+    assert worst <= 1e-10
+
+
+def test_solve_k_batch_raises_at_newton_cap(monkeypatch):
+    cfg = workable_cfg(epsilon=0.02)
+    co = make_coeffs(cfg, 10.0, 6.0)
+    monkeypatch.setattr(throughput, "_NEWTON_MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError):
+        solve_k_batch(0.5, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
+
+
 def test_solve_k_batch_matches_scalar(rng):
     cfg = workable_cfg(epsilon=0.02)
     co = make_coeffs(cfg, 10.0, 6.0)
     solver = _solver(cfg, co)
     taus = np.linspace(0.05, 1.0, 40)
-    batch = solve_k_batch(taus, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon, tol=1e-12)
+    batch = solve_k_batch(taus, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
     for t, kb in zip(taus, batch):
         assert abs(solve_k(float(t), solver) - kb) < 1e-8
 
@@ -212,7 +261,7 @@ def test_dk_dtau_matches_finite_differences(rng):
             k_rx=float(rng.uniform(0, 0.15)),
         )
         co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon, tol_k=1e-13)
+        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
         tau = float(rng.uniform(0.1, 0.95))
         k = solve_k(tau, solver)
         h = 1e-5
@@ -239,7 +288,7 @@ def test_drs_matches_finite_differences(rng):
     for _ in range(20):
         cfg = workable_cfg(epsilon=0.05, N_C=int(rng.integers(2, 19)))
         co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon, tol_k=1e-13)
+        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
         tau = float(rng.uniform(0.1, 0.9))
         h = 1e-5
         fd = (
@@ -250,6 +299,10 @@ def test_drs_matches_finite_differences(rng):
 
 
 def test_optimizer_dominates_grid(rng):
+    # each configuration also draws three extra states from a separate
+    # stream; the batched optimizer over all four must return exactly the
+    # one-state results
+    extra = np.random.Generator(np.random.Philox(7))
     for _ in range(100):
         cfg = workable_cfg(
             N_C=int(rng.integers(2, 19)),
@@ -258,15 +311,19 @@ def test_optimizer_dominates_grid(rng):
             k_tx=float(rng.uniform(0, 0.16)),
             k_rx=float(rng.uniform(0, 0.16)),
         )
-        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        solver = _solver(cfg, co)
-        res = optimize_tau_throughput(co, solver)
-        taus = np.linspace(1e-4, 1.0, 10_000)
-        ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec,
-                           solver.epsilon, tol=1e-12)
-        rates = np.log2((taus * (co.d + co.e) + 1.0) / ((taus * co.e + 1.0) * (1.0 + taus * ks)))
-        achieved = res.R_s_star if res.transmit else 0.0
-        assert achieved >= float(np.max(rates)) - 1e-6
+        g_hat = np.append(rng.gamma(cfg.N_C, 1), extra.gamma(cfg.N_C, 1, 3))
+        g_check = np.append(rng.gamma(cfg.n_dc, 1), extra.gamma(cfg.n_dc, 1, 3))
+        batch = optimize_tau_throughput_batch(make_coeffs(cfg, g_hat, g_check), cfg.n_ec, cfg.epsilon)
+        for gh, gc, res_batch in zip(g_hat, g_check, batch):
+            co = make_coeffs(cfg, float(gh), float(gc))
+            solver = _solver(cfg, co)
+            res = optimize_tau_throughput(co, solver)
+            assert res == res_batch
+            taus = np.linspace(1e-4, 1.0, 10_000)
+            ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
+            rates = np.log2((taus * (co.d + co.e) + 1.0) / ((taus * co.e + 1.0) * (1.0 + taus * ks)))
+            achieved = res.R_s_star if res.transmit else 0.0
+            assert achieved >= float(np.max(rates)) - 1e-6
 
 
 def test_optimizer_full_power_at_low_budget():
@@ -276,6 +333,31 @@ def test_optimizer_full_power_at_low_budget():
     assert res.transmit
     assert res.tau_star == 1.0
     assert res.case_tag is ThroughputCase.CONCAVE_BOUNDARY
+
+
+def test_optimizer_without_common_paths():
+    # N_C = 0: no leakage (a = 0), so k(tau) = 0 and the rate rises in tau
+    cfg = workable_cfg(N_C=0)
+    co = make_coeffs(cfg, 0.0, 4.0)
+    assert co.a == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = optimize_tau_throughput(co, _solver(cfg, co))
+        batch = optimize_tau_throughput_batch(
+            make_coeffs(cfg, np.zeros(3), np.array([4.0, 9.0, 25.0])), cfg.n_ec, cfg.epsilon
+        )
+        assert dk_dtau(0.0, 0.5, _solver(cfg, co)) == 0.0
+    assert batch[0] == single
+    for res in batch:
+        assert res.transmit
+        assert res.tau_star == 1.0 and res.k_star == 0.0
+        assert res.case_tag is ThroughputCase.CONCAVE_BOUNDARY
+
+
+def test_optimizer_empty_batch():
+    cfg = workable_cfg()
+    co = make_coeffs(cfg, np.zeros(0), np.zeros(0))
+    assert optimize_tau_throughput_batch(co, cfg.n_ec, cfg.epsilon) == []
 
 
 def test_optimizer_an_dominant_at_high_budget():
