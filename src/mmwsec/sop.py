@@ -3,7 +3,7 @@
 The conditional outage probability is the tail of the eavesdropper SNDR
 distribution past the rate threshold implied by the destination SNDR; the
 overall value wraps it in the on-off protocol gates (impairment ceiling,
-transmit-or-suspend, zero-outage region).
+transmit-or-suspend).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class SecrecyTarget:
 class SopBranch(enum.Enum):
     ALWAYS_OUTAGE = "AlwaysOutage"
     CONDITIONAL = "Conditional"
-    ZERO = "Zero"
     SOURCE_SILENT = "SourceSilent"
 
 
@@ -163,9 +162,9 @@ def sop_conditional(
         )
     if coeffs.a == 0.0:
         return 0.0
+    # den_core > 0 because T >= 1 > gamma1, the gate where the threshold
+    # would reach the SNDR ceiling (see thresholds)
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
-    if den_core <= 0.0:  # threshold at or past the SNDR ceiling: T <= gamma1
-        return 0.0
     ratio = num / (tau * den_core)
     bracket = 1.0 + (1.0 - tau) * coeffs.b * ratio
     value = math.exp(-ratio) * bracket ** (-n_ec)
@@ -203,8 +202,9 @@ def sop_overall(
 
     Branches, in order: rate factor above the impairment ceiling gamma3 is
     a certain outage; rate unreachable even at full power means the source
-    suspends; below gamma1 the outage event is impossible; otherwise the
-    conditional closed form applies.  Boundary ties are assigned to the
+    suspends; otherwise the conditional closed form applies.  (Below gamma1
+    the outage event would be impossible, but gamma1 < 1 <= T for every
+    R_s >= 0, so that gate never opens.)  Boundary ties are assigned to the
     less favorable branch.  A split at or below tau_min (possible only in
     fixed-split mode) cannot support the target rate, which is reported as
     a certain outage through the Conditional branch limit.
@@ -223,7 +223,5 @@ def sop_overall(
     t_min = tau_min(target, coeffs)
     if tau_opt <= t_min * (1.0 + _GATE_RTOL):
         return SopBreakdown(1.0, SopBranch.CONDITIONAL, gamma1, gamma2, gamma3, t_min)
-    if t < gamma1 * (1.0 - _GATE_RTOL):
-        return SopBreakdown(0.0, SopBranch.ZERO, gamma1, gamma2, gamma3, t_min)
     value = sop_conditional(tau_opt, target, coeffs, n_ec)
     return SopBreakdown(value, SopBranch.CONDITIONAL, gamma1, gamma2, gamma3, t_min)

@@ -426,11 +426,57 @@ def optimize_tau_throughput(
 # full-power (MRT) closed forms
 # ---------------------------------------------------------------------------
 
-def _bar_scales(cfg: SystemConfig) -> tuple[float, float, float, float]:
-    """Draw-independent (a_bar, c_bar, d_bar, e_bar) for a configuration."""
+@dataclass(frozen=True)
+class _MrtScales:
+    """Draw-independent constants of the full-power rate of one configuration.
+
+    ``rate`` and ``threshold`` take the log2/sqrt to apply: numpy's for the
+    array callers, math's (the default) for the scalar quadrature
+    callbacks, so both evaluate the same expressions.
+    """
+
+    a_bar: float
+    c_bar: float
+    d_bar: float
+    e_bar: float
+    log_eps: float
+    c1: float  # 1 - c_bar*ln(eps)
+    c3: float  # 1 - (a_bar + c_bar)*ln(eps)
+    ratio: float  # a_bar*e_bar/d_bar
+    norm_c: float  # 1/Gamma(N_C), the common-gain pdf normalizer
+    norm_dc: float  # 1/Gamma(N_D - N_C), the non-common-gain pdf normalizer
+
+    def rate(self, g_hat, g_check, log2=math.log2):
+        g = g_hat + g_check
+        num = (g_check + g_hat * self.c1) * ((self.e_bar + self.d_bar) * g + 1.0)
+        den = (self.e_bar * g + 1.0) * (g_check + g_hat * self.c3)
+        return log2(num / den)
+
+    def threshold(self, g_hat, sqrt=math.sqrt):
+        # beta^2 + g(1+u)*beta + g^2*u + g*v = 0 with u = C1 + ratio*ln(eps)
+        # and v = (a_bar/d_bar)*ln(eps) <= 0; 1 - u = (c_bar - ratio)*ln(eps)
+        # >= 0 is formed without the leading 1, and the discriminant
+        # g^2 (1-u)^2 - 4 g v is a sum of non-negative terms
+        one_minus_u = (self.c_bar - self.ratio) * self.log_eps
+        v = self.a_bar / self.d_bar * self.log_eps
+        a1 = g_hat * (2.0 - one_minus_u)
+        return 0.5 * (-a1 + sqrt((g_hat * one_minus_u) ** 2 - 4.0 * v * g_hat))
+
+
+def _bar_scales(cfg: SystemConfig) -> _MrtScales:
+    """Constants of the full-power rate, built once per configuration."""
     beta_e = cfg.beta_e()
     beta_d = cfg.beta_d()
-    return beta_e, cfg.k_tx**2 * beta_e, beta_d, cfg.k_tot2 * beta_d
+    a_bar, c_bar, d_bar, e_bar = beta_e, cfg.k_tx**2 * beta_e, beta_d, cfg.k_tot2 * beta_d
+    log_eps = math.log(cfg.epsilon)
+    return _MrtScales(
+        a_bar, c_bar, d_bar, e_bar, log_eps,
+        c1=1.0 - c_bar * log_eps,
+        c3=1.0 - (a_bar + c_bar) * log_eps,
+        ratio=a_bar * e_bar / d_bar,
+        norm_c=float(special.rgamma(cfg.N_C)),
+        norm_dc=float(special.rgamma(cfg.n_dc)),
+    )
 
 
 def mrt_rate(g_hat, g_check, cfg: SystemConfig):
@@ -444,16 +490,7 @@ def mrt_rate(g_hat, g_check, cfg: SystemConfig):
 
     Negative values mean the state is outside the transmission region.
     """
-    a_bar, c_bar, d_bar, e_bar = _bar_scales(cfg)
-    log_eps = math.log(cfg.epsilon)
-    g_hat = np.asarray(g_hat, float)
-    g_check = np.asarray(g_check, float)
-    g = g_hat + g_check
-    c1 = 1.0 - c_bar * log_eps
-    c3 = 1.0 - (a_bar + c_bar) * log_eps
-    num = (g_check + g_hat * c1) * ((e_bar + d_bar) * g + 1.0)
-    den = (e_bar * g + 1.0) * (g_check + g_hat * c3)
-    out = np.log2(num / den)
+    out = _bar_scales(cfg).rate(np.asarray(g_hat, float), np.asarray(g_check, float), np.log2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -470,15 +507,7 @@ def mrt_transmit_threshold(g_hat, cfg: SystemConfig):
     Root of the quadratic form of the full-power transmission inequality;
     may be negative (always transmit).  Vectorizes over g_hat.
     """
-    a_bar, c_bar, d_bar, e_bar = _bar_scales(cfg)
-    log_eps = math.log(cfg.epsilon)
-    g_hat = np.asarray(g_hat, float)
-    c1 = 1.0 - c_bar * log_eps
-    ratio = a_bar * e_bar / d_bar
-    a1 = g_hat * (1.0 + c1 + ratio * log_eps)
-    a2 = g_hat**2 * (c1 + ratio * log_eps) + (a_bar / d_bar) * g_hat * log_eps
-    disc = np.maximum(a1 * a1 - 4.0 * a2, 0.0)
-    out = 0.5 * (-a1 + np.sqrt(disc))
+    out = _bar_scales(cfg).threshold(np.asarray(g_hat, float), np.sqrt)
     return float(out) if out.ndim == 0 else out
 
 
@@ -488,62 +517,72 @@ def _laguerre_rule(order_m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.gamma(order_m + 1)
 
 
-def log_moment(q: float, m: int) -> float:
-    """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1), via the Ei closed form.
+def _log_moments(q: float, m_max: int) -> list[float]:
+    """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1), for every order m = 0..m_max.
 
-    The alternating closed form loses digits when (1/q)^m/m! is large, in
-    which case a generalized Gauss-Laguerre rule takes over.
+    With w = 1/q, order m is the sum over j = 0..m of
+    (-w)^j/j! * e^w E1(w) + inner_j/j!, where
+    inner_j = sum_{n=1..j} (n-1)! (-w)^(j-n), so that
+    inner_j/j! = (-w * inner_{j-1}/(j-1)! + 1)/j; each order adds one
+    term.  The two parts of a term cancel when w is large; where the
+    largest part met so far exceeds the running sum by more digits than
+    the sum must keep, that order is taken from a generalized
+    Gauss-Laguerre rule instead.
     """
     if q < 0.0:
         raise ValueError("q must be non-negative")
-    if q == 0.0 or m < 0:
-        return 0.0
+    if q == 0.0:
+        return [0.0] * (m_max + 1)
     w = 1.0 / q
     a_scaled = _e1_scaled(w)
+    out = []
     total = 0.0
     peak = 0.0
     pow_w = 1.0  # (-w)^j / j!
-    for j in range(m + 1):
+    inner = 0.0  # inner_j / j!
+    for j in range(m_max + 1):
         if j > 0:
             pow_w *= -w / j
-        inner = 0.0
-        fact = 1.0  # (n-1)!
-        for n in range(1, j + 1):
-            if n > 1:
-                fact *= n - 1
-            inner += fact * (-w) ** (j - n)
-        term = pow_w * a_scaled + inner / math.factorial(j)
-        total += term
-        peak = max(peak, abs(term))
-    if peak * 5e-16 > 1e-10 * max(abs(total), 1e-12):
-        nodes, weights = _laguerre_rule(m)
-        return float(np.sum(weights * np.log2(1.0 + q * nodes)))
-    return total / LN2
+            inner = (1.0 - w * inner) / j
+        head = pow_w * a_scaled
+        total += head + inner
+        peak = max(peak, abs(head), abs(inner))
+        # written so that a NaN sum (w^j/j! overflowing) also falls back
+        if not peak * 5e-16 <= 1e-10 * max(abs(total), 1e-12):
+            nodes, weights = _laguerre_rule(j)
+            out.append(float(np.sum(weights * np.log2(1.0 + q * nodes))))
+        else:
+            out.append(total / LN2)
+    return out
 
 
-def _gamma_pdf(x, shape: int):
-    return np.exp(-x) * x ** (shape - 1) / math.gamma(shape)
+def log_moment(q: float, m: int) -> float:
+    """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1); order m of ``_log_moments``."""
+    if m < 0:
+        return 0.0
+    return _log_moments(q, m)[m]
 
 
-def _mrt_kernel(y: float, cfg: SystemConfig) -> float:
+def _gamma_pdf(x: float, shape: int, norm: float) -> float:
+    return math.exp(-x) * x ** (shape - 1) * norm
+
+
+def _mrt_kernel(y: float, s: _MrtScales, n_c: int, n_dc: int) -> float:
     """Inner closed form of the expected MRT throughput at common gain y."""
-    a_bar, c_bar, d_bar, e_bar = _bar_scales(cfg)
-    log_eps = math.log(cfg.epsilon)
-    n_dc = cfg.n_dc
-    beta = max(0.0, float(mrt_transmit_threshold(y, cfg)))
-    c1 = 1.0 - c_bar * log_eps
-    c3 = 1.0 - (a_bar + c_bar) * log_eps
-    de = e_bar + d_bar
-    q1 = 1.0 / (beta + y * c1)
-    q2 = de / (de * (beta + y) + 1.0)
-    q3 = 1.0 / (beta + y * c3)
-    q4 = e_bar / (e_bar * (beta + y) + 1.0)
-    q5 = math.log2((beta + y * c1) * (de * (beta + y) + 1.0) / ((beta + y * c3) * (e_bar * (beta + y) + 1.0)))
+    beta = max(0.0, s.threshold(y))
+    g = beta + y
+    de = s.e_bar + s.d_bar
+    q1 = 1.0 / (beta + y * s.c1)
+    q2 = de / (de * g + 1.0)
+    q3 = 1.0 / (beta + y * s.c3)
+    q4 = s.e_bar / (s.e_bar * g + 1.0)
+    q5 = s.rate(y, beta)
+    moments = zip(*(_log_moments(q, n_dc - 1) for q in (q1, q2, q3, q4)))
     total = 0.0
-    for m in range(n_dc):
-        kernel = log_moment(q1, m) + log_moment(q2, m) - log_moment(q3, m) - log_moment(q4, m) + q5
-        total += beta ** (n_dc - 1 - m) / math.factorial(n_dc - 1 - m) * kernel
-    return math.exp(-beta) * float(_gamma_pdf(y, cfg.N_C)) * total
+    for m, (l1, l2, l3, l4) in enumerate(moments):
+        k = n_dc - 1 - m
+        total += beta**k / math.factorial(k) * (l1 + l2 - l3 - l4 + q5)
+    return math.exp(-beta) * _gamma_pdf(y, n_c, s.norm_c) * total
 
 
 def _gamma_cap(shape: int, tail: float = 1e-10) -> float:
@@ -554,55 +593,62 @@ def mrt_throughput_closed_form(cfg: SystemConfig) -> float:
     """Expected MRT secrecy throughput via the exponential-integral sum."""
     if cfg.N_C < 1 or cfg.n_dc < 1:
         raise ValueError("closed form needs N_C >= 1 and N_D - N_C >= 1")
-    y_cap = _gamma_cap(cfg.N_C)
     value, _ = integrate.quad(
-        _mrt_kernel, 0.0, y_cap, args=(cfg,), limit=300, epsabs=1e-12, epsrel=1e-9
+        _mrt_kernel, 0.0, _gamma_cap(cfg.N_C), args=(_bar_scales(cfg), cfg.N_C, cfg.n_dc),
+        limit=300, epsabs=1e-12, epsrel=1e-9,
     )
     return value
 
 
 def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
-    """Reference: direct 2-D quadrature of the rate against both gain laws."""
+    """Reference: direct 2-D quadrature of the rate against both gain laws.
+
+    It integrates the rate itself above the transmission threshold and
+    uses neither the exponential integral nor the log moments.
+    """
     if cfg.N_C < 1 or cfg.n_dc < 1:
         raise ValueError("2-D quadrature needs N_C >= 1 and N_D - N_C >= 1")
-    y_cap = _gamma_cap(cfg.N_C)
-    x_cap = _gamma_cap(cfg.n_dc)
+    s = _bar_scales(cfg)
+    n_c, n_dc = cfg.N_C, cfg.n_dc
+    y_cap = _gamma_cap(n_c)
+    x_cap = _gamma_cap(n_dc)
+
+    def inner(x: float, y: float) -> float:
+        return _gamma_pdf(x, n_dc, s.norm_dc) * s.rate(y, x)
 
     def outer(y: float) -> float:
-        beta = max(0.0, float(mrt_transmit_threshold(y, cfg)))
-        hi = max(x_cap, beta * 4.0 + 40.0)
-        if beta >= hi:
-            return 0.0
-
-        def inner(x: float) -> float:
-            return float(_gamma_pdf(x, cfg.n_dc)) * float(mrt_rate(y, x, cfg))
-
-        val, _ = integrate.quad(inner, beta, hi, limit=300, epsabs=1e-12, epsrel=1e-9)
-        return float(_gamma_pdf(y, cfg.N_C)) * val
+        beta = max(0.0, s.threshold(y))
+        val, _ = integrate.quad(
+            inner, beta, max(x_cap, beta * 4.0 + 40.0), args=(y,),
+            limit=300, epsabs=1e-12, epsrel=1e-9,
+        )
+        return _gamma_pdf(y, n_c, s.norm_c) * val
 
     value, _ = integrate.quad(outer, 0.0, y_cap, limit=300, epsabs=1e-12, epsrel=1e-8)
     return value
 
 
 def _mrt_throughput_no_common(cfg: SystemConfig) -> float:
-    """No common paths: no leakage, full region, rate log2(1 + Y_D(1))."""
-    beta_d = cfg.beta_d()
-    k_tot2 = cfg.k_tot2
-    g_cap = _gamma_cap(cfg.N_D)
+    """No common paths: no leakage, full region, rate log2(1 + Y_D(1)).
+
+    That is the full-power rate at G_hat = 0, integrated against the
+    gain law of all N_D paths (here N_D - N_C = N_D).
+    """
+    s = _bar_scales(cfg)
+    n_d = cfg.N_D
 
     def f(g: float) -> float:
-        y_d = beta_d * g / (k_tot2 * beta_d * g + 1.0)
-        return float(_gamma_pdf(g, cfg.N_D)) * math.log2(1.0 + y_d)
+        return _gamma_pdf(g, n_d, s.norm_dc) * s.rate(0.0, g)
 
-    value, _ = integrate.quad(f, 0.0, g_cap, limit=200, epsabs=1e-12, epsrel=1e-9)
+    value, _ = integrate.quad(f, 0.0, _gamma_cap(n_d), limit=200, epsabs=1e-12, epsrel=1e-9)
     return value
 
 
-def mrt_throughput(cfg: SystemConfig, cross_check: bool = True, rel_tol: float = 1e-3) -> float:
-    """Expected MRT secrecy throughput; optionally audited by 2-D quadrature.
+def mrt_throughput(cfg: SystemConfig, cross_check: bool = False, rel_tol: float = 1e-3) -> float:
+    """Expected MRT secrecy throughput; ``cross_check`` audits it by 2-D quadrature.
 
-    Raises ConvergenceError when the two quadrature routes disagree beyond
-    ``rel_tol`` relative, reporting both estimates.
+    With the audit on, raises ConvergenceError when the two quadrature
+    routes disagree beyond ``rel_tol`` relative, reporting both estimates.
     """
     if cfg.N_C == 0:
         return _mrt_throughput_no_common(cfg)

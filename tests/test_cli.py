@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
+from scipy import integrate
 
-from mmwsec import cli
+from mmwsec import cli, throughput
 from mmwsec.config import SystemConfig
 
 
@@ -50,6 +52,25 @@ def test_sweep_reports_unchecked_rows(tmp_path, capsys):
     assert rc == 0
     assert ",nan,nan," in out
     assert "unchecked: 1 of 2 rows" in err
+
+
+def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
+    # N_C = 8 puts log moments of order up to 11 at small q through the
+    # closed form; a cancellation there once gave analytic = -5150 at 60 dBm
+    spec_path = tmp_path / "mrt8.spec"
+    spec_path.write_text(
+        "mode=throughput_mrt\nswept_key=P_dBm\nvalues=50,60\ntrials=20\nseed=5\n"
+        "N_C=8\nk_tx=0.1\nk_rx=0.1\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        rc = cli.main(["sweep", "--spec", str(spec_path)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("custom,")]
+    for row, p_dbm in zip(rows, (50.0, 60.0), strict=True):
+        cfg = SystemConfig(N_C=8, P_dBm=p_dbm, k_tx=0.1, k_rx=0.1)
+        assert float(row[12]) == pytest.approx(throughput.mrt_throughput_quad2d(cfg), rel=1e-6)
 
 
 def test_sweep_rows_and_mc_pairing():

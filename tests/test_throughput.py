@@ -459,13 +459,52 @@ def test_log_moment_against_quadrature(rng):
     assert log_moment(0.0, 3) == 0.0
 
 
+def log_moment_oracle(q: float, m: int) -> float:
+    # E[ln(1 + qX)] = e^w * sum_{n=1}^{m+1} E_n(w) with w = 1/q: each order
+    # adds q * int_0^inf e^-s (1 + sq)^-(m+1) ds.  Generalized exponential
+    # integrals, no alternating sum, in 30-digit arithmetic.
+    with mpmath.workdps(30):
+        w = 1 / mpmath.mpf(q)
+        total = mpmath.fsum(mpmath.expint(n, w) for n in range(1, m + 2))
+        return float(mpmath.exp(w) * total / mpmath.log(2))
+
+
+def test_log_moment_against_mpmath():
+    # one q per decade, across both sides of the Gauss-Laguerre switch: at
+    # q = 1e-7 every order m >= 1 cancels past the guard, at q = 1e6 none
+    # does.  A guard that only saw the terms after they cancelled gave
+    # -5.9e31 at (q, m) = (1e-6, 10) and 4.7e4 at (1e-3, 10).
+    top = 19
+    for q in np.geomspace(1e-7, 1e6, 14).tolist():
+        moments = throughput._log_moments(q, top)
+        for m in range(top + 1):
+            ref = log_moment_oracle(q, m)
+            assert abs(moments[m] - ref) <= 1e-9 * abs(ref), (q, m, moments[m], ref)
+            assert log_moment(q, m) == moments[m]
+
+
 def test_mrt_throughput_dual_quadrature():
     cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=0.01, k_tx=0.1, k_rx=0.1)
     closed = mrt_throughput_closed_form(cfg)
     direct = mrt_throughput_quad2d(cfg)
     assert abs(closed - direct) <= 1e-3 * max(abs(direct), 1e-9)
-    # wrapper runs the audit internally
-    assert math.isclose(mrt_throughput(cfg), closed, rel_tol=1e-12)
+    # the wrapper runs the same audit when asked, and returns the closed form
+    assert math.isclose(mrt_throughput(cfg, cross_check=True), closed, rel_tol=1e-12)
+
+
+def test_mrt_closed_form_matches_quad2d_across_configs(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for _ in range(20):
+            cfg = SystemConfig(
+                M=100, N_D=20, N_C=int(rng.integers(1, 20)), P_dBm=float(rng.uniform(40, 70)),
+                epsilon=float(rng.uniform(0.005, 0.2)), k_tx=float(rng.uniform(0, 0.15)),
+                k_rx=float(rng.uniform(0, 0.15)),
+            )
+            closed = mrt_throughput_closed_form(cfg)
+            direct = mrt_throughput_quad2d(cfg)
+            gap = abs(closed - direct) / max(abs(closed), abs(direct), 1e-9)
+            assert gap <= 1e-6, (cfg, closed, direct)
 
 
 def test_mrt_throughput_unconstrained_reduction():
