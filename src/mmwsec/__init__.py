@@ -20,6 +20,7 @@ from .channel import (
 from .config import (
     EffectiveCoeffs,
     SystemConfig,
+    coeffs_from_gains,
     dbm_to_watt,
     derive_coeffs,
     load_config,
@@ -45,6 +46,7 @@ from .opa_sop import (
     OpaResult,
     PhiCoeffs,
     minimize_sop_tau,
+    minimize_sop_tau_batch,
     omega,
     optimize_tau_sop,
     phi,
@@ -60,7 +62,9 @@ from .sop import (
     cdf_Y_E,
     sop_conditional,
     sop_overall,
+    sop_overall_batch,
     tau_min,
+    tau_min_batch,
     thresholds,
 )
 from .throughput import (

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
-from .config import SystemConfig, coerce_overrides, load_config
+from .config import SystemConfig, coeffs_from_gains, coerce_overrides, load_config
 from .errors import SilentSourceError
-from .sndr import sndr_destination, sndr_eve, sndr_eve_values
+from .sndr import sndr_destination_values, sndr_eve, sndr_eve_values
 from .throughput import KTauSolver, optimize_tau_throughput
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
@@ -142,41 +142,34 @@ def _sop_point(
     rng = montecarlo.as_rng(seed)
     target = sop.SecrecyTarget(cfg.R_s)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, rng)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
 
-    analytic_vals: list[float] = []
+    breakdown = sop.sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+    tau_eval = np.ones(trials)
+    if scheme == "an_opa":
+        split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
+        if split_policy == "min_sop":
+            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(
+                target, coeffs.take(split), cfg.n_ec, grid_points=opa_grid
+            )
+        else:
+            for i in split:
+                tau_eval[i] = opa_sop.optimize_tau_sop(
+                    target, coeffs.take(i), cfg.n_ec, policy="mean", grid_points=opa_grid
+                ).tau_star
+        breakdown = sop.sop_overall_batch(tau_eval, target, coeffs, cfg.n_ec)
+    accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
+    tags = Counter(branch.value for branch in breakdown.branch[accepted])
+    analytic_vals = breakdown.value[accepted]
+    tau_stars = tau_eval[accepted]
+
     empirical_vals: list[float] = []
     pair_var = 0.0
-    tau_stars: list[float] = []
-    tags: dict[str, int] = {}
-    silent = 0
-
-    for i in range(trials):
-        coeffs = throughput._coeffs_from_scalars(cfg, float(g_hat[i]), float(g_check[i]))
-        gate = sop.sop_overall(1.0, target, coeffs, cfg.n_ec)
-        if gate.branch is sop.SopBranch.SOURCE_SILENT:
-            silent += 1
-            continue
-        if scheme == "an_opa" and gate.branch is sop.SopBranch.CONDITIONAL:
-            if split_policy == "min_sop":
-                tau_eval, _ = opa_sop.minimize_sop_tau(
-                    target, coeffs, cfg.n_ec, grid_points=opa_grid
-                )
-            else:
-                tau_eval = opa_sop.optimize_tau_sop(
-                    target, coeffs, cfg.n_ec, policy="mean", grid_points=opa_grid
-                ).tau_star
-            breakdown = sop.sop_overall(tau_eval, target, coeffs, cfg.n_ec)
-        else:
-            tau_eval = 1.0
-            breakdown = gate
-        tags[breakdown.branch.value] = tags.get(breakdown.branch.value, 0) + 1
-        tau_stars.append(tau_eval)
-        analytic_vals.append(breakdown.value)
-
+    for i in accepted:
         u = rng.exponential(1.0, size=uv_samples) if cfg.N_C > 0 else np.zeros(uv_samples)
         v = rng.gamma(cfg.n_ec, 1.0, size=uv_samples)
-        y_d = sndr_destination(tau_eval, coeffs)
-        y_e = sndr_eve(tau_eval, u, v, coeffs)
+        y_d = sndr_destination_values(tau_eval[i], coeffs.d[i], coeffs.e[i])
+        y_e = sndr_eve_values(tau_eval[i], u, v, coeffs.a[i], coeffs.b, coeffs.c[i])
         p_hat = float(np.mean(np.log2((1.0 + y_d) / (1.0 + y_e)) < cfg.R_s))
         empirical_vals.append(p_hat)
         pair_var += p_hat * (1.0 - p_hat) / uv_samples
@@ -229,7 +222,7 @@ def _throughput_point(
         )
 
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, rng)
-    coeffs = throughput._coeffs_from_scalars(cfg, g_hat, g_check)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
     if scheme == "opa":
         results = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
         tau_eval = np.array([res.tau_star for res in results])
@@ -487,7 +480,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             R_s=3.0, k_tx=0.08, k_rx=0.08,
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
-        coeffs = throughput._coeffs_from_scalars(cfg, float(g_hat[0]), float(g_check[0]))
+        coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
         try:
             t_min = sop.tau_min(target, coeffs)
         except SilentSourceError:
@@ -507,7 +500,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
     # CDF closed form vs empirical CDF
     cfg = SystemConfig(M=100, N_D=20, N_C=10, P_dBm=55.0)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
-    coeffs = throughput._coeffs_from_scalars(cfg, float(g_hat[0]), float(g_check[0]))
+    coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
     tau = 0.6
     qs = np.linspace(0.05, 0.95, 10)
     grid = [float(np.quantile(sndr_eve(tau, rng.exponential(1.0, 4000),
@@ -525,7 +518,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             k_rx=float(rng.uniform(0, 0.15)),
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        coeffs_i = throughput._coeffs_from_scalars(cfg_i, float(g_hat[0]), float(g_check[0]))
+        coeffs_i = coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))
         tgt = sop.SecrecyTarget(cfg_i.R_s)
         try:
             res = opa_sop.optimize_tau_sop(tgt, coeffs_i, cfg_i.n_ec, grid_points=0)
@@ -547,7 +540,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             k_rx=float(rng.uniform(0, 0.15)),
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        coeffs_i = throughput._coeffs_from_scalars(cfg_i, float(g_hat[0]), float(g_check[0]))
+        coeffs_i = coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))
         solver = KTauSolver(coeffs_i.a, coeffs_i.b, coeffs_i.c, cfg_i.n_ec, cfg_i.epsilon)
         res = optimize_tau_throughput(coeffs_i, solver)
         taus = np.linspace(1.0 / 2000, 1.0, 2000)

@@ -144,7 +144,8 @@ class EffectiveCoeffs:
         e = k_tot^2 * d               aggregate-distortion scale at D
 
     The bar variants are the gain-normalized versions (a = a_bar*G_hat/G,
-    d = d_bar*G, ...), constant across channel draws.
+    d = d_bar*G, ...), constant across channel draws.  For a batch of
+    states a, c, d and e are arrays over the states.
     """
 
     beta_D: float
@@ -161,16 +162,27 @@ class EffectiveCoeffs:
     d_bar: float = field(default=0.0)
     e_bar: float = field(default=0.0)
 
+    def take(self, index) -> "EffectiveCoeffs":
+        """The states a numpy index picks from the per-state a, c, d and e.
 
-def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
-    """Build the effective scalar coefficients of one channel state or a batch.
+        Scalar coefficients count as one state; b and the scale factors are
+        shared by all states and carry over unchanged.
+        """
+        def pick(x):
+            return np.atleast_1d(x)[index]
+
+        return replace(self, a=pick(self.a), c=pick(self.c), d=pick(self.d), e=pick(self.e))
+
+
+def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
+    """Build the effective coefficients of the states with the given gains.
 
     Args:
         cfg: system parameters.
-        draw: any object with ``G_hat``, ``G_check`` and ``G`` attributes
-            (a full ChannelDraw or a lightweight stand-in).  Equal-shape
-            arrays describe a batch of states; a, c, d and e are then
-            arrays over the states and b stays a scalar.
+        g_hat, g_check: common and non-common destination gains, floats
+            for one state or equal-shape arrays for a batch of states;
+            a, c, d and e are then arrays over the states and b stays a
+            scalar.
 
     Raises:
         InfeasibleError: if N_E == N_C, which leaves no eavesdropper-only
@@ -180,14 +192,16 @@ def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
         raise InfeasibleError(
             f"N_E - N_C must be positive to aim artificial noise (got {cfg.n_ec})"
         )
-    if isinstance(draw.G, np.ndarray):  # a batch of states
-        g_hat, g_tot = np.asarray(draw.G_hat, float), np.asarray(draw.G, float)
+    if isinstance(g_hat, np.ndarray) or isinstance(g_check, np.ndarray):  # a batch
+        g_hat = np.asarray(g_hat, float)
+        g_tot = g_hat + np.asarray(g_check, float)
         nonpositive = bool(np.any(g_tot <= 0.0))
     else:
-        g_hat, g_tot = float(draw.G_hat), float(draw.G)
+        g_hat = float(g_hat)
+        g_tot = g_hat + float(g_check)
         nonpositive = g_tot <= 0.0
     if cfg.N_D > 0 and nonpositive:
-        raise ValueError("draw.G must be positive when N_D > 0")
+        raise ValueError("G = G_hat + G_check must be positive when N_D > 0")
 
     beta_d = cfg.beta_d()
     beta_e = cfg.beta_e()
@@ -214,6 +228,16 @@ def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
         d_bar=beta_d,
         e_bar=k_tot2 * beta_d,
     )
+
+
+def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
+    """Effective coefficients of one channel draw or a batch of them.
+
+    ``draw`` is any object with ``G_hat`` and ``G_check`` attributes (a
+    ChannelDraw, possibly holding equal-shape arrays); see
+    ``coeffs_from_gains``.
+    """
+    return coeffs_from_gains(cfg, draw.G_hat, draw.G_check)
 
 
 # -- flat key=value configuration files ------------------------------------

@@ -5,6 +5,12 @@ maximizing the capacity ratio phi(tau) = (1 + Y_D)/(1 + Y_E), a rational
 quadratic whose derivative sign is a plain quadratic Omega(tau).  The
 optimizer classifies the sign pattern of Omega at the feasible-set
 endpoints and compares the resulting candidate points.
+
+The split minimizing the closed-form conditional SOP itself is found for
+a whole batch of channel states at once (``minimize_sop_tau_batch``): one
+(states x grid) scan, in blocks of states, brackets every state's
+minimum, and one golden-section loop refines all brackets together, each
+state stopping on its own.  ``minimize_sop_tau`` is its one-state call.
 """
 
 from __future__ import annotations
@@ -18,12 +24,21 @@ import numpy as np
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
-from .sop import SecrecyTarget, sop_conditional, sop_conditional_grid, tau_min
+from .sop import SecrecyTarget, sop_conditional, tau_min, tau_min_batch
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
 # Offset used when the open tau_min endpoint wins the candidate comparison.
 _ENDPOINT_NUDGE = 1e-9
+# States per block of the (states x grid) scan in minimize_sop_tau_batch.
+# It bounds the scan's working set: at the sweeps' 2048-point grid, 8
+# states add about 1.3 MB of peak memory, 64 states about 9 MB.
+_SCAN_BLOCK_STATES = 8
+# Golden-section refinement: ratio, bracket width at which a state stops,
+# and the step cap.
+_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_XTOL = 1e-12
+_GOLDEN_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,7 @@ def optimize_tau_sop(
     policy: str = "mean",
     u: float | None = None,
     v: float | None = None,
-    grid_points: int = 10_000,
+    grid_points: int = 0,
     grid_tol: float = 1e-6,
 ) -> OpaResult:
     """Choose the power split maximizing phi over the feasible set (tau_min, 1].
@@ -150,7 +165,8 @@ def optimize_tau_sop(
 
     When ``grid_points`` > 0 the analytic result is audited against a
     uniform grid; a disagreement beyond ``grid_tol`` returns the grid
-    maximizer tagged GridFallback instead.
+    maximizer tagged GridFallback instead.  The audit is off by default;
+    the tests and the sweeps turn it on.
 
     Raises SilentSourceError when no feasible split exists (tau_min >= 1).
     """
@@ -206,50 +222,99 @@ def optimize_tau_sop(
     return OpaResult(float(tau_star), case, phi_star)
 
 
+def minimize_sop_tau_batch(
+    target: SecrecyTarget,
+    coeffs: EffectiveCoeffs,
+    n_ec: int,
+    grid_points: int = 512,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split minimizing the closed-form conditional SOP of every state.
+
+    The capacity-ratio proxy above substitutes a fixed (u, v) into phi and
+    can land far from the minimum of the (u, v)-averaged SOP; this routine
+    minimizes that averaged closed form directly and is what figure-level
+    sweeps use.  Per state: the grid t_min + (1..G)/G * (1 - t_min) with
+    G = ``grid_points`` brackets the minimum between the neighbours of its
+    best point, then golden-section steps narrow the bracket until it is
+    narrower than 1e-12, and the bracket's midpoint competes with the full
+    power split tau = 1.  States without leakage (a = 0) are outage-free
+    at any feasible split and get (1, 0).
+
+    Returns arrays (tau_star, sop value) over the states; scalar
+    coefficients count as one state.  Raises SilentSourceError when any
+    state has no feasible split.
+    """
+    t_min, silent = tau_min_batch(target, coeffs)
+    empty = silent | (t_min >= 1.0)
+    if empty.any():
+        raise SilentSourceError(
+            f"feasible set empty for {int(empty.sum())} of {empty.size} states "
+            "(tau_min >= 1); source suspends"
+        )
+    tau_star = np.ones(t_min.shape)
+    value = np.zeros(t_min.shape)
+    leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
+    if leak.size == 0:
+        return tau_star, value
+    states = coeffs.take(leak)
+    t_min = t_min[leak]
+
+    steps = np.arange(1, grid_points + 1) / grid_points
+    lo = np.empty(leak.size)
+    hi = np.empty(leak.size)
+    for start in range(0, leak.size, _SCAN_BLOCK_STATES):
+        block = slice(start, start + _SCAN_BLOCK_STATES)
+        t0 = t_min[block, None]
+        grid = t0 + steps * (1.0 - t0)
+        best = np.argmin(sop_conditional(grid, target, states.take((block, None)), n_ec), axis=1)
+        at = np.arange(grid.shape[0])
+        lo[block] = grid[at, np.maximum(best - 1, 0)]
+        hi[block] = grid[at, np.minimum(best + 1, grid_points - 1)]
+
+    # golden section over the states still refining; a state leaves once
+    # its bracket is narrower than _GOLDEN_XTOL (or at the step cap)
+    x1 = hi - _INV_GOLD * (hi - lo)
+    x2 = lo + _INV_GOLD * (hi - lo)
+    f1 = sop_conditional(x1, target, states, n_ec)
+    f2 = sop_conditional(x2, target, states, n_ec)
+    rows = np.arange(leak.size)
+    refining = states
+    mid = np.empty(leak.size)
+    for step in range(_GOLDEN_MAX_ITERS + 1):
+        done = (hi - lo < _GOLDEN_XTOL) | (step == _GOLDEN_MAX_ITERS)
+        if done.any():
+            mid[rows[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            rows, lo, hi, x1, x2, f1, f2 = (x[keep] for x in (rows, lo, hi, x1, x2, f1, f2))
+            if not rows.size:
+                break
+            refining = refining.take(keep)
+        left = f1 <= f2  # the minimum lies in [lo, x2], else in [x1, hi]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x_new = np.where(left, hi - _INV_GOLD * (hi - lo), lo + _INV_GOLD * (hi - lo))
+        f_new = sop_conditional(x_new, target, refining, n_ec)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    # the midpoints stop short of the closed end tau = 1, where the SOP is
+    # smallest when the artificial noise does not pay off
+    inner = sop_conditional(mid, target, states, n_ec)
+    full = sop_conditional(np.ones(leak.size), target, states, n_ec)
+    at_end = full < inner
+    tau_star[leak] = np.where(at_end, 1.0, mid)
+    value[leak] = np.where(at_end, full, inner)
+    return tau_star, value
+
+
 def minimize_sop_tau(
     target: SecrecyTarget,
     coeffs: EffectiveCoeffs,
     n_ec: int,
     grid_points: int = 512,
 ) -> tuple[float, float]:
-    """Split minimizing the closed-form conditional SOP itself.
+    """Split minimizing the closed-form conditional SOP of one state.
 
-    The capacity-ratio proxy above substitutes a fixed (u, v) into phi and
-    can land far from the minimum of the (u, v)-averaged SOP; this routine
-    minimizes that averaged closed form directly (grid bracket plus
-    golden-section refinement) and is what figure-level sweeps use.
-
-    Returns (tau_star, sop value).  Raises SilentSourceError when no
-    feasible split exists.
+    The one-state call of ``minimize_sop_tau_batch``.  Returns (tau_star,
+    sop value).  Raises SilentSourceError when no feasible split exists.
     """
-    t_min = tau_min(target, coeffs)
-    if t_min >= 1.0:
-        raise SilentSourceError(
-            f"feasible set empty: tau_min={t_min:.6g} >= 1; source suspends"
-        )
-    if coeffs.a == 0.0:  # no leakage: any feasible split is outage-free
-        return 1.0, 0.0
-    grid = t_min + (np.arange(1, grid_points + 1) / grid_points) * (1.0 - t_min)
-    vals = sop_conditional_grid(grid, target, coeffs, n_ec)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_gold * (hi - lo)
-    x2 = lo + inv_gold * (hi - lo)
-    f1 = sop_conditional(x1, target, coeffs, n_ec)
-    f2 = sop_conditional(x2, target, coeffs, n_ec)
-    for _ in range(60):
-        if hi - lo < 1e-12:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_gold * (hi - lo)
-            f1 = sop_conditional(x1, target, coeffs, n_ec)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_gold * (hi - lo)
-            f2 = sop_conditional(x2, target, coeffs, n_ec)
-    tau_star = 0.5 * (lo + hi)
-    return float(tau_star), float(sop_conditional(tau_star, target, coeffs, n_ec))
+    tau_star, value = minimize_sop_tau_batch(target, coeffs, n_ec, grid_points)
+    return tau_star.item(), value.item()

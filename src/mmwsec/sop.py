@@ -4,6 +4,12 @@ The conditional outage probability is the tail of the eavesdropper SNDR
 distribution past the rate threshold implied by the destination SNDR; the
 overall value wraps it in the on-off protocol gates (impairment ceiling,
 transmit-or-suspend).
+
+The formulas work on batches of channel states (EffectiveCoeffs whose a,
+c, d and e are arrays): ``sop_conditional`` broadcasts the split against
+the states, and ``tau_min_batch``/``sop_overall_batch`` return per-state
+values and branches and mark silent states instead of raising.
+``tau_min`` and ``sop_overall`` are their one-state calls.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
@@ -48,7 +56,11 @@ class SopBranch(enum.Enum):
 
 @dataclass(frozen=True)
 class SopBreakdown:
-    """Overall SOP value plus the branch and gate values that produced it."""
+    """Overall SOP value plus the branch and gate values that produced it.
+
+    Built by ``sop_overall_batch`` the fields are arrays over the states
+    (``branch`` holds one SopBranch per state; ``gamma3`` is shared).
+    """
 
     value: float
     branch: SopBranch
@@ -58,21 +70,37 @@ class SopBreakdown:
     tau_min: float
 
 
+def tau_min_batch(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest power split supporting the target rate, per state.
+
+    Returns (t_min, silent) as arrays over the states (scalar coefficients
+    count as one state).  ``silent`` marks the states with d <= e*(T-1):
+    their destination SNDR cannot reach the target for any split, the
+    source suspends, and t_min is inf.
+    """
+    d = np.atleast_1d(coeffs.d)
+    t_bar = target.T_bar
+    if t_bar == 0.0:
+        return np.zeros(d.shape), np.zeros(d.shape, bool)
+    denom = d - coeffs.e * t_bar
+    silent = denom <= 0.0
+    with np.errstate(divide="ignore"):
+        t_min = np.where(silent, math.inf, t_bar / denom)
+    return t_min, silent
+
+
 def tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> float:
     """Smallest power split supporting the target rate at the destination.
 
     Raises SilentSourceError when d <= e*(T-1): the destination SNDR cannot
     reach the target for any split and the source suspends.
     """
-    t_bar = target.T_bar
-    if t_bar == 0.0:
-        return 0.0
-    denom = coeffs.d - coeffs.e * t_bar
-    if denom <= 0.0:
+    t_min, silent = tau_min_batch(target, coeffs)
+    if silent.item():
         raise SilentSourceError(
-            f"no feasible power split: d={coeffs.d:.6g} <= e*(T-1)={coeffs.e * t_bar:.6g}"
+            f"no feasible power split: d={coeffs.d:.6g} <= e*(T-1)={coeffs.e * target.T_bar:.6g}"
         )
-    return t_bar / denom
+    return float(t_min.item())
 
 
 def outage_threshold(tau: float, target: SecrecyTarget, coeffs: EffectiveCoeffs) -> float:
@@ -132,6 +160,7 @@ def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float
     eavesdropper SNDR ceiling (outage impossible below it).
     gamma2(tau): rate factor reachable by the destination at split tau.
     gamma3: large-power limit of gamma2 (infinite for ideal hardware).
+    gamma1 and gamma2 are arrays when tau or the coefficients are.
     """
     k_tx2 = coeffs.k_tx2
     k_tot2 = coeffs.k_tot2
@@ -145,83 +174,90 @@ def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float
     return gamma1, gamma2, gamma3
 
 
-def sop_conditional(
-    tau: float, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
-) -> float:
+def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int):
     """Conditional SOP at split tau inside the transmission region.
 
     Equals the complementary CDF of the eavesdropper SNDR at the outage
     threshold; both are generated from one expression so the long closed
-    form cannot drift from the CDF it was derived from.
+    form cannot drift from the CDF it was derived from.  ``tau`` broadcasts
+    against array coefficients (a (states, 1) column of coefficients
+    against a (states, grid) array of splits gives one grid per state); a
+    float split of one state gives a float.
     """
+    tau = np.asarray(tau, float)
     te1 = tau * coeffs.e + 1.0
     num = tau * coeffs.d - te1 * target.T_bar
-    if tau <= 0.0 or num <= 0.0:
+    if (tau <= 0.0).any() or (num <= 0.0).any():
         raise ValueError(
             "sop_conditional requires tau > tau_min; use sop_overall for branching"
         )
-    if coeffs.a == 0.0:
-        return 0.0
     # den_core > 0 because T >= 1 > gamma1, the gate where the threshold
-    # would reach the SNDR ceiling (see thresholds)
+    # would reach the SNDR ceiling (see thresholds), except without
+    # leakage (a = 0), where it is 0 and the SOP is 0
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
-    ratio = num / (tau * den_core)
-    bracket = 1.0 + (1.0 - tau) * coeffs.b * ratio
-    value = math.exp(-ratio) * bracket ** (-n_ec)
-    return min(max(value, 0.0), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / (tau * den_core)
+        value = np.exp(-ratio) * (1.0 + (1.0 - tau) * coeffs.b * ratio) ** (-n_ec)
+    value = np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
+    return value if value.ndim else float(value)
 
 
-def sop_conditional_grid(taus, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int):
-    """Vectorized conditional SOP over an array of splits above tau_min."""
-    import numpy as np
-
-    taus = np.asarray(taus, float)
-    te1 = taus * coeffs.e + 1.0
-    num = taus * coeffs.d - te1 * target.T_bar
-    if np.any(num <= 0.0) or np.any(taus <= 0.0):
-        raise ValueError("all splits must exceed tau_min")
-    if coeffs.a == 0.0:
-        return np.zeros_like(taus)
-    den_core = te1 * target.T * coeffs.a - coeffs.c * num
-    ratio = num / (taus * den_core)
-    values = np.exp(-ratio) * (1.0 + (1.0 - taus) * coeffs.b * ratio) ** (-n_ec)
-    return np.clip(values, 0.0, 1.0)
-
-
-def _gate_ge(t: float, gate: float) -> bool:
+def _gate_ge(t: float, gate):
     """T >= gate with ties (to relative tolerance) counted as crossing."""
-    if math.isinf(gate):
-        return False
     return t >= gate * (1.0 - _GATE_RTOL)
+
+
+def sop_overall_batch(
+    tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
+) -> SopBreakdown:
+    """Piecewise overall SOP of every state at its power split.
+
+    ``tau`` is one split for all states or one per state; scalar
+    coefficients count as one state.  Branches, in order: rate factor
+    above the impairment ceiling gamma3 is a certain outage; rate
+    unreachable even at full power means the source suspends; otherwise
+    the conditional closed form applies.  (Below gamma1 the outage event
+    would be impossible, but gamma1 < 1 <= T for every R_s >= 0, so that
+    gate never opens.)  Boundary ties are assigned to the less favorable
+    branch.  A split at or below tau_min (possible only in fixed-split
+    mode) cannot support the target rate, which is reported as a certain
+    outage through the Conditional branch limit.
+
+    Returns a SopBreakdown of arrays over the states; tau_min is inf
+    outside the Conditional branch.
+    """
+    d = np.atleast_1d(coeffs.d)
+    tau = np.broadcast_to(np.asarray(tau, float), d.shape)
+    if not np.all((0.0 <= tau) & (tau <= 1.0)):
+        raise ValueError("tau_opt must lie in [0, 1]")
+    t = target.T
+    gamma1, gamma2, gamma3 = thresholds(tau, coeffs)
+    _, gamma2_full, _ = thresholds(1.0, coeffs)
+
+    always = np.full(d.shape, _gate_ge(t, gamma3))
+    silent = ~always & _gate_ge(t, gamma2_full)
+    conditional = ~(always | silent)
+    t_min = np.where(conditional, tau_min_batch(target, coeffs)[0], math.inf)
+    feasible = conditional & (tau > t_min * (1.0 + _GATE_RTOL))
+
+    value = np.where(silent, 0.0, 1.0)
+    value[feasible] = sop_conditional(tau[feasible], target, coeffs.take(feasible), n_ec)
+    branch = np.full(d.shape, SopBranch.CONDITIONAL, dtype=object)
+    branch[silent] = SopBranch.SOURCE_SILENT
+    branch[always] = SopBranch.ALWAYS_OUTAGE
+    return SopBreakdown(value, branch, gamma1, gamma2, gamma3, t_min)
 
 
 def sop_overall(
     tau_opt: float, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> SopBreakdown:
-    """Piecewise overall SOP at the supplied power split.
+    """Piecewise overall SOP of one state at the supplied power split.
 
-    Branches, in order: rate factor above the impairment ceiling gamma3 is
-    a certain outage; rate unreachable even at full power means the source
-    suspends; otherwise the conditional closed form applies.  (Below gamma1
-    the outage event would be impossible, but gamma1 < 1 <= T for every
-    R_s >= 0, so that gate never opens.)  Boundary ties are assigned to the
-    less favorable branch.  A split at or below tau_min (possible only in
-    fixed-split mode) cannot support the target rate, which is reported as
-    a certain outage through the Conditional branch limit.
+    The one-state call of ``sop_overall_batch``, which documents the
+    branches.
     """
-    if not 0.0 <= tau_opt <= 1.0:
-        raise ValueError("tau_opt must lie in [0, 1]")
-    t = target.T
-    gamma1, gamma2, gamma3 = thresholds(tau_opt, coeffs)
-    _, gamma2_full, _ = thresholds(1.0, coeffs)
-
-    if _gate_ge(t, gamma3):
-        return SopBreakdown(1.0, SopBranch.ALWAYS_OUTAGE, gamma1, gamma2, gamma3, math.inf)
-    if _gate_ge(t, gamma2_full):
-        return SopBreakdown(0.0, SopBranch.SOURCE_SILENT, gamma1, gamma2, gamma3, math.inf)
-
-    t_min = tau_min(target, coeffs)
-    if tau_opt <= t_min * (1.0 + _GATE_RTOL):
-        return SopBreakdown(1.0, SopBranch.CONDITIONAL, gamma1, gamma2, gamma3, t_min)
-    value = sop_conditional(tau_opt, target, coeffs, n_ec)
-    return SopBreakdown(value, SopBranch.CONDITIONAL, gamma1, gamma2, gamma3, t_min)
+    bd = sop_overall_batch(tau_opt, target, coeffs, n_ec)
+    return SopBreakdown(
+        bd.value.item(), bd.branch.item(), bd.gamma1.item(), bd.gamma2.item(),
+        float(bd.gamma3), bd.tau_min.item(),
+    )

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import sample_gain_scalars
-from .config import EffectiveCoeffs, SystemConfig, derive_coeffs
+from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng
 from .sndr import sndr_destination_values
@@ -668,21 +668,6 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False, rel_tol: float 
 # Monte-Carlo averaged throughputs over channel states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ScalarDraw:
-    G_hat: float
-    G_check: float
-
-    @property
-    def G(self) -> float:
-        return self.G_hat + self.G_check
-
-
-def _coeffs_from_scalars(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
-    """Coefficients of the states with the given gain scalars (floats or arrays)."""
-    return derive_coeffs(cfg, _ScalarDraw(g_hat, g_check))
-
-
 def avg_throughput_opa(cfg: SystemConfig, trials: int, rng, tau_floor: float = 1e-6) -> McEstimate:
     """Sample mean of the per-state optimized secrecy rate over the region."""
     if trials < 1:
@@ -690,7 +675,7 @@ def avg_throughput_opa(cfg: SystemConfig, trials: int, rng, tau_floor: float = 1
     seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    coeffs = _coeffs_from_scalars(cfg, g_hat, g_check)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
     results = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon, tau_floor=tau_floor)
     rates = np.array([res.R_s_star for res in results])  # 0 when silent
     value = float(np.mean(rates))
@@ -705,7 +690,7 @@ def avg_throughput_fixed_tau(cfg: SystemConfig, tau: float, trials: int, rng) ->
     seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    coeffs = _coeffs_from_scalars(cfg, g_hat, g_check)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
     ks = solve_k_batch(tau, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
     rates = np.maximum(rs_of_tau(tau, ks, coeffs), 0.0)
     value = float(np.mean(rates))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mmwsec.channel import ChannelDraw
-from mmwsec.config import SystemConfig, derive_coeffs
+from mmwsec.channel import ChannelDraw, sample_gain_scalars
+from mmwsec.config import SystemConfig, coeffs_from_gains, derive_coeffs
 
 
 def make_coeffs(cfg: SystemConfig, g_hat: float, g_check: float, u: float = 0.0, v: float = 0.0):
@@ -14,6 +14,29 @@ def workable_cfg(**overrides) -> SystemConfig:
     base = dict(M=100, N_D=20, N_C=12, P_dBm=55.0, R_s=3.0, k_tx=0.1, k_rx=0.1)
     base.update(overrides)
     return SystemConfig(**base)
+
+
+_FUZZ_EDGES = (
+    {}, {"N_C": 0}, {"R_s": 0.0}, {"k_tx": 0.0, "k_rx": 0.0}, {"R_s": 6.0, "k_tx": 0.15, "k_rx": 0.15},
+)
+
+
+def fuzz_states(rng, n_configs: int, n_states: int):
+    """(cfg, coeffs) pairs over the SystemConfig space, n_states channel
+    states each: N_C in [0, 19], P in [30, 80] dBm, R_s in [0, 6] and
+    k_tx, k_rx in [0, 0.15].  Four of every five configurations have, in
+    turn, no common path, R_s = 0, ideal hardware, or R_s = 6 past the
+    impairment ceiling of k_tx = k_rx = 0.15."""
+    for i in range(n_configs):
+        params = dict(
+            M=100, N_D=20, N_C=int(rng.integers(0, 20)), P_dBm=float(rng.uniform(30, 80)),
+            R_s=float(rng.uniform(0, 6)), k_tx=float(rng.uniform(0, 0.15)),
+            k_rx=float(rng.uniform(0, 0.15)),
+        )
+        params.update(_FUZZ_EDGES[i % len(_FUZZ_EDGES)])
+        cfg = SystemConfig(**params)
+        g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, n_states, rng)
+        yield cfg, coeffs_from_gains(cfg, g_hat, g_check)
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from scipy import integrate
@@ -71,6 +75,17 @@ def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
     for row, p_dbm in zip(rows, (50.0, 60.0), strict=True):
         cfg = SystemConfig(N_C=8, P_dBm=p_dbm, k_tx=0.1, k_rx=0.1)
         assert float(row[12]) == pytest.approx(throughput.mrt_throughput_quad2d(cfg), rel=1e-6)
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmwsec", "validate", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--trials" in proc.stdout
 
 
 def test_sweep_rows_and_mc_pairing():

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_coeffs, workable_cfg
+from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import ChannelDraw
 from mmwsec.config import SystemConfig, derive_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec.opa_sop import (
     OpaCase,
     minimize_sop_tau,
+    minimize_sop_tau_batch,
     omega,
     omega_roots,
     optimize_tau_sop,
@@ -17,7 +18,7 @@ from mmwsec.opa_sop import (
     phi_coeffs,
     phi_rational,
 )
-from mmwsec.sop import SecrecyTarget, sop_conditional, sop_conditional_grid, tau_min
+from mmwsec.sop import SecrecyTarget, SopBranch, sop_conditional, sop_overall_batch, tau_min
 
 
 def _random_state(rng, **overrides):
@@ -166,7 +167,7 @@ def test_mean_policy_default_and_validation():
     cfg = workable_cfg()
     coeffs = make_coeffs(cfg, 12.0, 6.0)
     target = SecrecyTarget(cfg.R_s)
-    res = optimize_tau_sop(target, coeffs, cfg.n_ec)
+    res = optimize_tau_sop(target, coeffs, cfg.n_ec, grid_points=10_000)
     assert tau_min(target, coeffs) < res.tau_star <= 1.0
     with pytest.raises(ValueError):
         optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle")  # u, v missing
@@ -179,7 +180,7 @@ def test_weak_an_effect_prefers_full_power():
     # capacity-ratio optimizer stays at (or near) full information power
     cfg = workable_cfg(k_tx=0.0, k_rx=0.0, d_E_m=500.0, N_C=2, R_s=2.0)
     coeffs = make_coeffs(cfg, 2.0, 18.0)
-    res = optimize_tau_sop(SecrecyTarget(cfg.R_s), coeffs, cfg.n_ec)
+    res = optimize_tau_sop(SecrecyTarget(cfg.R_s), coeffs, cfg.n_ec, grid_points=10_000)
     assert res.tau_star > 0.95
 
 
@@ -200,14 +201,14 @@ def test_mean_policy_split_decreases_with_impairment_and_power():
             for k in (0.0, 0.05, 0.1):
                 cfg = SystemConfig(M=150, N_D=20, N_C=16, P_dBm=p, k_tx=k, k_rx=k)
                 coeffs = make_coeffs(cfg, g_hat, g_check)
-                taus.append(optimize_tau_sop(target, coeffs, cfg.n_ec).tau_star)
+                taus.append(optimize_tau_sop(target, coeffs, cfg.n_ec, grid_points=10_000).tau_star)
             assert taus[0] >= taus[1] >= taus[2]
         for k in (0.0, 0.1):
             taus = []
             for p in (56.0, 62.0, 68.0):
                 cfg = SystemConfig(M=150, N_D=20, N_C=16, P_dBm=p, k_tx=k, k_rx=k)
                 coeffs = make_coeffs(cfg, g_hat, g_check)
-                taus.append(optimize_tau_sop(target, coeffs, cfg.n_ec).tau_star)
+                taus.append(optimize_tau_sop(target, coeffs, cfg.n_ec, grid_points=10_000).tau_star)
             assert taus[0] >= taus[1] >= taus[2]
 
 
@@ -221,7 +222,7 @@ def test_minimize_sop_tau_beats_grid(rng):
             continue
         t_min = tau_min(target, coeffs)
         taus = t_min + (np.arange(1, 4001) / 4000) * (1.0 - t_min)
-        grid_min = float(np.min(sop_conditional_grid(taus, target, coeffs, cfg.n_ec)))
+        grid_min = float(np.min(sop_conditional(taus, target, coeffs, cfg.n_ec)))
         assert val <= grid_min + 1e-9
         assert math.isclose(val, sop_conditional(tau_star, target, coeffs, cfg.n_ec), rel_tol=1e-12)
 
@@ -235,3 +236,29 @@ def test_minimize_sop_tau_never_worse_than_full_power(rng):
         except SilentSourceError:
             continue
         assert val <= sop_conditional(1.0, target, coeffs, cfg.n_ec) + 1e-12
+
+
+def test_minimize_sop_tau_batch_fuzz(rng):
+    # 12 states per configuration span more than one block of the grid scan
+    split_states = {"N_C=0": 0, "R_s=0": 0, "ideal": 0}
+    for cfg, coeffs in fuzz_states(rng, 40, 12):
+        target = SecrecyTarget(cfg.R_s)
+        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        split = np.flatnonzero(gate.branch == SopBranch.CONDITIONAL)
+        if split.size < 12:
+            with pytest.raises(SilentSourceError):
+                minimize_sop_tau_batch(target, coeffs, cfg.n_ec)
+        taus, vals = minimize_sop_tau_batch(target, coeffs.take(split), cfg.n_ec)
+        for tau_b, val_b, i in zip(taus, vals, split):
+            state = coeffs.take(i)
+            tau_one, val_one = minimize_sop_tau(target, state, cfg.n_ec)
+            assert tau_b == tau_one and val_b == val_one  # one arithmetic, any batch size
+            assert 0.0 <= val_b <= 1.0
+            t_min = tau_min(target, state)
+            grid = t_min + (np.arange(1, 4001) / 4000) * (1.0 - t_min)
+            assert val_b <= float(np.min(sop_conditional(grid, target, state, cfg.n_ec))) + 1e-9
+            assert val_b <= sop_conditional(1.0, target, state, cfg.n_ec) + 1e-12
+        split_states["N_C=0"] += split.size * (cfg.N_C == 0)
+        split_states["R_s=0"] += split.size * (cfg.R_s == 0.0)
+        split_states["ideal"] += split.size * (cfg.k_tot2 == 0.0)
+    assert min(split_states.values()) > 0, split_states

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_coeffs, workable_cfg
+from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.errors import SilentSourceError
 from mmwsec.sop import (
     SecrecyTarget,
@@ -13,9 +13,10 @@ from mmwsec.sop import (
     cdf_Y_E,
     outage_threshold,
     sop_conditional,
-    sop_conditional_grid,
     sop_overall,
+    sop_overall_batch,
     tau_min,
+    tau_min_batch,
     thresholds,
 )
 
@@ -226,17 +227,6 @@ def test_sop_conditional_rejects_infeasible_split():
         sop_conditional(0.5 * t_min, target, co, cfg.n_ec)
 
 
-def test_sop_conditional_grid_matches_scalar(rng):
-    cfg = workable_cfg()
-    co = make_coeffs(cfg, 12.0, 6.0)
-    target = SecrecyTarget(cfg.R_s)
-    t_min = tau_min(target, co)
-    taus = np.linspace(t_min * 1.01 + 1e-6, 1.0, 50)
-    grid_vals = sop_conditional_grid(taus, target, co, cfg.n_ec)
-    for t, gv in zip(taus, grid_vals):
-        assert math.isclose(gv, sop_conditional(float(t), target, co, cfg.n_ec), rel_tol=1e-13)
-
-
 def test_sop_conditional_against_mc(rng):
     from mmwsec.montecarlo import empirical_sop_conditional
 
@@ -286,3 +276,37 @@ def test_overall_split_below_tau_min_is_certain_outage():
     t_min = tau_min(target, co)
     bd = sop_overall(0.5 * t_min, target, co, cfg.n_ec)
     assert bd.value == 1.0
+
+
+def test_sop_overall_batch_matches_one_state(rng):
+    branches = set()
+    for cfg, co in fuzz_states(rng, 40, 8):
+        target = SecrecyTarget(cfg.R_s)
+        for tau in (1.0, rng.uniform(0.0, 1.0, size=8)):  # one split for all, one per state
+            bd = sop_overall_batch(tau, target, co, cfg.n_ec)
+            for i, tau_i in enumerate(np.broadcast_to(tau, 8)):
+                one = sop_overall(float(tau_i), target, co.take(i), cfg.n_ec)
+                assert bd.branch[i] is one.branch
+                assert bd.value[i] == one.value and 0.0 <= one.value <= 1.0
+                assert bd.tau_min[i] == one.tau_min
+                branches.add(one.branch)
+        t_min, silent = tau_min_batch(target, co)
+        for i in range(8):
+            if silent[i]:
+                with pytest.raises(SilentSourceError):
+                    tau_min(target, co.take(i))
+            else:
+                assert tau_min(target, co.take(i)) == t_min[i]
+    assert branches == set(SopBranch)
+
+
+def test_one_state_calls_reject_batches():
+    cfg = workable_cfg()
+    co = make_coeffs(cfg, np.array([12.0, 8.0]), np.array([6.0, 5.0]))
+    target = SecrecyTarget(cfg.R_s)
+    with pytest.raises(ValueError):
+        tau_min(target, co)
+    with pytest.raises(ValueError):
+        sop_overall(1.0, target, co, cfg.n_ec)
+    with pytest.raises(ValueError):
+        sop_overall_batch(1.5, target, co, cfg.n_ec)
