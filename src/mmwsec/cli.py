@@ -118,20 +118,28 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-point evaluators
+# sweep cells
+#
+# A cell's draws depend only on (seed, N_C, n_dc, n_ec, trials, uv_samples):
+# its channel gains come first, then one u/v block per state that carries a
+# Monte-Carlo event, so the j-th such state of every cell meets the j-th
+# block.  Cells that share a draw key therefore share one gain draw and one
+# walk of the u/v stream.  A cell function turns the shared gains into the
+# per-state columns of its event (``tau``, ``a``, ``b``, ``c`` and the
+# event's own) plus a ``finish`` that builds the row from the walk's
+# per-state hit rates and their summed binomial variance.
 # ---------------------------------------------------------------------------
 
-def _sop_point(
+def _sop_cell(
     cfg: SystemConfig,
     scheme: str,
-    trials: int,
-    uv_samples: int,
-    seed: int,
+    g_hat: np.ndarray,
+    g_check: np.ndarray,
     opa_grid: int,
-    split_policy: str = "min_sop",
-) -> dict:
-    """Average SOP over accepted channel states, paired with an event-level
-    Monte-Carlo estimate using the same states.
+    split_policy: str,
+):
+    """Average SOP over the accepted states of the shared gains, paired with
+    the event-level secrecy outage at each accepted state.
 
     ``split_policy`` picks how the an_opa scheme chooses its split:
     ``min_sop`` minimizes the closed-form conditional SOP (used for SOP
@@ -139,13 +147,11 @@ def _sop_point(
     eavesdropper variables (used when the split itself is the reported
     quantity).
     """
-    rng = montecarlo.as_rng(seed)
     target = sop.SecrecyTarget(cfg.R_s)
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, rng)
     coeffs = coeffs_from_gains(cfg, g_hat, g_check)
 
     breakdown = sop.sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
-    tau_eval = np.ones(trials)
+    tau_eval = np.ones(len(g_hat))
     if scheme == "an_opa":
         split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
         if split_policy == "min_sop":
@@ -161,67 +167,52 @@ def _sop_point(
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tags = Counter(branch.value for branch in breakdown.branch[accepted])
     analytic_vals = breakdown.value[accepted]
-    tau_stars = tau_eval[accepted]
-
-    empirical_vals: list[float] = []
-    pair_var = 0.0
-    for i in accepted:
-        u = rng.exponential(1.0, size=uv_samples) if cfg.N_C > 0 else np.zeros(uv_samples)
-        v = rng.gamma(cfg.n_ec, 1.0, size=uv_samples)
-        y_d = sndr_destination_values(tau_eval[i], coeffs.d[i], coeffs.e[i])
-        y_e = sndr_eve_values(tau_eval[i], u, v, coeffs.a[i], coeffs.b, coeffs.c[i])
-        p_hat = float(np.mean(np.log2((1.0 + y_d) / (1.0 + y_e)) < cfg.R_s))
-        empirical_vals.append(p_hat)
-        pair_var += p_hat * (1.0 - p_hat) / uv_samples
-
-    m = len(analytic_vals)
-    if m == 0:
-        return dict(
-            analytic=math.nan, mc_value=math.nan, mc_target=math.nan,
-            mc_stderr=0.0, tol=math.inf, tau_star_mean=math.nan,
-            accept_rate=0.0, tags="all_silent",
-        )
-    analytic = float(np.mean(analytic_vals))
-    mc_value = float(np.mean(empirical_vals))
-    se_pair = math.sqrt(pair_var) / m
-    mc_stderr = float(np.std(empirical_vals, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return dict(
-        analytic=analytic,
-        mc_value=mc_value,
-        mc_target=analytic,
-        mc_stderr=mc_stderr,
-        tol=max(0.005, 4.0 * se_pair),
-        tau_star_mean=float(np.mean(tau_stars)),
-        accept_rate=m / trials,
-        tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())),
+    tau = tau_eval[accepted]
+    m = len(accepted)
+    cols = dict(
+        tau=tau,
+        a=coeffs.a[accepted],
+        b=np.full(m, coeffs.b),
+        c=coeffs.c[accepted],
+        y_d=sndr_destination_values(tau, coeffs.d[accepted], coeffs.e[accepted]),
+        R_s=np.full(m, cfg.R_s),
     )
 
-
-def _throughput_point(
-    cfg: SystemConfig, scheme: str, trials: int, uv_samples: int, seed: int
-) -> dict:
-    """Average secrecy throughput; the MC sibling checks either the
-    quadrature (mrt) or the realized outage at the designed rate (opa/equal)."""
-    rng = montecarlo.as_rng(seed)
-
-    if scheme == "mrt":
-        analytic = throughput.mrt_throughput(cfg, cross_check=False)
-        # the full-power region can be a rare event at high power under
-        # impairments; the vectorized estimator is cheap, so oversample
-        n_mrt = min(max(80 * trials, 20_000), 200_000)
-        est = throughput.avg_throughput_mrt(cfg, n_mrt, rng)
+    def finish(empirical_vals: np.ndarray, pair_var: float) -> dict:
+        if m == 0:
+            return dict(
+                analytic=math.nan, mc_value=math.nan, mc_target=math.nan,
+                mc_stderr=0.0, tol=math.inf, tau_star_mean=math.nan,
+                accept_rate=0.0, tags="all_silent",
+            )
+        analytic = float(np.mean(analytic_vals))
+        se_pair = math.sqrt(pair_var) / m
+        mc_stderr = float(np.std(empirical_vals, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
         return dict(
             analytic=analytic,
-            mc_value=est.value,
+            mc_value=float(np.mean(empirical_vals)),
             mc_target=analytic,
-            mc_stderr=est.std_error,
-            tol=5.0 * est.std_error + 2e-3 * abs(analytic) + 2e-6,
-            tau_star_mean=1.0,
-            accept_rate=1.0,
-            tags="quadrature_vs_mc",
+            mc_stderr=mc_stderr,
+            tol=max(0.005, 4.0 * se_pair),
+            tau_star_mean=float(np.mean(tau)),
+            accept_rate=m / len(g_hat),
+            tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())),
         )
 
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, rng)
+    return cols, finish
+
+
+def _secrecy_outage(y_e: np.ndarray, col: dict) -> np.ndarray:
+    """log2((1 + y_D) / (1 + y_E)) < R_s, computed in y_E's buffer."""
+    ratio = np.add(1.0, y_e, out=y_e)
+    np.divide(1.0 + col["y_d"], ratio, out=ratio)
+    return np.log2(ratio, out=ratio) < col["R_s"]
+
+
+def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray):
+    """Average secrecy throughput of the opa or equal-power split over the
+    shared gains, paired with the realized outage at the designed rate."""
+    trials = len(g_hat)
     coeffs = coeffs_from_gains(cfg, g_hat, g_check)
     if scheme == "opa":
         results = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
@@ -237,54 +228,130 @@ def _throughput_point(
         transmit = rates >= 0.0
         rates = np.maximum(rates, 0.0)
         tags = Counter()
+    checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
+    cols = dict(
+        tau=tau_eval[checked],
+        a=coeffs.a[checked],
+        b=np.full(len(checked), coeffs.b),
+        c=coeffs.c[checked],
+        tau_k=tau_eval[checked] * k_eval[checked],
+    )
 
-    outage_hats: list[float] = []
-    pair_var = 0.0
-    for i in np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0)):
-        u = rng.exponential(1.0, size=uv_samples)
-        v = rng.gamma(cfg.n_ec, 1.0, size=uv_samples)
-        y_e = sndr_eve_values(tau_eval[i], u, v, coeffs.a[i], coeffs.b, coeffs.c[i])
-        p_hat = float(np.mean(y_e > tau_eval[i] * k_eval[i]))
-        outage_hats.append(p_hat)
-        pair_var += p_hat * (1.0 - p_hat) / uv_samples
+    def finish(outage_hats: np.ndarray, pair_var: float) -> dict:
+        analytic = float(np.mean(rates))
+        mc_stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        if len(outage_hats):
+            mc_value = float(np.mean(outage_hats))
+            se_pair = math.sqrt(pair_var) / len(outage_hats)
+            tol = max(0.005, 4.0 * se_pair)
+            target = cfg.epsilon
+        else:
+            mc_value, tol, target = math.nan, math.inf, math.nan
+        return dict(
+            analytic=analytic,
+            mc_value=mc_value,
+            mc_target=target,
+            mc_stderr=mc_stderr,
+            tol=tol,
+            tau_star_mean=float(np.mean(tau_eval[transmit])) if transmit.any() else math.nan,
+            accept_rate=int(transmit.sum()) / trials,
+            tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())) or "fixed_tau",
+        )
 
-    analytic = float(np.mean(rates))
-    mc_stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    if outage_hats:
-        mc_value = float(np.mean(outage_hats))
-        se_pair = math.sqrt(pair_var) / len(outage_hats)
-        tol = max(0.005, 4.0 * se_pair)
-        target = cfg.epsilon
-    else:
-        mc_value, tol, target = math.nan, math.inf, math.nan
+    return cols, finish
+
+
+def _rate_outage(y_e: np.ndarray, col: dict) -> np.ndarray:
+    """y_E > tau * k: the eavesdropper's SNDR exceeds the designed margin."""
+    return y_e > col["tau_k"]
+
+
+def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
+    """Average MRT secrecy throughput by quadrature, checked against its own
+    Monte-Carlo estimator."""
+    analytic = throughput.mrt_throughput(cfg, cross_check=False)
+    # the full-power region can be a rare event at high power under
+    # impairments; the vectorized estimator is cheap, so oversample
+    n_mrt = min(max(80 * trials, 20_000), 200_000)
+    est = throughput.avg_throughput_mrt(cfg, n_mrt, montecarlo.as_rng(seed))
     return dict(
         analytic=analytic,
-        mc_value=mc_value,
-        mc_target=target,
-        mc_stderr=mc_stderr,
-        tol=tol,
-        tau_star_mean=float(np.mean(tau_eval[transmit])) if transmit.any() else math.nan,
-        accept_rate=int(transmit.sum()) / trials,
-        tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())) or "fixed_tau",
+        mc_value=est.value,
+        mc_target=analytic,
+        mc_stderr=est.std_error,
+        tol=5.0 * est.std_error + 2e-3 * abs(analytic) + 2e-6,
+        tau_star_mean=1.0,
+        accept_rate=1.0,
+        tags="quadrature_vs_mc",
     )
 
 
-def _evaluate_point(cfg: SystemConfig, mode: str, scheme: str, spec: SweepSpec) -> dict:
-    if mode in ("sop_fixed_rate", "sop_opa"):
-        policy = "min_sop" if mode == "sop_fixed_rate" else "phi_mean"
-        return _sop_point(
-            cfg, scheme, spec.trials, spec.uv_samples, spec.seed, spec.opa_grid,
-            split_policy=policy,
+def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict], event) -> list:
+    """Walk one draw group's u/v stream once.
+
+    Block j meets the j-th state of every cell that has one, and all those
+    states are evaluated as one (cells x uv) array.  Returns per cell its
+    per-state hit rates and their binomial variances summed in state order.
+    """
+    counts = np.array([len(cols["tau"]) for cols in cells])
+    order = np.argsort(-counts, kind="stable")  # the cells still walking form a prefix
+    depth = int(counts.max())
+    stacked = {key: np.zeros((len(cells), depth)) for key in cells[0]}
+    for row, i in enumerate(order):
+        for key, vals in cells[i].items():
+            stacked[key][row, : counts[i]] = vals
+    walking = np.count_nonzero(counts[:, None] > np.arange(depth), axis=0)
+    hits = np.zeros((len(cells), depth))
+    pair_var = np.zeros(len(cells))
+    buffers = np.empty((2, len(cells), uv_samples))
+    for j in range(depth):
+        u = rng.exponential(1.0, size=uv_samples) if n_c > 0 else np.zeros(uv_samples)
+        v = rng.gamma(n_ec, 1.0, size=uv_samples)
+        live = walking[j]
+        col = {key: vals[:live, j, None] for key, vals in stacked.items()}
+        y_e = sndr_eve_values(
+            col["tau"], u, v, col["a"], col["b"], col["c"], out=buffers[:, :live]
         )
-    return _throughput_point(cfg, scheme, spec.trials, spec.uv_samples, spec.seed)
+        p_hat = np.count_nonzero(event(y_e, col), axis=1) / uv_samples
+        hits[:live, j] = p_hat
+        pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
+    walked = [None] * len(cells)
+    for row, i in enumerate(order):
+        walked[i] = (hits[row, : counts[i]], float(pair_var[row]))
+    return walked
+
+
+def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> list[dict]:
+    """Result columns of the (scheme, config) cells that share one draw key."""
+    if spec.mode == "throughput_mrt":
+        return [_mrt_point(cfg, spec.trials, spec.seed) for _, cfg in cells]
+    first = cells[0][1]
+    rng = montecarlo.as_rng(spec.seed)
+    g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, spec.trials, rng)
+    if spec.mode in ("sop_fixed_rate", "sop_opa"):
+        policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
+        made = [
+            _sop_cell(cfg, scheme, g_hat, g_check, spec.opa_grid, policy) for scheme, cfg in cells
+        ]
+        event = _secrecy_outage
+    else:
+        made = [_throughput_cell(cfg, scheme, g_hat, g_check) for scheme, cfg in cells]
+        event = _rate_outage
+    walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made], event)
+    return [finish(*w) for (_, finish), w in zip(made, walked)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate every (value, variant, scheme) cell of a sweep.
 
-    Points run independently (optionally in a thread pool); each one draws
-    from the same seed, so sweeps share common random numbers and rows come
-    back in deterministic order.
+    Cells are grouped by their draw key (N_C, n_dc, n_ec; the seed and
+    budgets are the spec's).  Each group draws its channel gains once from
+    ``spec.seed`` and walks its u/v stream once, evaluating every cell of
+    the group block by block as one array; a cell gets exactly the numbers
+    it would draw alone, so sweeps share common random numbers.  MRT
+    throughput cells each re-seed their own estimator.  ``workers`` threads
+    evaluate groups in parallel; rows come back in cell order and their
+    bytes do not depend on the worker count.
     """
     jobs = []
     for value in spec.values:
@@ -292,10 +359,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
             cfg = spec.base.with_overrides(**coerce_overrides({**overrides, spec.swept_key: value}))
             for scheme in _MODE_SCHEMES[spec.mode]:
                 jobs.append((value, overrides, scheme, cfg))
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, _, _, cfg) in enumerate(jobs):
+        groups.setdefault((cfg.N_C, cfg.n_dc, cfg.n_ec), []).append(i)
 
-    def work(job):
-        value, overrides, scheme, cfg = job
-        cell = _evaluate_point(cfg, spec.mode, scheme, spec)
+    def work(members):
+        return _evaluate_group(spec, [jobs[i][2:] for i in members])
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            evaluated = list(pool.map(work, groups.values()))
+    else:
+        evaluated = [work(members) for members in groups.values()]
+    cells = {}
+    for members, results in zip(groups.values(), evaluated):
+        cells.update(zip(members, results))
+
+    rows = []
+    for i, (value, overrides, scheme, cfg) in enumerate(jobs):
         row = dict(
             preset=spec.preset,
             mode=spec.mode,
@@ -313,13 +394,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
             uv_samples=spec.uv_samples,
             seed=spec.seed,
         )
-        row.update(cell)
-        return row
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
+        row.update(cells[i])
+        rows.append(row)
+    return rows
 
 
 def _unchecked(row: dict) -> bool:
@@ -652,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=None, help="channel draws per sweep point")
     sweep.add_argument("--uv-samples", type=int, default=None,
                        help="eavesdropper samples per draw for the MC columns")
-    sweep.add_argument("--workers", type=int, default=1, help="sweep points evaluated in parallel")
+    sweep.add_argument("--workers", type=int, default=1, help="draw groups evaluated in parallel")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     _add_config_flags(sweep)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import EffectiveCoeffs
 
 
@@ -31,9 +33,24 @@ def sndr_destination_values(tau, d, e):
     return tau * d / (tau * e + 1.0)
 
 
-def sndr_eve_values(tau, u, v, a, b, c):
-    """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) on raw values."""
-    return tau * a * u / ((1.0 - tau) * b * v + tau * c * u + 1.0)
+def sndr_eve_values(tau, u, v, a, b, c, out=None):
+    """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) on raw values.
+
+    ``out`` is an optional pair of float arrays of the broadcast shape: the
+    SNDR is written to the first and the second is scratch, so a caller that
+    evaluates block after block allocates nothing.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in (tau, u, v, a, b, c)))
+        out = np.empty(shape), np.empty(shape)
+    num, den = out
+    np.multiply((1.0 - tau) * b, v, out=den)
+    np.multiply(tau * c, u, out=num)
+    den += num
+    den += 1.0
+    np.multiply(tau * a, u, out=num)
+    np.divide(num, den, out=num)
+    return num if num.ndim else num[()]
 
 
 def sndr_destination(tau: float, coeffs: EffectiveCoeffs) -> float:

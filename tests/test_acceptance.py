@@ -20,15 +20,29 @@ from mmwsec.channel import (
     sample_channel,
     sample_path_sets,
 )
-from mmwsec.config import SystemConfig
+from mmwsec.config import SystemConfig, coeffs_from_gains
 from mmwsec.errors import SilentSourceError
 from mmwsec.montecarlo import (
     empirical_cdf_Y_E,
     empirical_sndr_from_distortion,
     empirical_sop_conditional,
 )
-from mmwsec.opa_sop import OpaCase, minimize_sop_tau, optimize_tau_sop, phi_coeffs, phi_rational
-from mmwsec.sop import SecrecyTarget, SopBranch, cdf_Y_E, sop_conditional, sop_overall, tau_min
+from mmwsec.opa_sop import (
+    OpaCase,
+    minimize_sop_tau_batch,
+    optimize_tau_sop,
+    phi_coeffs,
+    phi_rational,
+)
+from mmwsec.sop import (
+    SecrecyTarget,
+    SopBranch,
+    cdf_Y_E,
+    sop_conditional,
+    sop_overall,
+    sop_overall_batch,
+    tau_min,
+)
 from mmwsec.throughput import (
     KTauSolver,
     k_max_tau1,
@@ -222,17 +236,14 @@ def test_acceptance_6_impairment_ceiling():
         assert bd.branch is SopBranch.ALWAYS_OUTAGE and bd.value == 1.0
 
     rng = np.random.Generator(np.random.Philox(606))
-    gains = [(float(rng.gamma(16, 1.0)), float(rng.gamma(4, 1.0))) for _ in range(300)]
+    gains = np.array([(float(rng.gamma(16, 1.0)), float(rng.gamma(4, 1.0))) for _ in range(300)])
     means = []
     for p_dbm in (58.0, 66.0, 74.0):
         cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=p_dbm, R_s=6.0, k_tx=0.0, k_rx=0.0)
-        vals = []
-        for g_hat, g_check in gains:
-            coeffs = make_coeffs(cfg, g_hat, g_check)
-            gate = sop_overall(1.0, target, coeffs, cfg.n_ec)
-            if gate.branch is SopBranch.SOURCE_SILENT:
-                continue
-            vals.append(minimize_sop_tau(target, coeffs, cfg.n_ec)[1])
+        coeffs = coeffs_from_gains(cfg, gains[:, 0], gains[:, 1])
+        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        accepted = np.flatnonzero(gate.branch != SopBranch.SOURCE_SILENT)
+        _, vals = minimize_sop_tau_batch(target, coeffs.take(accepted), cfg.n_ec)
         means.append(float(np.mean(vals)))
     assert means[0] > means[1] > means[2]
     assert means[-1] < 1e-3

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,43 @@ def test_sweep_workers_do_not_change_rows():
     sequential = cli.run_sweep(_tiny_spec())
     threaded = cli.run_sweep(_tiny_spec(), workers=4)
     assert sequential == threaded
+
+
+def test_grouped_sweep_matches_one_cell_sweeps():
+    # a sweep draws once per path-count group and walks the group's u/v
+    # stream once; a one-value, one-variant sweep is a group of its own, so
+    # the grouped rows must equal the concatenated one-cell rows byte for byte
+    sop_base = SystemConfig(P_dBm=55.0, R_s=4.0)
+    sop_variants = [{"k_tx": 0.1, "k_rx": 0.1}, {"P_dBm": 44.0}, {"R_s": 6.0}, {"P_dBm": 30.0}]
+    rate_base = SystemConfig(P_dBm=55.0, epsilon=0.01)
+    rate_variants = [{"P_dBm": 28.0, "d_E_m": 5.0}, {"P_dBm": 32.0, "d_E_m": 20.0},
+                     {"P_dBm": 40.0, "d_E_m": 20.0}, {"k_tx": 0.1, "k_rx": 0.1}]
+    cases = (
+        ("sop_fixed_rate", sop_base, [0, 4, 10], sop_variants),
+        ("sop_opa", sop_base, [0, 4, 10], sop_variants),
+        ("throughput_opa", rate_base, [0, 8, 16], rate_variants),
+        ("throughput_equal_power", rate_base, [0, 8, 16], rate_variants),
+    )
+    for mode, base, values, variants in cases:
+        spec = cli.SweepSpec(mode=mode, swept_key="N_C", values=values, base=base,
+                             variants=variants, trials=40, uv_samples=200, seed=12)
+        grouped = cli.run_sweep(spec)
+        one_cell = [
+            row
+            for value in values
+            for overrides in variants
+            for row in cli.run_sweep(replace(spec, values=[value], variants=[overrides]))
+        ]
+        text = cli.render_csv([spec], grouped)
+        assert text == cli.render_csv([spec], one_cell), mode
+        assert text == cli.render_csv([spec], cli.run_sweep(spec, workers=2)), mode
+        # the groups hold N_C = 0, cells with no Monte-Carlo state, and cells
+        # whose states leave the walk at different blocks
+        assert any(row["N_C"] == 0 for row in grouped)
+        assert any(math.isnan(row["mc_value"]) for row in grouped if row["N_C"] > 0)
+        for value in values[1:]:
+            rates = {row["accept_rate"] for row in grouped if row["N_C"] == value}
+            assert len(rates) >= 3, (mode, value, rates)
 
 
 def test_csv_is_deterministic():
