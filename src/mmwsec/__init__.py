@@ -53,7 +53,7 @@ from .opa_sop import (
     phi_coeffs,
     phi_rational,
 )
-from .sndr import SndrPair, high_snr_ceiling, sndr_destination, sndr_eve, sndr_pair
+from .sndr import high_snr_ceiling, sndr_destination, sndr_eve
 from .sop import (
     SecrecyTarget,
     SopBranch,
@@ -74,7 +74,6 @@ from .throughput import (
     avg_throughput_fixed_tau,
     avg_throughput_mrt,
     avg_throughput_opa,
-    exp_integral_ei,
     high_snr_k_and_rate,
     k_max_tau1,
     mrt_rate,

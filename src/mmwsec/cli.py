@@ -20,12 +20,16 @@ import numpy as np
 
 from . import montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
-from .config import SystemConfig, coeffs_from_gains, coerce_overrides, load_config
+from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config
 from .errors import SilentSourceError
-from .sndr import sndr_destination_values, sndr_eve, sndr_eve_values
+from .sndr import sndr_destination, sndr_eve
 from .throughput import KTauSolver, optimize_tau_throughput
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
+
+# grid of the split searches in SOP sweeps: the scan of
+# minimize_sop_tau_batch and the audit of optimize_tau_sop
+_OPA_GRID = 2048
 
 MODES = (
     "sop_fixed_rate",
@@ -83,7 +87,6 @@ class SweepSpec:
     uv_samples: int = 2000
     seed: int = 20240801
     preset: str = "custom"
-    opa_grid: int = 2048
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -130,14 +133,7 @@ def _fmt(x) -> str:
 # per-state hit rates and their summed binomial variance.
 # ---------------------------------------------------------------------------
 
-def _sop_cell(
-    cfg: SystemConfig,
-    scheme: str,
-    g_hat: np.ndarray,
-    g_check: np.ndarray,
-    opa_grid: int,
-    split_policy: str,
-):
+def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
     """Average SOP over the accepted states of the shared gains, paired with
     the event-level secrecy outage at each accepted state.
 
@@ -156,16 +152,16 @@ def _sop_cell(
         split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
         if split_policy == "min_sop":
             tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(
-                target, coeffs.take(split), cfg.n_ec, grid_points=opa_grid
+                target, coeffs.take(split), cfg.n_ec, grid_points=_OPA_GRID
             )
         else:
             for i in split:
                 tau_eval[i] = opa_sop.optimize_tau_sop(
-                    target, coeffs.take(i), cfg.n_ec, policy="mean", grid_points=opa_grid
+                    target, coeffs.take(i), cfg.n_ec, grid_points=_OPA_GRID
                 ).tau_star
         breakdown = sop.sop_overall_batch(tau_eval, target, coeffs, cfg.n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
-    tags = Counter(branch.value for branch in breakdown.branch[accepted])
+    tags = {branch.value: n for branch, n in Counter(breakdown.branch[accepted]).items()}
     analytic_vals = breakdown.value[accepted]
     tau = tau_eval[accepted]
     m = len(accepted)
@@ -174,7 +170,7 @@ def _sop_cell(
         a=coeffs.a[accepted],
         b=np.full(m, coeffs.b),
         c=coeffs.c[accepted],
-        y_d=sndr_destination_values(tau, coeffs.d[accepted], coeffs.e[accepted]),
+        y_d=sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted]),
         R_s=np.full(m, cfg.R_s),
     )
 
@@ -309,9 +305,7 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict], event
         v = rng.gamma(n_ec, 1.0, size=uv_samples)
         live = walking[j]
         col = {key: vals[:live, j, None] for key, vals in stacked.items()}
-        y_e = sndr_eve_values(
-            col["tau"], u, v, col["a"], col["b"], col["c"], out=buffers[:, :live]
-        )
+        y_e = sndr_eve(col["tau"], u, v, col["a"], col["b"], col["c"], out=buffers[:, :live])
         p_hat = np.count_nonzero(event(y_e, col), axis=1) / uv_samples
         hits[:live, j] = p_hat
         pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
@@ -331,7 +325,7 @@ def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> l
     if spec.mode in ("sop_fixed_rate", "sop_opa"):
         policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
         made = [
-            _sop_cell(cfg, scheme, g_hat, g_check, spec.opa_grid, policy) for scheme, cfg in cells
+            _sop_cell(cfg, scheme, g_hat, g_check, policy) for scheme, cfg in cells
         ]
         event = _secrecy_outage
     else:
@@ -580,8 +574,8 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
     coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
     tau = 0.6
     qs = np.linspace(0.05, 0.95, 10)
-    grid = [float(np.quantile(sndr_eve(tau, rng.exponential(1.0, 4000),
-                                       rng.gamma(cfg.n_ec, 1.0, 4000), coeffs), q)) for q in qs]
+    grid = [float(np.quantile(sndr_eve(tau, rng.exponential(1.0, 4000), rng.gamma(cfg.n_ec, 1.0, 4000),
+                                       coeffs.a, coeffs.b, coeffs.c), q)) for q in qs]
     ests = montecarlo.empirical_cdf_Y_E(coeffs, tau, grid, trials, int(seed + 10), cfg.n_ec)
     gap = max(abs(sop.cdf_Y_E(x, tau, coeffs, cfg.n_ec) - e.value) for x, e in zip(grid, ests))
     record("cdf_Y_E_vs_mc", gap <= 0.01, f"max pointwise gap = {gap:.4f}")
@@ -647,12 +641,13 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
            f"y_D {recon.y_d.value:.4g}~{recon.y_d_formula:.4g}, "
            f"y_E {recon.y_e.value:.4g}~{recon.y_e_formula:.4g}")
 
-    # exponential integral against scipy
-    xs = -np.geomspace(1e-10, 600.0, 200)
-    worst_ei = max(
-        abs(throughput.exp_integral_ei(float(x)) - sp.expi(x)) / abs(sp.expi(x)) for x in xs
-    )
-    record("exp_integral_ei", worst_ei <= 1e-12, f"worst relative error = {worst_ei:.2e}")
+    # scaled exponential integral exp(z)*E1(z) against scipy, on the
+    # continued-fraction branch (z > 5), where the library does not call scipy
+    worst_e1 = 0.0
+    for z in np.geomspace(5.01, 600.0, 200):
+        ref = sp.exp1(z) * math.exp(z)
+        worst_e1 = max(worst_e1, abs(throughput._e1_scaled(float(z)) - ref) / ref)
+    record("e1_scaled", worst_e1 <= 1e-12, f"worst relative error = {worst_e1:.2e}")
 
     return results
 
@@ -682,16 +677,7 @@ def _collect_overrides(args) -> dict:
 
 
 def _parse_spec_file(path: str, base: SystemConfig) -> SweepSpec:
-    keys: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            keys[key.strip()] = val.strip()
+    keys = {key: val for _, key, val in key_value_lines(path)}
     cfg_overrides = {
         k: v for k, v in keys.items()
         if k in {f.name for f in fields(SystemConfig)}

@@ -252,6 +252,24 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
+def key_value_lines(path: str):
+    """Yield (lineno, key, value) for each ``key=value`` line of a text file.
+
+    Blank lines and lines starting with ``#`` are skipped; key and value
+    are stripped.  A line without ``=`` raises ValueError naming
+    ``path:lineno``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            yield lineno, key.strip(), value.strip()
+
+
 def load_config(path: str, overrides: dict | None = None) -> SystemConfig:
     """Read a flat ``key=value`` configuration file.
 
@@ -261,18 +279,10 @@ def load_config(path: str, overrides: dict | None = None) -> SystemConfig:
     """
     known = {f.name for f in fields(SystemConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _parse_value(key, raw)
+    for lineno, key, raw in key_value_lines(path):
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        values[key] = _parse_value(key, raw)
     values.update(coerce_overrides(overrides or {}))
     return SystemConfig(**values)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import an_beamformer, build_basis, channel_row, sample_channel, sample_path_sets
 from .config import EffectiveCoeffs, SystemConfig, derive_coeffs
-from .sndr import sndr_destination, sndr_destination_values, sndr_eve, sndr_eve_values
+from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, outage_threshold
 
 _CHUNK = 1 << 17
@@ -110,7 +110,7 @@ def empirical_sop_conditional(
     def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
         u = stream.exponential(1.0, size=m)
         v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
-        y_e = sndr_eve(tau, u, v, coeffs)
+        y_e = sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c)
         return np.array([float(np.count_nonzero(y_e > x_th))])
 
     hits = _chunk_sums(n, rng, chunk, width=1, workers=workers)[0]
@@ -141,6 +141,9 @@ def empirical_sop(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    # the per-state coefficients a..e are built here from the config on
+    # purpose, not through coeffs_from_gains: the oracle stays independent
+    # of the coefficient code that the closed forms it checks rely on
     beta_d, beta_e = cfg.beta_d(), cfg.beta_e()
     k_tx2, k_tot2 = cfg.k_tx**2, cfg.k_tot2
     b = beta_e * (1.0 + k_tx2) / cfg.n_ec
@@ -163,8 +166,8 @@ def empirical_sop(
         # on-off region: the full-power destination SNDR clears the target
         accepted = d > (e + 1.0) * t_bar
         a = np.where(g > 0.0, beta_e * g_hat / np.maximum(g, 1e-300), 0.0)
-        y_d = sndr_destination_values(tau, d, e)
-        y_e = sndr_eve_values(tau, u, v, a, b, k_tx2 * a)
+        y_d = sndr_destination(tau, d, e)
+        y_e = sndr_eve(tau, u, v, a, b, k_tx2 * a)
         outage = accepted & (np.log2((1.0 + y_d) / (1.0 + y_e)) < target.R_s)
         return np.array(
             [float(np.count_nonzero(outage)), float(np.count_nonzero(accepted))]
@@ -208,7 +211,7 @@ def empirical_cdf_Y_E(
     def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
         u = stream.exponential(1.0, size=m)
         v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
-        y_e = np.sort(sndr_eve(tau, u, v, coeffs))
+        y_e = np.sort(sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c))
         return np.searchsorted(y_e, x_grid, side="right").astype(float)
 
     counts = _chunk_sums(n, rng, chunk, width=len(x_grid), workers=workers)
@@ -316,6 +319,6 @@ def empirical_sndr_from_distortion(
     return SndrReconstruction(
         y_d=y_d_est,
         y_e=y_e_est,
-        y_d_formula=sndr_destination(tau, coeffs),
-        y_e_formula=float(sndr_eve(tau, draw.u, draw.v, coeffs)),
+        y_d_formula=sndr_destination(tau, coeffs.d, coeffs.e),
+        y_e_formula=float(sndr_eve(tau, draw.u, draw.v, coeffs.a, coeffs.b, coeffs.c)),
     )

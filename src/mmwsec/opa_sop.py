@@ -30,6 +30,9 @@ from .sop import SecrecyTarget, sop_conditional, tau_min, tau_min_batch
 _LINEAR_RTOL = 1e-12
 # Offset used when the open tau_min endpoint wins the candidate comparison.
 _ENDPOINT_NUDGE = 1e-9
+# Relative margin by which the optimize_tau_sop grid audit must beat the
+# analytic split before the grid point replaces it.
+_GRID_AUDIT_RTOL = 1e-6
 # States per block of the (states x grid) scan in minimize_sop_tau_batch.
 # It bounds the scan's working set: at the sweeps' 2048-point grid, 8
 # states add about 1.3 MB of peak memory, 64 states about 9 MB.
@@ -77,7 +80,8 @@ class OpaResult:
 
 def phi(tau: float, u: float, v: float, coeffs: EffectiveCoeffs) -> float:
     """Capacity ratio (1 + Y_D(tau)) / (1 + Y_E(tau)), evaluated via the SNDRs."""
-    return (1.0 + sndr_destination(tau, coeffs)) / (1.0 + sndr_eve(tau, u, v, coeffs))
+    y_d = sndr_destination(tau, coeffs.d, coeffs.e)
+    return (1.0 + y_d) / (1.0 + sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c))
 
 
 def phi_coeffs(u: float, v: float, coeffs: EffectiveCoeffs) -> PhiCoeffs:
@@ -150,23 +154,22 @@ def optimize_tau_sop(
     target: SecrecyTarget,
     coeffs: EffectiveCoeffs,
     n_ec: int,
-    policy: str = "mean",
-    u: float | None = None,
+    u: float = 1.0,
     v: float | None = None,
     grid_points: int = 0,
-    grid_tol: float = 1e-6,
 ) -> OpaResult:
     """Choose the power split maximizing phi over the feasible set (tau_min, 1].
 
     The source cannot observe the eavesdropper's instantaneous channel, so
-    the default ``mean`` policy substitutes the mean values (u = 1,
-    v = N_EC) before optimizing; the ``oracle`` policy takes the realized
-    (u, v) and exists to validate the optimizer against draw-level search.
+    phi is built at the mean eavesdropper variables u = 1 and v = N_EC
+    (``v`` None) unless a realized (u, v) is passed, as the tests do to
+    check the optimizer against a search over splits at that draw.
 
     When ``grid_points`` > 0 the analytic result is audited against a
-    uniform grid; a disagreement beyond ``grid_tol`` returns the grid
-    maximizer tagged GridFallback instead.  The audit is off by default;
-    the tests and the sweeps turn it on.
+    uniform grid of that many splits; when the grid beats it by more than
+    1e-6 relative, the grid maximizer is returned tagged GridFallback
+    instead.  The audit is off by default; the tests and the sweeps turn
+    it on.
 
     Raises SilentSourceError when no feasible split exists (tau_min >= 1).
     """
@@ -175,16 +178,7 @@ def optimize_tau_sop(
         raise SilentSourceError(
             f"feasible set empty: tau_min={t_min:.6g} >= 1; source suspends"
         )
-    if policy == "mean":
-        u_eff, v_eff = 1.0, float(n_ec)
-    elif policy == "oracle":
-        if u is None or v is None:
-            raise ValueError("oracle policy requires explicit u and v")
-        u_eff, v_eff = float(u), float(v)
-    else:
-        raise ValueError(f"unknown u_v_policy {policy!r}")
-
-    pc = phi_coeffs(u_eff, v_eff, coeffs)
+    pc = phi_coeffs(float(u), float(n_ec if v is None else v), coeffs)
     om_lo = omega(t_min, pc)
     om_hi = omega(1.0, pc)
     scale = max(abs(pc.eps1), abs(pc.eps2), abs(pc.eps3), 1.0)
@@ -216,7 +210,7 @@ def optimize_tau_sop(
         grid = t_min + (np.arange(1, grid_points + 1) / grid_points) * (1.0 - t_min)
         vals = phi_rational(grid, pc)
         k = int(np.argmax(vals))
-        if float(vals[k]) - phi_star > grid_tol * max(1.0, abs(phi_star)):
+        if float(vals[k]) - phi_star > _GRID_AUDIT_RTOL * max(1.0, abs(phi_star)):
             return OpaResult(float(grid[k]), OpaCase.GRID_FALLBACK, float(vals[k]))
 
     return OpaResult(float(tau_star), case, phi_star)
@@ -305,16 +299,12 @@ def minimize_sop_tau_batch(
     return tau_star, value
 
 
-def minimize_sop_tau(
-    target: SecrecyTarget,
-    coeffs: EffectiveCoeffs,
-    n_ec: int,
-    grid_points: int = 512,
-) -> tuple[float, float]:
+def minimize_sop_tau(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int) -> tuple[float, float]:
     """Split minimizing the closed-form conditional SOP of one state.
 
-    The one-state call of ``minimize_sop_tau_batch``.  Returns (tau_star,
-    sop value).  Raises SilentSourceError when no feasible split exists.
+    The one-state call of ``minimize_sop_tau_batch`` on its default grid.
+    Returns (tau_star, sop value).  Raises SilentSourceError when no
+    feasible split exists.
     """
-    tau_star, value = minimize_sop_tau_batch(target, coeffs, n_ec, grid_points)
+    tau_star, value = minimize_sop_tau_batch(target, coeffs, n_ec)
     return tau_star.item(), value.item()

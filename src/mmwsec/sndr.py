@@ -1,40 +1,25 @@
-"""Signal-to-noise-plus-distortion ratios at destination and eavesdropper."""
+"""Signal-to-noise-plus-distortion ratios at destination and eavesdropper.
+
+Both take the raw effective coefficients (scalars or arrays), so one
+function per receiver serves a single state and a batch alike.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EffectiveCoeffs
 
 
-@dataclass(frozen=True)
-class SndrPair:
-    """Both receivers' SNDRs at one power split."""
-
-    y_D: float
-    y_E: float
-    tau: float
-
-
-def sndr_pair(tau: float, u: float, v: float, coeffs: EffectiveCoeffs) -> SndrPair:
-    """Evaluate both SNDRs for one channel state and split."""
-    return SndrPair(
-        y_D=sndr_destination(tau, coeffs),
-        y_E=float(sndr_eve(tau, u, v, coeffs)),
-        tau=tau,
-    )
-
-
-def sndr_destination_values(tau, d, e):
-    """Destination SNDR tau*d/(tau*e + 1) on raw scalars or arrays."""
+def sndr_destination(tau, d, e):
+    """Destination SNDR tau*d/(tau*e + 1) at power split tau."""
     return tau * d / (tau * e + 1.0)
 
 
-def sndr_eve_values(tau, u, v, a, b, c, out=None):
-    """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) on raw values.
+def sndr_eve(tau, u, v, a, b, c, out=None):
+    """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) at power split tau.
 
     ``out`` is an optional pair of float arrays of the broadcast shape: the
     SNDR is written to the first and the second is scratch, so a caller that
@@ -51,16 +36,6 @@ def sndr_eve_values(tau, u, v, a, b, c, out=None):
     np.multiply(tau * a, u, out=num)
     np.divide(num, den, out=num)
     return num if num.ndim else num[()]
-
-
-def sndr_destination(tau: float, coeffs: EffectiveCoeffs) -> float:
-    """Destination SNDR at power split tau."""
-    return sndr_destination_values(tau, coeffs.d, coeffs.e)
-
-
-def sndr_eve(tau: float, u, v, coeffs: EffectiveCoeffs):
-    """Eavesdropper SNDR at power split tau; accepts scalar or array u, v."""
-    return sndr_eve_values(tau, u, v, coeffs.a, coeffs.b, coeffs.c)
 
 
 def sndr_destination_ideal(tau: float, coeffs: EffectiveCoeffs) -> float:

@@ -26,35 +26,24 @@ from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng
-from .sndr import sndr_destination_values
-
-EULER_GAMMA = 0.5772156649015328606
+from .sndr import sndr_destination
 
 LN2 = math.log(2.0)
 
-# |x| at which the exponential-integral evaluation switches from the power
-# series to the continued fraction; at 6 the series cancellation already
-# eats the 1e-12 accuracy target in doubles.
-_EI_SERIES_CUTOFF = 5.0
+# z above which exp(z)*E1(z) comes from the continued fraction instead of
+# scipy's exp1: there the fraction settles in few steps, while exp1(z)
+# underflows and exp(z) overflows for large z.
+_E1_CF_CUTOFF = 5.0
 
 
 # ---------------------------------------------------------------------------
-# exponential integral Ei on the negative axis
+# scaled exponential integral exp(z) * E1(z)
 # ---------------------------------------------------------------------------
 
 def _e1_scaled(z: float) -> float:
     """exp(z) * E1(z) for z > 0, stable for arbitrarily large z."""
-    if z <= _EI_SERIES_CUTOFF:
-        # E1(z) = -gamma - ln z + sum (-1)^(n-1) z^n / (n n!)
-        acc = -EULER_GAMMA - math.log(z)
-        term = 1.0
-        for n in range(1, 200):
-            term *= -z / n
-            delta = -term / n
-            acc += delta
-            if abs(delta) <= 1e-18 * max(abs(acc), 1e-300):
-                break
-        return math.exp(z) * acc
+    if z <= _E1_CF_CUTOFF:
+        return float(special.exp1(z)) * math.exp(z)
     # modified Lentz on the standard continued fraction
     tiny = 1e-300
     b = z + 1.0
@@ -71,24 +60,6 @@ def _e1_scaled(z: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     raise ConvergenceError(f"continued fraction for E1({z}) did not settle")
-
-
-def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative arguments."""
-    if x >= 0.0:
-        raise ValueError(f"exp_integral_ei requires x < 0, got {x}")
-    z = -x
-    if z <= _EI_SERIES_CUTOFF:
-        acc = EULER_GAMMA + math.log(z)
-        term = 1.0
-        for n in range(1, 200):
-            term *= x / n
-            delta = term / n
-            acc += delta
-            if abs(delta) <= 1e-18 * max(abs(acc), 1e-300):
-                break
-        return acc
-    return -_e1_scaled(z) * math.exp(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +246,11 @@ class ThroughputResult:
     k_star: float = 0.0
 
 
-def _scan_grid(tau_floor: float, n_log: int = 33, n_lin: int = 96) -> np.ndarray:
-    """Log-spaced points below 0.1 plus a linear sweep up to 1.0."""
-    log_part = np.geomspace(tau_floor, 0.1, n_log, endpoint=False)
-    lin_part = np.linspace(0.1, 1.0, n_lin)
-    return np.concatenate([log_part, lin_part])
+# Scan grid of the rate optimizer: 33 log-spaced splits from 1e-6 up to
+# 0.1, then 96 linear ones up to 1.0; concavity is probed at 64 of its
+# interior points.
+_SCAN_GRID = np.concatenate([np.geomspace(1e-6, 0.1, 33, endpoint=False), np.linspace(0.1, 1.0, 96)])
+_CONCAVITY_IDX = np.linspace(1, len(_SCAN_GRID) - 2, 64).astype(int)
 
 
 def _stationary_points(lo, hi, f_lo, f_hi, a, b, c, d, e, n_ec, epsilon):
@@ -310,28 +281,20 @@ def _stationary_points(lo, hi, f_lo, f_hi, a, b, c, d, e, n_ec, epsilon):
 
 
 def optimize_tau_throughput_batch(
-    coeffs: EffectiveCoeffs,
-    n_ec: int,
-    epsilon: float,
-    tau_floor: float = 1e-6,
-    concavity_points: int = 64,
-    validate_grid: int = 0,
+    coeffs: EffectiveCoeffs, n_ec: int, epsilon: float
 ) -> list[ThroughputResult]:
     """Maximize the capped secrecy rate over the power split, per channel state.
 
     ``coeffs`` carries one channel state per element of its a..e fields
     (scalars broadcast).  Concavity of the rate in tau is classified
-    numerically (central differences of the analytic derivative at
-    ``concavity_points`` interior points of a scan grid).  The concave case
-    follows the boundary-or-unique-root rule; otherwise all stationary
-    points found by a sign-change scan are compared against the full-power
-    boundary.  A channel state whose rate is negative even at the optimum
-    cannot transmit and returns Silent.  The stationary points of all states
-    are solved together.
-
-    ``validate_grid`` > 0 additionally audits each result against a uniform
-    grid of that many splits and returns the grid point when it wins by
-    more than 1e-6 bits.
+    numerically: central differences of the analytic derivative at 64
+    interior points of a fixed 129-point scan grid on [1e-6, 1].  The
+    concave case follows the boundary-or-unique-root rule; otherwise all
+    stationary points found by a sign-change scan are compared against the
+    full-power boundary.  A channel state whose rate is negative even at
+    the optimum cannot transmit and returns Silent.  The stationary points
+    of all states are solved together.  The tests and ``mmwsec validate``
+    check the results against dense grids of splits.
     """
     a, b, c, d, e = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, float)) for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e))
@@ -339,7 +302,7 @@ def optimize_tau_throughput_batch(
     if a.size == 0:
         return []
     states = np.arange(a.size)
-    grid = _scan_grid(tau_floor)
+    grid = _SCAN_GRID
     # b stays unbroadcast here: a b shared by all states (as derive_coeffs
     # builds it) costs one Newton solve per grid point, not one per state
     col = (a[:, None], np.asarray(coeffs.b, float)[..., None], c[:, None])
@@ -347,7 +310,7 @@ def optimize_tau_throughput_batch(
     rp = _rate_slope(grid, x_grid, *col, d[:, None], e[:, None], n_ec)
 
     # concavity probe: derivative differences at evenly spread interior points
-    idx = np.linspace(1, len(grid) - 2, concavity_points).astype(int)
+    idx = _CONCAVITY_IDX
     second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
     concave = np.all(second <= 1e-8, axis=1)
     rising = rp[:, -1] > 0.0  # the rate still climbs at full power
@@ -377,18 +340,8 @@ def optimize_tau_throughput_batch(
     best = order[np.append(ordered[1:] != ordered[:-1], True)]
     tau_star, k_star, r_star = cand_tau[best], cand_k[best], cand_rate[best]
 
-    if validate_grid > 0:
-        taus = np.linspace(1.0 / validate_grid, 1.0, validate_grid)
-        rates = _rate(taus, solve_k_batch(taus, *col, n_ec, epsilon), d[:, None], e[:, None])
-        j = np.argmax(rates, axis=1)
-        better = rates[states, j] > r_star + 1e-6
-        if better.any():
-            tau_star = np.where(better, taus[j], tau_star)
-            k_star = solve_k_batch(tau_star, a, b, c, n_ec, epsilon)
-            r_star = _rate(tau_star, k_star, d, e)
-
     # transmission region test at the chosen split
-    silent = sndr_destination_values(tau_star, d, e) + 1e-12 < tau_star * k_star
+    silent = sndr_destination(tau_star, d, e) + 1e-12 < tau_star * k_star
     cases = np.where(
         concave,
         np.where(rising, ThroughputCase.CONCAVE_BOUNDARY, ThroughputCase.CONCAVE_INTERIOR),
@@ -403,22 +356,14 @@ def optimize_tau_throughput_batch(
     ]
 
 
-def optimize_tau_throughput(
-    coeffs: EffectiveCoeffs,
-    solver: KTauSolver,
-    tau_floor: float = 1e-6,
-    concavity_points: int = 64,
-    validate_grid: int = 0,
-) -> ThroughputResult:
+def optimize_tau_throughput(coeffs: EffectiveCoeffs, solver: KTauSolver) -> ThroughputResult:
     """One-state call of ``optimize_tau_throughput_batch``.
 
     The cap k(tau) uses the solver's a, b, c; the destination side uses
     the coefficients' d, e.
     """
     state = replace(coeffs, a=solver.a, b=solver.b, c=solver.c)
-    (result,) = optimize_tau_throughput_batch(
-        state, solver.n_ec, solver.epsilon, tau_floor, concavity_points, validate_grid
-    )
+    (result,) = optimize_tau_throughput_batch(state, solver.n_ec, solver.epsilon)
     return result
 
 
@@ -644,11 +589,20 @@ def _mrt_throughput_no_common(cfg: SystemConfig) -> float:
     return value
 
 
-def mrt_throughput(cfg: SystemConfig, cross_check: bool = False, rel_tol: float = 1e-3) -> float:
-    """Expected MRT secrecy throughput; ``cross_check`` audits it by 2-D quadrature.
+# relative gap allowed between the closed form and the 2-D quadrature
+_MRT_ROUTES_RTOL = 1e-3
 
-    With the audit on, raises ConvergenceError when the two quadrature
-    routes disagree beyond ``rel_tol`` relative, reporting both estimates.
+
+def mrt_throughput(cfg: SystemConfig, cross_check: bool = False) -> float:
+    """Expected MRT secrecy throughput.
+
+    Without common paths (N_C = 0) there is no leakage and it is one 1-D
+    quadrature of log2(1 + Y_D(1)).  Otherwise it is the
+    exponential-integral closed form.  ``cross_check`` also runs the
+    independent 2-D quadrature of the rate and raises ConvergenceError,
+    reporting both estimates, when the two routes disagree by more than
+    1e-3 relative.  The sweeps leave it off; the tests and
+    ``mmwsec validate`` compare the routes themselves.
     """
     if cfg.N_C == 0:
         return _mrt_throughput_no_common(cfg)
@@ -656,7 +610,7 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False, rel_tol: float 
     if cross_check:
         direct = mrt_throughput_quad2d(cfg)
         gap = abs(closed - direct)
-        if gap > rel_tol * max(abs(closed), abs(direct), 1e-9):
+        if gap > _MRT_ROUTES_RTOL * max(abs(closed), abs(direct), 1e-9):
             raise ConvergenceError(
                 f"throughput quadratures disagree: closed={closed:.9g}, "
                 f"direct={direct:.9g}, gap={gap:.3g}"
@@ -668,7 +622,7 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False, rel_tol: float 
 # Monte-Carlo averaged throughputs over channel states
 # ---------------------------------------------------------------------------
 
-def avg_throughput_opa(cfg: SystemConfig, trials: int, rng, tau_floor: float = 1e-6) -> McEstimate:
+def avg_throughput_opa(cfg: SystemConfig, trials: int, rng) -> McEstimate:
     """Sample mean of the per-state optimized secrecy rate over the region."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -676,7 +630,7 @@ def avg_throughput_opa(cfg: SystemConfig, trials: int, rng, tau_floor: float = 1
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
     coeffs = coeffs_from_gains(cfg, g_hat, g_check)
-    results = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon, tau_floor=tau_floor)
+    results = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
     rates = np.array([res.R_s_star for res in results])  # 0 when silent
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -111,7 +111,7 @@ def test_acceptance_2_cdf_oracle():
         probe_v = rng.gamma(cfg.n_ec, 1.0, 4000)
         from mmwsec.sndr import sndr_eve
 
-        probe = sndr_eve(tau, probe_u, probe_v, coeffs)
+        probe = sndr_eve(tau, probe_u, probe_v, coeffs.a, coeffs.b, coeffs.c)
         grid = sorted(float(np.quantile(probe, q)) for q in np.linspace(0.03, 0.97, 20))
         ests = empirical_cdf_Y_E(coeffs, tau, grid, 1_000_000, 2000 + trial, cfg.n_ec)
         for x, est in zip(grid, ests):
@@ -150,8 +150,7 @@ def test_acceptance_3_sop_power_split_optimizer():
             v = float(rng.uniform(0.0005, 0.05))
         target = SecrecyTarget(cfg.R_s)
         try:
-            res = optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle",
-                                   u=u, v=v, grid_points=0)
+            res = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=0)
         except SilentSourceError:
             continue
         counts[res.case_tag] += 1

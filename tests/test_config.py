@@ -143,5 +143,17 @@ def test_config_file_overrides_and_comments(tmp_path):
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("M=64\nbogus=1\n")
-    with pytest.raises(ValueError, match="bogus"):
+    with pytest.raises(ValueError, match="bad.cfg:2: unknown configuration key 'bogus'"):
         load_config(str(path))
+
+
+def test_key_value_files_name_the_bad_line(tmp_path):
+    # configuration and sweep-spec files share one reader
+    from mmwsec import cli
+
+    readers = {"bad.cfg": load_config, "bad.spec": lambda p: cli._parse_spec_file(p, SystemConfig())}
+    for name, read in readers.items():
+        path = tmp_path / name
+        path.write_text("# header\nM=64\n\nno equals sign\n")
+        with pytest.raises(ValueError, match=f"{name}:4: expected key=value"):
+            read(str(path))

@@ -55,7 +55,7 @@ def test_phi_trivial_values():
     from mmwsec.sndr import sndr_destination
 
     assert math.isclose(
-        phi(0.6, 0.0, 2.0, coeffs), 1.0 + sndr_destination(0.6, coeffs), rel_tol=1e-14
+        phi(0.6, 0.0, 2.0, coeffs), 1.0 + sndr_destination(0.6, coeffs.d, coeffs.e), rel_tol=1e-14
     )
 
 
@@ -105,8 +105,7 @@ def test_optimizer_beats_grid(rng):
         cfg, coeffs, u, v = _random_state(rng)
         target = SecrecyTarget(cfg.R_s)
         try:
-            res = optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle",
-                                   u=u, v=v, grid_points=0)
+            res = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=0)
         except SilentSourceError:
             continue
         t_min = tau_min(target, coeffs)
@@ -121,10 +120,8 @@ def test_grid_audit_agrees_with_analytic(rng):
         cfg, coeffs, u, v = _random_state(rng)
         target = SecrecyTarget(cfg.R_s)
         try:
-            pure = optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle",
-                                    u=u, v=v, grid_points=0)
-            audited = optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle",
-                                       u=u, v=v, grid_points=10_000)
+            pure = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=0)
+            audited = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=10_000)
         except SilentSourceError:
             continue
         assert audited.case_tag is not OpaCase.GRID_FALLBACK
@@ -137,8 +134,7 @@ def test_concave_interior_certificate(rng):
         cfg, coeffs, u, v = _random_state(rng)
         target = SecrecyTarget(cfg.R_s)
         try:
-            res = optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle",
-                                   u=u, v=v, grid_points=0)
+            res = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=0)
         except SilentSourceError:
             continue
         if res.case_tag is not OpaCase.CONCAVE_INTERIOR:
@@ -158,7 +154,7 @@ def test_degenerate_linear_case():
     pc = phi_coeffs(u, v, coeffs)
     assert abs(pc.eps1) <= 1e-12 * max(abs(pc.eps2), abs(pc.eps3))
     res = optimize_tau_sop(SecrecyTarget(cfg.R_s), coeffs, cfg.n_ec,
-                           policy="oracle", u=u, v=v, grid_points=10_000)
+                           u=u, v=v, grid_points=10_000)
     assert res.case_tag in (OpaCase.DEGENERATE_LINEAR, OpaCase.GRID_FALLBACK)
     assert res.case_tag is OpaCase.DEGENERATE_LINEAR
 
@@ -169,10 +165,9 @@ def test_mean_policy_default_and_validation():
     target = SecrecyTarget(cfg.R_s)
     res = optimize_tau_sop(target, coeffs, cfg.n_ec, grid_points=10_000)
     assert tau_min(target, coeffs) < res.tau_star <= 1.0
-    with pytest.raises(ValueError):
-        optimize_tau_sop(target, coeffs, cfg.n_ec, policy="oracle")  # u, v missing
-    with pytest.raises(ValueError):
-        optimize_tau_sop(target, coeffs, cfg.n_ec, policy="nope")
+    # without a realized draw the split is built at the means u = 1, v = N_EC
+    assert res == optimize_tau_sop(target, coeffs, cfg.n_ec, u=1.0, v=cfg.n_ec, grid_points=10_000)
+    assert res != optimize_tau_sop(target, coeffs, cfg.n_ec, u=1.0, v=0.5 * cfg.n_ec, grid_points=10_000)
 
 
 def test_weak_an_effect_prefers_full_power():

@@ -11,28 +11,19 @@ from mmwsec.sndr import (
     sndr_destination_ideal,
     sndr_eve,
     sndr_eve_ideal,
-    sndr_eve_values,
 )
 
 
-def _coeffs(a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, k_tx2=0.0, k_tot2=0.0):
-    from mmwsec.config import EffectiveCoeffs
-
-    return EffectiveCoeffs(beta_D=1.0, beta_E=1.0, k_tx2=k_tx2, k_tot2=k_tot2,
-                           a=a, b=b, c=c, d=d, e=e)
-
-
 def test_destination_hand_values():
-    assert sndr_destination(0.0, _coeffs(d=10.0, e=0.2)) == 0.0
-    assert sndr_destination(1.0, _coeffs(d=7.0)) == 7.0
-    assert math.isclose(sndr_destination(0.5, _coeffs(d=10.0, e=0.2)), 5.0 / 1.1, rel_tol=1e-12)
+    assert sndr_destination(0.0, 10.0, 0.2) == 0.0
+    assert sndr_destination(1.0, 7.0, 0.0) == 7.0
+    assert math.isclose(sndr_destination(0.5, 10.0, 0.2), 5.0 / 1.1, rel_tol=1e-12)
 
 
 def test_eve_hand_values():
-    co = _coeffs(a=1.0, b=2.0, c=0.01)
-    assert sndr_eve(0.5, 0.0, 1.0, co) == 0.0
-    assert math.isclose(sndr_eve(1.0, 1.5, 3.0, _coeffs(a=2.0)), 3.0, rel_tol=1e-12)
-    assert math.isclose(sndr_eve(0.5, 1.0, 1.0, co), 0.5 / 2.005, rel_tol=1e-12)
+    assert sndr_eve(0.5, 0.0, 1.0, 1.0, 2.0, 0.01) == 0.0
+    assert math.isclose(sndr_eve(1.0, 1.5, 3.0, 2.0, 0.0, 0.0), 3.0, rel_tol=1e-12)
+    assert math.isclose(sndr_eve(0.5, 1.0, 1.0, 1.0, 2.0, 0.01), 0.5 / 2.005, rel_tol=1e-12)
 
 
 def test_eve_values_equal_the_expression_with_and_without_buffers(rng):
@@ -46,10 +37,10 @@ def test_eve_values_equal_the_expression_with_and_without_buffers(rng):
     u, v = rng.exponential(1.0, 64), rng.gamma(2.0, 1.0, 64)
     buffers = np.empty((2, 5, 64))
     want = expression(tau, u, v, a, b, c)
-    assert np.array_equal(sndr_eve_values(tau, u, v, a, b, c), want)
-    assert np.array_equal(sndr_eve_values(tau, u, v, a, b, c, out=buffers), want)
-    assert np.shares_memory(sndr_eve_values(tau, u, v, a, b, c, out=buffers), buffers[0])
-    one = sndr_eve_values(0.4, 1.5, 0.7, 2.0, 0.3, 0.02)
+    assert np.array_equal(sndr_eve(tau, u, v, a, b, c), want)
+    assert np.array_equal(sndr_eve(tau, u, v, a, b, c, out=buffers), want)
+    assert np.shares_memory(sndr_eve(tau, u, v, a, b, c, out=buffers), buffers[0])
+    one = sndr_eve(0.4, 1.5, 0.7, 2.0, 0.3, 0.02)
     assert np.ndim(one) == 0 and one == expression(0.4, 1.5, 0.7, 2.0, 0.3, 0.02)
 
 
@@ -60,9 +51,11 @@ def test_ideal_reductions_match(rng):
         co = make_coeffs(cfg, g_hat, g_check)
         tau = rng.uniform(0, 1)
         u, v = rng.exponential(1.0, 50), rng.gamma(cfg.n_ec, 1.0, 50)
-        assert math.isclose(sndr_destination(tau, co), sndr_destination_ideal(tau, co), rel_tol=1e-14)
+        assert math.isclose(
+            sndr_destination(tau, co.d, co.e), sndr_destination_ideal(tau, co), rel_tol=1e-14
+        )
         np.testing.assert_allclose(
-            sndr_eve(tau, u, v, co),
+            sndr_eve(tau, u, v, co.a, co.b, co.c),
             sndr_eve_ideal(tau, u, v, co, cfg.n_ec),
             rtol=1e-12,
         )
@@ -70,9 +63,8 @@ def test_ideal_reductions_match(rng):
 
 def test_destination_monotone_in_tau(rng):
     for _ in range(100):
-        co = _coeffs(d=float(rng.uniform(0.1, 100)), e=float(rng.uniform(0, 2)))
-        taus = np.linspace(0, 1, 64)
-        vals = [sndr_destination(t, co) for t in taus]
+        d, e = float(rng.uniform(0.1, 100)), float(rng.uniform(0, 2))
+        vals = [sndr_destination(t, d, e) for t in np.linspace(0, 1, 64)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -84,19 +76,8 @@ def test_high_snr_ceiling_values():
         high_snr_ceiling(-0.1)
 
 
-def test_sndr_pair_bundles_both_receivers():
-    from mmwsec.sndr import sndr_pair
-
-    co = _coeffs(a=1.0, b=2.0, c=0.01, d=10.0, e=0.2)
-    pair = sndr_pair(0.5, 1.0, 1.0, co)
-    assert pair.tau == 0.5
-    assert math.isclose(pair.y_D, sndr_destination(0.5, co), rel_tol=1e-15)
-    assert math.isclose(pair.y_E, float(sndr_eve(0.5, 1.0, 1.0, co)), rel_tol=1e-15)
-    assert pair.y_E == 0.0 if co.a == 0.0 else pair.y_E >= 0.0
-
-
 def test_destination_approaches_ceiling():
     k_tot2 = 0.02
-    co = _coeffs(d=100.0 / k_tot2, e=100.0, k_tot2=k_tot2)  # e = k_tot2 * d
     ceiling = high_snr_ceiling(k_tot2)
-    assert abs(sndr_destination(1.0, co) - ceiling) / ceiling < 0.01
+    # e = k_tot2 * d
+    assert abs(sndr_destination(1.0, 100.0 / k_tot2, 100.0) - ceiling) / ceiling < 0.01
