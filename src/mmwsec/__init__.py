@@ -49,6 +49,7 @@ from .opa_sop import (
     minimize_sop_tau_batch,
     omega,
     optimize_tau_sop,
+    optimize_tau_sop_batch,
     phi,
     phi_coeffs,
     phi_rational,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
-from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config
+from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
 from .throughput import KTauSolver, optimize_tau_throughput
@@ -28,7 +28,7 @@ from .throughput import KTauSolver, optimize_tau_throughput
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
 
 # grid of the split searches in SOP sweeps: the scan of
-# minimize_sop_tau_batch and the audit of optimize_tau_sop
+# minimize_sop_tau_batch and the audit of optimize_tau_sop_batch
 _OPA_GRID = 2048
 
 MODES = (
@@ -150,15 +150,13 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
     tau_eval = np.ones(len(g_hat))
     if scheme == "an_opa":
         split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
+        states = coeffs.take(split)
         if split_policy == "min_sop":
-            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(
-                target, coeffs.take(split), cfg.n_ec, grid_points=_OPA_GRID
-            )
+            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(target, states, cfg.n_ec, grid_points=_OPA_GRID)
         else:
-            for i in split:
-                tau_eval[i] = opa_sop.optimize_tau_sop(
-                    target, coeffs.take(i), cfg.n_ec, grid_points=_OPA_GRID
-                ).tau_star
+            tau_eval[split] = opa_sop.optimize_tau_sop_batch(
+                target, states, cfg.n_ec, grid_points=_OPA_GRID
+            ).tau_star
         breakdown = sop.sop_overall_batch(tau_eval, target, coeffs, cfg.n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tags = {branch.value: n for branch, n in Counter(breakdown.branch[accepted]).items()}
@@ -211,19 +209,16 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
     trials = len(g_hat)
     coeffs = coeffs_from_gains(cfg, g_hat, g_check)
     if scheme == "opa":
-        results = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
-        tau_eval = np.array([res.tau_star for res in results])
-        k_eval = np.array([res.k_star for res in results])
-        rates = np.array([res.R_s_star for res in results])  # 0 when silent
-        transmit = np.array([res.transmit for res in results])
-        tags = Counter(res.case_tag.value for res in results)
+        res = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
+        tau_eval, k_eval, rates, transmit = res.tau_star, res.k_star, res.R_s_star, res.transmit
+        tags = {case.value: n for case, n in Counter(res.case_tag).items()}
     else:  # equal power
         tau_eval = np.full(trials, 0.5)
         k_eval = throughput.solve_k_batch(tau_eval, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
         rates = throughput.rs_of_tau(tau_eval, k_eval, coeffs)
         transmit = rates >= 0.0
         rates = np.maximum(rates, 0.0)
-        tags = Counter()
+        tags = {}
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
     cols = dict(
         tau=tau_eval[checked],
@@ -573,15 +568,15 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
     coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
     tau = 0.6
-    qs = np.linspace(0.05, 0.95, 10)
-    grid = [float(np.quantile(sndr_eve(tau, rng.exponential(1.0, 4000), rng.gamma(cfg.n_ec, 1.0, 4000),
-                                       coeffs.a, coeffs.b, coeffs.c), q)) for q in qs]
+    probe = sndr_eve(tau, rng.exponential(1.0, 4000), rng.gamma(cfg.n_ec, 1.0, 4000), coeffs.a, coeffs.b, coeffs.c)
+    grid = np.quantile(probe, np.linspace(0.05, 0.95, 10)).tolist()  # ascending: one sample's quantiles
     ests = montecarlo.empirical_cdf_Y_E(coeffs, tau, grid, trials, int(seed + 10), cfg.n_ec)
     gap = max(abs(sop.cdf_Y_E(x, tau, coeffs, cfg.n_ec) - e.value) for x, e in zip(grid, ests))
     record("cdf_Y_E_vs_mc", gap <= 0.01, f"max pointwise gap = {gap:.4f}")
 
-    # SOP power-split optimizer vs dense grid
-    worst_rel = 0.0
+    # SOP power-split optimizer vs dense grid, over the drawn states that
+    # can transmit, in one batch (each state has its own R_s, b and N_EC)
+    drawn = []
     for _ in range(100):
         cfg_i = SystemConfig(
             M=100, N_D=20, N_C=int(rng.integers(2, 19)), P_dBm=float(rng.uniform(50, 65)),
@@ -589,17 +584,18 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             k_rx=float(rng.uniform(0, 0.15)),
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        coeffs_i = coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))
-        tgt = sop.SecrecyTarget(cfg_i.R_s)
-        try:
-            res = opa_sop.optimize_tau_sop(tgt, coeffs_i, cfg_i.n_ec, grid_points=0)
-        except SilentSourceError:
-            continue
-        t_min = sop.tau_min(tgt, coeffs_i)
-        taus = t_min + (np.arange(1, 4001) / 4000.0) * (1.0 - t_min)
-        pc = opa_sop.phi_coeffs(1.0, float(cfg_i.n_ec), coeffs_i)
-        best = float(np.max(opa_sop.phi_rational(taus, pc)))
-        worst_rel = max(worst_rel, (best - res.objective_value) / max(best, 1e-12))
+        drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
+    tgt = sop.SecrecyTarget(np.array([cfg_i.R_s for cfg_i, _ in drawn]))
+    states = EffectiveCoeffs(*(np.array([getattr(co, f.name) for _, co in drawn]) for f in fields(EffectiveCoeffs)))
+    t_min, silent = sop.tau_min_batch(tgt, states)
+    ok = ~silent & (t_min < 1.0)
+    tgt = sop.SecrecyTarget(tgt.R_s[ok])
+    states = EffectiveCoeffs(*(getattr(states, f.name)[ok] for f in fields(states)))
+    n_ec, t_min = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok], t_min[ok]
+    res = opa_sop.optimize_tau_sop_batch(tgt, states, n_ec)
+    taus = t_min + (np.arange(1, 4001)[:, None] / 4000.0) * (1.0 - t_min)  # a column per state
+    best = np.max(opa_sop.phi_rational(taus, opa_sop.phi_coeffs(1.0, n_ec, states)), axis=0)
+    worst_rel = max(0.0, float(np.max((best - res.objective_value) / np.maximum(best, 1e-12))))
     record("opa_sop_vs_grid", worst_rel <= 1e-6, f"worst relative shortfall = {worst_rel:.2e}")
 
     # throughput optimizer vs dense grid
@@ -677,12 +673,13 @@ def _collect_overrides(args) -> dict:
 
 
 def _parse_spec_file(path: str, base: SystemConfig) -> SweepSpec:
-    keys = {key: val for _, key, val in key_value_lines(path)}
-    cfg_overrides = {
-        k: v for k, v in keys.items()
-        if k in {f.name for f in fields(SystemConfig)}
-    }
-    base = base.with_overrides(**coerce_overrides(cfg_overrides))
+    config_keys = {f.name for f in fields(SystemConfig)}
+    keys = {}
+    for lineno, key, val in key_value_lines(path):
+        if key not in config_keys | {"mode", "swept_key", "values", "trials", "uv_samples", "seed"}:
+            raise ValueError(f"{path}:{lineno}: unknown sweep key {key!r}")
+        keys[key] = val
+    base = base.with_overrides(**coerce_overrides({k: v for k, v in keys.items() if k in config_keys}))
     swept_key = keys.get("swept_key")
     if swept_key is None or "values" not in keys or "mode" not in keys:
         raise ValueError(f"{path}: spec needs mode, swept_key and values entries")

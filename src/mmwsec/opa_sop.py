@@ -3,8 +3,9 @@
 Minimizing the conditional SOP over the power split is equivalent to
 maximizing the capacity ratio phi(tau) = (1 + Y_D)/(1 + Y_E), a rational
 quadratic whose derivative sign is a plain quadratic Omega(tau).  The
-optimizer classifies the sign pattern of Omega at the feasible-set
-endpoints and compares the resulting candidate points.
+optimizer compares phi at the feasible-set endpoints and at the zeros of
+Omega between them, for a whole batch of channel states at once
+(``optimize_tau_sop_batch``; ``optimize_tau_sop`` is its one-state call).
 
 The split minimizing the closed-form conditional SOP itself is found for
 a whole batch of channel states at once (``minimize_sop_tau_batch``): one
@@ -17,14 +18,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
-from .sop import SecrecyTarget, sop_conditional, tau_min, tau_min_batch
+from .sop import SecrecyTarget, sop_conditional, tau_min_batch
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
@@ -73,6 +74,9 @@ class OpaCase(enum.Enum):
 
 @dataclass(frozen=True)
 class OpaResult:
+    """Chosen split, case and phi value; arrays over the states when built
+    by ``optimize_tau_sop_batch`` (``case_tag`` then holds OpaCase objects)."""
+
     tau_star: float
     case_tag: OpaCase
     objective_value: float
@@ -114,106 +118,103 @@ def omega(tau, pc: PhiCoeffs):
     return (pc.eps1 * tau + pc.eps2) * tau + pc.eps3
 
 
-def omega_roots(pc: PhiCoeffs) -> tuple[float, ...]:
-    """Real zero crossings of Omega, ascending; empty when complex.
+def omega_roots(pc: PhiCoeffs) -> np.ndarray:
+    """Real zero crossings of Omega as a (..., 2) array, ascending.
 
-    Uses the cancellation-safe quadratic formula.  A vanishing leading
-    coefficient degrades to the linear root.
+    Uses the cancellation-safe quadratic formula.  Where the leading
+    coefficient vanishes the linear root takes the first slot; missing
+    roots (a complex pair, or a constant Omega) are NaN.
     """
-    scale = max(abs(pc.eps1), abs(pc.eps2), abs(pc.eps3))
-    if scale == 0.0:
-        return ()
-    if abs(pc.eps1) <= _LINEAR_RTOL * scale:
-        if pc.eps2 == 0.0:
-            return ()
-        return (-pc.eps3 / pc.eps2,)
-    disc = pc.eps2 * pc.eps2 - 4.0 * pc.eps1 * pc.eps3
-    if disc < 0.0:
-        return ()
-    sq = math.sqrt(disc)
-    if pc.eps2 == 0.0:
-        r = 0.5 * sq / abs(pc.eps1)
-        return (-r, r)
-    q = -0.5 * (pc.eps2 + math.copysign(sq, pc.eps2))
-    r1 = q / pc.eps1
-    r2 = pc.eps3 / q
-    return (r1, r2) if r1 <= r2 else (r2, r1)
+    e1, e2, e3 = pc.eps1, pc.eps2, pc.eps3
+    linear = np.abs(e1) <= _LINEAR_RTOL * np.maximum(np.maximum(np.abs(e1), np.abs(e2)), np.abs(e3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq = np.sqrt(e2 * e2 - 4.0 * e1 * e3)  # NaN for a complex pair
+        q = -0.5 * (e2 + np.copysign(sq, e2))
+        half = 0.5 * sq / np.abs(e1)  # the roots are +-half where e2 == 0
+        r1 = np.where(e2 == 0.0, -half, q / e1)
+        r2 = np.where(e2 == 0.0, half, e3 / q)
+        lo = np.where(linear, -e3 / np.where(e2 == 0.0, np.nan, e2), np.minimum(r1, r2))
+    hi = np.where(linear, np.nan, np.maximum(r1, r2))
+    return np.stack([lo, hi], axis=-1)
 
 
-def _descending_root(pc: PhiCoeffs, lo: float, hi: float) -> float | None:
-    """Root in (lo, hi) where Omega crosses from positive to negative."""
-    for r in omega_roots(pc):
-        if lo < r < hi:
-            slope = 2.0 * pc.eps1 * r + pc.eps2
-            if slope < 0.0 or len(omega_roots(pc)) == 1:
-                return r
-    return None
+def optimize_tau_sop_batch(
+    target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u=1.0, v=None, grid_points: int = 0
+) -> OpaResult:
+    """Choose the power split maximizing phi over (tau_min, 1], per state.
+
+    phi is a rational quadratic, so its maximum lies at tau_min, at 1, or
+    at a zero of Omega between them.  Each state compares those candidates
+    and keeps the first maximum; a maximum on the open end tau_min steps
+    just inside it.  The case tag names the sign pattern of Omega at the
+    two ends, or DegenerateLinear when its leading coefficient vanishes.
+
+    phi is built at the mean eavesdropper variables u = 1 and v = N_EC
+    (``v`` None), since the source cannot observe the eavesdropper's
+    channel, unless a realized (u, v) is passed, as the tests do.  ``u``,
+    ``v``, ``n_ec``, the target's R_s and the coefficient b may be
+    per-state arrays.
+
+    When ``grid_points`` > 0 the analytic result is audited against a
+    uniform grid of that many splits, in blocks of states; where the grid
+    beats it by more than 1e-6 relative, the grid maximizer is returned
+    tagged GridFallback instead.  The tests and the sweeps turn it on.
+
+    Returns an OpaResult of arrays over the states; scalar coefficients
+    count as one state.  Raises SilentSourceError when any state has no
+    feasible split (tau_min >= 1).
+    """
+    t_min, silent = tau_min_batch(target, coeffs)
+    empty = silent | (t_min >= 1.0)
+    if empty.any():
+        raise SilentSourceError(
+            f"feasible set empty for {int(empty.sum())} of {empty.size} states "
+            "(tau_min >= 1); source suspends"
+        )
+    # a v of the states' shape gives every coefficient of phi that shape
+    pc = phi_coeffs(np.asarray(u, float), np.broadcast_to(n_ec if v is None else v, t_min.shape), coeffs)
+
+    roots = omega_roots(pc)
+    inside = (t_min[:, None] < roots) & (roots < 1.0)
+    candidates = np.column_stack([t_min, np.ones(t_min.shape), np.where(inside, roots, np.nan)])
+    best = np.nanargmax(phi_rational(candidates.T, pc), axis=0)
+    tau_star = candidates[np.arange(t_min.size), best]
+    tau_star = np.where(tau_star <= t_min, t_min + _ENDPOINT_NUDGE * (1.0 - t_min), tau_star)
+    objective = phi_rational(tau_star, pc)
+
+    om_lo, om_hi = omega(t_min, pc), omega(1.0, pc)
+    scale = np.maximum(np.maximum(np.abs(pc.eps1), np.abs(pc.eps2)), np.maximum(np.abs(pc.eps3), 1.0))
+    case = np.select(
+        [np.abs(pc.eps1) <= _LINEAR_RTOL * scale, (om_lo > 0.0) & (om_hi < 0.0), (om_lo < 0.0) & (om_hi > 0.0)],
+        [OpaCase.DEGENERATE_LINEAR, OpaCase.CONCAVE_INTERIOR, OpaCase.CONVEX_ENDPOINTS],
+        OpaCase.BOTH_SIGN,
+    )
+
+    if grid_points > 0:
+        steps = np.arange(1, grid_points + 1) / grid_points
+        for start in range(0, t_min.size, _SCAN_BLOCK_STATES):
+            block = slice(start, start + _SCAN_BLOCK_STATES)
+            t0 = t_min[block, None]
+            grid = t0 + steps * (1.0 - t0)
+            vals = phi_rational(grid, PhiCoeffs(*(getattr(pc, f.name)[block, None] for f in fields(PhiCoeffs))))
+            k = np.argmax(vals, axis=1)
+            at = np.arange(k.size)
+            phi_star = objective[block]  # views: the fallbacks are written in place
+            moved = vals[at, k] - phi_star > _GRID_AUDIT_RTOL * np.maximum(1.0, np.abs(phi_star))
+            tau_star[block][moved] = grid[at, k][moved]
+            phi_star[moved] = vals[at, k][moved]
+            case[block][moved] = OpaCase.GRID_FALLBACK
+    return OpaResult(tau_star, case, objective)
 
 
 def optimize_tau_sop(
-    target: SecrecyTarget,
-    coeffs: EffectiveCoeffs,
-    n_ec: int,
-    u: float = 1.0,
-    v: float | None = None,
+    target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u: float = 1.0, v: float | None = None,
     grid_points: int = 0,
 ) -> OpaResult:
-    """Choose the power split maximizing phi over the feasible set (tau_min, 1].
-
-    The source cannot observe the eavesdropper's instantaneous channel, so
-    phi is built at the mean eavesdropper variables u = 1 and v = N_EC
-    (``v`` None) unless a realized (u, v) is passed, as the tests do to
-    check the optimizer against a search over splits at that draw.
-
-    When ``grid_points`` > 0 the analytic result is audited against a
-    uniform grid of that many splits; when the grid beats it by more than
-    1e-6 relative, the grid maximizer is returned tagged GridFallback
-    instead.  The audit is off by default; the tests and the sweeps turn
-    it on.
-
-    Raises SilentSourceError when no feasible split exists (tau_min >= 1).
-    """
-    t_min = tau_min(target, coeffs)  # raises when d <= e*(T-1)
-    if t_min >= 1.0:
-        raise SilentSourceError(
-            f"feasible set empty: tau_min={t_min:.6g} >= 1; source suspends"
-        )
-    pc = phi_coeffs(float(u), float(n_ec if v is None else v), coeffs)
-    om_lo = omega(t_min, pc)
-    om_hi = omega(1.0, pc)
-    scale = max(abs(pc.eps1), abs(pc.eps2), abs(pc.eps3), 1.0)
-    degenerate = abs(pc.eps1) <= _LINEAR_RTOL * scale
-
-    interior = [r for r in omega_roots(pc) if t_min < r < 1.0]
-    if degenerate:
-        case = OpaCase.DEGENERATE_LINEAR
-        candidates = [t_min, 1.0] + interior
-    elif om_lo > 0.0 and om_hi < 0.0:
-        case = OpaCase.CONCAVE_INTERIOR
-        root = _descending_root(pc, t_min, 1.0)
-        candidates = [root] if root is not None else [t_min, 1.0] + interior
-    elif om_lo < 0.0 and om_hi > 0.0:
-        case = OpaCase.CONVEX_ENDPOINTS
-        candidates = [t_min, 1.0]
-    else:
-        case = OpaCase.BOTH_SIGN
-        candidates = [t_min, 1.0] + interior
-
-    values = [float(phi_rational(t, pc)) for t in candidates]
-    best = max(range(len(candidates)), key=values.__getitem__)
-    tau_star = candidates[best]
-    if tau_star <= t_min:  # supremum on the open endpoint; step just inside
-        tau_star = t_min + _ENDPOINT_NUDGE * (1.0 - t_min)
-    phi_star = float(phi_rational(tau_star, pc))
-
-    if grid_points > 0:
-        grid = t_min + (np.arange(1, grid_points + 1) / grid_points) * (1.0 - t_min)
-        vals = phi_rational(grid, pc)
-        k = int(np.argmax(vals))
-        if float(vals[k]) - phi_star > _GRID_AUDIT_RTOL * max(1.0, abs(phi_star)):
-            return OpaResult(float(grid[k]), OpaCase.GRID_FALLBACK, float(vals[k]))
-
-    return OpaResult(float(tau_star), case, phi_star)
+    """The one-state call of ``optimize_tau_sop_batch``; returns floats and
+    one OpaCase.  Raises SilentSourceError when no feasible split exists."""
+    res = optimize_tau_sop_batch(target, coeffs, n_ec, u, v, grid_points)
+    return OpaResult(res.tau_star.item(), res.case_tag.item(), res.objective_value.item())
 
 
 def minimize_sop_tau_batch(

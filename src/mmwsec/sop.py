@@ -31,12 +31,13 @@ _GATE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SecrecyTarget:
-    """Target secrecy rate and its derived rate factors T = 2^R_s, T-1."""
+    """Target secrecy rate (a float, or an array with one rate per state for
+    ``tau_min_batch``) and its derived rate factors T = 2^R_s, T-1."""
 
     R_s: float
 
     def __post_init__(self):
-        if self.R_s < 0.0:
+        if np.any(self.R_s < 0.0):
             raise ValueError("R_s must be non-negative")
 
     @property
@@ -76,12 +77,11 @@ def tau_min_batch(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> tuple[np.nd
     Returns (t_min, silent) as arrays over the states (scalar coefficients
     count as one state).  ``silent`` marks the states with d <= e*(T-1):
     their destination SNDR cannot reach the target for any split, the
-    source suspends, and t_min is inf.
+    source suspends, and t_min is inf.  At R_s = 0 every state (d > 0) has
+    t_min = 0.
     """
     d = np.atleast_1d(coeffs.d)
     t_bar = target.T_bar
-    if t_bar == 0.0:
-        return np.zeros(d.shape), np.zeros(d.shape, bool)
     denom = d - coeffs.e * t_bar
     silent = denom <= 0.0
     with np.errstate(divide="ignore"):
@@ -178,8 +178,9 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
     """Conditional SOP at split tau inside the transmission region.
 
     Equals the complementary CDF of the eavesdropper SNDR at the outage
-    threshold; both are generated from one expression so the long closed
-    form cannot drift from the CDF it was derived from.  ``tau`` broadcasts
+    threshold.  The two are separate expressions, and
+    ``test_sop_conditional_equals_ccdf_at_threshold`` holds this long
+    closed form to 1 - cdf_Y_E there.  ``tau`` broadcasts
     against array coefficients (a (states, 1) column of coefficients
     against a (states, grid) array of splits gives one grid per state); a
     float split of one state gives a float.

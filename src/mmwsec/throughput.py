@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -239,11 +239,14 @@ class ThroughputCase(enum.Enum):
 
 @dataclass(frozen=True)
 class ThroughputResult:
+    """Rate-optimal split, rate, case, transmit flag and cap; arrays over the
+    states when built by ``optimize_tau_throughput_batch``."""
+
     tau_star: float
     R_s_star: float
     case_tag: ThroughputCase
     transmit: bool
-    k_star: float = 0.0
+    k_star: float
 
 
 # Scan grid of the rate optimizer: 33 log-spaced splits from 1e-6 up to
@@ -280,9 +283,7 @@ def _stationary_points(lo, hi, f_lo, f_hi, a, b, c, d, e, n_ec, epsilon):
     )
 
 
-def optimize_tau_throughput_batch(
-    coeffs: EffectiveCoeffs, n_ec: int, epsilon: float
-) -> list[ThroughputResult]:
+def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec: int, epsilon: float) -> ThroughputResult:
     """Maximize the capped secrecy rate over the power split, per channel state.
 
     ``coeffs`` carries one channel state per element of its a..e fields
@@ -292,15 +293,16 @@ def optimize_tau_throughput_batch(
     concave case follows the boundary-or-unique-root rule; otherwise all
     stationary points found by a sign-change scan are compared against the
     full-power boundary.  A channel state whose rate is negative even at
-    the optimum cannot transmit and returns Silent.  The stationary points
-    of all states are solved together.  The tests and ``mmwsec validate``
-    check the results against dense grids of splits.
+    the optimum cannot transmit: it keeps its split and cap, with rate 0,
+    transmit False and the tag Silent.  The stationary points of all
+    states are solved together.  The tests and ``mmwsec validate`` check
+    the results against dense grids of splits.
+
+    Returns a ThroughputResult of arrays over the states.
     """
     a, b, c, d, e = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, float)) for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e))
     )
-    if a.size == 0:
-        return []
     states = np.arange(a.size)
     grid = _SCAN_GRID
     # b stays unbroadcast here: a b shared by all states (as derive_coeffs
@@ -336,35 +338,31 @@ def optimize_tau_throughput_batch(
     cand_k = solve_k_batch(cand_tau, a[cand_state], b[cand_state], c[cand_state], n_ec, epsilon)
     cand_rate = _rate(cand_tau, cand_k, d[cand_state], e[cand_state])
     order = np.lexsort((cand_tau, cand_rate, cand_state))
-    ordered = cand_state[order]
-    best = order[np.append(ordered[1:] != ordered[:-1], True)]
+    best = order[np.searchsorted(cand_state[order], states, side="right") - 1]
     tau_star, k_star, r_star = cand_tau[best], cand_k[best], cand_rate[best]
 
     # transmission region test at the chosen split
     silent = sndr_destination(tau_star, d, e) + 1e-12 < tau_star * k_star
-    cases = np.where(
-        concave,
-        np.where(rising, ThroughputCase.CONCAVE_BOUNDARY, ThroughputCase.CONCAVE_INTERIOR),
-        np.where(rising, ThroughputCase.NONCONCAVE_TAU1_VS_1, ThroughputCase.NONCONCAVE_TAU1P_VS_TAU3),
+    cases = np.select(
+        [silent, concave & rising, concave, rising],
+        [ThroughputCase.SILENT, ThroughputCase.CONCAVE_BOUNDARY, ThroughputCase.CONCAVE_INTERIOR,
+         ThroughputCase.NONCONCAVE_TAU1_VS_1],
+        ThroughputCase.NONCONCAVE_TAU1P_VS_TAU3,
     )
-    return [
-        ThroughputResult(t, 0.0, ThroughputCase.SILENT, False, k) if mute
-        else ThroughputResult(t, max(r, 0.0), case, True, k)
-        for t, r, k, mute, case in zip(
-            tau_star.tolist(), r_star.tolist(), k_star.tolist(), silent.tolist(), cases.tolist()
-        )
-    ]
+    rates = np.where(silent, 0.0, np.maximum(r_star, 0.0))
+    return ThroughputResult(tau_star, rates, cases, ~silent, k_star)
 
 
 def optimize_tau_throughput(coeffs: EffectiveCoeffs, solver: KTauSolver) -> ThroughputResult:
-    """One-state call of ``optimize_tau_throughput_batch``.
+    """One-state call of ``optimize_tau_throughput_batch``; returns floats,
+    one ThroughputCase and a bool.
 
     The cap k(tau) uses the solver's a, b, c; the destination side uses
     the coefficients' d, e.
     """
     state = replace(coeffs, a=solver.a, b=solver.b, c=solver.c)
-    (result,) = optimize_tau_throughput_batch(state, solver.n_ec, solver.epsilon)
-    return result
+    res = optimize_tau_throughput_batch(state, solver.n_ec, solver.epsilon)
+    return ThroughputResult(*(getattr(res, f.name).item() for f in fields(ThroughputResult)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +628,7 @@ def avg_throughput_opa(cfg: SystemConfig, trials: int, rng) -> McEstimate:
     gen = as_rng(rng)
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
     coeffs = coeffs_from_gains(cfg, g_hat, g_check)
-    results = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
-    rates = np.array([res.R_s_star for res in results])  # 0 when silent
+    rates = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon).R_s_star  # 0 when silent
     value = float(np.mean(rates))
     stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)

@@ -151,9 +151,17 @@ def test_key_value_files_name_the_bad_line(tmp_path):
     # configuration and sweep-spec files share one reader
     from mmwsec import cli
 
-    readers = {"bad.cfg": load_config, "bad.spec": lambda p: cli._parse_spec_file(p, SystemConfig())}
-    for name, read in readers.items():
+    def read_spec(path):
+        return cli._parse_spec_file(path, SystemConfig())
+
+    cases = [
+        ("bad.cfg", load_config, "no equals sign", "expected key=value"),
+        ("bad.spec", read_spec, "no equals sign", "expected key=value"),
+        ("typo.spec", read_spec, "trails=3", "unknown sweep key 'trails'"),
+        ("variants.spec", read_spec, "variants=k_tx=0.2", "unknown sweep key 'variants'"),
+    ]
+    for name, read, line, message in cases:
         path = tmp_path / name
-        path.write_text("# header\nM=64\n\nno equals sign\n")
-        with pytest.raises(ValueError, match=f"{name}:4: expected key=value"):
+        path.write_text(f"# header\nM=64\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"{name}:4: {message}"):
             read(str(path))

@@ -14,11 +14,12 @@ from mmwsec.opa_sop import (
     omega,
     omega_roots,
     optimize_tau_sop,
+    optimize_tau_sop_batch,
     phi,
     phi_coeffs,
     phi_rational,
 )
-from mmwsec.sop import SecrecyTarget, SopBranch, sop_conditional, sop_overall_batch, tau_min
+from mmwsec.sop import SecrecyTarget, SopBranch, sop_conditional, sop_overall_batch, tau_min, tau_min_batch
 
 
 def _random_state(rng, **overrides):
@@ -87,17 +88,37 @@ def test_omega_sign_matches_phi_slope(rng):
         checked += 1
 
 
+def _check_roots(pc):
+    """Real roots of Omega: ascending, NaN-padded at the end, zeros of Omega."""
+    roots = omega_roots(pc)
+    assert roots.shape == (2,)
+    real = roots[~np.isnan(roots)]
+    assert np.isnan(roots[real.size:]).all()
+    assert np.all(np.diff(real) >= 0.0)
+    scale = max(abs(pc.eps1), abs(pc.eps2), abs(pc.eps3))
+    for r in real:
+        if abs(r) < 10.0:
+            assert abs(omega(r, pc)) <= 1e-9 * scale * max(1.0, r * r)
+    return roots
+
+
 def test_omega_roots_ordering_and_residual(rng):
     for _ in range(200):
         _, coeffs, u, v = _random_state(rng)
-        pc = phi_coeffs(u, v, coeffs)
-        roots = omega_roots(pc)
-        if len(roots) == 2:
-            assert roots[0] <= roots[1]
-        scale = max(abs(pc.eps1), abs(pc.eps2), abs(pc.eps3))
-        for r in roots:
-            if abs(r) < 10.0:
-                assert abs(omega(r, pc)) <= 1e-9 * scale * max(1.0, r * r)
+        _check_roots(phi_coeffs(u, v, coeffs))
+    # low power and a close eavesdropper: Omega has a complex pair
+    cfg = workable_cfg(N_C=13, P_dBm=33.0, k_tx=0.09, k_rx=0.06, d_E_m=12.0)
+    pc = phi_coeffs(3.7, 5.4, make_coeffs(cfg, 13.0, 7.0))
+    assert pc.eps2**2 < 4.0 * pc.eps1 * pc.eps3
+    assert np.isnan(_check_roots(pc)).all()
+    # a*u == b*v on ideal hardware: Omega is linear, its one root comes first
+    cfg = workable_cfg(k_tx=0.0, k_rx=0.0, P_dBm=55.0)
+    coeffs = make_coeffs(cfg, 10.0, 6.0)
+    roots = _check_roots(phi_coeffs(coeffs.b * 2.0 / coeffs.a, 2.0, coeffs))
+    assert np.isfinite(roots[0]) and np.isnan(roots[1])
+    # several states at once: one row of roots per state
+    pcs = phi_coeffs(np.array([3.7, coeffs.b * 2.0 / coeffs.a]), 2.0, coeffs)
+    assert omega_roots(pcs).shape == (2, 2)
 
 
 def test_optimizer_beats_grid(rng):
@@ -257,3 +278,39 @@ def test_minimize_sop_tau_batch_fuzz(rng):
         split_states["R_s=0"] += split.size * (cfg.R_s == 0.0)
         split_states["ideal"] += split.size * (cfg.k_tot2 == 0.0)
     assert min(split_states.values()) > 0, split_states
+
+
+def test_optimize_tau_sop_batch_fuzz(rng):
+    # every state of a batch gets exactly its one-state result, with and
+    # without the audit, at the mean and at realized per-state (u, v)
+    seen = {"N_C=0": 0, "R_s=0": 0, "ideal": 0, "silent": 0}
+    for cfg, coeffs in fuzz_states(rng, 40, 12):
+        target = SecrecyTarget(cfg.R_s)
+        t_min, silent = tau_min_batch(target, coeffs)
+        feasible = np.flatnonzero(~silent & (t_min < 1.0))
+        if feasible.size < 12:
+            with pytest.raises(SilentSourceError):
+                optimize_tau_sop_batch(target, coeffs, cfg.n_ec)
+            seen["silent"] += 1
+        states = coeffs.take(feasible)
+        u = rng.exponential(1.0, feasible.size)
+        v = rng.gamma(cfg.n_ec, 1.0, feasible.size)
+        for grid_points in (0, 2048):
+            for realized in (False, True):
+                uv = (u, v) if realized else (1.0, None)
+                batch = optimize_tau_sop_batch(target, states, cfg.n_ec, *uv, grid_points=grid_points)
+                for j, i in enumerate(feasible):
+                    u_j, v_j = (u[j], v[j]) if realized else (1.0, cfg.n_ec)
+                    state = coeffs.take(i)
+                    one = optimize_tau_sop(target, state, cfg.n_ec, u_j, v_j, grid_points=grid_points)
+                    assert batch.tau_star[j] == one.tau_star
+                    assert batch.case_tag[j] is one.case_tag
+                    assert batch.objective_value[j] == one.objective_value
+                    assert t_min[i] < one.tau_star <= 1.0
+                    taus = t_min[i] + (np.arange(1, 4001) / 4000) * (1.0 - t_min[i])
+                    grid_best = float(np.max(phi_rational(taus, phi_coeffs(u_j, v_j, state))))
+                    assert one.objective_value >= grid_best - 1e-7 * abs(grid_best)
+        seen["N_C=0"] += feasible.size * (cfg.N_C == 0)
+        seen["R_s=0"] += feasible.size * (cfg.R_s == 0.0)
+        seen["ideal"] += feasible.size * (cfg.k_tot2 == 0.0)
+    assert min(seen.values()) > 0, seen

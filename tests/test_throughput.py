@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from mmwsec.sop import cdf_Y_E
 from mmwsec.throughput import (
     KTauSolver,
     ThroughputCase,
+    ThroughputResult,
     avg_throughput_fixed_tau,
     avg_throughput_mrt,
     avg_throughput_opa,
@@ -309,6 +311,12 @@ def test_drs_matches_finite_differences(rng):
         assert abs(drs_dtau(tau, co, solver) - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
+def _assert_state(batch: ThroughputResult, i: int, one: ThroughputResult):
+    """State i of a batch record equals the one-state result, field by field."""
+    for f in fields(ThroughputResult):
+        assert getattr(batch, f.name)[i] == getattr(one, f.name), f.name
+
+
 def test_optimizer_dominates_grid(rng):
     # each configuration also draws three extra states from a separate
     # stream; the batched optimizer over all four must return exactly the
@@ -325,11 +333,11 @@ def test_optimizer_dominates_grid(rng):
         g_hat = np.append(rng.gamma(cfg.N_C, 1), extra.gamma(cfg.N_C, 1, 3))
         g_check = np.append(rng.gamma(cfg.n_dc, 1), extra.gamma(cfg.n_dc, 1, 3))
         batch = optimize_tau_throughput_batch(make_coeffs(cfg, g_hat, g_check), cfg.n_ec, cfg.epsilon)
-        for gh, gc, res_batch in zip(g_hat, g_check, batch):
+        for i, (gh, gc) in enumerate(zip(g_hat, g_check)):
             co = make_coeffs(cfg, float(gh), float(gc))
             solver = _solver(cfg, co)
             res = optimize_tau_throughput(co, solver)
-            assert res == res_batch
+            _assert_state(batch, i, res)
             taus = np.linspace(1e-4, 1.0, 10_000)
             ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
             rates = np.log2((taus * (co.d + co.e) + 1.0) / ((taus * co.e + 1.0) * (1.0 + taus * ks)))
@@ -358,17 +366,17 @@ def test_optimizer_without_common_paths():
             make_coeffs(cfg, np.zeros(3), np.array([4.0, 9.0, 25.0])), cfg.n_ec, cfg.epsilon
         )
         assert dk_dtau(0.0, 0.5, _solver(cfg, co)) == 0.0
-    assert batch[0] == single
-    for res in batch:
-        assert res.transmit
-        assert res.tau_star == 1.0 and res.k_star == 0.0
-        assert res.case_tag is ThroughputCase.CONCAVE_BOUNDARY
+    _assert_state(batch, 0, single)
+    assert batch.transmit.all()
+    assert np.all(batch.tau_star == 1.0) and np.all(batch.k_star == 0.0)
+    assert np.all(batch.case_tag == ThroughputCase.CONCAVE_BOUNDARY)
 
 
 def test_optimizer_empty_batch():
     cfg = workable_cfg()
     co = make_coeffs(cfg, np.zeros(0), np.zeros(0))
-    assert optimize_tau_throughput_batch(co, cfg.n_ec, cfg.epsilon) == []
+    res = optimize_tau_throughput_batch(co, cfg.n_ec, cfg.epsilon)
+    assert all(getattr(res, f.name).shape == (0,) for f in fields(ThroughputResult))
 
 
 def test_optimizer_an_dominant_at_high_budget():
@@ -388,6 +396,14 @@ def test_optimizer_silent_for_dominated_link():
     assert not res.transmit
     assert res.R_s_star == 0.0
     assert res.case_tag is ThroughputCase.SILENT
+    # in a batch the silent state keeps its split and cap next to a
+    # stronger state that transmits
+    batch = optimize_tau_throughput_batch(
+        make_coeffs(cfg, np.array([16.0, 16.0]), np.array([4.0, 400.0])), cfg.n_ec, cfg.epsilon
+    )
+    _assert_state(batch, 0, res)
+    assert res.k_star > 0.0 and 0.0 < res.tau_star <= 1.0
+    assert batch.transmit[1] and batch.R_s_star[1] > 0.0
 
 
 # ---------------------------------------------------------------------------
