@@ -128,9 +128,10 @@ def _fmt(x) -> str:
 # Monte-Carlo event, so the j-th such state of every cell meets the j-th
 # block.  Cells that share a draw key therefore share one gain draw and one
 # walk of the u/v stream.  A cell function turns the shared gains into the
-# per-state columns of its event (``tau``, ``a``, ``b``, ``c`` and the
-# event's own) plus a ``finish`` that builds the row from the walk's
-# per-state hit rates and their summed binomial variance.
+# per-state columns of its event, y_E above a per-state threshold (``tau``,
+# ``a``, ``b`` and ``c`` of y_E, and ``thr``), plus a ``finish`` that builds
+# the row from the walk's per-state hit rates, their summed binomial
+# variance and the draws' seed.
 # ---------------------------------------------------------------------------
 
 def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
@@ -163,16 +164,17 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
     analytic_vals = breakdown.value[accepted]
     tau = tau_eval[accepted]
     m = len(accepted)
+    y_d = sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted])
+    # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, solved for y_E
     cols = dict(
         tau=tau,
         a=coeffs.a[accepted],
         b=np.full(m, coeffs.b),
         c=coeffs.c[accepted],
-        y_d=sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted]),
-        R_s=np.full(m, cfg.R_s),
+        thr=(1.0 + y_d) / 2.0**cfg.R_s - 1.0,
     )
 
-    def finish(empirical_vals: np.ndarray, pair_var: float) -> dict:
+    def finish(empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
         if m == 0:
             return dict(
                 analytic=math.nan, mc_value=math.nan, mc_target=math.nan,
@@ -181,12 +183,12 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
             )
         analytic = float(np.mean(analytic_vals))
         se_pair = math.sqrt(pair_var) / m
-        mc_stderr = float(np.std(empirical_vals, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+        est = montecarlo.sample_mean(empirical_vals, seed)
         return dict(
             analytic=analytic,
-            mc_value=float(np.mean(empirical_vals)),
+            mc_value=est.value,
             mc_target=analytic,
-            mc_stderr=mc_stderr,
+            mc_stderr=est.std_error,
             tol=max(0.005, 4.0 * se_pair),
             tau_star_mean=float(np.mean(tau)),
             accept_rate=m / len(g_hat),
@@ -194,13 +196,6 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
         )
 
     return cols, finish
-
-
-def _secrecy_outage(y_e: np.ndarray, col: dict) -> np.ndarray:
-    """log2((1 + y_D) / (1 + y_E)) < R_s, computed in y_E's buffer."""
-    ratio = np.add(1.0, y_e, out=y_e)
-    np.divide(1.0 + col["y_d"], ratio, out=ratio)
-    return np.log2(ratio, out=ratio) < col["R_s"]
 
 
 def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray):
@@ -220,17 +215,17 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
         rates = np.maximum(rates, 0.0)
         tags = {}
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
+    # rate outage: y_E above the designed margin tau * k
     cols = dict(
         tau=tau_eval[checked],
         a=coeffs.a[checked],
         b=np.full(len(checked), coeffs.b),
         c=coeffs.c[checked],
-        tau_k=tau_eval[checked] * k_eval[checked],
+        thr=tau_eval[checked] * k_eval[checked],
     )
 
-    def finish(outage_hats: np.ndarray, pair_var: float) -> dict:
-        analytic = float(np.mean(rates))
-        mc_stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    def finish(outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
+        est = montecarlo.sample_mean(rates, seed)
         if len(outage_hats):
             mc_value = float(np.mean(outage_hats))
             se_pair = math.sqrt(pair_var) / len(outage_hats)
@@ -239,10 +234,10 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
         else:
             mc_value, tol, target = math.nan, math.inf, math.nan
         return dict(
-            analytic=analytic,
+            analytic=est.value,
             mc_value=mc_value,
             mc_target=target,
-            mc_stderr=mc_stderr,
+            mc_stderr=est.std_error,
             tol=tol,
             tau_star_mean=float(np.mean(tau_eval[transmit])) if transmit.any() else math.nan,
             accept_rate=int(transmit.sum()) / trials,
@@ -252,11 +247,6 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
     return cols, finish
 
 
-def _rate_outage(y_e: np.ndarray, col: dict) -> np.ndarray:
-    """y_E > tau * k: the eavesdropper's SNDR exceeds the designed margin."""
-    return y_e > col["tau_k"]
-
-
 def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
     """Average MRT secrecy throughput by quadrature, checked against its own
     Monte-Carlo estimator."""
@@ -264,7 +254,7 @@ def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
     # the full-power region can be a rare event at high power under
     # impairments; the vectorized estimator is cheap, so oversample
     n_mrt = min(max(80 * trials, 20_000), 200_000)
-    est = throughput.avg_throughput_mrt(cfg, n_mrt, montecarlo.as_rng(seed))
+    est = throughput.avg_throughput_mrt(cfg, n_mrt, seed)
     return dict(
         analytic=analytic,
         mc_value=est.value,
@@ -277,12 +267,13 @@ def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
     )
 
 
-def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict], event) -> list:
+def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict]) -> list:
     """Walk one draw group's u/v stream once.
 
     Block j meets the j-th state of every cell that has one, and all those
-    states are evaluated as one (cells x uv) array.  Returns per cell its
-    per-state hit rates and their binomial variances summed in state order.
+    states are evaluated as one (cells x uv) array.  A hit is y_E above the
+    state's ``thr``.  Returns per cell its per-state hit rates and their
+    binomial variances summed in state order.
     """
     counts = np.array([len(cols["tau"]) for cols in cells])
     order = np.argsort(-counts, kind="stable")  # the cells still walking form a prefix
@@ -301,7 +292,7 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict], event
         live = walking[j]
         col = {key: vals[:live, j, None] for key, vals in stacked.items()}
         y_e = sndr_eve(col["tau"], u, v, col["a"], col["b"], col["c"], out=buffers[:, :live])
-        p_hat = np.count_nonzero(event(y_e, col), axis=1) / uv_samples
+        p_hat = np.count_nonzero(y_e > col["thr"], axis=1) / uv_samples
         hits[:live, j] = p_hat
         pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
     walked = [None] * len(cells)
@@ -319,15 +310,11 @@ def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> l
     g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, spec.trials, rng)
     if spec.mode in ("sop_fixed_rate", "sop_opa"):
         policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
-        made = [
-            _sop_cell(cfg, scheme, g_hat, g_check, policy) for scheme, cfg in cells
-        ]
-        event = _secrecy_outage
+        made = [_sop_cell(cfg, scheme, g_hat, g_check, policy) for scheme, cfg in cells]
     else:
         made = [_throughput_cell(cfg, scheme, g_hat, g_check) for scheme, cfg in cells]
-        event = _rate_outage
-    walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made], event)
-    return [finish(*w) for (_, finish), w in zip(made, walked)]
+    walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made])
+    return [finish(*w, spec.seed) for (_, finish), w in zip(made, walked)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
@@ -440,7 +427,7 @@ def render_csv(specs: list[SweepSpec], rows: list[dict]) -> str:
 # the CSV header for transparency.
 # ---------------------------------------------------------------------------
 
-def preset_specs(name: str, trials=None, uv_samples=None, seed=None, out_base=None) -> list[SweepSpec]:
+def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[SweepSpec]:
     common = dict(seed=20240801)
     if name == "fig3":
         specs = [SweepSpec(
@@ -590,7 +577,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
     t_min, silent = sop.tau_min_batch(tgt, states)
     ok = ~silent & (t_min < 1.0)
     tgt = sop.SecrecyTarget(tgt.R_s[ok])
-    states = EffectiveCoeffs(*(getattr(states, f.name)[ok] for f in fields(states)))
+    states = states.take(ok)
     n_ec, t_min = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok], t_min[ok]
     res = opa_sop.optimize_tau_sop_batch(tgt, states, n_ec)
     taus = t_min + (np.arange(1, 4001)[:, None] / 4000.0) * (1.0 - t_min)  # a column per state
@@ -683,18 +670,9 @@ def _parse_spec_file(path: str, base: SystemConfig) -> SweepSpec:
     swept_key = keys.get("swept_key")
     if swept_key is None or "values" not in keys or "mode" not in keys:
         raise ValueError(f"{path}: spec needs mode, swept_key and values entries")
-    raw_values = [v for v in keys["values"].split(",") if v.strip()]
-    values = [int(v) if swept_key in ("M", "N_D", "N_E", "N_C") else float(v) for v in raw_values]
-    return SweepSpec(
-        mode=keys["mode"],
-        swept_key=swept_key,
-        values=values,
-        base=base,
-        trials=int(keys.get("trials", 1000)),
-        uv_samples=int(keys.get("uv_samples", 2000)),
-        seed=int(keys.get("seed", 20240801)),
-        preset="custom",
-    )
+    values = [coerce_overrides({swept_key: v})[swept_key] for v in keys["values"].split(",") if v.strip()]
+    budgets = {k: int(keys[k]) for k in ("trials", "uv_samples", "seed") if k in keys}
+    return SweepSpec(mode=keys["mode"], swept_key=swept_key, values=values, base=base, **budgets)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ dimensionless SNRs); dB/dBm appear only at the configuration boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -143,12 +143,11 @@ class EffectiveCoeffs:
         d = beta_D * G                destination SNR scale
         e = k_tot^2 * d               aggregate-distortion scale at D
 
-    The bar variants are the gain-normalized versions (a = a_bar*G_hat/G,
-    d = d_bar*G, ...), constant across channel draws.  For a batch of
-    states a, c, d and e are arrays over the states.
+    For a batch of states of one configuration a, c, d and e are arrays
+    over the states; a batch stacked from several configurations holds
+    every field as such an array.
     """
 
-    beta_D: float
     beta_E: float
     k_tx2: float
     k_tot2: float
@@ -157,21 +156,20 @@ class EffectiveCoeffs:
     c: float
     d: float
     e: float
-    a_bar: float = field(default=0.0)
-    c_bar: float = field(default=0.0)
-    d_bar: float = field(default=0.0)
-    e_bar: float = field(default=0.0)
 
     def take(self, index) -> "EffectiveCoeffs":
-        """The states a numpy index picks from the per-state a, c, d and e.
+        """The states a numpy index picks.
 
-        Scalar coefficients count as one state; b and the scale factors are
-        shared by all states and carry over unchanged.
+        a, c, d and e are per-state, and scalar ones count as one state.
+        Every other field that is an array is per-state too; a scalar one
+        is shared by all states and carries over unchanged.
         """
-        def pick(x):
-            return np.atleast_1d(x)[index]
-
-        return replace(self, a=pick(self.a), c=pick(self.c), d=pick(self.d), e=pick(self.e))
+        picked = {}
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if f.name in ("a", "c", "d", "e") or np.ndim(x):
+                picked[f.name] = np.atleast_1d(x)[index]
+        return replace(self, **picked)
 
 
 def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
@@ -213,21 +211,7 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
     c = k_tx2 * a
     d = beta_d * g_tot
     e = k_tot2 * d
-    return EffectiveCoeffs(
-        beta_D=beta_d,
-        beta_E=beta_e,
-        k_tx2=k_tx2,
-        k_tot2=k_tot2,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        e=e,
-        a_bar=beta_e,
-        c_bar=k_tx2 * beta_e,
-        d_bar=beta_d,
-        e_bar=k_tot2 * beta_d,
-    )
+    return EffectiveCoeffs(beta_E=beta_e, k_tx2=k_tx2, k_tot2=k_tot2, a=a, b=b, c=c, d=d, e=e)
 
 
 def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:

@@ -1,16 +1,15 @@
 """Stochastic oracles for every closed form in the package.
 
-Estimates are reproducible by construction: trials are split into
-fixed-size chunks, each chunk draws from its own counter-derived stream,
-and chunk results are reduced in index order, so the outcome is identical
-for any worker count.
+Every estimator takes an integer seed.  Estimates are reproducible by
+construction: trials are split into fixed-size chunks, chunk i draws from
+its own counter-derived stream of the seed, and the chunk sums are added
+in chunk order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,54 +34,39 @@ class McEstimate:
     accept_rate: float = 1.0
 
 
-def as_rng(rng) -> np.random.Generator:
-    """Accept either a 64-bit seed or a live numpy Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.Philox(int(rng) & 0xFFFFFFFFFFFFFFFF))
+def as_rng(seed: int) -> np.random.Generator:
+    """The Philox generator of a 64-bit integer seed."""
+    return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
 def _substream(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_sums(n: int, rng, chunk_fn, width: int, workers: int = 1) -> np.ndarray:
-    """Accumulate chunk_fn(stream, size) -> length-``width`` sums over n trials.
+def _chunk_sums(n: int, seed: int, chunk_fn, width: int) -> np.ndarray:
+    """Sum chunk_fn(stream, size) -> length-``width`` arrays over n trials.
 
-    With an integer seed every chunk gets its own counter-derived stream and
-    the reduction order is fixed, so results do not depend on ``workers``.
-    A live Generator forces sequential execution on that stream.
+    Chunk i draws from ``_substream(seed, i)`` and the sums are added in
+    chunk order.
     """
-    if isinstance(rng, np.random.Generator):
-        total = np.zeros(width)
-        done = 0
-        while done < n:
-            m = min(_CHUNK, n - done)
-            total += chunk_fn(rng, m)
-            done += m
-        return total
-    seed = int(rng)
-    sizes = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
-    if workers <= 1:
-        parts = [chunk_fn(_substream(seed, i), m) for i, m in sizes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda im: chunk_fn(_substream(seed, im[0]), im[1]), sizes))
     total = np.zeros(width)
-    for part in parts:  # fixed order keeps the reduction deterministic
-        total += part
+    for i, start in enumerate(range(0, n, _CHUNK)):
+        total += chunk_fn(_substream(seed, i), min(_CHUNK, n - start))
     return total
-
-
-def _seed_of(rng) -> int:
-    return -1 if isinstance(rng, np.random.Generator) else int(rng)
 
 
 def _binomial_se(p: float, n: int) -> float:
     if n <= 0:
         return 0.0
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+def sample_mean(values: np.ndarray, seed: int) -> McEstimate:
+    """Sample mean of the values and its standard error (0 for one value)."""
+    n = len(values)
+    std_error = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(value=float(np.mean(values)), std_error=std_error, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +79,7 @@ def empirical_sop_conditional(
     target: SecrecyTarget,
     n_ec: int,
     n: int,
-    rng,
-    workers: int = 1,
+    seed: int,
 ) -> McEstimate:
     """Frequency of the outage event over the eavesdropper randomness (u, v).
 
@@ -113,9 +96,9 @@ def empirical_sop_conditional(
         y_e = sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c)
         return np.array([float(np.count_nonzero(y_e > x_th))])
 
-    hits = _chunk_sums(n, rng, chunk, width=1, workers=workers)[0]
+    hits = _chunk_sums(n, seed, chunk, width=1)[0]
     p = hits / n
-    return McEstimate(value=p, std_error=_binomial_se(p, n), n=n, seed=_seed_of(rng))
+    return McEstimate(value=p, std_error=_binomial_se(p, n), n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +110,7 @@ def empirical_sop(
     tau: float,
     target: SecrecyTarget,
     n: int,
-    rng,
-    workers: int = 1,
+    seed: int,
 ) -> McEstimate:
     """Outage frequency over full channel randomness, given transmission.
 
@@ -153,7 +135,7 @@ def empirical_sop(
             "target rate exceeds the impairment ceiling: outage is certain",
             stacklevel=2,
         )
-        return McEstimate(value=1.0, std_error=0.0, n=0, seed=_seed_of(rng), accept_rate=0.0)
+        return McEstimate(value=1.0, std_error=0.0, n=0, seed=seed, accept_rate=0.0)
 
     def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
         g_hat = stream.gamma(cfg.N_C, 1.0, size=m) if cfg.N_C > 0 else np.zeros(m)
@@ -173,7 +155,7 @@ def empirical_sop(
             [float(np.count_nonzero(outage)), float(np.count_nonzero(accepted))]
         )
 
-    outage_n, accept_n = _chunk_sums(n, rng, chunk, width=2, workers=workers)
+    outage_n, accept_n = _chunk_sums(n, seed, chunk, width=2)
     accept_rate = accept_n / n
     if accept_rate < _ACCEPT_WARN:
         warnings.warn(
@@ -185,7 +167,7 @@ def empirical_sop(
         value=p,
         std_error=_binomial_se(p, int(accept_n)),
         n=int(accept_n),
-        seed=_seed_of(rng),
+        seed=seed,
         accept_rate=accept_rate,
     )
 
@@ -199,9 +181,8 @@ def empirical_cdf_Y_E(
     tau: float,
     x_grid,
     n: int,
-    rng,
+    seed: int,
     n_ec: int,
-    workers: int = 1,
 ) -> list[McEstimate]:
     """Pointwise empirical CDF of the eavesdropper SNDR at a fixed state."""
     x_grid = np.asarray(x_grid, float)
@@ -214,8 +195,7 @@ def empirical_cdf_Y_E(
         y_e = np.sort(sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c))
         return np.searchsorted(y_e, x_grid, side="right").astype(float)
 
-    counts = _chunk_sums(n, rng, chunk, width=len(x_grid), workers=workers)
-    seed = _seed_of(rng)
+    counts = _chunk_sums(n, seed, chunk, width=len(x_grid))
     return [
         McEstimate(value=c / n, std_error=_binomial_se(c / n, n), n=n, seed=seed)
         for c in counts
@@ -247,7 +227,7 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray, seed: int) -> McEstimate:
 
 
 def empirical_sndr_from_distortion(
-    cfg: SystemConfig, tau: float, n: int, rng, sets=None
+    cfg: SystemConfig, tau: float, n: int, seed: int
 ) -> SndrReconstruction:
     """Rebuild both SNDRs from signal-level synthesis of the distortion model.
 
@@ -257,10 +237,8 @@ def empirical_sndr_from_distortion(
     The sample power ratios must land on the closed-form SNDRs, which
     validates the algebra collapsing the received-signal expressions.
     """
-    gen = as_rng(rng)
-    seed = _seed_of(rng)
-    if sets is None:
-        sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
+    gen = as_rng(seed)
+    sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
     draw = sample_channel(sets, gen, keep_vectors=True)
     coeffs = derive_coeffs(cfg, draw)
 

@@ -138,6 +138,19 @@ def omega_roots(pc: PhiCoeffs) -> np.ndarray:
     return np.stack([lo, hi], axis=-1)
 
 
+def _feasible_tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
+    """tau_min of every state; raises SilentSourceError when any state has
+    no feasible split (silent, or tau_min >= 1)."""
+    t_min, silent = tau_min_batch(target, coeffs)
+    empty = silent | (t_min >= 1.0)
+    if empty.any():
+        raise SilentSourceError(
+            f"feasible set empty for {int(empty.sum())} of {empty.size} states "
+            "(tau_min >= 1); source suspends"
+        )
+    return t_min
+
+
 def optimize_tau_sop_batch(
     target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u=1.0, v=None, grid_points: int = 0
 ) -> OpaResult:
@@ -164,13 +177,7 @@ def optimize_tau_sop_batch(
     count as one state.  Raises SilentSourceError when any state has no
     feasible split (tau_min >= 1).
     """
-    t_min, silent = tau_min_batch(target, coeffs)
-    empty = silent | (t_min >= 1.0)
-    if empty.any():
-        raise SilentSourceError(
-            f"feasible set empty for {int(empty.sum())} of {empty.size} states "
-            "(tau_min >= 1); source suspends"
-        )
+    t_min = _feasible_tau_min(target, coeffs)
     # a v of the states' shape gives every coefficient of phi that shape
     pc = phi_coeffs(np.asarray(u, float), np.broadcast_to(n_ec if v is None else v, t_min.shape), coeffs)
 
@@ -239,13 +246,7 @@ def minimize_sop_tau_batch(
     coefficients count as one state.  Raises SilentSourceError when any
     state has no feasible split.
     """
-    t_min, silent = tau_min_batch(target, coeffs)
-    empty = silent | (t_min >= 1.0)
-    if empty.any():
-        raise SilentSourceError(
-            f"feasible set empty for {int(empty.sum())} of {empty.size} states "
-            "(tau_min >= 1); source suspends"
-        )
+    t_min = _feasible_tau_min(target, coeffs)
     tau_star = np.ones(t_min.shape)
     value = np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)

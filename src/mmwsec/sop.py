@@ -60,7 +60,8 @@ class SopBreakdown:
     """Overall SOP value plus the branch and gate values that produced it.
 
     Built by ``sop_overall_batch`` the fields are arrays over the states
-    (``branch`` holds one SopBranch per state; ``gamma3`` is shared).
+    (``branch`` holds one SopBranch per state; ``gamma3`` is shared unless
+    the states come from several configurations).
     """
 
     value: float
@@ -160,7 +161,8 @@ def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float
     eavesdropper SNDR ceiling (outage impossible below it).
     gamma2(tau): rate factor reachable by the destination at split tau.
     gamma3: large-power limit of gamma2 (infinite for ideal hardware).
-    gamma1 and gamma2 are arrays when tau or the coefficients are.
+    gamma1 and gamma2 are arrays when tau or the coefficients are, and
+    gamma3 is one when k_tot2 is (a batch of several configurations).
     """
     k_tx2 = coeffs.k_tx2
     k_tot2 = coeffs.k_tot2
@@ -170,7 +172,8 @@ def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float
     td = tau * coeffs.d
     gamma1 = (td * k1 + k_tx2) / (td * k2 + k_tx2 + 1.0)
     gamma2 = (td * k3 + 1.0) / (td * k_tot2 + 1.0)
-    gamma3 = k3 / k_tot2 if k_tot2 > 0.0 else math.inf
+    with np.errstate(divide="ignore"):
+        gamma3 = np.divide(k3, k_tot2)  # inf for ideal hardware
     return gamma1, gamma2, gamma3
 
 

@@ -25,7 +25,7 @@ from scipy import integrate, special
 from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains
 from .errors import ConvergenceError, InfeasibleError
-from .montecarlo import McEstimate, as_rng
+from .montecarlo import McEstimate, as_rng, sample_mean
 from .sndr import sndr_destination
 
 LN2 = math.log(2.0)
@@ -501,8 +501,6 @@ def _log_moments(q: float, m_max: int) -> list[float]:
 
 def log_moment(q: float, m: int) -> float:
     """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1); order m of ``_log_moments``."""
-    if m < 0:
-        return 0.0
     return _log_moments(q, m)[m]
 
 
@@ -620,46 +618,31 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False) -> float:
 # Monte-Carlo averaged throughputs over channel states
 # ---------------------------------------------------------------------------
 
-def avg_throughput_opa(cfg: SystemConfig, trials: int, rng) -> McEstimate:
+def _drawn_gains(cfg: SystemConfig, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Common and non-common destination gains of ``trials`` drawn states."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, as_rng(seed))
+    return g_hat, g_check
+
+
+def avg_throughput_opa(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
     """Sample mean of the per-state optimized secrecy rate over the region."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
-    gen = as_rng(rng)
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
+    coeffs = coeffs_from_gains(cfg, *_drawn_gains(cfg, trials, seed))
     rates = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon).R_s_star  # 0 when silent
-    value = float(np.mean(rates))
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)
+    return sample_mean(rates, seed)
 
 
-def avg_throughput_fixed_tau(cfg: SystemConfig, tau: float, trials: int, rng) -> McEstimate:
+def avg_throughput_fixed_tau(cfg: SystemConfig, tau: float, trials: int, seed: int) -> McEstimate:
     """Sample mean secrecy rate at a fixed split (0 outside the region)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
-    gen = as_rng(rng)
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
+    coeffs = coeffs_from_gains(cfg, *_drawn_gains(cfg, trials, seed))
     ks = solve_k_batch(tau, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
-    rates = np.maximum(rs_of_tau(tau, ks, coeffs), 0.0)
-    value = float(np.mean(rates))
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)
+    return sample_mean(np.maximum(rs_of_tau(tau, ks, coeffs), 0.0), seed)
 
 
-def avg_throughput_mrt(cfg: SystemConfig, trials: int, rng) -> McEstimate:
+def avg_throughput_mrt(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
     """Sample mean full-power secrecy rate over the transmission region."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = int(rng) if not isinstance(rng, np.random.Generator) else -1
-    gen = as_rng(rng)
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, gen)
-    rates = np.maximum(mrt_rate(g_hat, g_check, cfg), 0.0)
-    value = float(np.mean(rates))
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(value=value, std_error=stderr, n=trials, seed=seed)
+    return sample_mean(np.maximum(mrt_rate(*_drawn_gains(cfg, trials, seed), cfg), 0.0), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from mmwsec.config import (
     watt_to_dbm,
 )
 from mmwsec.errors import InfeasibleError
+from mmwsec.throughput import _bar_scales
 
 
 def test_path_loss_measured_point():
@@ -79,10 +80,12 @@ def test_bar_variants_reconstruct_draw_coefficients():
     g_hat, g_check = 9.0, 7.0
     coeffs = make_coeffs(cfg, g_hat, g_check)
     g = g_hat + g_check
-    assert math.isclose(coeffs.a, coeffs.a_bar * g_hat / g, rel_tol=1e-14)
-    assert math.isclose(coeffs.c, coeffs.c_bar * g_hat / g, rel_tol=1e-14)
-    assert math.isclose(coeffs.d, coeffs.d_bar * g, rel_tol=1e-14)
-    assert math.isclose(coeffs.e, coeffs.e_bar * g, rel_tol=1e-14)
+    # the gain-normalized constants of the MRT closed forms
+    bar = _bar_scales(cfg)
+    assert math.isclose(coeffs.a, bar.a_bar * g_hat / g, rel_tol=1e-14)
+    assert math.isclose(coeffs.c, bar.c_bar * g_hat / g, rel_tol=1e-14)
+    assert math.isclose(coeffs.d, bar.d_bar * g, rel_tol=1e-14)
+    assert math.isclose(coeffs.e, bar.e_bar * g, rel_tol=1e-14)
 
 
 def test_coefficients_scale_linearly_with_power():
@@ -90,7 +93,7 @@ def test_coefficients_scale_linearly_with_power():
     hi = SystemConfig(P_dBm=50.0)
     c_lo = make_coeffs(lo, 12.0, 8.0)
     c_hi = make_coeffs(hi, 12.0, 8.0)
-    for name in ("a", "b", "c", "d", "e", "beta_D", "beta_E"):
+    for name in ("a", "b", "c", "d", "e", "beta_E"):
         assert math.isclose(getattr(c_hi, name), 10.0 * getattr(c_lo, name), rel_tol=1e-12)
 
 

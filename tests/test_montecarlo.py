@@ -20,7 +20,7 @@ def test_conditional_estimates_are_reproducible():
     target = SecrecyTarget(cfg.R_s)
     a = empirical_sop_conditional(co, 0.6, target, cfg.n_ec, 250_000, 42)
     b = empirical_sop_conditional(co, 0.6, target, cfg.n_ec, 250_000, 42)
-    c = empirical_sop_conditional(co, 0.6, target, cfg.n_ec, 250_000, 42, workers=4)
+    c = empirical_sop_conditional(co, 0.6, target, cfg.n_ec, 250_000, np.int64(42))
     d = empirical_sop_conditional(co, 0.6, target, cfg.n_ec, 250_000, 43)
     assert a.value == b.value == c.value
     assert a.value != d.value

@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import ChannelDraw
-from mmwsec.config import SystemConfig, derive_coeffs
+from mmwsec.config import EffectiveCoeffs, SystemConfig, derive_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec.opa_sop import (
     OpaCase,
@@ -19,7 +20,9 @@ from mmwsec.opa_sop import (
     phi_coeffs,
     phi_rational,
 )
-from mmwsec.sop import SecrecyTarget, SopBranch, sop_conditional, sop_overall_batch, tau_min, tau_min_batch
+from mmwsec.sop import (
+    SecrecyTarget, SopBranch, sop_conditional, sop_overall, sop_overall_batch, tau_min, tau_min_batch,
+)
 
 
 def _random_state(rng, **overrides):
@@ -278,6 +281,34 @@ def test_minimize_sop_tau_batch_fuzz(rng):
         split_states["R_s=0"] += split.size * (cfg.R_s == 0.0)
         split_states["ideal"] += split.size * (cfg.k_tot2 == 0.0)
     assert min(split_states.values()) > 0, split_states
+
+
+def test_batch_stacked_from_several_configurations():
+    # one state per configuration, stacked field by field: b and the scale
+    # factors differ between the states, and the first is ideal (k_tot2 = 0)
+    cfgs = [
+        workable_cfg(P_dBm=p, k_tx=k, k_rx=k) for p, k in ((50.0, 0.0), (55.0, 0.05), (60.0, 0.1))
+    ]
+    singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
+    stacked = EffectiveCoeffs(**{
+        f.name: np.array([getattr(co, f.name) for co in singles]) for f in fields(EffectiveCoeffs)
+    })
+    target, n_ec = SecrecyTarget(cfgs[0].R_s), cfgs[0].n_ec
+    picked = stacked.take([2, 0])
+    for f in fields(EffectiveCoeffs):
+        assert list(getattr(picked, f.name)) == [getattr(singles[i], f.name) for i in (2, 0)]
+    batch = sop_overall_batch(1.0, target, stacked, n_ec)
+    taus, vals = minimize_sop_tau_batch(target, stacked, n_ec)
+    for i, one in enumerate(singles):
+        for f in fields(EffectiveCoeffs):
+            assert getattr(stacked.take(i), f.name) == getattr(one, f.name)
+        gate = sop_overall(1.0, target, one, n_ec)
+        assert batch.branch[i] is gate.branch is SopBranch.CONDITIONAL
+        assert (batch.value[i], batch.gamma1[i], batch.gamma2[i], batch.gamma3[i], batch.tau_min[i]) == (
+            gate.value, gate.gamma1, gate.gamma2, gate.gamma3, gate.tau_min
+        )
+        assert (taus[i], vals[i]) == minimize_sop_tau(target, one, n_ec)
+    assert batch.gamma3[0] == math.inf
 
 
 def test_optimize_tau_sop_batch_fuzz(rng):

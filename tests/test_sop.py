@@ -24,7 +24,7 @@ from mmwsec.sop import (
 def _ideal_coeffs(d, a, b):
     from mmwsec.config import EffectiveCoeffs
 
-    return EffectiveCoeffs(beta_D=1.0, beta_E=1.0, k_tx2=0.0, k_tot2=0.0,
+    return EffectiveCoeffs(beta_E=1.0, k_tx2=0.0, k_tot2=0.0,
                            a=a, b=b, c=0.0, d=d, e=0.0)
 
 
@@ -44,7 +44,7 @@ def test_tau_min_values():
 def test_tau_min_infeasible():
     from mmwsec.config import EffectiveCoeffs
 
-    co = EffectiveCoeffs(beta_D=1.0, beta_E=1.0, k_tx2=0.5, k_tot2=1.0,
+    co = EffectiveCoeffs(beta_E=1.0, k_tx2=0.5, k_tot2=1.0,
                          a=1.0, b=1.0, c=0.5, d=1.0, e=1.0)
     with pytest.raises(SilentSourceError):
         tau_min(SecrecyTarget(math.log2(3.0)), co)  # T=3: d <= e*(T-1)
