@@ -27,10 +27,6 @@ from .throughput import KTauSolver, optimize_tau_throughput
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
 
-# grid of the split searches in SOP sweeps: the scan of
-# minimize_sop_tau_batch and the audit of optimize_tau_sop_batch
-_OPA_GRID = 2048
-
 MODES = (
     "sop_fixed_rate",
     "sop_opa",
@@ -153,11 +149,9 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
         split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
         states = coeffs.take(split)
         if split_policy == "min_sop":
-            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(target, states, cfg.n_ec, grid_points=_OPA_GRID)
+            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(target, states, cfg.n_ec)
         else:
-            tau_eval[split] = opa_sop.optimize_tau_sop_batch(
-                target, states, cfg.n_ec, grid_points=_OPA_GRID
-            ).tau_star
+            tau_eval[split] = opa_sop.optimize_tau_sop_batch(target, states, cfg.n_ec).tau_star
         breakdown = sop.sop_overall_batch(tau_eval, target, coeffs, cfg.n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tags = {branch.value: n for branch, n in Counter(breakdown.branch[accepted]).items()}

@@ -8,16 +8,18 @@ Omega between them, for a whole batch of channel states at once
 (``optimize_tau_sop_batch``; ``optimize_tau_sop`` is its one-state call).
 
 The split minimizing the closed-form conditional SOP itself is found for
-a whole batch of channel states at once (``minimize_sop_tau_batch``): one
-(states x grid) scan, in blocks of states, brackets every state's
-minimum, and one golden-section loop refines all brackets together, each
-state stopping on its own.  ``minimize_sop_tau`` is its one-state call.
+a whole batch of channel states at once (``minimize_sop_tau_batch``)
+from the sign of the analytic slope of log SOP: one (states x grid)
+array of slopes brackets every falling-to-rising sign change, and one
+Illinois false-position loop (``throughput.bracketed_roots``, shared
+with the throughput optimizer) refines all brackets together, each
+stopping on its own.  No SOP value is scanned.  ``minimize_sop_tau`` is
+its one-state call.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +28,7 @@ from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, sop_conditional, tau_min_batch
+from .throughput import bracketed_roots
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
@@ -34,15 +37,14 @@ _ENDPOINT_NUDGE = 1e-9
 # Relative margin by which the optimize_tau_sop grid audit must beat the
 # analytic split before the grid point replaces it.
 _GRID_AUDIT_RTOL = 1e-6
-# States per block of the (states x grid) scan in minimize_sop_tau_batch.
-# It bounds the scan's working set: at the sweeps' 2048-point grid, 8
-# states add about 1.3 MB of peak memory, 64 states about 9 MB.
+# States per block of the (states x grid) audit in optimize_tau_sop_batch.
+# It bounds the audit's working set: at a 2048-point grid, 8 states add
+# about 1.3 MB of peak memory, 64 states about 9 MB.
 _SCAN_BLOCK_STATES = 8
-# Golden-section refinement: ratio, bracket width at which a state stops,
-# and the step cap.
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_XTOL = 1e-12
-_GOLDEN_MAX_ITERS = 60
+# Relative offsets s of the slope grid tau = t_min + s*(1 - t_min) in
+# minimize_sop_tau_batch: 25 geometric steps from 1e-12 up to 1/64, where
+# the SOP falls steeply from 1 at tau_min, then 64 even steps up to 1.
+_SLOPE_GRID = np.concatenate([np.geomspace(1e-12, 1.0 / 64.0, 25, endpoint=False), np.arange(1, 65) / 64.0])
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def optimize_tau_sop_batch(
     When ``grid_points`` > 0 the analytic result is audited against a
     uniform grid of that many splits, in blocks of states; where the grid
     beats it by more than 1e-6 relative, the grid maximizer is returned
-    tagged GridFallback instead.  The tests and the sweeps turn it on.
+    tagged GridFallback instead.  The tests turn it on.
 
     Returns an OpaResult of arrays over the states; scalar coefficients
     count as one state.  Raises SilentSourceError when any state has no
@@ -224,23 +226,45 @@ def optimize_tau_sop(
     return OpaResult(res.tau_star.item(), res.case_tag.item(), res.objective_value.item())
 
 
+def _log_sop_slope(tau, a, b, c, d, e, t, n_ec):
+    """d log SOP / d tau times the positive factor 1 + (1 - tau)*b*r.
+
+    r = (alpha*tau - (T-1)) / (tau*(beta*tau + gamma)) is the ratio inside
+    ``sop_conditional``, with alpha = d - e(T-1), beta = eTa - c*alpha and
+    gamma = Ta + c(T-1), and T = ``t`` = 2^R_s; r' is its derivative.  The
+    result has the sign of the SOP's slope: negative just above tau_min
+    when R_s > 0, where r' = (T-1)/(tau^2 (beta*tau + gamma)) > 0.
+    """
+    t_bar = t - 1.0
+    alpha = d - e * t_bar
+    beta = e * t * a - c * alpha
+    gamma = t * a + c * t_bar
+    den = tau * (beta * tau + gamma)
+    r = (alpha * tau - t_bar) / den
+    r_prime = ((2.0 * t_bar - alpha * tau) * beta * tau + gamma * t_bar) / (den * den)
+    nb = n_ec * b
+    return nb * r - r_prime * (1.0 + (1.0 - tau) * (b * r + nb))
+
+
 def minimize_sop_tau_batch(
-    target: SecrecyTarget,
-    coeffs: EffectiveCoeffs,
-    n_ec: int,
-    grid_points: int = 512,
+    target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split minimizing the closed-form conditional SOP of every state.
 
     The capacity-ratio proxy above substitutes a fixed (u, v) into phi and
     can land far from the minimum of the (u, v)-averaged SOP; this routine
     minimizes that averaged closed form directly and is what figure-level
-    sweeps use.  Per state: the grid t_min + (1..G)/G * (1 - t_min) with
-    G = ``grid_points`` brackets the minimum between the neighbours of its
-    best point, then golden-section steps narrow the bracket until it is
-    narrower than 1e-12, and the bracket's midpoint competes with the full
-    power split tau = 1.  States without leakage (a = 0) are outage-free
-    at any feasible split and get (1, 0).
+    sweeps use.  The analytic slope of log SOP is evaluated on one fixed
+    relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``); every
+    change of its sign from falling to rising brackets a local minimum,
+    and one Illinois false-position loop refines all brackets together,
+    each stopping on its own.  No unimodality is assumed: every local
+    minimum competes with the full power split tau = 1, and with the
+    grid's first split where the SOP rises from tau_min (at R_s = 0, where
+    the infimum lies at the open end).  Each state keeps its smallest SOP,
+    the smaller split on a tie.  States without leakage (a = 0) are
+    outage-free at any feasible split and get (1, 0).  ``n_ec`` and the
+    target's R_s are shared by all states; b may be per-state.
 
     Returns arrays (tau_star, sop value) over the states; scalar
     coefficients count as one state.  Raises SilentSourceError when any
@@ -250,61 +274,38 @@ def minimize_sop_tau_batch(
     tau_star = np.ones(t_min.shape)
     value = np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
-    if leak.size == 0:
-        return tau_star, value
     states = coeffs.take(leak)
     t_min = t_min[leak]
+    abcde = np.broadcast_arrays(*(np.asarray(getattr(states, k), float) for k in "abcde"))
 
-    steps = np.arange(1, grid_points + 1) / grid_points
-    lo = np.empty(leak.size)
-    hi = np.empty(leak.size)
-    for start in range(0, leak.size, _SCAN_BLOCK_STATES):
-        block = slice(start, start + _SCAN_BLOCK_STATES)
-        t0 = t_min[block, None]
-        grid = t0 + steps * (1.0 - t0)
-        best = np.argmin(sop_conditional(grid, target, states.take((block, None)), n_ec), axis=1)
-        at = np.arange(grid.shape[0])
-        lo[block] = grid[at, np.maximum(best - 1, 0)]
-        hi[block] = grid[at, np.minimum(best + 1, grid_points - 1)]
+    def slope(tau, *coef):
+        return _log_sop_slope(tau, *coef, target.T, n_ec)
 
-    # golden section over the states still refining; a state leaves once
-    # its bracket is narrower than _GOLDEN_XTOL (or at the step cap)
-    x1 = hi - _INV_GOLD * (hi - lo)
-    x2 = lo + _INV_GOLD * (hi - lo)
-    f1 = sop_conditional(x1, target, states, n_ec)
-    f2 = sop_conditional(x2, target, states, n_ec)
+    grid = t_min[:, None] + _SLOPE_GRID * (1.0 - t_min[:, None])
+    g = slope(grid, *(x[:, None] for x in abcde))
+    rising = g > 0.0
+    owner, left = np.nonzero(~rising[:, :-1] & rising[:, 1:])
+    roots = bracketed_roots(
+        slope, grid[owner, left], grid[owner, left + 1], g[owner, left], g[owner, left + 1],
+        *(x[owner] for x in abcde),
+    )
+
     rows = np.arange(leak.size)
-    refining = states
-    mid = np.empty(leak.size)
-    for step in range(_GOLDEN_MAX_ITERS + 1):
-        done = (hi - lo < _GOLDEN_XTOL) | (step == _GOLDEN_MAX_ITERS)
-        if done.any():
-            mid[rows[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            rows, lo, hi, x1, x2, f1, f2 = (x[keep] for x in (rows, lo, hi, x1, x2, f1, f2))
-            if not rows.size:
-                break
-            refining = refining.take(keep)
-        left = f1 <= f2  # the minimum lies in [lo, x2], else in [x1, hi]
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        x_new = np.where(left, hi - _INV_GOLD * (hi - lo), lo + _INV_GOLD * (hi - lo))
-        f_new = sop_conditional(x_new, target, refining, n_ec)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    # the midpoints stop short of the closed end tau = 1, where the SOP is
-    # smallest when the artificial noise does not pay off
-    inner = sop_conditional(mid, target, states, n_ec)
-    full = sop_conditional(np.ones(leak.size), target, states, n_ec)
-    at_end = full < inner
-    tau_star[leak] = np.where(at_end, 1.0, mid)
-    value[leak] = np.where(at_end, full, inner)
+    lower = np.flatnonzero(rising[:, 0])
+    cand_state = np.concatenate([owner, rows, lower])
+    cand_tau = np.concatenate([roots, np.ones(leak.size), grid[lower, 0]])
+    cand_value = sop_conditional(cand_tau, target, states.take(cand_state), n_ec)
+    order = np.lexsort((cand_tau, cand_value, cand_state))
+    best = order[np.searchsorted(cand_state[order], rows)]
+    tau_star[leak] = cand_tau[best]
+    value[leak] = cand_value[best]
     return tau_star, value
 
 
 def minimize_sop_tau(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int) -> tuple[float, float]:
     """Split minimizing the closed-form conditional SOP of one state.
 
-    The one-state call of ``minimize_sop_tau_batch`` on its default grid.
+    The one-state call of ``minimize_sop_tau_batch``.
     Returns (tau_star, sop value).  Raises SilentSourceError when no
     feasible split exists.
     """

@@ -72,10 +72,10 @@ _NEWTON_MAX_ITERS = 100
 # from below the root, the error left after a step of relative size r is at
 # most r^2/2 relative, so 1e-9 leaves round-off only
 _NEWTON_RTOL = 1e-9
-# bracket width at which a stationary point of the rate counts as found,
-# and the false-position steps allowed to get there
-_STATIONARY_XTOL = 1e-12
-_STATIONARY_MAX_ITERS = 100
+# bracket width at which a root of bracketed_roots counts as found, and the
+# false-position steps allowed to get there
+_ROOT_XTOL = 1e-12
+_ROOT_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -256,30 +256,34 @@ _SCAN_GRID = np.concatenate([np.geomspace(1e-6, 0.1, 33, endpoint=False), np.lin
 _CONCAVITY_IDX = np.linspace(1, len(_SCAN_GRID) - 2, 64).astype(int)
 
 
-def _stationary_points(lo, hi, f_lo, f_hi, a, b, c, d, e, n_ec, epsilon):
-    """Roots of dR_s/dtau bracketed elementwise by [lo, hi] (Illinois false position).
+def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
+    """Roots of slope(t, *args) bracketed elementwise by [lo, hi] (Illinois false position).
 
-    f_lo and f_hi are the slopes at the bracket ends and must differ in
-    sign.  Converged elements leave the working set, so each root depends
-    only on its own bracket and coefficients.
+    Both power-split optimizers use it: this module's rate optimizer and
+    ``opa_sop.minimize_sop_tau_batch``.  f_lo and f_hi are the slopes at
+    the bracket ends and must differ in sign; ``args`` are arrays with one
+    entry per bracket.  Converged elements leave the working set, so each
+    root depends only on its own bracket and arguments.  Raises
+    ConvergenceError when a bracket is not narrower than 1e-12 after 100
+    steps.
     """
     root = np.empty(lo.shape)
     live = np.arange(lo.size)
-    for _ in range(_STATIONARY_MAX_ITERS):
+    for _ in range(_ROOT_MAX_ITERS):
         t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        f_t = _rate_slope(t, _solve_x(t, b, n_ec, epsilon), a, b, c, d, e, n_ec)
+        f_t = slope(t, *args)
         crossed = (f_t > 0.0) != (f_hi > 0.0)
         lo, f_lo = np.where(crossed, hi, lo), np.where(crossed, f_hi, 0.5 * f_lo)
         hi, f_hi = t, f_t
-        done = (np.abs(hi - lo) <= _STATIONARY_XTOL) | (f_t == 0.0)
+        done = (np.abs(hi - lo) <= _ROOT_XTOL) | (f_t == 0.0)
         root[live[done]] = t[done]
         if done.all():
             return root
         keep = ~done
         live, lo, hi, f_lo, f_hi = live[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep]
-        a, b, c, d, e = a[keep], b[keep], c[keep], d[keep], e[keep]
+        args = tuple(x[keep] for x in args)
     raise ConvergenceError(
-        f"stationary-point search did not settle in {_STATIONARY_MAX_ITERS} steps for {live.size} brackets"
+        f"bracketed root search did not settle in {_ROOT_MAX_ITERS} steps for {live.size} brackets"
     )
 
 
@@ -324,9 +328,10 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec: int, epsilon: f
     first = flips & (np.cumsum(flips, axis=1) == 1)
     brackets = np.where(concave[:, None], first & ~rising[:, None], flips)
     owner, left = np.nonzero(brackets)
-    roots = _stationary_points(
+    roots = bracketed_roots(
+        lambda t, a, b, c, d, e: _rate_slope(t, _solve_x(t, b, n_ec, epsilon), a, b, c, d, e, n_ec),
         grid[left], grid[left + 1], rp[owner, left], rp[owner, left + 1],
-        a[owner], b[owner], c[owner], d[owner], e[owner], n_ec, epsilon,
+        a[owner], b[owner], c[owner], d[owner], e[owner],
     )
 
     # candidates: full power (unless a concave state has its interior root)

@@ -3,13 +3,16 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import ChannelDraw
-from mmwsec.config import EffectiveCoeffs, SystemConfig, derive_coeffs
+from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, derive_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec.opa_sop import (
     OpaCase,
+    _log_sop_slope,
     minimize_sop_tau,
     minimize_sop_tau_batch,
     omega,
@@ -258,7 +261,7 @@ def test_minimize_sop_tau_never_worse_than_full_power(rng):
 
 
 def test_minimize_sop_tau_batch_fuzz(rng):
-    # 12 states per configuration span more than one block of the grid scan
+    # 12 states per configuration go through one batch call
     split_states = {"N_C=0": 0, "R_s=0": 0, "ideal": 0}
     for cfg, coeffs in fuzz_states(rng, 40, 12):
         target = SecrecyTarget(cfg.R_s)
@@ -281,6 +284,109 @@ def test_minimize_sop_tau_batch_fuzz(rng):
         split_states["R_s=0"] += split.size * (cfg.R_s == 0.0)
         split_states["ideal"] += split.size * (cfg.k_tot2 == 0.0)
     assert min(split_states.values()) > 0, split_states
+
+
+def _slope_cols(states: EffectiveCoeffs):
+    """(a, b, c, d, e) of the states as (states, 1) columns."""
+    return [np.broadcast_to(getattr(states, k), states.a.shape)[:, None] for k in "abcde"]
+
+
+def test_sop_log_slope_matches_finite_differences(rng):
+    # g / (1 + (1 - tau)*b*r) against Richardson-extrapolated central
+    # differences of log(sop_conditional), on the fuzzed configurations plus
+    # one just below the impairment ceiling (T = 0.95 gamma3)
+    edge = workable_cfg(P_dBm=75.0, k_tx=0.15, k_rx=0.15)
+    ceiling = edge.with_overrides(R_s=math.log2(0.95 * (1.0 + edge.k_tot2) / edge.k_tot2))
+    g_hat, g_check = rng.gamma(ceiling.N_C, 1.0, 12), rng.gamma(ceiling.n_dc, 1.0, 12)
+    configs = [*fuzz_states(rng, 40, 12), (ceiling, coeffs_from_gains(ceiling, g_hat, g_check))]
+    seen = {"R_s=0": 0, "ideal": 0, "ceiling": 0}
+    q = np.array([1e-3, 0.02, 0.1, 0.3, 0.6, 0.9, 0.99])
+    for cfg, coeffs in configs:
+        target = SecrecyTarget(cfg.R_s)
+        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        states = coeffs.take(np.flatnonzero((gate.branch == SopBranch.CONDITIONAL) & (coeffs.a > 0.0)))
+        t_min = tau_min_batch(target, states)[0][:, None]
+        cols = _slope_cols(states)
+
+        # just above tau_min the SOP falls from 1 when R_s > 0 and rises
+        # from its infimum at the open end when R_s = 0
+        g_start = _log_sop_slope(t_min + 1e-9 * (1.0 - t_min), *cols, target.T, cfg.n_ec)
+        assert np.all(g_start > 0.0) if cfg.R_s == 0.0 else np.all(g_start < 0.0)
+
+        tau = t_min + q * (1.0 - t_min)
+        h = 0.01 * np.minimum(tau - t_min, 1.0 - tau)
+        at = states.take((slice(None), None))
+        sops = np.stack([sop_conditional(tau + k * h, target, at, cfg.n_ec) for k in (-1.0, -0.5, 0.0, 0.5, 1.0)])
+        ok = np.all(sops > 1e-280, axis=0)  # away from subnormal SOP values
+        lo, lo_half, mid, hi_half, hi = np.log(np.where(ok, sops, 1.0))
+        fd = (4.0 * (hi_half - lo_half) / h - (hi - lo) / (2.0 * h)) / 3.0
+        b, d, e = cols[1], cols[3], cols[4]
+        num = tau * d - (tau * e + 1.0) * target.T_bar
+        r = num / (tau * ((tau * e + 1.0) * target.T * cols[0] - cols[2] * num))
+        slope = _log_sop_slope(tau, *cols, target.T, cfg.n_ec) / (1.0 + (1.0 - tau) * b * r)
+        # the scale is the larger of the slope and the mean slope
+        # |log SOP(tau)| / (tau - tau_min) since tau_min, so points where the
+        # slope crosses zero keep a meaningful bound
+        scale = np.maximum(np.abs(fd), np.abs(mid) / (tau - t_min))
+        assert np.all(np.abs(slope - fd)[ok] <= 1e-6 * scale[ok])
+        checked = int(ok.sum())
+        seen["R_s=0"] += checked * (cfg.R_s == 0.0)
+        seen["ideal"] += checked * (cfg.k_tot2 == 0.0)
+        seen["ceiling"] += checked * (target.T > 0.9 * (1.0 + cfg.k_tot2) / max(cfg.k_tot2, 1e-300))
+    assert min(seen.values()) > 0, seen
+
+
+# One example: a configuration and one to six channel states (G_hat = 0
+# when no path is common, as sample_gain_scalars draws it).
+_configs = st.builds(
+    SystemConfig,
+    M=st.just(100),
+    N_D=st.just(20),
+    N_C=st.integers(0, 19),
+    P_dBm=st.floats(30.0, 80.0),
+    R_s=st.floats(0.0, 6.0),
+    k_tx=st.floats(0.0, 0.15),
+    k_rx=st.floats(0.0, 0.15),
+    d_E_m=st.floats(20.0, 200.0),
+)
+_gains = st.lists(st.tuples(st.floats(1e-3, 60.0), st.floats(1e-3, 60.0)), min_size=1, max_size=6)
+
+
+def test_minimize_sop_tau_batch_properties():
+    # the split minimizer over the SystemConfig space and the gains; local
+    # minima beyond the first are counted on a dense slope grid and printed
+    dense = np.concatenate([np.geomspace(1e-14, 1e-3, 200, endpoint=False), np.linspace(1e-3, 1.0, 4000)])
+    seen = {"states": 0, "N_C=0": 0, "R_s=0": 0, "ideal": 0, "several minima": 0}
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(cfg=_configs, gains=_gains)
+    def check(cfg, gains):
+        g_hat, g_check = np.array(gains).T
+        coeffs = coeffs_from_gains(cfg, g_hat * (cfg.N_C > 0), g_check)
+        target = SecrecyTarget(cfg.R_s)
+        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        states = coeffs.take(np.flatnonzero(gate.branch == SopBranch.CONDITIONAL))
+        taus, vals = minimize_sop_tau_batch(target, states, cfg.n_ec)
+        t_min = tau_min_batch(target, states)[0]
+        for j in range(t_min.size):
+            state = states.take(j)
+            assert (taus[j], vals[j]) == minimize_sop_tau(target, state, cfg.n_ec)
+            assert 0.0 <= vals[j] <= 1.0
+            grid = t_min[j] + (np.arange(1, 4001) / 4000) * (1.0 - t_min[j])
+            assert vals[j] <= float(np.min(sop_conditional(grid, target, state, cfg.n_ec))) + 1e-9
+            assert vals[j] <= sop_conditional(1.0, target, state, cfg.n_ec) + 1e-12
+        leak = states.take(np.flatnonzero(states.a > 0.0))
+        t_leak = tau_min_batch(target, leak)[0][:, None]
+        rising = _log_sop_slope(t_leak + dense * (1.0 - t_leak), *_slope_cols(leak), target.T, cfg.n_ec) > 0.0
+        seen["states"] += t_min.size
+        seen["N_C=0"] += t_min.size * (cfg.N_C == 0)
+        seen["R_s=0"] += t_min.size * (cfg.R_s == 0.0)
+        seen["ideal"] += t_min.size * (cfg.k_tot2 == 0.0)
+        seen["several minima"] += int(np.sum(np.sum(~rising[:, :-1] & rising[:, 1:], axis=1) > 1))
+
+    check()
+    print(f"minimize_sop_tau_batch properties: {seen}")
+    assert min(seen[k] for k in ("N_C=0", "R_s=0", "ideal")) > 0, seen
 
 
 def test_batch_stacked_from_several_configurations():
