@@ -11,7 +11,6 @@ from .channel import (
     PathSets,
     an_beamformer,
     build_basis,
-    dump_draws_csv,
     sample_channel,
     sample_gain_scalars,
     sample_path_sets,

@@ -5,6 +5,11 @@ Its angular domain is sampled on the M-point grid that renders the steering
 matrix unitary, so resolvable paths live in disjoint orthogonal bins and
 masking the destination's bins is exact.
 
+Realizations come in batches: ``sample_channel`` draws n states' gain
+vectors in index-set order together with their reductions (G_hat,
+G_check, u, v), and ``sample_gain_scalars`` draws those reductions from
+their known laws without the vectors.
+
 Index sets use 1-based column indices throughout, matching the selection
 operator convention.
 """
@@ -114,64 +119,65 @@ def sample_path_sets(
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One realization of the random channel state.
+    """Gain reductions of channel states: floats for one state, or
+    equal-length arrays for a batch, as ``sample_channel`` returns them.
 
-    Scalars are what every closed form consumes; the gain sub-vectors are
-    kept only when requested, so high-volume sampling stays cheap.
-    ``eve_orthogonal`` marks draws with no common path (u forced to 0, the
-    eavesdropper receives nothing along the beam).
+    G_hat and G_check are the destination's gains on the common and the
+    destination-only bins, u the eavesdropper's leakage along the
+    destination's common-bin beam (0 without a common bin) and v its gain
+    on the eavesdropper-only bins, which carry the artificial noise.
     """
 
-    G_hat: float
-    G_check: float
-    u: float
-    v: float
-    eve_orthogonal: bool = False
-    g_hat_d: np.ndarray | None = None
-    g_check_d: np.ndarray | None = None
-    g_hat_e: np.ndarray | None = None
-    g_check_e: np.ndarray | None = None
-
-    @property
-    def G(self) -> float:
-        return self.G_hat + self.G_check
+    G_hat: float | np.ndarray
+    G_check: float | np.ndarray
+    u: float | np.ndarray
+    v: float | np.ndarray
 
 
-def _cn_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. circularly-symmetric complex Gaussians of unit variance."""
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussians of unit variance.
+
+    The real parts are drawn before the imaginary parts.
+    """
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def sample_channel(
-    sets: PathSets, rng: np.random.Generator, keep_vectors: bool = False
-) -> ChannelDraw:
-    """Sample i.i.d. CN(0,1) gains on the in-set bins and reduce to scalars."""
-    n_c = sets.n_c
-    g_hat_d = _cn_vector(n_c, rng)
-    g_check_d = _cn_vector(len(sets.xi_p), rng)
-    g_hat_e = _cn_vector(n_c, rng)
-    g_check_e = _cn_vector(len(sets.xi_a), rng)
+    sets: PathSets, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, ChannelDraw]:
+    """n i.i.d. channel states: CN(0,1) gains on the in-set bins and their reductions.
 
-    g_hat = float(np.sum(np.abs(g_hat_d) ** 2))
-    g_check = float(np.sum(np.abs(g_check_d) ** 2))
-    if n_c > 0 and g_hat > 0.0:
-        u = float(np.abs(g_hat_e @ g_hat_d.conj()) ** 2 / g_hat)
-        orthogonal = False
-    else:
-        u = 0.0
-        orthogonal = True
-    v = float(np.sum(np.abs(g_check_e) ** 2))
-    return ChannelDraw(
+    Returns (g_d, g_e, draw).  g_d is (n x N_D) and g_e is (n x N_E);
+    column j holds the gain of bin xi_d[j] or xi_e[j].  ``draw`` holds the
+    length-n arrays G_hat, G_check, u and v.  Their laws, Gamma(N_C),
+    Gamma(N_D - N_C), Exp(1) and Gamma(N_E - N_C), are what
+    ``sample_gain_scalars`` draws directly, so this vector sampler is
+    their independent oracle.
+
+    The generator draws four blocks in turn, the destination's gains on
+    xi_c and on xi_p, then the eavesdropper's on xi_c and on xi_a, each
+    as (n x size) real parts then imaginary parts.  At n = 1 that is the
+    order in which one state's gains are drawn vector by vector.
+    """
+    hat_d, check_d, hat_e, check_e = [
+        complex_normal((n, len(xi)), rng) for xi in (sets.xi_c, sets.xi_p, sets.xi_c, sets.xi_a)
+    ]
+    g_d = np.empty((n, sets.n_d), dtype=complex)
+    g_d[:, np.searchsorted(sets.xi_d, sets.xi_c)] = hat_d
+    g_d[:, np.searchsorted(sets.xi_d, sets.xi_p)] = check_d
+    g_e = np.empty((n, sets.n_e), dtype=complex)
+    g_e[:, np.searchsorted(sets.xi_e, sets.xi_c)] = hat_e
+    g_e[:, np.searchsorted(sets.xi_e, sets.xi_a)] = check_e
+
+    g_hat = np.sum(np.abs(hat_d) ** 2, axis=1)
+    u = np.abs(np.vecdot(hat_d, hat_e)) ** 2 / g_hat if sets.n_c else np.zeros(n)
+    draw = ChannelDraw(
         G_hat=g_hat,
-        G_check=g_check,
+        G_check=np.sum(np.abs(check_d) ** 2, axis=1),
         u=u,
-        v=v,
-        eve_orthogonal=orthogonal,
-        g_hat_d=g_hat_d if keep_vectors else None,
-        g_check_d=g_check_d if keep_vectors else None,
-        g_hat_e=g_hat_e if keep_vectors else None,
-        g_check_e=g_check_e if keep_vectors else None,
+        v=np.sum(np.abs(check_e) ** 2, axis=1),
     )
+    return g_d, g_e, draw
 
 
 def sample_gain_scalars(
@@ -181,29 +187,13 @@ def sample_gain_scalars(
 
     Exploits the known laws of the scalar reductions: G_hat ~ Gamma(n_c,1),
     G_check ~ Gamma(n_dc,1), u ~ Exp(1) (0 if no common path),
-    v ~ Gamma(n_ec,1).
+    v ~ Gamma(n_ec,1).  ``sample_channel`` is the oracle of these laws.
     """
     g_hat = rng.gamma(n_c, 1.0, size=n) if n_c > 0 else np.zeros(n)
     g_check = rng.gamma(n_dc, 1.0, size=n) if n_dc > 0 else np.zeros(n)
     u = rng.exponential(1.0, size=n) if n_c > 0 else np.zeros(n)
     v = rng.gamma(n_ec, 1.0, size=n) if n_ec > 0 else np.zeros(n)
     return g_hat, g_check, u, v
-
-
-def dump_draws_csv(path: str, n_c: int, n_dc: int, n_ec: int, n: int, seed: int) -> None:
-    """Write n scalar channel draws to CSV for external verification.
-
-    Columns: seed, G_hat, G_check, u, v.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    g_hat, g_check, u, v = sample_gain_scalars(n_c, n_dc, n_ec, n, rng)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seed,G_hat,G_check,u,v\n")
-        for i in range(n):
-            fh.write(
-                f"{seed},{float(g_hat[i])!r},{float(g_check[i])!r},"
-                f"{float(u[i])!r},{float(v[i])!r}\n"
-            )
 
 
 def channel_row(

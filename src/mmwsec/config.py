@@ -215,11 +215,11 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
 
 
 def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
-    """Effective coefficients of one channel draw or a batch of them.
+    """Effective coefficients of one channel state or a batch of them.
 
-    ``draw`` is any object with ``G_hat`` and ``G_check`` attributes (a
-    ChannelDraw, possibly holding equal-shape arrays); see
-    ``coeffs_from_gains``.
+    ``draw`` is any object with ``G_hat`` and ``G_check`` attributes: a
+    ChannelDraw of floats, or of the length-n arrays that
+    ``sample_channel`` returns; see ``coeffs_from_gains``.
     """
     return coeffs_from_gains(cfg, draw.G_hat, draw.G_check)
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import an_beamformer, build_basis, channel_row, sample_channel, sample_path_sets
+from .channel import (
+    an_beamformer, build_basis, channel_row, complex_normal, sample_channel, sample_gain_scalars, sample_path_sets,
+)
 from .config import EffectiveCoeffs, SystemConfig, derive_coeffs
 from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, outage_threshold
@@ -138,10 +140,7 @@ def empirical_sop(
         return McEstimate(value=1.0, std_error=0.0, n=0, seed=seed, accept_rate=0.0)
 
     def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
-        g_hat = stream.gamma(cfg.N_C, 1.0, size=m) if cfg.N_C > 0 else np.zeros(m)
-        g_check = stream.gamma(cfg.n_dc, 1.0, size=m) if cfg.n_dc > 0 else np.zeros(m)
-        u = stream.exponential(1.0, size=m) if cfg.N_C > 0 else np.zeros(m)
-        v = stream.gamma(cfg.n_ec, 1.0, size=m) if cfg.n_ec > 0 else np.zeros(m)
+        g_hat, g_check, u, v = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, m, stream)
         g = g_hat + g_check
         d = beta_d * g
         e = k_tot2 * d
@@ -239,24 +238,12 @@ def empirical_sndr_from_distortion(
     """
     gen = as_rng(seed)
     sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
-    draw = sample_channel(sets, gen, keep_vectors=True)
-    coeffs = derive_coeffs(cfg, draw)
+    g_d, g_e, draw = sample_channel(sets, 1, gen)
+    coeffs = derive_coeffs(cfg, draw).take(0)
 
     basis = build_basis(cfg.M)
-    g_d = np.zeros(cfg.N_D, dtype=complex)
-    # reassemble the destination gain vector in xi_d order from its partitions
-    xi_d = list(sets.xi_d)
-    for g, xi in ((draw.g_hat_d, sets.xi_c), (draw.g_check_d, sets.xi_p)):
-        for gain, idx in zip(g, xi):
-            g_d[xi_d.index(idx)] = gain
-    g_e = np.zeros(cfg.N_E, dtype=complex)
-    xi_e = list(sets.xi_e)
-    for g, xi in ((draw.g_hat_e, sets.xi_c), (draw.g_check_e, sets.xi_a)):
-        for gain, idx in zip(g, xi):
-            g_e[xi_e.index(idx)] = gain
-
-    h_d = channel_row(basis, sets.xi_d, g_d, cfg.alpha_d())
-    h_e = channel_row(basis, sets.xi_e, g_e, cfg.alpha_e())
+    h_d = channel_row(basis, sets.xi_d, g_d[0], cfg.alpha_d())
+    h_e = channel_row(basis, sets.xi_e, g_e[0], cfg.alpha_e())
     f1, f_an = an_beamformer(basis, sets, h_d)
 
     p_watt, sigma2 = cfg.power_watt, cfg.noise_watt
@@ -269,16 +256,13 @@ def empirical_sndr_from_distortion(
     he_f1 = complex(h_e @ f1)
     he_F = np.asarray(h_e @ f_an)
 
-    def cn(size) -> np.ndarray:
-        return (gen.standard_normal(size) + 1j * gen.standard_normal(size)) / math.sqrt(2.0)
-
-    s = cn(n)
-    z = cn((n_ec, n))
-    s_dist = cn(n)
-    z_dist = cn((n_ec, n))
-    eta_rx = cn(n) * (cfg.k_rx * sig_amp * np.linalg.norm(h_d))
-    noise_d = cn(n) * math.sqrt(sigma2)
-    noise_e = cn(n) * math.sqrt(sigma2)
+    s = complex_normal(n, gen)
+    z = complex_normal((n_ec, n), gen)
+    s_dist = complex_normal(n, gen)
+    z_dist = complex_normal((n_ec, n), gen)
+    eta_rx = complex_normal(n, gen) * (cfg.k_rx * sig_amp * np.linalg.norm(h_d))
+    noise_d = complex_normal(n, gen) * math.sqrt(sigma2)
+    noise_e = complex_normal(n, gen) * math.sqrt(sigma2)
 
     sig_d = sig_amp * hd_f1 * s
     an_d = an_amp * (hd_F @ z)
@@ -297,6 +281,6 @@ def empirical_sndr_from_distortion(
     return SndrReconstruction(
         y_d=y_d_est,
         y_e=y_e_est,
-        y_d_formula=sndr_destination(tau, coeffs.d, coeffs.e),
-        y_e_formula=float(sndr_eve(tau, draw.u, draw.v, coeffs.a, coeffs.b, coeffs.c)),
+        y_d_formula=float(sndr_destination(tau, coeffs.d, coeffs.e)),
+        y_e_formula=float(sndr_eve(tau, draw.u[0], draw.v[0], coeffs.a, coeffs.b, coeffs.c)),
     )

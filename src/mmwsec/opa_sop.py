@@ -246,6 +246,11 @@ def _log_sop_slope(tau, a, b, c, d, e, t, n_ec):
     return nb * r - r_prime * (1.0 + (1.0 - tau) * (b * r + nb))
 
 
+def _per_state(x, index):
+    """The entries of per-state ``x`` that ``index`` picks; a scalar is shared."""
+    return x if np.ndim(x) == 0 else np.asarray(x)[index]
+
+
 def minimize_sop_tau_batch(
     target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +268,8 @@ def minimize_sop_tau_batch(
     grid's first split where the SOP rises from tau_min (at R_s = 0, where
     the infimum lies at the open end).  Each state keeps its smallest SOP,
     the smaller split on a tie.  States without leakage (a = 0) are
-    outage-free at any feasible split and get (1, 0).  ``n_ec`` and the
-    target's R_s are shared by all states; b may be per-state.
+    outage-free at any feasible split and get (1, 0).  ``n_ec``, the
+    target's R_s and the coefficient b may be per-state arrays.
 
     Returns arrays (tau_star, sop value) over the states; scalar
     coefficients count as one state.  Raises SilentSourceError when any
@@ -274,27 +279,32 @@ def minimize_sop_tau_batch(
     tau_star = np.ones(t_min.shape)
     value = np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
-    states = coeffs.take(leak)
+    # the slope's arguments a..e, T and n_ec, one entry per leaking state
+    args = [
+        np.broadcast_to(np.asarray(x, float), t_min.shape)[leak]
+        for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec)
+    ]
     t_min = t_min[leak]
-    abcde = np.broadcast_arrays(*(np.asarray(getattr(states, k), float) for k in "abcde"))
-
-    def slope(tau, *coef):
-        return _log_sop_slope(tau, *coef, target.T, n_ec)
 
     grid = t_min[:, None] + _SLOPE_GRID * (1.0 - t_min[:, None])
-    g = slope(grid, *(x[:, None] for x in abcde))
+    g = _log_sop_slope(grid, *(x[:, None] for x in args))
     rising = g > 0.0
     owner, left = np.nonzero(~rising[:, :-1] & rising[:, 1:])
     roots = bracketed_roots(
-        slope, grid[owner, left], grid[owner, left + 1], g[owner, left], g[owner, left + 1],
-        *(x[owner] for x in abcde),
+        _log_sop_slope, grid[owner, left], grid[owner, left + 1], g[owner, left], g[owner, left + 1],
+        *(x[owner] for x in args),
     )
 
     rows = np.arange(leak.size)
     lower = np.flatnonzero(rising[:, 0])
     cand_state = np.concatenate([owner, rows, lower])
     cand_tau = np.concatenate([roots, np.ones(leak.size), grid[lower, 0]])
-    cand_value = sop_conditional(cand_tau, target, states.take(cand_state), n_ec)
+    # a shared R_s or n_ec stays a scalar: numpy's power can round an array
+    # operand differently in the last bit (and x ** -1 is a reciprocal)
+    pick = leak[cand_state]
+    cand_value = sop_conditional(
+        cand_tau, SecrecyTarget(_per_state(target.R_s, pick)), coeffs.take(pick), _per_state(n_ec, pick)
+    )
     order = np.lexsort((cand_tau, cand_value, cand_state))
     best = order[np.searchsorted(cand_state[order], rows)]
     tau_star[leak] = cand_tau[best]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mmwsec.channel import (
-    ChannelDraw,
     PathSets,
     an_beamformer,
     build_basis,
     channel_row,
+    complex_normal,
     sample_channel,
     sample_gain_scalars,
     sample_path_sets,
@@ -103,25 +103,41 @@ def test_gain_scalar_means(rng):
     assert abs(np.mean(v) - 6.0) < 0.1
 
 
-def test_sample_channel_vector_path_statistics(rng):
-    sets = sample_path_sets(64, 12, 10, 6, rng)
-    n = 4000
-    draws = [sample_channel(sets, rng) for _ in range(n)]
-    g_hat = np.array([d.G_hat for d in draws])
-    u = np.array([d.u for d in draws])
-    v = np.array([d.v for d in draws])
-    # Gamma(6) / Exp(1) / Gamma(4) means within 5 standard errors
-    assert abs(np.mean(g_hat) - 6.0) < 5 * np.sqrt(6.0 / n)
-    assert abs(np.mean(u) - 1.0) < 5 * np.sqrt(1.0 / n)
-    assert abs(np.mean(v) - 4.0) < 5 * np.sqrt(4.0 / n)
-    assert all(abs(d.G - (d.G_hat + d.G_check)) < 1e-15 for d in draws[:100])
+def test_sample_channel_contract():
+    # shapes, the xi order of the gain columns and their reductions, u = 0
+    # without a common path, and bit-identical arrays from the same seed
+    def cols(g, xi, part):
+        return g[:, [xi.index(i) for i in part]]
 
+    n = 500
+    for n_c in (6, 0):
+        sets = sample_path_sets(64, 12, 10, n_c, np.random.Generator(np.random.Philox(11)))
+        g_d, g_e, draw = sample_channel(sets, n, np.random.Generator(np.random.Philox(12)))
+        assert g_d.shape == (n, 12) and g_e.shape == (n, 10)
+        assert all(getattr(draw, k).shape == (n,) for k in ("G_hat", "G_check", "u", "v"))
 
-def test_sample_channel_orthogonal_eve(rng):
-    sets = sample_path_sets(32, 6, 5, 0, rng)
-    draw = sample_channel(sets, rng)
-    assert draw.eve_orthogonal
-    assert draw.u == 0.0
+        # recomputed in another summation order, hence to rounding only
+        hat_d, hat_e = cols(g_d, sets.xi_d, sets.xi_c), cols(g_e, sets.xi_e, sets.xi_c)
+        np.testing.assert_allclose(draw.G_hat, np.sum(np.abs(hat_d) ** 2, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(draw.G_check, np.sum(np.abs(cols(g_d, sets.xi_d, sets.xi_p)) ** 2, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(draw.v, np.sum(np.abs(cols(g_e, sets.xi_e, sets.xi_a)) ** 2, axis=1), rtol=1e-13)
+        if n_c:
+            u = np.abs(np.sum(hat_e * hat_d.conj(), axis=1)) ** 2 / draw.G_hat
+            np.testing.assert_allclose(draw.u, u, rtol=1e-12)
+        else:
+            assert np.all(draw.u == 0.0) and np.all(draw.G_hat == 0.0)
+
+        # column by column, the blocks in their documented draw order
+        blocks = np.random.Generator(np.random.Philox(12))
+        for g, xi, part in ((g_d, sets.xi_d, sets.xi_c), (g_d, sets.xi_d, sets.xi_p),
+                            (g_e, sets.xi_e, sets.xi_c), (g_e, sets.xi_e, sets.xi_a)):
+            np.testing.assert_array_equal(cols(g, xi, part), complex_normal((n, len(part)), blocks))
+
+        again = sample_channel(sets, n, np.random.Generator(np.random.Philox(12)))
+        np.testing.assert_array_equal(again[0], g_d)
+        np.testing.assert_array_equal(again[1], g_e)
+        for k in ("G_hat", "G_check", "u", "v"):
+            np.testing.assert_array_equal(getattr(again[2], k), getattr(draw, k))
 
 
 def test_an_beamformer_nulls_destination(rng):
@@ -129,14 +145,8 @@ def test_an_beamformer_nulls_destination(rng):
     w = build_basis(m)
     for _ in range(20):
         sets = sample_path_sets(m, 10, 8, 4, rng)
-        draw = sample_channel(sets, rng, keep_vectors=True)
-        g_d = np.concatenate([draw.g_hat_d, draw.g_check_d])
-        xi = sorted(sets.xi_c + sets.xi_p)
-        gains = np.zeros(len(xi), dtype=complex)
-        order = list(sets.xi_c) + list(sets.xi_p)
-        for g, idx in zip(g_d, order):
-            gains[xi.index(idx)] = g
-        h_d = channel_row(w, xi, gains, 1e-9)
+        g_d, _, _ = sample_channel(sets, 1, rng)
+        h_d = channel_row(w, sets.xi_d, g_d[0], 1e-9)
         f1, f_an = an_beamformer(w, sets, h_d)
         assert abs(np.linalg.norm(f1) - 1.0) < 1e-12
         assert f_an.shape == (m, len(sets.xi_a))
@@ -158,23 +168,6 @@ def test_an_beamformer_degenerate_channel():
     sets = PathSets(xi_d=(1, 2), xi_e=(2, 3))
     with pytest.raises(DegenerateChannelError):
         an_beamformer(w, sets, np.zeros(8, dtype=complex))
-
-
-def test_dump_draws_csv(tmp_path):
-    from mmwsec.channel import dump_draws_csv
-
-    path = tmp_path / "draws.csv"
-    dump_draws_csv(str(path), n_c=6, n_dc=4, n_ec=3, n=25, seed=314)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "seed,G_hat,G_check,u,v"
-    assert len(lines) == 26
-    first = lines[1].split(",")
-    assert first[0] == "314"
-    assert all(float(x) >= 0.0 for x in first[1:])
-    # identical seed reproduces the file byte for byte
-    path2 = tmp_path / "draws2.csv"
-    dump_draws_csv(str(path2), n_c=6, n_dc=4, n_ec=3, n=25, seed=314)
-    assert path.read_text() == path2.read_text()
 
 
 def test_channel_row_scale():

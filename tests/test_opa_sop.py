@@ -395,10 +395,14 @@ def test_batch_stacked_from_several_configurations():
     cfgs = [
         workable_cfg(P_dBm=p, k_tx=k, k_rx=k) for p, k in ((50.0, 0.0), (55.0, 0.05), (60.0, 0.1))
     ]
+
+    def stack(singles):
+        return EffectiveCoeffs(**{
+            f.name: np.array([getattr(co, f.name) for co in singles]) for f in fields(EffectiveCoeffs)
+        })
+
     singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
-    stacked = EffectiveCoeffs(**{
-        f.name: np.array([getattr(co, f.name) for co in singles]) for f in fields(EffectiveCoeffs)
-    })
+    stacked = stack(singles)
     target, n_ec = SecrecyTarget(cfgs[0].R_s), cfgs[0].n_ec
     picked = stacked.take([2, 0])
     for f in fields(EffectiveCoeffs):
@@ -415,6 +419,19 @@ def test_batch_stacked_from_several_configurations():
         )
         assert (taus[i], vals[i]) == minimize_sop_tau(target, one, n_ec)
     assert batch.gamma3[0] == math.inf
+
+    # per-state R_s and n_ec: each state keeps its own configuration's.
+    # Integer R_s and n_ec >= 2, because elsewhere numpy's power of an array
+    # and of a scalar (and x ** -1, a reciprocal) can differ in the last bit
+    cfgs = [
+        cfg.with_overrides(R_s=r_s, N_E=cfg.N_C + n_ec) for cfg, r_s, n_ec in zip(cfgs, (3.0, 2.0, 0.0), (8, 4, 2))
+    ]
+    singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
+    taus, vals = minimize_sop_tau_batch(
+        SecrecyTarget(np.array([cfg.R_s for cfg in cfgs])), stack(singles), np.array([cfg.n_ec for cfg in cfgs])
+    )
+    for i, (cfg, one) in enumerate(zip(cfgs, singles)):
+        assert (taus[i], vals[i]) == minimize_sop_tau(SecrecyTarget(cfg.R_s), one, cfg.n_ec)
 
 
 def test_optimize_tau_sop_batch_fuzz(rng):
