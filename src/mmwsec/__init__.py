@@ -71,9 +71,7 @@ from .throughput import (
     KTauSolver,
     ThroughputCase,
     ThroughputResult,
-    avg_throughput_fixed_tau,
     avg_throughput_mrt,
-    avg_throughput_opa,
     high_snr_k_and_rate,
     k_max_tau1,
     mrt_rate,

@@ -124,11 +124,18 @@ def _fmt(x) -> str:
 # Monte-Carlo event, so the j-th such state of every cell meets the j-th
 # block.  Cells that share a draw key therefore share one gain draw and one
 # walk of the u/v stream.  A cell function turns the shared gains into the
-# per-state columns of its event, y_E above a per-state threshold (``tau``,
-# ``a``, ``b`` and ``c`` of y_E, and ``thr``), plus a ``finish`` that builds
-# the row from the walk's per-state hit rates, their summed binomial
-# variance and the draws' seed.
+# per-state columns (alpha, beta, thr) of its event, y_E above a per-state
+# threshold, plus a ``finish`` that builds the row from the walk's
+# per-state hit rates, their summed binomial variance and the draws' seed.
+# The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
+# y_E > thr is the linear event alpha*u - beta*v > thr with
+# alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b.
 # ---------------------------------------------------------------------------
+
+def _event_columns(tau, a, b, c, thr) -> np.ndarray:
+    """(alpha, beta, thr) rows of the event y_E > thr at the given states."""
+    return np.array((tau * (a - thr * c), thr * (1.0 - tau) * b, thr))
+
 
 def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
     """Average SOP over the accepted states of the shared gains, paired with
@@ -160,13 +167,8 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
     m = len(accepted)
     y_d = sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted])
     # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, solved for y_E
-    cols = dict(
-        tau=tau,
-        a=coeffs.a[accepted],
-        b=np.full(m, coeffs.b),
-        c=coeffs.c[accepted],
-        thr=(1.0 + y_d) / 2.0**cfg.R_s - 1.0,
-    )
+    thr = (1.0 + y_d) / 2.0**cfg.R_s - 1.0
+    cols = _event_columns(tau, coeffs.a[accepted], coeffs.b, coeffs.c[accepted], thr)
 
     def finish(empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
         if m == 0:
@@ -210,13 +212,8 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
         tags = {}
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
     # rate outage: y_E above the designed margin tau * k
-    cols = dict(
-        tau=tau_eval[checked],
-        a=coeffs.a[checked],
-        b=np.full(len(checked), coeffs.b),
-        c=coeffs.c[checked],
-        thr=tau_eval[checked] * k_eval[checked],
-    )
+    tau = tau_eval[checked]
+    cols = _event_columns(tau, coeffs.a[checked], coeffs.b, coeffs.c[checked], tau * k_eval[checked])
 
     def finish(outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
         est = montecarlo.sample_mean(rates, seed)
@@ -261,32 +258,32 @@ def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
     )
 
 
-def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[dict]) -> list:
+def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list:
     """Walk one draw group's u/v stream once.
 
-    Block j meets the j-th state of every cell that has one, and all those
-    states are evaluated as one (cells x uv) array.  A hit is y_E above the
-    state's ``thr``.  Returns per cell its per-state hit rates and their
-    binomial variances summed in state order.
+    ``cells`` holds each cell's (3 x states) event columns (alpha, beta,
+    thr) from ``_event_columns``.  Block j meets the j-th state of every
+    cell that has one, and all those states are evaluated as one
+    (cells x uv) array.  Since the denominator of y_E is positive, the hit
+    y_E > thr is tested as alpha*u - beta*v > thr, without a division.
+    Returns per cell its per-state hit rates and their binomial variances
+    summed in state order.
     """
-    counts = np.array([len(cols["tau"]) for cols in cells])
+    counts = np.array([cols.shape[1] for cols in cells])
     order = np.argsort(-counts, kind="stable")  # the cells still walking form a prefix
     depth = int(counts.max())
-    stacked = {key: np.zeros((len(cells), depth)) for key in cells[0]}
+    stacked = np.zeros((3, len(cells), depth))
     for row, i in enumerate(order):
-        for key, vals in cells[i].items():
-            stacked[key][row, : counts[i]] = vals
+        stacked[:, row, : counts[i]] = cells[i]
     walking = np.count_nonzero(counts[:, None] > np.arange(depth), axis=0)
     hits = np.zeros((len(cells), depth))
     pair_var = np.zeros(len(cells))
-    buffers = np.empty((2, len(cells), uv_samples))
     for j in range(depth):
         u = rng.exponential(1.0, size=uv_samples) if n_c > 0 else np.zeros(uv_samples)
         v = rng.gamma(n_ec, 1.0, size=uv_samples)
         live = walking[j]
-        col = {key: vals[:live, j, None] for key, vals in stacked.items()}
-        y_e = sndr_eve(col["tau"], u, v, col["a"], col["b"], col["c"], out=buffers[:, :live])
-        p_hat = np.count_nonzero(y_e > col["thr"], axis=1) / uv_samples
+        alpha, beta, thr = stacked[:, :live, j, None]
+        p_hat = np.count_nonzero(alpha * u - beta * v > thr, axis=1) / uv_samples
         hits[:live, j] = p_hat
         pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
     walked = [None] * len(cells)

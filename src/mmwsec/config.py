@@ -63,6 +63,9 @@ class SystemConfig:
     epsilon: float = 0.01     # maximum tolerable secrecy outage probability
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name not in _INT_FIELDS and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.N_E is None:
             object.__setattr__(self, "N_E", self.N_D)
         if self.M < 1:

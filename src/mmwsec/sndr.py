@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .config import EffectiveCoeffs
 
 
@@ -18,24 +16,14 @@ def sndr_destination(tau, d, e):
     return tau * d / (tau * e + 1.0)
 
 
-def sndr_eve(tau, u, v, a, b, c, out=None):
+def sndr_eve(tau, u, v, a, b, c):
     """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) at power split tau.
 
-    ``out`` is an optional pair of float arrays of the broadcast shape: the
-    SNDR is written to the first and the second is scratch, so a caller that
-    evaluates block after block allocates nothing.
+    The denominator is at least 1, so the sweeps test the event y_E > thr
+    in its linear form instead (``cli._event_columns``); this ratio is the
+    oracle route of ``montecarlo``, ``validate`` and ``opa_sop.phi``.
     """
-    if out is None:
-        shape = np.broadcast_shapes(*(np.shape(x) for x in (tau, u, v, a, b, c)))
-        out = np.empty(shape), np.empty(shape)
-    num, den = out
-    np.multiply((1.0 - tau) * b, v, out=den)
-    np.multiply(tau * c, u, out=num)
-    den += num
-    den += 1.0
-    np.multiply(tau * a, u, out=num)
-    np.divide(num, den, out=num)
-    return num if num.ndim else num[()]
+    return tau * a * u / ((1.0 - tau) * b * v + tau * c * u + 1.0)
 
 
 def sndr_destination_ideal(tau: float, coeffs: EffectiveCoeffs) -> float:

@@ -37,7 +37,7 @@ class SecrecyTarget:
     R_s: float
 
     def __post_init__(self):
-        if np.any(self.R_s < 0.0):
+        if not np.all(self.R_s >= 0.0):
             raise ValueError("R_s must be non-negative")
 
     @property

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import sample_gain_scalars
-from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains
+from .config import EffectiveCoeffs, SystemConfig
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng, sample_mean
 from .sndr import sndr_destination
@@ -623,31 +623,13 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False) -> float:
 # Monte-Carlo averaged throughputs over channel states
 # ---------------------------------------------------------------------------
 
-def _drawn_gains(cfg: SystemConfig, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Common and non-common destination gains of ``trials`` drawn states."""
+def avg_throughput_mrt(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
+    """Sample mean full-power secrecy rate over ``trials`` drawn states (0
+    outside the transmission region)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, as_rng(seed))
-    return g_hat, g_check
-
-
-def avg_throughput_opa(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
-    """Sample mean of the per-state optimized secrecy rate over the region."""
-    coeffs = coeffs_from_gains(cfg, *_drawn_gains(cfg, trials, seed))
-    rates = optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon).R_s_star  # 0 when silent
-    return sample_mean(rates, seed)
-
-
-def avg_throughput_fixed_tau(cfg: SystemConfig, tau: float, trials: int, seed: int) -> McEstimate:
-    """Sample mean secrecy rate at a fixed split (0 outside the region)."""
-    coeffs = coeffs_from_gains(cfg, *_drawn_gains(cfg, trials, seed))
-    ks = solve_k_batch(tau, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
-    return sample_mean(np.maximum(rs_of_tau(tau, ks, coeffs), 0.0), seed)
-
-
-def avg_throughput_mrt(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
-    """Sample mean full-power secrecy rate over the transmission region."""
-    return sample_mean(np.maximum(mrt_rate(*_drawn_gains(cfg, trials, seed), cfg), 0.0), seed)
+    return sample_mean(np.maximum(mrt_rate(g_hat, g_check, cfg), 0.0), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate
 
 from mmwsec import cli, throughput
 from mmwsec.config import SystemConfig
+from mmwsec.sndr import sndr_eve
 
 
 def _tiny_spec(**overrides):
@@ -42,6 +44,12 @@ def test_spec_validation():
         cli.preset_specs("fig6", trials=0)
     with pytest.raises(ValueError):
         cli.main(["sweep", "--preset", "fig7", "--uv-samples", "0"])
+
+
+def test_sweep_rejects_non_finite_config_values():
+    # a NaN distance used to give a sweep of NaN rows that exited 0
+    with pytest.raises(ValueError, match="d_E_m"):
+        cli.main(["sweep", "--preset", "fig7", "--trials", "20", "--set", "d_E_m=nan"])
 
 
 def test_sweep_reports_unchecked_rows(tmp_path, capsys):
@@ -139,6 +147,44 @@ def test_grouped_sweep_matches_one_cell_sweeps():
         for value in values[1:]:
             rates = {row["accept_rate"] for row in grouped if row["N_C"] == value}
             assert len(rates) >= 3, (mode, value, rates)
+
+
+@pytest.mark.parametrize("n_c", [16, 0])
+def test_walk_counts_the_sndr_event(n_c):
+    # the walk tests y_E > thr as alpha*u - beta*v > thr; the two may differ
+    # only by rounding, for samples within 1e-14*|thr| of the boundary.  The
+    # states cover tau = 1, a = 0, c = 0, thr < 0 and thr = 0 (u = 0 at
+    # N_C = 0); the other thresholds sit within 1e-12 relative of one
+    # sampled y_E, and the cells leave the walk at different blocks.
+    depth, uv, n_ec = 1500, 40, 5
+    rng = np.random.Generator(np.random.Philox(4711))
+    ahead = np.random.Generator(np.random.Philox(4712))  # the walk's blocks, in its draw order
+    blocks = [(ahead.exponential(1.0, uv) if n_c > 0 else np.zeros(uv), ahead.gamma(n_ec, 1.0, uv))
+              for _ in range(depth)]
+    u, v = (np.array(x) for x in zip(*blocks))
+    cells, refs = [], []
+    for m in (depth, depth - 300, 700, 1, 0, depth):
+        tau = rng.uniform(0.0, 1.0, m)
+        a, b = 10.0 ** rng.uniform(-3, 5, m), 10.0 ** rng.uniform(-2, 5, m)
+        c = rng.uniform(0.0, 0.05, m) * a
+        kind = rng.integers(0, 8, m)
+        tau[kind == 0], a[kind == 1], c[kind == 2] = 1.0, 0.0, 0.0
+        y_e = sndr_eve(tau[:, None], u[:m], v[:m], a[:, None], b[:, None], c[:, None])
+        thr = y_e[np.arange(m), rng.integers(0, uv, m)]
+        thr *= 1.0 + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-17, -12, m)
+        thr[kind == 3] = -(10.0 ** rng.uniform(-3, 3, np.count_nonzero(kind == 3)))
+        thr[kind == 4] = 0.0
+        cells.append(cli._event_columns(tau, a, b, c, thr))
+        refs.append((y_e, thr[:, None]))
+    walked = cli._walk_uv(np.random.Generator(np.random.Philox(4712)), n_c, n_ec, uv, cells)
+    near_total = 0
+    for (p_hat, _), (y_e, thr) in zip(walked, refs):
+        hits = np.rint(p_hat * uv)
+        near = np.count_nonzero(np.abs(y_e - thr) < 1e-14 * np.abs(thr), axis=1)
+        assert np.all(np.abs(hits - np.count_nonzero(y_e > thr, axis=1)) <= near)
+        near_total += near.sum()
+    if n_c:  # without common paths y_E = 0: no sample is near, and every count is exact
+        assert near_total > 1000
 
 
 def test_csv_is_deterministic():

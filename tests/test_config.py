@@ -121,11 +121,23 @@ def test_n_e_defaults_to_n_d():
         dict(R_s=-1.0),
         dict(epsilon=0.0),
         dict(epsilon=1.5),
+        dict(P_dBm=math.nan),
+        dict(P_dBm=math.inf),
+        dict(sigma_n2_dBm=-math.inf),
+        dict(d_D_m=math.inf),
+        dict(d_E_m=math.nan),
+        dict(pl_a=math.nan),
+        dict(pl_b=-math.inf),
+        dict(R_s=math.nan),
+        dict(R_s=math.inf),
     ],
 )
 def test_config_validation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         SystemConfig(**bad)
+    ((key, value),) = bad.items()
+    if not math.isfinite(value):
+        assert key in str(err.value)
 
 
 def test_config_file_round_trip(tmp_path):

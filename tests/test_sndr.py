@@ -26,24 +26,6 @@ def test_eve_hand_values():
     assert math.isclose(sndr_eve(0.5, 1.0, 1.0, 1.0, 2.0, 0.01), 0.5 / 2.005, rel_tol=1e-12)
 
 
-def test_eve_values_equal_the_expression_with_and_without_buffers(rng):
-    # the buffered evaluation runs the expression's operations in its order,
-    # so it must agree with the one-line form bit for bit
-    def expression(tau, u, v, a, b, c):
-        return tau * a * u / ((1.0 - tau) * b * v + tau * c * u + 1.0)
-
-    tau, a, c = (rng.uniform(0.0, 1.0, (5, 1)) for _ in range(3))
-    b = np.full((5, 1), 0.3)
-    u, v = rng.exponential(1.0, 64), rng.gamma(2.0, 1.0, 64)
-    buffers = np.empty((2, 5, 64))
-    want = expression(tau, u, v, a, b, c)
-    assert np.array_equal(sndr_eve(tau, u, v, a, b, c), want)
-    assert np.array_equal(sndr_eve(tau, u, v, a, b, c, out=buffers), want)
-    assert np.shares_memory(sndr_eve(tau, u, v, a, b, c, out=buffers), buffers[0])
-    one = sndr_eve(0.4, 1.5, 0.7, 2.0, 0.3, 0.02)
-    assert np.ndim(one) == 0 and one == expression(0.4, 1.5, 0.7, 2.0, 0.3, 0.02)
-
-
 def test_ideal_reductions_match(rng):
     cfg = SystemConfig(k_tx=0.0, k_rx=0.0, N_D=20, N_C=10, P_dBm=55.0)
     for _ in range(200):

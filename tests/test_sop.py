@@ -34,6 +34,9 @@ def test_target_rate_factors():
     t = SecrecyTarget(5.0)
     assert t.T == 32.0 and t.T_bar == 31.0
     assert SecrecyTarget(0.0).T_bar == 0.0
+    for bad in (-1.0, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            SecrecyTarget(bad)
 
 
 def test_tau_min_values():

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from conftest import make_coeffs, workable_cfg
 from mmwsec import throughput
+from mmwsec.cli import SweepSpec, run_sweep
 from mmwsec.config import SystemConfig
 from mmwsec.errors import ConvergenceError, InfeasibleError
 from mmwsec.sop import cdf_Y_E
@@ -16,9 +17,7 @@ from mmwsec.throughput import (
     KTauSolver,
     ThroughputCase,
     ThroughputResult,
-    avg_throughput_fixed_tau,
     avg_throughput_mrt,
-    avg_throughput_opa,
     dk_dtau,
     drs_dtau,
     high_snr_k_and_rate,
@@ -567,20 +566,27 @@ def test_mrt_throughput_montecarlo_consistency():
 # averaged throughputs
 # ---------------------------------------------------------------------------
 
+def _sweep_averages(mode: str, cfg: SystemConfig, key: str, values: list, trials: int, seed: int) -> list:
+    """The ``analytic`` column, the sample-mean rate over ``trials`` drawn
+    states, of a sweep of ``mode`` over ``key`` from ``cfg``."""
+    spec = SweepSpec(mode=mode, swept_key=key, values=values, base=cfg, trials=trials,
+                     uv_samples=10, seed=seed)
+    return [row["analytic"] for row in run_sweep(spec)]
+
+
 def test_opa_dominates_benchmarks_pointwise():
     cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=0.01, k_tx=0.1, k_rx=0.1)
     seed = 777  # identical gain draws across all three schemes
-    opa = avg_throughput_opa(cfg, 150, seed)
-    equal = avg_throughput_fixed_tau(cfg, 0.5, 150, seed)
+    (opa,) = _sweep_averages("throughput_opa", cfg, "P_dBm", [cfg.P_dBm], 150, seed)
+    (equal,) = _sweep_averages("throughput_equal_power", cfg, "P_dBm", [cfg.P_dBm], 150, seed)
     mrt = avg_throughput_mrt(cfg, 150, seed)
-    assert opa.value >= equal.value - 1e-9
-    assert opa.value >= mrt.value - 1e-9
+    assert opa >= equal - 1e-9
+    assert opa >= mrt.value - 1e-9
 
 
 def test_throughput_nondecreasing_in_epsilon():
-    cfg = lambda eps: SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=eps,
-                                   k_tx=0.1, k_rx=0.1)
-    vals = [avg_throughput_fixed_tau(cfg(e), 0.5, 400, 5150).value for e in (1e-4, 0.01, 0.3)]
+    cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, k_tx=0.1, k_rx=0.1)
+    vals = _sweep_averages("throughput_equal_power", cfg, "epsilon", [1e-4, 0.01, 0.3], 400, 5150)
     assert vals[0] <= vals[1] + 1e-9 <= vals[2] + 2e-9
 
 
@@ -631,3 +637,25 @@ def test_high_snr_requires_impairments_and_interior_tau():
     co2 = make_coeffs(cfg2, 12.0, 6.0)
     with pytest.raises(ValueError):
         high_snr_k_and_rate(1.0, co2, 0.05, cfg2.n_ec)
+
+
+def test_high_snr_limits_meet_the_finite_power_solution():
+    # the limits' oracle: the finite-power k(tau) of solve_k_batch and its
+    # rate approach (k_inf, rate) as 1/P, two decades per 20 dB; the rate
+    # keeps the larger gap, the destination SNDR's 1/(tau*e) from its ceiling
+    rng = np.random.Generator(np.random.Philox(2026))
+    powers = (100.0, 120.0, 140.0)
+    gaps = np.zeros((len(powers), 2))  # worst relative gap of k and of the rate
+    for _ in range(200):
+        n_c, k = int(rng.integers(1, 19)), float(rng.uniform(0.01, 0.2))
+        eps, tau = float(rng.uniform(0.003, 0.3)), float(rng.uniform(0.05, 0.95))
+        g_hat, g_check = rng.gamma(n_c), rng.gamma(20 - n_c)
+        for row, p_dbm in enumerate(powers):
+            cfg = SystemConfig(M=100, N_D=20, N_C=n_c, P_dBm=p_dbm, k_tx=k, k_rx=k, epsilon=eps)
+            co = make_coeffs(cfg, g_hat, g_check)
+            k_inf, rate_inf = high_snr_k_and_rate(tau, co, eps, cfg.n_ec)
+            k_p = solve_k_batch(tau, co.a, co.b, co.c, cfg.n_ec, eps)
+            rate_p = rs_of_tau(tau, k_p, co)
+            gaps[row] = np.maximum(gaps[row], [abs(k_p / k_inf - 1.0), abs(rate_p / rate_inf - 1.0)])
+    assert np.all(gaps[1:] <= 0.02 * gaps[:-1]), gaps
+    assert gaps[-1, 0] <= 1e-7 and gaps[-1, 1] <= 1e-6, gaps
