@@ -12,15 +12,16 @@ import csv
 import io
 import math
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import pairwise
 
 import numpy as np
 
 from . import montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
-from .config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config
+from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config, stack_coeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
 from .throughput import KTauSolver, optimize_tau_throughput
@@ -123,10 +124,12 @@ def _fmt(x) -> str:
 # its channel gains come first, then one u/v block per state that carries a
 # Monte-Carlo event, so the j-th such state of every cell meets the j-th
 # block.  Cells that share a draw key therefore share one gain draw and one
-# walk of the u/v stream.  A cell function turns the shared gains into the
-# per-state columns (alpha, beta, thr) of its event, y_E above a per-state
-# threshold, plus a ``finish`` that builds the row from the walk's
-# per-state hit rates, their summed binomial variance and the draws' seed.
+# walk of the u/v stream.  ``_sop_cells`` (all SOP cells of a group, as
+# one stacked batch) and ``_throughput_cell`` turn the shared gains into
+# each cell's per-state columns (alpha, beta, thr) of its event, y_E above
+# a per-state threshold, plus a ``finish`` that builds the row from the
+# walk's per-state hit rates, their summed binomial variance and the
+# draws' seed.
 # The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
 # y_E > thr is the linear event alpha*u - beta*v > thr with
 # alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b.
@@ -137,47 +140,59 @@ def _event_columns(tau, a, b, c, thr) -> np.ndarray:
     return np.array((tau * (a - thr * c), thr * (1.0 - tau) * b, thr))
 
 
-def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
-    """Average SOP over the accepted states of the shared gains, paired with
-    the event-level secrecy outage at each accepted state.
+def _tallies(tags: np.ndarray, members) -> str:
+    """``value:count`` of each enum member present in ``tags``, sorted."""
+    counts = {m.value: np.count_nonzero(tags == m) for m in members}
+    return ";".join(f"{k}:{n}" for k, n in sorted(counts.items()) if n)
 
-    ``split_policy`` picks how the an_opa scheme chooses its split:
-    ``min_sop`` minimizes the closed-form conditional SOP (used for SOP
-    curves), ``phi_mean`` runs the capacity-ratio optimizer with mean
-    eavesdropper variables (used when the split itself is the reported
-    quantity).
+
+def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
+    """Per (scheme, config) cell of one draw group: the average SOP over the
+    accepted states of the shared gains, paired with the event-level
+    secrecy outage at each accepted state.  Returns one (event columns,
+    finish) pair per cell.
+
+    The cells' states form one stacked batch with a per-state R_s: one gate
+    call at tau = 1, one split-optimizer call over the Conditional states
+    of the an_opa cells and one gate call at the chosen splits.  Every step
+    is elementwise, so a cell gets the numbers it would get alone.  The
+    an_opa split ``split_policy`` is ``min_sop`` (minimize the closed-form
+    conditional SOP; the SOP curves) or ``phi_mean`` (the capacity-ratio
+    optimizer at mean eavesdropper variables; when the split is reported).
     """
-    target = sop.SecrecyTarget(cfg.R_s)
-    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
+    n = len(g_hat)
+    n_ec = cells[0][1].n_ec
+    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
+    target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg in cells], n))
 
-    breakdown = sop.sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
-    tau_eval = np.ones(len(g_hat))
-    if scheme == "an_opa":
-        split = np.flatnonzero(breakdown.branch == sop.SopBranch.CONDITIONAL)
-        states = coeffs.take(split)
-        if split_policy == "min_sop":
-            tau_eval[split], _ = opa_sop.minimize_sop_tau_batch(target, states, cfg.n_ec)
-        else:
-            tau_eval[split] = opa_sop.optimize_tau_sop_batch(target, states, cfg.n_ec).tau_star
-        breakdown = sop.sop_overall_batch(tau_eval, target, coeffs, cfg.n_ec)
+    breakdown = sop.sop_overall_batch(1.0, target, coeffs, n_ec)
+    tau = np.ones(n * len(cells))
+    opa = np.repeat([scheme == "an_opa" for scheme, _ in cells], n)
+    split = np.flatnonzero(opa & (breakdown.branch == sop.SopBranch.CONDITIONAL))
+    states, split_target = coeffs.take(split), target.take(split)
+    if split_policy == "min_sop":
+        tau[split], _ = opa_sop.minimize_sop_tau_batch(split_target, states, n_ec)
+    else:
+        tau[split] = opa_sop.optimize_tau_sop_batch(split_target, states, n_ec).tau_star
+    breakdown = sop.sop_overall_batch(tau, target, coeffs, n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
-    tags = {branch.value: n for branch, n in Counter(breakdown.branch[accepted]).items()}
-    analytic_vals = breakdown.value[accepted]
-    tau = tau_eval[accepted]
-    m = len(accepted)
+    tau, values = tau[accepted], breakdown.value[accepted]
     y_d = sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted])
     # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, solved for y_E
-    thr = (1.0 + y_d) / 2.0**cfg.R_s - 1.0
-    cols = _event_columns(tau, coeffs.a[accepted], coeffs.b, coeffs.c[accepted], thr)
+    thr = (1.0 + y_d) / target.T[accepted] - 1.0
+    cols = _event_columns(tau, coeffs.a[accepted], coeffs.b[accepted], coeffs.c[accepted], thr)
+    bounds = np.searchsorted(accepted, n * np.arange(len(cells) + 1))
+    branch = breakdown.branch[accepted]
 
-    def finish(empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
+    def finish(lo: int, hi: int, empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
+        m = int(hi - lo)
         if m == 0:
             return dict(
                 analytic=math.nan, mc_value=math.nan, mc_target=math.nan,
                 mc_stderr=0.0, tol=math.inf, tau_star_mean=math.nan,
                 accept_rate=0.0, tags="all_silent",
             )
-        analytic = float(np.mean(analytic_vals))
+        analytic = float(np.mean(values[lo:hi]))
         se_pair = math.sqrt(pair_var) / m
         est = montecarlo.sample_mean(empirical_vals, seed)
         return dict(
@@ -186,12 +201,12 @@ def _sop_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.nda
             mc_target=analytic,
             mc_stderr=est.std_error,
             tol=max(0.005, 4.0 * se_pair),
-            tau_star_mean=float(np.mean(tau)),
-            accept_rate=m / len(g_hat),
-            tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())),
+            tau_star_mean=float(np.mean(tau[lo:hi])),
+            accept_rate=m / n,
+            tags=_tallies(branch[lo:hi], sop.SopBranch),
         )
 
-    return cols, finish
+    return [(cols[:, lo:hi], partial(finish, lo, hi)) for lo, hi in pairwise(bounds)]
 
 
 def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray):
@@ -202,14 +217,14 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
     if scheme == "opa":
         res = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
         tau_eval, k_eval, rates, transmit = res.tau_star, res.k_star, res.R_s_star, res.transmit
-        tags = {case.value: n for case, n in Counter(res.case_tag).items()}
+        tags = _tallies(res.case_tag, throughput.ThroughputCase)
     else:  # equal power
         tau_eval = np.full(trials, 0.5)
         k_eval = throughput.solve_k_batch(tau_eval, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
         rates = throughput.rs_of_tau(tau_eval, k_eval, coeffs)
         transmit = rates >= 0.0
         rates = np.maximum(rates, 0.0)
-        tags = {}
+        tags = "fixed_tau"
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
     # rate outage: y_E above the designed margin tau * k
     tau = tau_eval[checked]
@@ -232,7 +247,7 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
             tol=tol,
             tau_star_mean=float(np.mean(tau_eval[transmit])) if transmit.any() else math.nan,
             accept_rate=int(transmit.sum()) / trials,
-            tags=";".join(f"{k}:{v}" for k, v in sorted(tags.items())) or "fixed_tau",
+            tags=tags,
         )
 
     return cols, finish
@@ -266,8 +281,11 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
     cell that has one, and all those states are evaluated as one
     (cells x uv) array.  Since the denominator of y_E is positive, the hit
     y_E > thr is tested as alpha*u - beta*v > thr, without a division.
-    Returns per cell its per-state hit rates and their binomial variances
-    summed in state order.
+    The walk allocates its sample vectors, products and hit mask once and
+    writes each block into the rows of the cells still walking;
+    ``standard_exponential`` and ``standard_gamma`` draw the same numbers
+    as ``exponential(1.0)`` and ``gamma(n_ec, 1.0)``.  Returns per cell its
+    per-state hit rates and their binomial variances summed in state order.
     """
     counts = np.array([cols.shape[1] for cols in cells])
     order = np.argsort(-counts, kind="stable")  # the cells still walking form a prefix
@@ -278,12 +296,18 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
     walking = np.count_nonzero(counts[:, None] > np.arange(depth), axis=0)
     hits = np.zeros((len(cells), depth))
     pair_var = np.zeros(len(cells))
+    u, v = np.zeros(uv_samples), np.empty(uv_samples)  # u stays 0 without common paths
+    au, bv = np.empty((2, len(cells), uv_samples))
+    hit = np.empty((len(cells), uv_samples), bool)
     for j in range(depth):
-        u = rng.exponential(1.0, size=uv_samples) if n_c > 0 else np.zeros(uv_samples)
-        v = rng.gamma(n_ec, 1.0, size=uv_samples)
+        if n_c > 0:
+            rng.standard_exponential(out=u)
+        rng.standard_gamma(n_ec, out=v)
         live = walking[j]
         alpha, beta, thr = stacked[:, :live, j, None]
-        p_hat = np.count_nonzero(alpha * u - beta * v > thr, axis=1) / uv_samples
+        lhs = np.multiply(alpha, u, out=au[:live])
+        np.subtract(lhs, np.multiply(beta, v, out=bv[:live]), out=lhs)
+        p_hat = np.count_nonzero(np.greater(lhs, thr, out=hit[:live]), axis=1) / uv_samples
         hits[:live, j] = p_hat
         pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
     walked = [None] * len(cells)
@@ -301,7 +325,7 @@ def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> l
     g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, spec.trials, rng)
     if spec.mode in ("sop_fixed_rate", "sop_opa"):
         policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
-        made = [_sop_cell(cfg, scheme, g_hat, g_check, policy) for scheme, cfg in cells]
+        made = _sop_cells(cells, g_hat, g_check, policy)
     else:
         made = [_throughput_cell(cfg, scheme, g_hat, g_check) for scheme, cfg in cells]
     walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made])
@@ -564,10 +588,10 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
         drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
     tgt = sop.SecrecyTarget(np.array([cfg_i.R_s for cfg_i, _ in drawn]))
-    states = EffectiveCoeffs(*(np.array([getattr(co, f.name) for _, co in drawn]) for f in fields(EffectiveCoeffs)))
+    states = stack_coeffs([co for _, co in drawn])
     t_min, silent = sop.tau_min_batch(tgt, states)
     ok = ~silent & (t_min < 1.0)
-    tgt = sop.SecrecyTarget(tgt.R_s[ok])
+    tgt = tgt.take(ok)
     states = states.take(ok)
     n_ec, t_min = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok], t_min[ok]
     res = opa_sop.optimize_tau_sop_batch(tgt, states, n_ec)
@@ -684,6 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=1, help="draw groups evaluated in parallel")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     _add_config_flags(sweep)
+    sweep.set_defaults(parser=sweep)
 
     validate = sub.add_parser("validate", help="run the formula-vs-oracle suite")
     validate.add_argument("--trials", type=int, default=200_000)
@@ -692,7 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_sweep(args) -> int:
+def _sweep_specs(args) -> list[SweepSpec]:
+    """The sweeps a ``sweep`` command asks for: overrides, then the preset
+    or spec file, then the budgets.  Raises ValueError on bad input."""
     overrides = _collect_overrides(args)
     if args.config:
         base = load_config(args.config, overrides)
@@ -705,10 +732,12 @@ def cmd_sweep(args) -> int:
         if overrides:
             for spec in specs:
                 spec.base = spec.base.with_overrides(**overrides)
-    else:
-        spec = _parse_spec_file(args.spec, base)
-        specs = [_with_budgets(spec, args.trials, args.uv_samples, args.seed)]
+        return specs
+    spec = _parse_spec_file(args.spec, base)
+    return [_with_budgets(spec, args.trials, args.uv_samples, args.seed)]
 
+
+def cmd_sweep(args, specs: list[SweepSpec]) -> int:
     rows: list[dict] = []
     for spec in specs:
         rows.extend(run_sweep(spec, workers=args.workers))
@@ -736,9 +765,13 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return cmd_validate(args)
+    if args.command == "validate":
+        return cmd_validate(args)
+    try:
+        specs = _sweep_specs(args)
+    except ValueError as exc:  # bad input ends as argparse errors do: usage, one line, exit 2
+        args.parser.error(str(exc))
+    return cmd_sweep(args, specs)
 
 
 if __name__ == "__main__":

@@ -175,6 +175,20 @@ class EffectiveCoeffs:
         return replace(self, **picked)
 
 
+def stack_coeffs(records) -> EffectiveCoeffs:
+    """One batch of the states of several records, in record order.
+
+    a, c, d and e are concatenated, and every field a record shares by
+    its states (b, beta_E, k_tx2, k_tot2) is repeated once per state, so
+    each state keeps its own; a record of scalars counts as one state.
+    """
+    sizes = [np.size(r.d) for r in records]
+    return EffectiveCoeffs(*(
+        np.concatenate([np.full(n, getattr(r, f.name)) for r, n in zip(records, sizes)])
+        for f in fields(EffectiveCoeffs)
+    ))
+
+
 def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
     """Build the effective coefficients of the states with the given gains.
 

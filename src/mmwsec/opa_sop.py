@@ -27,7 +27,7 @@ import numpy as np
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
-from .sop import SecrecyTarget, sop_conditional, tau_min_batch
+from .sop import SecrecyTarget, per_state, sop_conditional, tau_min_batch
 from .throughput import bracketed_roots
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
@@ -45,6 +45,10 @@ _SCAN_BLOCK_STATES = 8
 # minimize_sop_tau_batch: 25 geometric steps from 1e-12 up to 1/64, where
 # the SOP falls steeply from 1 at tau_min, then 64 even steps up to 1.
 _SLOPE_GRID = np.concatenate([np.geomspace(1e-12, 1.0 / 64.0, 25, endpoint=False), np.arange(1, 65) / 64.0])
+# minimize_sop_tau_batch scans its slope grid in blocks of this many states,
+# which bounds its working set: a block's (states x grid) temporaries take
+# about 0.7 MB each, and the slope makes about fifteen of them.
+_SLOPE_BLOCK_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -246,11 +250,6 @@ def _log_sop_slope(tau, a, b, c, d, e, t, n_ec):
     return nb * r - r_prime * (1.0 + (1.0 - tau) * (b * r + nb))
 
 
-def _per_state(x, index):
-    """The entries of per-state ``x`` that ``index`` picks; a scalar is shared."""
-    return x if np.ndim(x) == 0 else np.asarray(x)[index]
-
-
 def minimize_sop_tau_batch(
     target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +261,12 @@ def minimize_sop_tau_batch(
     sweeps use.  The analytic slope of log SOP is evaluated on one fixed
     relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``); every
     change of its sign from falling to rising brackets a local minimum,
-    and one Illinois false-position loop refines all brackets together,
-    each stopping on its own.  No unimodality is assumed: every local
-    minimum competes with the full power split tau = 1, and with the
-    grid's first split where the SOP rises from tau_min (at R_s = 0, where
-    the infimum lies at the open end).  Each state keeps its smallest SOP,
+    and one Illinois false-position loop refines the brackets of a block
+    of states (``_SLOPE_BLOCK_STATES``) together, each stopping on its
+    own.  No unimodality is assumed: every local minimum competes with
+    the full power split tau = 1, and with the grid's first split where
+    the SOP rises from tau_min (at R_s = 0, where the infimum lies at the
+    open end).  Each state keeps its smallest SOP,
     the smaller split on a tie.  States without leakage (a = 0) are
     outage-free at any feasible split and get (1, 0).  ``n_ec``, the
     target's R_s and the coefficient b may be per-state arrays.
@@ -279,13 +279,20 @@ def minimize_sop_tau_batch(
     tau_star = np.ones(t_min.shape)
     value = np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
-    # the slope's arguments a..e, T and n_ec, one entry per leaking state
-    args = [
-        np.broadcast_to(np.asarray(x, float), t_min.shape)[leak]
-        for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec)
-    ]
-    t_min = t_min[leak]
+    for start in range(0, leak.size, _SLOPE_BLOCK_STATES):
+        rows = leak[start:start + _SLOPE_BLOCK_STATES]
+        tau_star[rows], value[rows] = _minimize_leaking(
+            target.take(rows), coeffs.take(rows), per_state(n_ec, rows), t_min[rows]
+        )
+    return tau_star, value
 
+
+def _minimize_leaking(target, coeffs, n_ec, t_min):
+    """``minimize_sop_tau_batch`` on states that all leak (a > 0)."""
+    # the slope's arguments a..e, T and n_ec, one entry per state
+    args = [np.broadcast_to(np.asarray(x, float), t_min.shape) for x in (
+        coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec
+    )]
     grid = t_min[:, None] + _SLOPE_GRID * (1.0 - t_min[:, None])
     g = _log_sop_slope(grid, *(x[:, None] for x in args))
     rising = g > 0.0
@@ -295,21 +302,18 @@ def minimize_sop_tau_batch(
         *(x[owner] for x in args),
     )
 
-    rows = np.arange(leak.size)
+    rows = np.arange(t_min.size)
     lower = np.flatnonzero(rising[:, 0])
     cand_state = np.concatenate([owner, rows, lower])
-    cand_tau = np.concatenate([roots, np.ones(leak.size), grid[lower, 0]])
-    # a shared R_s or n_ec stays a scalar: numpy's power can round an array
-    # operand differently in the last bit (and x ** -1 is a reciprocal)
-    pick = leak[cand_state]
+    cand_tau = np.concatenate([roots, np.ones(t_min.size), grid[lower, 0]])
+    # a shared n_ec stays a scalar: x ** -1 is then a reciprocal, while an
+    # array exponent goes through numpy's power, which can round differently
     cand_value = sop_conditional(
-        cand_tau, SecrecyTarget(_per_state(target.R_s, pick)), coeffs.take(pick), _per_state(n_ec, pick)
+        cand_tau, target.take(cand_state), coeffs.take(cand_state), per_state(n_ec, cand_state)
     )
     order = np.lexsort((cand_tau, cand_value, cand_state))
     best = order[np.searchsorted(cand_state[order], rows)]
-    tau_star[leak] = cand_tau[best]
-    value[leak] = cand_value[best]
-    return tau_star, value
+    return cand_tau[best], cand_value[best]
 
 
 def minimize_sop_tau(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,22 +30,37 @@ from .errors import SilentSourceError
 _GATE_RTOL = 1e-12
 
 
+def per_state(x, index):
+    """The entries of per-state ``x`` that ``index`` picks; a scalar is shared."""
+    return x if np.ndim(x) == 0 else np.asarray(x)[index]
+
+
 @dataclass(frozen=True)
 class SecrecyTarget:
     """Target secrecy rate (a float, or an array with one rate per state for
-    ``tau_min_batch``) and its derived rate factors T = 2^R_s, T-1."""
+    the batch functions) and its derived rate factors T = 2^R_s, T-1."""
 
     R_s: float
 
     def __post_init__(self):
-        if not np.all(self.R_s >= 0.0):
-            raise ValueError("R_s must be non-negative")
+        r_s = np.asarray(self.R_s, float)
+        if not np.all(np.isfinite(r_s) & (r_s >= 0.0)):
+            raise ValueError(f"R_s must be finite and non-negative, got {self.R_s}")
 
-    @property
+    def take(self, index) -> "SecrecyTarget":
+        """The target of the states a numpy index picks; a shared R_s carries over."""
+        return self if np.ndim(self.R_s) == 0 else SecrecyTarget(per_state(self.R_s, index))
+
+    @cached_property
     def T(self) -> float:
-        return 2.0**self.R_s
+        if np.ndim(self.R_s) == 0:
+            return 2.0**self.R_s
+        # one scalar power per distinct rate: numpy's array power can round
+        # differently in the last bit, and a state must get its one-state T
+        rates, inverse = np.unique(self.R_s, return_inverse=True)
+        return np.array([2.0 ** float(r) for r in rates])[inverse]
 
-    @property
+    @cached_property
     def T_bar(self) -> float:
         return self.T - 1.0
 
@@ -216,7 +232,8 @@ def sop_overall_batch(
 ) -> SopBreakdown:
     """Piecewise overall SOP of every state at its power split.
 
-    ``tau`` is one split for all states or one per state; scalar
+    ``tau`` is one split for all states or one per state, and the
+    target's R_s one rate for all states or one per state; scalar
     coefficients count as one state.  Branches, in order: rate factor
     above the impairment ceiling gamma3 is a certain outage; rate
     unreachable even at full power means the source suspends; otherwise
@@ -245,7 +262,7 @@ def sop_overall_batch(
     feasible = conditional & (tau > t_min * (1.0 + _GATE_RTOL))
 
     value = np.where(silent, 0.0, 1.0)
-    value[feasible] = sop_conditional(tau[feasible], target, coeffs.take(feasible), n_ec)
+    value[feasible] = sop_conditional(tau[feasible], target.take(feasible), coeffs.take(feasible), n_ec)
     branch = np.full(d.shape, SopBranch.CONDITIONAL, dtype=object)
     branch[silent] = SopBranch.SOURCE_SILENT
     branch[always] = SopBranch.ALWAYS_OUTAGE

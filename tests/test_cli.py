@@ -11,6 +11,7 @@ import pytest
 from scipy import integrate
 
 from mmwsec import cli, throughput
+from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import SystemConfig
 from mmwsec.sndr import sndr_eve
 
@@ -42,14 +43,23 @@ def test_spec_validation():
             _tiny_spec(**budgets)
     with pytest.raises(ValueError):
         cli.preset_specs("fig6", trials=0)
-    with pytest.raises(ValueError):
-        cli.main(["sweep", "--preset", "fig7", "--uv-samples", "0"])
 
 
-def test_sweep_rejects_non_finite_config_values():
-    # a NaN distance used to give a sweep of NaN rows that exited 0
-    with pytest.raises(ValueError, match="d_E_m"):
-        cli.main(["sweep", "--preset", "fig7", "--trials", "20", "--set", "d_E_m=nan"])
+def _usage_error(argv, capsys) -> str:
+    """The one error line ``cli.main`` prints before exiting 2 on bad input."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("mmwsec sweep: error: ")
+    return errors[0]
+
+
+def test_sweep_rejects_non_finite_config_values(capsys):
+    # a NaN distance used to give a sweep of NaN rows that exited 0; bad
+    # input ends in one usage error, not a traceback
+    assert "d_E_m" in _usage_error(["sweep", "--preset", "fig7", "--trials", "20", "--set", "d_E_m=nan"], capsys)
+    assert "uv_samples" in _usage_error(["sweep", "--preset", "fig7", "--uv-samples", "0"], capsys)
 
 
 def test_sweep_reports_unchecked_rows(tmp_path, capsys):
@@ -187,6 +197,41 @@ def test_walk_counts_the_sndr_event(n_c):
         assert near_total > 1000
 
 
+def test_stacked_sop_group_equals_its_cells_alone():
+    # _sop_cells stacks a draw group's cells into one batch; each cell must
+    # get the event columns (bitwise) and the row it gets when run alone
+    fig4 = SystemConfig(M=100, N_D=20, N_C=8, P_dBm=55.0)
+    fig5 = SystemConfig(M=150, N_D=20, N_C=16, R_s=5.0, k_tx=0.05, k_rx=0.05)
+    groups = (
+        ([(scheme, fig4.with_overrides(R_s=r_s, k_tx=k, k_rx=k))
+          for r_s in (4.0, 5.0, 6.0) for k in (0.0, 0.1) for scheme in ("mrt", "an_opa")], "min_sop"),
+        ([("an_opa", fig5.with_overrides(P_dBm=p)) for p in (56.0, 62.0, 68.0)], "phi_mean"),
+        # all silent; past the impairment ceiling (no Conditional state);
+        # two cells where some states are silent
+        ([("an_opa", fig4.with_overrides(P_dBm=0.0)), ("an_opa", fig4.with_overrides(k_tx=0.3, k_rx=0.3)),
+          ("mrt", fig4.with_overrides(R_s=4.0, P_dBm=44.0)), ("an_opa", fig4.with_overrides(R_s=4.0, P_dBm=46.0))],
+         "min_sop"),
+    )
+    tags, widths = [], set()
+    for cells, policy in groups:
+        first = cells[0][1]
+        rng = np.random.Generator(np.random.Philox(31))
+        g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, 120, rng)
+        stacked = cli._sop_cells(cells, g_hat, g_check, policy)
+        for cell, (cols, finish) in zip(cells, stacked, strict=True):
+            ((alone_cols, alone_finish),) = cli._sop_cells([cell], g_hat, g_check, policy)
+            assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
+            hits = np.linspace(0.0, 1.0, cols.shape[1])
+            row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
+            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
+            tags.append(row["tags"])
+            widths.add(cols.shape[1])
+            if cell[0] == "mrt" and cols.shape[1]:
+                assert row["tau_star_mean"] == "1.0"  # only an_opa cells choose a split
+    assert "all_silent" in tags and "AlwaysOutage:120" in tags
+    assert len(widths) >= 4  # cells leave the stack with different state counts
+
+
 def test_csv_is_deterministic():
     spec = _tiny_spec()
     text1 = cli.render_csv([spec], cli.run_sweep(spec))
@@ -234,11 +279,10 @@ def test_cli_config_overrides(tmp_path):
     assert "P_dBm=56.0" in out_path.read_text()
 
 
-def test_cli_rejects_unknown_override(tmp_path):
+def test_cli_rejects_unknown_override(tmp_path, capsys):
     spec_path = tmp_path / "sweep.spec"
     spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2\n")
-    with pytest.raises(ValueError):
-        cli.main(["sweep", "--spec", str(spec_path), "--set", "bogus=1"])
+    assert "bogus" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "bogus=1"], capsys)
 
 
 def test_preset_specs_exist():

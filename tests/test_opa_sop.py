@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import ChannelDraw
-from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, derive_coeffs
+from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, derive_coeffs, stack_coeffs
 from mmwsec.errors import SilentSourceError
+from mmwsec import opa_sop
 from mmwsec.opa_sop import (
     OpaCase,
     _log_sop_slope,
@@ -286,6 +287,25 @@ def test_minimize_sop_tau_batch_fuzz(rng):
     assert min(split_states.values()) > 0, split_states
 
 
+def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
+    # the Conditional states of fuzzed configurations, stacked with a
+    # per-state R_s and n_ec (the N_C = 0 ones do not leak), give the same
+    # bits whole and scanned in blocks of 7 states
+    states, r_s, n_ec = [], [], []
+    for cfg, coeffs in fuzz_states(rng, 20, 12):
+        target = SecrecyTarget(cfg.R_s)
+        split = np.flatnonzero(sop_overall_batch(1.0, target, coeffs, cfg.n_ec).branch == SopBranch.CONDITIONAL)
+        states.append(coeffs.take(split))
+        r_s += [cfg.R_s] * split.size
+        n_ec += [cfg.n_ec] * split.size
+    stacked, target, n_ec = stack_coeffs(states), SecrecyTarget(np.array(r_s)), np.array(n_ec)
+    assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size
+    whole = minimize_sop_tau_batch(target, stacked, n_ec)
+    monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", 7)
+    blocked = minimize_sop_tau_batch(target, stacked, n_ec)
+    assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
+
+
 def _slope_cols(states: EffectiveCoeffs):
     """(a, b, c, d, e) of the states as (states, 1) columns."""
     return [np.broadcast_to(getattr(states, k), states.a.shape)[:, None] for k in "abcde"]
@@ -396,13 +416,8 @@ def test_batch_stacked_from_several_configurations():
         workable_cfg(P_dBm=p, k_tx=k, k_rx=k) for p, k in ((50.0, 0.0), (55.0, 0.05), (60.0, 0.1))
     ]
 
-    def stack(singles):
-        return EffectiveCoeffs(**{
-            f.name: np.array([getattr(co, f.name) for co in singles]) for f in fields(EffectiveCoeffs)
-        })
-
     singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
-    stacked = stack(singles)
+    stacked = stack_coeffs(singles)
     target, n_ec = SecrecyTarget(cfgs[0].R_s), cfgs[0].n_ec
     picked = stacked.take([2, 0])
     for f in fields(EffectiveCoeffs):
@@ -420,18 +435,21 @@ def test_batch_stacked_from_several_configurations():
         assert (taus[i], vals[i]) == minimize_sop_tau(target, one, n_ec)
     assert batch.gamma3[0] == math.inf
 
-    # per-state R_s and n_ec: each state keeps its own configuration's.
-    # Integer R_s and n_ec >= 2, because elsewhere numpy's power of an array
-    # and of a scalar (and x ** -1, a reciprocal) can differ in the last bit
+    # per-state R_s and n_ec: each state keeps its own configuration's, the
+    # zero rate (infimum at the open end tau_min) and fractional rates too.
+    # n_ec >= 2, because elsewhere x ** -1 with an array exponent goes
+    # through numpy's power, not a reciprocal, and can differ in the last bit
     cfgs = [
-        cfg.with_overrides(R_s=r_s, N_E=cfg.N_C + n_ec) for cfg, r_s, n_ec in zip(cfgs, (3.0, 2.0, 0.0), (8, 4, 2))
+        cfg.with_overrides(R_s=r_s, N_E=cfg.N_C + n_ec)
+        for cfg, r_s, n_ec in zip(cfgs + [workable_cfg(P_dBm=58.0)], (3.3, 2.0, 0.0, 0.7), (8, 4, 2, 3))
     ]
     singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
     taus, vals = minimize_sop_tau_batch(
-        SecrecyTarget(np.array([cfg.R_s for cfg in cfgs])), stack(singles), np.array([cfg.n_ec for cfg in cfgs])
+        SecrecyTarget(np.array([cfg.R_s for cfg in cfgs])), stack_coeffs(singles), np.array([cfg.n_ec for cfg in cfgs])
     )
     for i, (cfg, one) in enumerate(zip(cfgs, singles)):
         assert (taus[i], vals[i]) == minimize_sop_tau(SecrecyTarget(cfg.R_s), one, cfg.n_ec)
+    assert 0.0 < taus[2] <= 1e-12  # the zero rate keeps the grid's first split
 
 
 def test_optimize_tau_sop_batch_fuzz(rng):

@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
+from mmwsec.channel import sample_gain_scalars
+from mmwsec.config import coeffs_from_gains
 from mmwsec.errors import SilentSourceError
 from mmwsec.sop import (
     SecrecyTarget,
@@ -34,8 +36,8 @@ def test_target_rate_factors():
     t = SecrecyTarget(5.0)
     assert t.T == 32.0 and t.T_bar == 31.0
     assert SecrecyTarget(0.0).T_bar == 0.0
-    for bad in (-1.0, math.nan, np.array([1.0, math.nan])):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, math.nan, np.array([1.0, math.nan]), math.inf, -math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(ValueError, match="R_s"):
             SecrecyTarget(bad)
 
 
@@ -301,6 +303,25 @@ def test_sop_overall_batch_matches_one_state(rng):
             else:
                 assert tau_min(target, co.take(i)) == t_min[i]
     assert branches == set(SopBranch)
+
+
+def test_sop_overall_batch_with_per_state_target(rng):
+    # 50 states of one configuration, R_s alternating 4 and 9: the R_s = 9
+    # states lie past the impairment ceiling, so the feasible subset must
+    # carry its own R_s
+    cfg = workable_cfg(N_C=8)
+    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 50, rng)
+    co = coeffs_from_gains(cfg, g_hat, g_check)
+    # (fractional rates too: T is one scalar power per distinct rate)
+    for r_s in (np.where(np.arange(50) % 2, 9.0, 4.0), rng.uniform(0.0, 9.0, 50)):
+        for tau in (1.0, rng.uniform(0.0, 1.0, size=50)):
+            bd = sop_overall_batch(tau, SecrecyTarget(r_s), co, cfg.n_ec)
+            for i, tau_i in enumerate(np.broadcast_to(tau, 50)):
+                one = sop_overall(float(tau_i), SecrecyTarget(float(r_s[i])), co.take(i), cfg.n_ec)
+                assert bd.branch[i] is one.branch
+                assert bd.value[i] == one.value
+                assert bd.tau_min[i] == one.tau_min
+        assert {SopBranch.CONDITIONAL, SopBranch.ALWAYS_OUTAGE} <= set(bd.branch)
 
 
 def test_one_state_calls_reject_batches():
