@@ -45,7 +45,6 @@ from .opa_sop import (
     OpaResult,
     PhiCoeffs,
     minimize_sop_tau,
-    minimize_sop_tau_batch,
     omega,
     optimize_tau_sop,
     optimize_tau_sop_batch,
@@ -62,9 +61,7 @@ from .sop import (
     cdf_Y_E,
     sop_conditional,
     sop_overall,
-    sop_overall_batch,
     tau_min,
-    tau_min_batch,
     thresholds,
 )
 from .throughput import (
@@ -72,6 +69,8 @@ from .throughput import (
     ThroughputCase,
     ThroughputResult,
     avg_throughput_mrt,
+    dk_dtau,
+    drs_dtau,
     high_snr_k_and_rate,
     k_max_tau1,
     mrt_rate,

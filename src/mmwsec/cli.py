@@ -22,9 +22,7 @@ import numpy as np
 from . import montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
 from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config, stack_coeffs
-from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
-from .throughput import KTauSolver, optimize_tau_throughput
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
 
@@ -165,16 +163,16 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
     coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
     target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg in cells], n))
 
-    breakdown = sop.sop_overall_batch(1.0, target, coeffs, n_ec)
+    breakdown = sop.sop_overall(1.0, target, coeffs, n_ec)
     tau = np.ones(n * len(cells))
     opa = np.repeat([scheme == "an_opa" for scheme, _ in cells], n)
     split = np.flatnonzero(opa & (breakdown.branch == sop.SopBranch.CONDITIONAL))
     states, split_target = coeffs.take(split), target.take(split)
     if split_policy == "min_sop":
-        tau[split], _ = opa_sop.minimize_sop_tau_batch(split_target, states, n_ec)
+        tau[split], _ = opa_sop.minimize_sop_tau(split_target, states, n_ec)
     else:
         tau[split] = opa_sop.optimize_tau_sop_batch(split_target, states, n_ec).tau_star
-    breakdown = sop.sop_overall_batch(tau, target, coeffs, n_ec)
+    breakdown = sop.sop_overall(tau, target, coeffs, n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tau, values = tau[accepted], breakdown.value[accepted]
     y_d = sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted])
@@ -549,11 +547,8 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
         coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
-        try:
-            t_min = sop.tau_min(target, coeffs)
-        except SilentSourceError:
-            continue
-        if t_min >= 1.0:
+        t_min = sop.tau_min(target, coeffs)
+        if t_min >= 1.0:  # inf when the source is silent
             continue
         tau = 0.5 * (t_min + 1.0)
         analytic = sop.sop_conditional(tau, target, coeffs, cfg.n_ec)
@@ -589,8 +584,8 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
         drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
     tgt = sop.SecrecyTarget(np.array([cfg_i.R_s for cfg_i, _ in drawn]))
     states = stack_coeffs([co for _, co in drawn])
-    t_min, silent = sop.tau_min_batch(tgt, states)
-    ok = ~silent & (t_min < 1.0)
+    t_min = sop.tau_min(tgt, states)
+    ok = t_min < 1.0
     tgt = tgt.take(ok)
     states = states.take(ok)
     n_ec, t_min = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok], t_min[ok]
@@ -610,15 +605,13 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
         coeffs_i = coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))
-        solver = KTauSolver(coeffs_i.a, coeffs_i.b, coeffs_i.c, cfg_i.n_ec, cfg_i.epsilon)
-        res = optimize_tau_throughput(coeffs_i, solver)
+        res = throughput.optimize_tau_throughput_batch(coeffs_i, cfg_i.n_ec, cfg_i.epsilon)
         taus = np.linspace(1.0 / 2000, 1.0, 2000)
-        ks = throughput.solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
+        ks = throughput.solve_k_batch(taus, coeffs_i.a, coeffs_i.b, coeffs_i.c, cfg_i.n_ec, cfg_i.epsilon)
         rates = np.log2((taus * (coeffs_i.d + coeffs_i.e) + 1.0)
                         / ((taus * coeffs_i.e + 1.0) * (1.0 + taus * ks)))
         best = float(np.max(rates))
-        achieved = res.R_s_star if res.transmit else 0.0
-        worst_bits = max(worst_bits, best - achieved)
+        worst_bits = max(worst_bits, best - res.R_s_star[0])  # R_s_star is 0 where it cannot transmit
     record("throughput_opt_vs_grid", worst_bits <= 1e-5, f"worst shortfall = {worst_bits:.2e} bits")
 
     # MRT throughput: exponential-integral sum vs 2-D quadrature
@@ -771,6 +764,8 @@ def main(argv=None) -> int:
         specs = _sweep_specs(args)
     except ValueError as exc:  # bad input ends as argparse errors do: usage, one line, exit 2
         args.parser.error(str(exc))
+    except OSError as exc:  # an unreadable --spec or --config file is bad input too
+        args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
     return cmd_sweep(args, specs)
 
 

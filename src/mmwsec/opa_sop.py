@@ -8,13 +8,13 @@ Omega between them, for a whole batch of channel states at once
 (``optimize_tau_sop_batch``; ``optimize_tau_sop`` is its one-state call).
 
 The split minimizing the closed-form conditional SOP itself is found for
-a whole batch of channel states at once (``minimize_sop_tau_batch``)
-from the sign of the analytic slope of log SOP: one (states x grid)
-array of slopes brackets every falling-to-rising sign change, and one
-Illinois false-position loop (``throughput.bracketed_roots``, shared
-with the throughput optimizer) refines all brackets together, each
-stopping on its own.  No SOP value is scanned.  ``minimize_sop_tau`` is
-its one-state call.
+a whole batch of channel states at once (``minimize_sop_tau``; scalar
+coefficients are one state and give 0-d results) from the sign of the
+analytic slope of log SOP: one (states x grid) array of slopes brackets
+every falling-to-rising sign change, and one Illinois false-position
+loop (``throughput.bracketed_roots``, shared with the throughput
+optimizer) refines all brackets together, each stopping on its own.  No
+SOP value is scanned.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
-from .sop import SecrecyTarget, per_state, sop_conditional, tau_min_batch
+from .sop import SecrecyTarget, per_state, sop_conditional, tau_min
 from .throughput import bracketed_roots
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
@@ -42,10 +42,13 @@ _GRID_AUDIT_RTOL = 1e-6
 # about 1.3 MB of peak memory, 64 states about 9 MB.
 _SCAN_BLOCK_STATES = 8
 # Relative offsets s of the slope grid tau = t_min + s*(1 - t_min) in
-# minimize_sop_tau_batch: 25 geometric steps from 1e-12 up to 1/64, where
-# the SOP falls steeply from 1 at tau_min, then 64 even steps up to 1.
+# minimize_sop_tau, 89 per state: 25 geometric steps from 1e-12 up to
+# 1/64, where the SOP falls steeply from 1 at tau_min, then 64 even steps
+# up to 1.  Each falling-to-rising sign change of the slope between two
+# neighbours brackets a local minimum; the first point is also the
+# candidate split of a state whose SOP rises from tau_min (R_s = 0).
 _SLOPE_GRID = np.concatenate([np.geomspace(1e-12, 1.0 / 64.0, 25, endpoint=False), np.arange(1, 65) / 64.0])
-# minimize_sop_tau_batch scans its slope grid in blocks of this many states,
+# minimize_sop_tau scans its slope grid in blocks of this many states,
 # which bounds its working set: a block's (states x grid) temporaries take
 # about 0.7 MB each, and the slope makes about fifteen of them.
 _SLOPE_BLOCK_STATES = 1024
@@ -146,9 +149,9 @@ def omega_roots(pc: PhiCoeffs) -> np.ndarray:
 
 def _feasible_tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
     """tau_min of every state; raises SilentSourceError when any state has
-    no feasible split (silent, or tau_min >= 1)."""
-    t_min, silent = tau_min_batch(target, coeffs)
-    empty = silent | (t_min >= 1.0)
+    no feasible split (tau_min >= 1, inf when silent)."""
+    t_min = tau_min(target, coeffs)
+    empty = t_min >= 1.0
     if empty.any():
         raise SilentSourceError(
             f"feasible set empty for {int(empty.sum())} of {empty.size} states "
@@ -183,7 +186,7 @@ def optimize_tau_sop_batch(
     count as one state.  Raises SilentSourceError when any state has no
     feasible split (tau_min >= 1).
     """
-    t_min = _feasible_tau_min(target, coeffs)
+    t_min = np.atleast_1d(_feasible_tau_min(target, coeffs))
     # a v of the states' shape gives every coefficient of phi that shape
     pc = phi_coeffs(np.asarray(u, float), np.broadcast_to(n_ec if v is None else v, t_min.shape), coeffs)
 
@@ -250,7 +253,7 @@ def _log_sop_slope(tau, a, b, c, d, e, t, n_ec):
     return nb * r - r_prime * (1.0 + (1.0 - tau) * (b * r + nb))
 
 
-def minimize_sop_tau_batch(
+def minimize_sop_tau(
     target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split minimizing the closed-form conditional SOP of every state.
@@ -271,11 +274,12 @@ def minimize_sop_tau_batch(
     outage-free at any feasible split and get (1, 0).  ``n_ec``, the
     target's R_s and the coefficient b may be per-state arrays.
 
-    Returns arrays (tau_star, sop value) over the states; scalar
-    coefficients count as one state.  Raises SilentSourceError when any
-    state has no feasible split.
+    Returns arrays (tau_star, sop value) shaped like the states (0-d for
+    scalar coefficients).  Raises SilentSourceError when any state has no
+    feasible split.
     """
     t_min = _feasible_tau_min(target, coeffs)
+    shape, t_min = t_min.shape, t_min.ravel()
     tau_star = np.ones(t_min.shape)
     value = np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
@@ -284,11 +288,11 @@ def minimize_sop_tau_batch(
         tau_star[rows], value[rows] = _minimize_leaking(
             target.take(rows), coeffs.take(rows), per_state(n_ec, rows), t_min[rows]
         )
-    return tau_star, value
+    return tau_star.reshape(shape), value.reshape(shape)
 
 
 def _minimize_leaking(target, coeffs, n_ec, t_min):
-    """``minimize_sop_tau_batch`` on states that all leak (a > 0)."""
+    """``minimize_sop_tau`` on states that all leak (a > 0)."""
     # the slope's arguments a..e, T and n_ec, one entry per state
     args = [np.broadcast_to(np.asarray(x, float), t_min.shape) for x in (
         coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec
@@ -314,14 +318,3 @@ def _minimize_leaking(target, coeffs, n_ec, t_min):
     order = np.lexsort((cand_tau, cand_value, cand_state))
     best = order[np.searchsorted(cand_state[order], rows)]
     return cand_tau[best], cand_value[best]
-
-
-def minimize_sop_tau(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int) -> tuple[float, float]:
-    """Split minimizing the closed-form conditional SOP of one state.
-
-    The one-state call of ``minimize_sop_tau_batch``.
-    Returns (tau_star, sop value).  Raises SilentSourceError when no
-    feasible split exists.
-    """
-    tau_star, value = minimize_sop_tau_batch(target, coeffs, n_ec)
-    return tau_star.item(), value.item()

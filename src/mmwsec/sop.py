@@ -6,10 +6,11 @@ overall value wraps it in the on-off protocol gates (impairment ceiling,
 transmit-or-suspend).
 
 The formulas work on batches of channel states (EffectiveCoeffs whose a,
-c, d and e are arrays): ``sop_conditional`` broadcasts the split against
-the states, and ``tau_min_batch``/``sop_overall_batch`` return per-state
-values and branches and mark silent states instead of raising.
-``tau_min`` and ``sop_overall`` are their one-state calls.
+c, d and e are arrays), and scalar coefficients are one state:
+``sop_conditional`` broadcasts the split against the states, and
+``tau_min``/``sop_overall`` return per-state values and branches, shaped
+like the states (0-d for one state), and mark silent states instead of
+raising.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .config import EffectiveCoeffs
-from .errors import SilentSourceError
 
 # Boundary comparisons between the rate factor T and the branch gates use
 # this relative tolerance; exact ties go to the less favorable branch.
@@ -56,7 +56,7 @@ class SecrecyTarget:
         if np.ndim(self.R_s) == 0:
             return 2.0**self.R_s
         # one scalar power per distinct rate: numpy's array power can round
-        # differently in the last bit, and a state must get its one-state T
+        # differently in the last bit, and a state must get the T it gets alone
         rates, inverse = np.unique(self.R_s, return_inverse=True)
         return np.array([2.0 ** float(r) for r in rates])[inverse]
 
@@ -75,9 +75,9 @@ class SopBranch(enum.Enum):
 class SopBreakdown:
     """Overall SOP value plus the branch and gate values that produced it.
 
-    Built by ``sop_overall_batch`` the fields are arrays over the states
-    (``branch`` holds one SopBranch per state; ``gamma3`` is shared unless
-    the states come from several configurations).
+    The fields are arrays shaped like the states (``branch`` holds one
+    SopBranch per state; ``gamma3`` is shared unless the states come from
+    several configurations).
     """
 
     value: float
@@ -88,36 +88,19 @@ class SopBreakdown:
     tau_min: float
 
 
-def tau_min_batch(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> tuple[np.ndarray, np.ndarray]:
+def tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
     """Smallest power split supporting the target rate, per state.
 
-    Returns (t_min, silent) as arrays over the states (scalar coefficients
-    count as one state).  ``silent`` marks the states with d <= e*(T-1):
-    their destination SNDR cannot reach the target for any split, the
-    source suspends, and t_min is inf.  At R_s = 0 every state (d > 0) has
-    t_min = 0.
+    Returns t_min shaped like the states (0-d for scalar coefficients).
+    A state with d <= e*(T-1) is silent: its destination SNDR cannot reach
+    the target for any split, the source suspends, and t_min is inf, so
+    ``t_min >= 1`` marks every state without a feasible split.  At
+    R_s = 0 every state (d > 0) has t_min = 0.
     """
-    d = np.atleast_1d(coeffs.d)
     t_bar = target.T_bar
-    denom = d - coeffs.e * t_bar
-    silent = denom <= 0.0
+    denom = np.asarray(coeffs.d - coeffs.e * t_bar)
     with np.errstate(divide="ignore"):
-        t_min = np.where(silent, math.inf, t_bar / denom)
-    return t_min, silent
-
-
-def tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> float:
-    """Smallest power split supporting the target rate at the destination.
-
-    Raises SilentSourceError when d <= e*(T-1): the destination SNDR cannot
-    reach the target for any split and the source suspends.
-    """
-    t_min, silent = tau_min_batch(target, coeffs)
-    if silent.item():
-        raise SilentSourceError(
-            f"no feasible power split: d={coeffs.d:.6g} <= e*(T-1)={coeffs.e * target.T_bar:.6g}"
-        )
-    return float(t_min.item())
+        return np.where(denom <= 0.0, math.inf, np.divide(t_bar, denom))
 
 
 def outage_threshold(tau: float, target: SecrecyTarget, coeffs: EffectiveCoeffs) -> float:
@@ -227,7 +210,7 @@ def _gate_ge(t: float, gate):
     return t >= gate * (1.0 - _GATE_RTOL)
 
 
-def sop_overall_batch(
+def sop_overall(
     tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
 ) -> SopBreakdown:
     """Piecewise overall SOP of every state at its power split.
@@ -244,9 +227,10 @@ def sop_overall_batch(
     mode) cannot support the target rate, which is reported as a certain
     outage through the Conditional branch limit.
 
-    Returns a SopBreakdown of arrays over the states; tau_min is inf
-    outside the Conditional branch.
+    Returns a SopBreakdown of arrays shaped like the states (0-d for one
+    state); tau_min is inf outside the Conditional branch.
     """
+    shape = np.shape(coeffs.d)
     d = np.atleast_1d(coeffs.d)
     tau = np.broadcast_to(np.asarray(tau, float), d.shape)
     if not np.all((0.0 <= tau) & (tau <= 1.0)):
@@ -258,7 +242,7 @@ def sop_overall_batch(
     always = np.full(d.shape, _gate_ge(t, gamma3))
     silent = ~always & _gate_ge(t, gamma2_full)
     conditional = ~(always | silent)
-    t_min = np.where(conditional, tau_min_batch(target, coeffs)[0], math.inf)
+    t_min = np.where(conditional, tau_min(target, coeffs), math.inf)
     feasible = conditional & (tau > t_min * (1.0 + _GATE_RTOL))
 
     value = np.where(silent, 0.0, 1.0)
@@ -266,19 +250,5 @@ def sop_overall_batch(
     branch = np.full(d.shape, SopBranch.CONDITIONAL, dtype=object)
     branch[silent] = SopBranch.SOURCE_SILENT
     branch[always] = SopBranch.ALWAYS_OUTAGE
+    value, branch, gamma1, gamma2, t_min = (np.reshape(x, shape) for x in (value, branch, gamma1, gamma2, t_min))
     return SopBreakdown(value, branch, gamma1, gamma2, gamma3, t_min)
-
-
-def sop_overall(
-    tau_opt: float, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int
-) -> SopBreakdown:
-    """Piecewise overall SOP of one state at the supplied power split.
-
-    The one-state call of ``sop_overall_batch``, which documents the
-    branches.
-    """
-    bd = sop_overall_batch(tau_opt, target, coeffs, n_ec)
-    return SopBreakdown(
-        bd.value.item(), bd.branch.item(), bd.gamma1.item(), bd.gamma2.item(),
-        float(bd.gamma3), bd.tau_min.item(),
-    )

@@ -186,17 +186,11 @@ def _dk_dtau(x, tau, a, b, c, n_ec):
     return a * (dx - c * x * x) / (1.0 + c * tau * x) ** 2
 
 
-def _x_of_k(k, tau, solver: KTauSolver):
-    # inverse of k = a*x / (1 + c*tau*x); at a = 0 every x maps to k = 0,
-    # and x = 0 serves, since the slopes carry a factor a
-    if solver.a == 0.0:
-        return 0.0 * np.asarray(k, float)
-    return k / (solver.a - solver.c * tau * k)
-
-
-def dk_dtau(k, tau, solver: KTauSolver):
-    """Implicit-function derivative of k(tau); vectorizes over k, tau."""
-    return _dk_dtau(_x_of_k(k, tau, solver), tau, solver.a, solver.b, solver.c, solver.n_ec)
+def dk_dtau(tau, coeffs: EffectiveCoeffs, n_ec: int, epsilon: float):
+    """Implicit-function derivative of k(tau), elementwise over tau and the
+    states; x(tau) is solved as the optimizer solves it."""
+    x = _solve_x(tau, coeffs.b, n_ec, epsilon)
+    return _dk_dtau(x, tau, coeffs.a, coeffs.b, coeffs.c, n_ec)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +214,11 @@ def rs_of_tau(tau, k, coeffs: EffectiveCoeffs):
     return _rate(tau, k, coeffs.d, coeffs.e)
 
 
-def drs_dtau(tau: float, coeffs: EffectiveCoeffs, solver: KTauSolver, k: float | None = None) -> float:
-    """Derivative of the secrecy rate in tau, using the implicit dk/dtau."""
-    if k is None:
-        x = float(_solve_x(tau, solver.b, solver.n_ec, solver.epsilon))
-    else:
-        x = _x_of_k(k, tau, solver)
-    return _rate_slope(tau, x, solver.a, solver.b, solver.c, coeffs.d, coeffs.e, solver.n_ec)
+def drs_dtau(tau, coeffs: EffectiveCoeffs, n_ec: int, epsilon: float):
+    """Derivative of the secrecy rate in tau, using the implicit dk/dtau,
+    elementwise over tau and the states."""
+    x = _solve_x(tau, coeffs.b, n_ec, epsilon)
+    return _rate_slope(tau, x, coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, n_ec)
 
 
 class ThroughputCase(enum.Enum):
@@ -259,10 +251,11 @@ _CONCAVITY_IDX = np.linspace(1, len(_SCAN_GRID) - 2, 64).astype(int)
 def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
     """Roots of slope(t, *args) bracketed elementwise by [lo, hi] (Illinois false position).
 
-    Both power-split optimizers use it: this module's rate optimizer and
-    ``opa_sop.minimize_sop_tau_batch``.  f_lo and f_hi are the slopes at
-    the bracket ends and must differ in sign; ``args`` are arrays with one
-    entry per bracket.  Converged elements leave the working set, so each
+    Both power-split optimizers use it: this module's rate optimizer, on
+    the rate slope, and ``opa_sop.minimize_sop_tau``, on the slope of log
+    SOP.  ``lo``, ``hi``, ``f_lo`` and ``f_hi`` are 1-d, one entry per
+    bracket, with f_lo and f_hi the slopes at the bracket ends, which must
+    differ in sign; ``args`` are arrays with one entry per bracket.  Converged elements leave the working set, so each
     root depends only on its own bracket and arguments.  Raises
     ConvergenceError when a bracket is not narrower than 1e-12 after 100
     steps.

@@ -285,6 +285,16 @@ def test_cli_rejects_unknown_override(tmp_path, capsys):
     assert "bogus" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "bogus=1"], capsys)
 
 
+def test_sweep_rejects_unreadable_input_files(tmp_path, capsys):
+    # a --spec or --config file that cannot be read (missing, a directory)
+    # is bad input: one usage error that names the path, exit 2
+    missing = str(tmp_path / "missing.spec")
+    assert missing in _usage_error(["sweep", "--spec", missing], capsys)
+    missing = str(tmp_path / "missing.cfg")
+    assert missing in _usage_error(["sweep", "--preset", "fig3", "--config", missing], capsys)
+    assert str(tmp_path) in _usage_error(["sweep", "--spec", str(tmp_path)], capsys)  # a directory
+
+
 def test_preset_specs_exist():
     for name in ("fig3", "fig4", "fig5", "fig6", "fig7"):
         specs = cli.preset_specs(name, trials=5, uv_samples=10, seed=1)

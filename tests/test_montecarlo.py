@@ -40,7 +40,7 @@ def test_full_sop_estimator_matches_analytic_average():
         g_check = float(rng.gamma(cfg.n_dc, 1.0))
         co = make_coeffs(cfg, g_hat, g_check)
         bd = sop_overall(tau, target, co, cfg.n_ec)
-        if bd.branch is not SopBranch.SOURCE_SILENT:
+        if bd.branch != SopBranch.SOURCE_SILENT:
             vals.append(bd.value)
     ref = float(np.mean(vals))
     se = math.sqrt(np.var(vals) / len(vals)) + est.std_error

@@ -15,7 +15,6 @@ from mmwsec.opa_sop import (
     OpaCase,
     _log_sop_slope,
     minimize_sop_tau,
-    minimize_sop_tau_batch,
     omega,
     omega_roots,
     optimize_tau_sop,
@@ -25,7 +24,7 @@ from mmwsec.opa_sop import (
     phi_rational,
 )
 from mmwsec.sop import (
-    SecrecyTarget, SopBranch, sop_conditional, sop_overall, sop_overall_batch, tau_min, tau_min_batch,
+    SecrecyTarget, SopBranch, sop_conditional, sop_overall, tau_min,
 )
 
 
@@ -266,14 +265,14 @@ def test_minimize_sop_tau_batch_fuzz(rng):
     split_states = {"N_C=0": 0, "R_s=0": 0, "ideal": 0}
     for cfg, coeffs in fuzz_states(rng, 40, 12):
         target = SecrecyTarget(cfg.R_s)
-        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        gate = sop_overall(1.0, target, coeffs, cfg.n_ec)
         split = np.flatnonzero(gate.branch == SopBranch.CONDITIONAL)
         if split.size < 12:
             with pytest.raises(SilentSourceError):
-                minimize_sop_tau_batch(target, coeffs, cfg.n_ec)
-        taus, vals = minimize_sop_tau_batch(target, coeffs.take(split), cfg.n_ec)
+                minimize_sop_tau(target, coeffs, cfg.n_ec)
+        taus, vals = minimize_sop_tau(target, coeffs.take(split), cfg.n_ec)
         for tau_b, val_b, i in zip(taus, vals, split):
-            state = coeffs.take(i)
+            state = coeffs.take(i)  # one 0-d state
             tau_one, val_one = minimize_sop_tau(target, state, cfg.n_ec)
             assert tau_b == tau_one and val_b == val_one  # one arithmetic, any batch size
             assert 0.0 <= val_b <= 1.0
@@ -294,15 +293,15 @@ def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
     states, r_s, n_ec = [], [], []
     for cfg, coeffs in fuzz_states(rng, 20, 12):
         target = SecrecyTarget(cfg.R_s)
-        split = np.flatnonzero(sop_overall_batch(1.0, target, coeffs, cfg.n_ec).branch == SopBranch.CONDITIONAL)
+        split = np.flatnonzero(sop_overall(1.0, target, coeffs, cfg.n_ec).branch == SopBranch.CONDITIONAL)
         states.append(coeffs.take(split))
         r_s += [cfg.R_s] * split.size
         n_ec += [cfg.n_ec] * split.size
     stacked, target, n_ec = stack_coeffs(states), SecrecyTarget(np.array(r_s)), np.array(n_ec)
     assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size
-    whole = minimize_sop_tau_batch(target, stacked, n_ec)
+    whole = minimize_sop_tau(target, stacked, n_ec)
     monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", 7)
-    blocked = minimize_sop_tau_batch(target, stacked, n_ec)
+    blocked = minimize_sop_tau(target, stacked, n_ec)
     assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
 
 
@@ -323,9 +322,9 @@ def test_sop_log_slope_matches_finite_differences(rng):
     q = np.array([1e-3, 0.02, 0.1, 0.3, 0.6, 0.9, 0.99])
     for cfg, coeffs in configs:
         target = SecrecyTarget(cfg.R_s)
-        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        gate = sop_overall(1.0, target, coeffs, cfg.n_ec)
         states = coeffs.take(np.flatnonzero((gate.branch == SopBranch.CONDITIONAL) & (coeffs.a > 0.0)))
-        t_min = tau_min_batch(target, states)[0][:, None]
+        t_min = tau_min(target, states)[:, None]
         cols = _slope_cols(states)
 
         # just above tau_min the SOP falls from 1 when R_s > 0 and rises
@@ -384,19 +383,20 @@ def test_minimize_sop_tau_batch_properties():
         g_hat, g_check = np.array(gains).T
         coeffs = coeffs_from_gains(cfg, g_hat * (cfg.N_C > 0), g_check)
         target = SecrecyTarget(cfg.R_s)
-        gate = sop_overall_batch(1.0, target, coeffs, cfg.n_ec)
+        gate = sop_overall(1.0, target, coeffs, cfg.n_ec)
         states = coeffs.take(np.flatnonzero(gate.branch == SopBranch.CONDITIONAL))
-        taus, vals = minimize_sop_tau_batch(target, states, cfg.n_ec)
-        t_min = tau_min_batch(target, states)[0]
+        taus, vals = minimize_sop_tau(target, states, cfg.n_ec)
+        t_min = tau_min(target, states)
         for j in range(t_min.size):
             state = states.take(j)
-            assert (taus[j], vals[j]) == minimize_sop_tau(target, state, cfg.n_ec)
+            tau_one, val_one = minimize_sop_tau(target, state, cfg.n_ec)
+            assert taus[j] == tau_one and vals[j] == val_one
             assert 0.0 <= vals[j] <= 1.0
             grid = t_min[j] + (np.arange(1, 4001) / 4000) * (1.0 - t_min[j])
             assert vals[j] <= float(np.min(sop_conditional(grid, target, state, cfg.n_ec))) + 1e-9
             assert vals[j] <= sop_conditional(1.0, target, state, cfg.n_ec) + 1e-12
         leak = states.take(np.flatnonzero(states.a > 0.0))
-        t_leak = tau_min_batch(target, leak)[0][:, None]
+        t_leak = tau_min(target, leak)[:, None]
         rising = _log_sop_slope(t_leak + dense * (1.0 - t_leak), *_slope_cols(leak), target.T, cfg.n_ec) > 0.0
         seen["states"] += t_min.size
         seen["N_C=0"] += t_min.size * (cfg.N_C == 0)
@@ -405,7 +405,7 @@ def test_minimize_sop_tau_batch_properties():
         seen["several minima"] += int(np.sum(np.sum(~rising[:, :-1] & rising[:, 1:], axis=1) > 1))
 
     check()
-    print(f"minimize_sop_tau_batch properties: {seen}")
+    print(f"minimize_sop_tau properties: {seen}")
     assert min(seen[k] for k in ("N_C=0", "R_s=0", "ideal")) > 0, seen
 
 
@@ -422,17 +422,17 @@ def test_batch_stacked_from_several_configurations():
     picked = stacked.take([2, 0])
     for f in fields(EffectiveCoeffs):
         assert list(getattr(picked, f.name)) == [getattr(singles[i], f.name) for i in (2, 0)]
-    batch = sop_overall_batch(1.0, target, stacked, n_ec)
-    taus, vals = minimize_sop_tau_batch(target, stacked, n_ec)
+    batch = sop_overall(1.0, target, stacked, n_ec)
+    taus, vals = minimize_sop_tau(target, stacked, n_ec)
     for i, one in enumerate(singles):
         for f in fields(EffectiveCoeffs):
             assert getattr(stacked.take(i), f.name) == getattr(one, f.name)
         gate = sop_overall(1.0, target, one, n_ec)
-        assert batch.branch[i] is gate.branch is SopBranch.CONDITIONAL
-        assert (batch.value[i], batch.gamma1[i], batch.gamma2[i], batch.gamma3[i], batch.tau_min[i]) == (
-            gate.value, gate.gamma1, gate.gamma2, gate.gamma3, gate.tau_min
-        )
-        assert (taus[i], vals[i]) == minimize_sop_tau(target, one, n_ec)
+        assert batch.branch[i] is gate.branch.item() is SopBranch.CONDITIONAL
+        for f in ("value", "gamma1", "gamma2", "gamma3", "tau_min"):
+            assert getattr(batch, f)[i] == getattr(gate, f), f
+        tau_one, val_one = minimize_sop_tau(target, one, n_ec)
+        assert taus[i] == tau_one and vals[i] == val_one
     assert batch.gamma3[0] == math.inf
 
     # per-state R_s and n_ec: each state keeps its own configuration's, the
@@ -444,11 +444,12 @@ def test_batch_stacked_from_several_configurations():
         for cfg, r_s, n_ec in zip(cfgs + [workable_cfg(P_dBm=58.0)], (3.3, 2.0, 0.0, 0.7), (8, 4, 2, 3))
     ]
     singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
-    taus, vals = minimize_sop_tau_batch(
+    taus, vals = minimize_sop_tau(
         SecrecyTarget(np.array([cfg.R_s for cfg in cfgs])), stack_coeffs(singles), np.array([cfg.n_ec for cfg in cfgs])
     )
     for i, (cfg, one) in enumerate(zip(cfgs, singles)):
-        assert (taus[i], vals[i]) == minimize_sop_tau(SecrecyTarget(cfg.R_s), one, cfg.n_ec)
+        tau_one, val_one = minimize_sop_tau(SecrecyTarget(cfg.R_s), one, cfg.n_ec)
+        assert taus[i] == tau_one and vals[i] == val_one
     assert 0.0 < taus[2] <= 1e-12  # the zero rate keeps the grid's first split
 
 
@@ -458,8 +459,8 @@ def test_optimize_tau_sop_batch_fuzz(rng):
     seen = {"N_C=0": 0, "R_s=0": 0, "ideal": 0, "silent": 0}
     for cfg, coeffs in fuzz_states(rng, 40, 12):
         target = SecrecyTarget(cfg.R_s)
-        t_min, silent = tau_min_batch(target, coeffs)
-        feasible = np.flatnonzero(~silent & (t_min < 1.0))
+        t_min = tau_min(target, coeffs)
+        feasible = np.flatnonzero(t_min < 1.0)  # t_min is inf where the source is silent
         if feasible.size < 12:
             with pytest.raises(SilentSourceError):
                 optimize_tau_sop_batch(target, coeffs, cfg.n_ec)

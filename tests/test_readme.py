@@ -1,0 +1,14 @@
+"""README's library example runs as written against the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block, "README has no python block under '## Library example'"
+    exec(compile(block.group(1), f"{README}:library-example", "exec"), {})

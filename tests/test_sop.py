@@ -7,7 +7,6 @@ from scipy import stats
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import coeffs_from_gains
-from mmwsec.errors import SilentSourceError
 from mmwsec.sop import (
     SecrecyTarget,
     SopBranch,
@@ -16,9 +15,7 @@ from mmwsec.sop import (
     outage_threshold,
     sop_conditional,
     sop_overall,
-    sop_overall_batch,
     tau_min,
-    tau_min_batch,
     thresholds,
 )
 
@@ -51,8 +48,8 @@ def test_tau_min_infeasible():
 
     co = EffectiveCoeffs(beta_E=1.0, k_tx2=0.5, k_tot2=1.0,
                          a=1.0, b=1.0, c=0.5, d=1.0, e=1.0)
-    with pytest.raises(SilentSourceError):
-        tau_min(SecrecyTarget(math.log2(3.0)), co)  # T=3: d <= e*(T-1)
+    t_min = tau_min(SecrecyTarget(math.log2(3.0)), co)  # T=3: d <= e*(T-1), the source is silent
+    assert t_min.shape == () and t_min == math.inf
 
 
 # -- ratio-variable CDF helper ----------------------------------------------
@@ -182,11 +179,8 @@ def test_sop_conditional_equals_ccdf_at_threshold(rng):
         )
         co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
         target = SecrecyTarget(cfg.R_s)
-        try:
-            t_min = tau_min(target, co)
-        except SilentSourceError:
-            continue
-        if t_min >= 1.0:
+        t_min = tau_min(target, co)
+        if t_min >= 1.0:  # inf when the source is silent
             continue
         tau = float(rng.uniform(t_min + 1e-6, 1.0))
         direct = sop_conditional(tau, target, co, cfg.n_ec)
@@ -252,7 +246,7 @@ def test_overall_always_outage_above_impairment_ceiling():
         cfg = workable_cfg(P_dBm=p, R_s=6.0)
         co = make_coeffs(cfg, 16.0, 4.0)
         bd = sop_overall(1.0, SecrecyTarget(6.0), co, cfg.n_ec)
-        assert bd.branch is SopBranch.ALWAYS_OUTAGE
+        assert bd.branch == SopBranch.ALWAYS_OUTAGE
         assert bd.value == 1.0
 
 
@@ -260,7 +254,7 @@ def test_overall_source_silent_for_weak_channel():
     cfg = workable_cfg(P_dBm=30.0, R_s=5.0)
     co = make_coeffs(cfg, 0.05, 0.05)
     bd = sop_overall(1.0, SecrecyTarget(5.0), co, cfg.n_ec)
-    assert bd.branch is SopBranch.SOURCE_SILENT
+    assert bd.branch == SopBranch.SOURCE_SILENT
     assert bd.value == 0.0
 
 
@@ -269,7 +263,7 @@ def test_overall_middle_branch_delegates():
     co = make_coeffs(cfg, 12.0, 6.0)
     target = SecrecyTarget(cfg.R_s)
     bd = sop_overall(0.7, target, co, cfg.n_ec)
-    assert bd.branch is SopBranch.CONDITIONAL
+    assert bd.branch == SopBranch.CONDITIONAL
     assert math.isclose(bd.value, sop_conditional(0.7, target, co, cfg.n_ec), rel_tol=1e-14)
     assert bd.gamma1 < target.T < bd.gamma2
 
@@ -284,24 +278,23 @@ def test_overall_split_below_tau_min_is_certain_outage():
 
 
 def test_sop_overall_batch_matches_one_state(rng):
+    # every state of a batch equals the call on that state alone, a 0-d
+    # state (co.take(i)), bit for bit
     branches = set()
     for cfg, co in fuzz_states(rng, 40, 8):
         target = SecrecyTarget(cfg.R_s)
         for tau in (1.0, rng.uniform(0.0, 1.0, size=8)):  # one split for all, one per state
-            bd = sop_overall_batch(tau, target, co, cfg.n_ec)
+            bd = sop_overall(tau, target, co, cfg.n_ec)
             for i, tau_i in enumerate(np.broadcast_to(tau, 8)):
                 one = sop_overall(float(tau_i), target, co.take(i), cfg.n_ec)
-                assert bd.branch[i] is one.branch
+                assert bd.branch[i] is one.branch.item()
                 assert bd.value[i] == one.value and 0.0 <= one.value <= 1.0
                 assert bd.tau_min[i] == one.tau_min
-                branches.add(one.branch)
-        t_min, silent = tau_min_batch(target, co)
+                branches.add(one.branch.item())
+        t_min = tau_min(target, co)
         for i in range(8):
-            if silent[i]:
-                with pytest.raises(SilentSourceError):
-                    tau_min(target, co.take(i))
-            else:
-                assert tau_min(target, co.take(i)) == t_min[i]
+            assert tau_min(target, co.take(i)) == t_min[i]  # inf == inf where silent
+        assert np.all(np.isinf(t_min) == (co.d <= co.e * target.T_bar))
     assert branches == set(SopBranch)
 
 
@@ -315,22 +308,42 @@ def test_sop_overall_batch_with_per_state_target(rng):
     # (fractional rates too: T is one scalar power per distinct rate)
     for r_s in (np.where(np.arange(50) % 2, 9.0, 4.0), rng.uniform(0.0, 9.0, 50)):
         for tau in (1.0, rng.uniform(0.0, 1.0, size=50)):
-            bd = sop_overall_batch(tau, SecrecyTarget(r_s), co, cfg.n_ec)
+            bd = sop_overall(tau, SecrecyTarget(r_s), co, cfg.n_ec)
             for i, tau_i in enumerate(np.broadcast_to(tau, 50)):
                 one = sop_overall(float(tau_i), SecrecyTarget(float(r_s[i])), co.take(i), cfg.n_ec)
-                assert bd.branch[i] is one.branch
+                assert bd.branch[i] is one.branch.item()
                 assert bd.value[i] == one.value
                 assert bd.tau_min[i] == one.tau_min
         assert {SopBranch.CONDITIONAL, SopBranch.ALWAYS_OUTAGE} <= set(bd.branch)
 
 
-def test_one_state_calls_reject_batches():
+def test_zero_d_state_gives_zero_d_results():
+    # scalar coefficients are one state, and every field comes back 0-d
+    from mmwsec.opa_sop import minimize_sop_tau
+    from mmwsec.throughput import dk_dtau, drs_dtau
+
     cfg = workable_cfg()
-    co = make_coeffs(cfg, np.array([12.0, 8.0]), np.array([6.0, 5.0]))
+    co = make_coeffs(cfg, 12.0, 6.0)
     target = SecrecyTarget(cfg.R_s)
-    with pytest.raises(ValueError):
-        tau_min(target, co)
-    with pytest.raises(ValueError):
-        sop_overall(1.0, target, co, cfg.n_ec)
-    with pytest.raises(ValueError):
-        sop_overall_batch(1.5, target, co, cfg.n_ec)
+    assert tau_min(target, co).shape == ()
+    bd = sop_overall(0.7, target, co, cfg.n_ec)
+    assert all(np.shape(getattr(bd, f)) == () for f in ("value", "branch", "gamma1", "gamma2", "gamma3", "tau_min"))
+    assert bd.branch.item() is SopBranch.CONDITIONAL
+    tau_star, value = minimize_sop_tau(target, co, cfg.n_ec)
+    assert tau_star.shape == value.shape == ()
+    assert np.shape(dk_dtau(0.5, co, cfg.n_ec, cfg.epsilon)) == ()
+    assert np.shape(drs_dtau(0.5, co, cfg.n_ec, cfg.epsilon)) == ()
+    # a batch of one state keeps its axis
+    one = co.take([0])
+    assert tau_min(target, one).shape == (1,)
+    assert sop_overall(0.7, target, one, cfg.n_ec).branch.shape == (1,)
+    assert minimize_sop_tau(target, one, cfg.n_ec)[0].shape == (1,)
+
+
+def test_sop_overall_rejects_splits_outside_unit_interval():
+    cfg = workable_cfg()
+    target = SecrecyTarget(cfg.R_s)
+    for co in (make_coeffs(cfg, 12.0, 6.0), make_coeffs(cfg, np.array([12.0, 8.0]), np.array([6.0, 5.0]))):
+        for tau in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                sop_overall(tau, target, co, cfg.n_ec)

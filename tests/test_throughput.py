@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_coeffs, workable_cfg
+from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import throughput
 from mmwsec.cli import SweepSpec, run_sweep
 from mmwsec.config import SystemConfig
@@ -268,22 +268,32 @@ def test_solve_k_batch_matches_scalar(rng):
         assert abs(solve_k(float(t), solver) - kb) < 1e-8
 
 
+def _slope_batches(rng):
+    """Fuzzed batches of 8 states with an outage cap and one split per state."""
+    for cfg, co in fuzz_states(rng, 30, 8):
+        yield cfg, co, float(rng.uniform(0.003, 0.3)), rng.uniform(0.1, 0.95, 8)
+
+
+def _assert_batch_is_per_state(slope, tau, co, n_ec, eps):
+    """The batch of a slope equals its calls on each 0-d state, bit for bit."""
+    batch = slope(tau, co, n_ec, eps)
+    for i in range(tau.size):
+        assert batch[i] == slope(float(tau[i]), co.take(i), n_ec, eps)
+    return batch
+
+
 def test_dk_dtau_matches_finite_differences(rng):
-    for _ in range(30):
-        cfg = workable_cfg(
-            N_C=int(rng.integers(2, 19)),
-            epsilon=float(rng.uniform(0.01, 0.3)),
-            k_tx=float(rng.uniform(0, 0.15)),
-            k_rx=float(rng.uniform(0, 0.15)),
-        )
-        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
-        tau = float(rng.uniform(0.1, 0.95))
-        k = solve_k(tau, solver)
-        h = 1e-5
-        fd = (solve_k(tau + h, solver) - solve_k(tau - h, solver)) / (2 * h)
-        an = dk_dtau(k, tau, solver)
-        assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd))
+    no_leak = 0
+    h = 1e-5
+    for cfg, co, eps, tau in _slope_batches(rng):
+        an = _assert_batch_is_per_state(dk_dtau, tau, co, cfg.n_ec, eps)
+        k_of = lambda t: solve_k_batch(t, co.a, co.b, co.c, cfg.n_ec, eps)
+        fd = (k_of(tau + h) - k_of(tau - h)) / (2 * h)
+        assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
+        if cfg.N_C == 0:  # no leakage, a = 0: k(tau) = 0 and so is its slope
+            assert np.all(an == 0.0)
+            no_leak += 1
+    assert no_leak > 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +311,12 @@ def test_rs_hand_values():
 
 
 def test_drs_matches_finite_differences(rng):
-    for _ in range(20):
-        cfg = workable_cfg(epsilon=0.05, N_C=int(rng.integers(2, 19)))
-        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        solver = KTauSolver(co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
-        tau = float(rng.uniform(0.1, 0.9))
-        h = 1e-5
-        fd = (
-            rs_of_tau(tau + h, solve_k(tau + h, solver), co)
-            - rs_of_tau(tau - h, solve_k(tau - h, solver), co)
-        ) / (2 * h)
-        assert abs(drs_dtau(tau, co, solver) - fd) <= 1e-4 * max(1.0, abs(fd))
+    h = 1e-5
+    for cfg, co, eps, tau in _slope_batches(rng):
+        an = _assert_batch_is_per_state(drs_dtau, tau, co, cfg.n_ec, eps)
+        rate_of = lambda t: rs_of_tau(t, solve_k_batch(t, co.a, co.b, co.c, cfg.n_ec, eps), co)
+        fd = (rate_of(tau + h) - rate_of(tau - h)) / (2 * h)
+        assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
 
 def _assert_state(batch: ThroughputResult, i: int, one: ThroughputResult):
@@ -368,7 +373,7 @@ def test_optimizer_without_common_paths():
         batch = optimize_tau_throughput_batch(
             make_coeffs(cfg, np.zeros(3), np.array([4.0, 9.0, 25.0])), cfg.n_ec, cfg.epsilon
         )
-        assert dk_dtau(0.0, 0.5, _solver(cfg, co)) == 0.0
+        assert dk_dtau(0.5, co, cfg.n_ec, cfg.epsilon) == 0.0
     _assert_state(batch, 0, single)
     assert batch.transmit.all()
     assert np.all(batch.tau_star == 1.0) and np.all(batch.k_star == 0.0)
