@@ -634,10 +634,9 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
 
     # scaled exponential integral exp(z)*E1(z) against scipy, on the
     # continued-fraction branch (z > 5), where the library does not call scipy
-    worst_e1 = 0.0
-    for z in np.geomspace(5.01, 600.0, 200):
-        ref = sp.exp1(z) * math.exp(z)
-        worst_e1 = max(worst_e1, abs(throughput._e1_scaled(float(z)) - ref) / ref)
+    zs = np.geomspace(5.01, 600.0, 200)
+    ref = sp.exp1(zs) * np.exp(zs)
+    worst_e1 = float(np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref))
     record("e1_scaled", worst_e1 <= 1e-12, f"worst relative error = {worst_e1:.2e}")
 
     return results
@@ -730,16 +729,11 @@ def _sweep_specs(args) -> list[SweepSpec]:
     return [_with_budgets(spec, args.trials, args.uv_samples, args.seed)]
 
 
-def cmd_sweep(args, specs: list[SweepSpec]) -> int:
+def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
     rows: list[dict] = []
     for spec in specs:
         rows.extend(run_sweep(spec, workers=args.workers))
-    text = render_csv(specs, rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out.write(render_csv(specs, rows))
 
     failures = check_rows(rows)
     for failure in failures:
@@ -766,7 +760,14 @@ def main(argv=None) -> int:
         args.parser.error(str(exc))
     except OSError as exc:  # an unreadable --spec or --config file is bad input too
         args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
-    return cmd_sweep(args, specs)
+    if args.out is None:
+        return cmd_sweep(args, specs, sys.stdout)
+    try:  # so is an --out path that cannot be written, found before the sweep runs
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        args.parser.error(f"cannot write {exc.filename}: {exc.strerror}")
+    with out:
+        return cmd_sweep(args, specs, out)
 
 
 if __name__ == "__main__":

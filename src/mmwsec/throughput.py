@@ -9,7 +9,10 @@ works on arrays of channel states: one scan grid for all of them, then
 one batched false-position search for every stationary point.  The module
 also carries the full-power (MRT) closed forms: the per-state rate, its
 transmission threshold, and the expected throughput as an
-exponential-integral sum.
+exponential-integral sum over the common gain, with a direct 2-D
+quadrature of the rate as its check.  Both integrate with one adaptive
+21-point Gauss-Kronrod rule that works on batches of integrals and
+evaluates each integrand on whole arrays of nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig
@@ -31,35 +34,125 @@ from .sndr import sndr_destination
 LN2 = math.log(2.0)
 
 # z above which exp(z)*E1(z) comes from the continued fraction instead of
-# scipy's exp1: there the fraction settles in few steps, while exp1(z)
-# underflows and exp(z) overflows for large z.
+# scipy's exp1: exp1(z) underflows and exp(z) overflows for large z, and
+# from z = 5 up, 30 terms of the fraction, evaluated backward, stay within
+# 2.4e-16 relative of 40-digit mpmath (3,000 points on [5, 1e7])
 _E1_CF_CUTOFF = 5.0
+_E1_CF_TERMS = 30
 
 
 # ---------------------------------------------------------------------------
 # scaled exponential integral exp(z) * E1(z)
 # ---------------------------------------------------------------------------
 
-def _e1_scaled(z: float) -> float:
-    """exp(z) * E1(z) for z > 0, stable for arbitrarily large z."""
-    if z <= _E1_CF_CUTOFF:
-        return float(special.exp1(z)) * math.exp(z)
-    # modified Lentz on the standard continued fraction
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 400):
-        an = -float(i * i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise ConvergenceError(f"continued fraction for E1({z}) did not settle")
+def _e1_scaled(z):
+    """exp(z) * E1(z) elementwise for z > 0, stable for arbitrarily large z.
+
+    Up to z = 5 it is scipy's exp1 times exp; above, the continued fraction
+    1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))) cut at a fixed depth.
+    Both branches are evaluated on z clipped to their side of the cutoff.
+    """
+    z = np.asarray(z, float)
+    small = np.minimum(z, _E1_CF_CUTOFF)
+    large = np.maximum(z, _E1_CF_CUTOFF)
+    t = large + (2 * _E1_CF_TERMS + 1.0)
+    for i in range(_E1_CF_TERMS, 0, -1):
+        t = large + (2 * i - 1.0) - (i * i) / t
+    return np.where(z <= _E1_CF_CUTOFF, special.exp1(small) * np.exp(small), 1.0 / t)
+
+
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature over batches of integrals
+# ---------------------------------------------------------------------------
+
+# QUADPACK's 21-point Kronrod nodes on [0, 1) (Piessens et al., QUADPACK,
+# 1983), largest first, with their weights; the embedded 10-point Gauss
+# rule uses every other node from the largest
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208122301273, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the 21 nodes on [-1, 1], the Kronrod weights, and the Kronrod minus the
+# Gauss weights, whose sum against f is K21 - G10
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAP = _GK_WEIGHTS.copy()
+_GK_GAP[1:10:2] -= _WG
+_GK_GAP[19:10:-2] -= _WG
+# bisection rounds, and panels of one integral, after which _gk21 gives up
+_GK_MAX_ROUNDS = 50
+_GK_MAX_PANELS = 500
+
+
+def _gk21(f, a, b, epsabs: float, epsrel: float):
+    """Integrals of f from a to b, elementwise over broadcastable a/b arrays.
+
+    An adaptive 21-point Gauss-Kronrod rule.  Each round evaluates the new
+    panels of every open integral in one call ``f(x, owner)``: x is
+    (panels x 21), and owner gives each panel's integral as an index into
+    the flattened batch.  A panel's error estimate is |K21 - G10|, the gap
+    between its Kronrod sum and the embedded 10-point Gauss sum.  An
+    integral closes when its summed estimate is at most
+    max(epsabs, epsrel*|value|); until then, each of its panels whose
+    estimate exceeds its share of that bound (the share in proportion to
+    the panel's width) is bisected.  An integral depends only on its own
+    panels, never on the rest of the batch.  Raises ConvergenceError after
+    50 rounds or past 500 panels for one integral.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    width = b - a
+    value = np.empty(a.size)
+    live = np.ones(a.size, bool)
+    # evaluated panels of the open integrals, and the panels still to evaluate
+    lo, hi, own, val, err = np.empty(0), np.empty(0), np.empty(0, int), np.empty(0), np.empty(0)
+    new_lo, new_hi, new_own = a, b, np.arange(a.size)
+    for _ in range(_GK_MAX_ROUNDS):
+        half = 0.5 * (new_hi - new_lo)
+        fx = f((new_lo + half)[:, None] + half[:, None] * _GK_NODES, new_own)
+        lo, hi, own = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi]), np.concatenate([own, new_own])
+        val = np.concatenate([val, (fx * _GK_WEIGHTS).sum(axis=1) * half])
+        err = np.concatenate([err, np.abs((fx * _GK_GAP).sum(axis=1)) * half])
+        total = np.bincount(own, val, a.size)
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        # written so that a NaN estimate keeps its integral open
+        settled = live & (np.bincount(own, err, a.size) <= tol)
+        value[settled] = total[settled]
+        live &= ~settled
+        if not live.any():
+            return value.reshape(shape)
+        keep = live[own]
+        lo, hi, own, val, err = lo[keep], hi[keep], own[keep], val[keep], err[keep]
+        split = ~(err <= tol[own] * (hi - lo) / width[own])
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_own = np.concatenate([own[split], own[split]])
+        lo, hi, own, val, err = lo[~split], hi[~split], own[~split], val[~split], err[~split]
+        if np.bincount(np.concatenate([own, new_own])).max() > _GK_MAX_PANELS:
+            break
+    raise ConvergenceError(
+        f"Gauss-Kronrod quadrature did not settle within {_GK_MAX_ROUNDS} rounds and "
+        f"{_GK_MAX_PANELS} panels per integral for {int(live.sum())} of {live.size} integrals"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +462,7 @@ def optimize_tau_throughput(coeffs: EffectiveCoeffs, solver: KTauSolver) -> Thro
 
 @dataclass(frozen=True)
 class _MrtScales:
-    """Draw-independent constants of the full-power rate of one configuration.
-
-    ``rate`` and ``threshold`` take the log2/sqrt to apply: numpy's for the
-    array callers, math's (the default) for the scalar quadrature
-    callbacks, so both evaluate the same expressions.
-    """
+    """Draw-independent constants of the full-power rate of one configuration."""
 
     a_bar: float
     c_bar: float
@@ -387,13 +475,13 @@ class _MrtScales:
     norm_c: float  # 1/Gamma(N_C), the common-gain pdf normalizer
     norm_dc: float  # 1/Gamma(N_D - N_C), the non-common-gain pdf normalizer
 
-    def rate(self, g_hat, g_check, log2=math.log2):
+    def rate(self, g_hat, g_check):
         g = g_hat + g_check
         num = (g_check + g_hat * self.c1) * ((self.e_bar + self.d_bar) * g + 1.0)
         den = (self.e_bar * g + 1.0) * (g_check + g_hat * self.c3)
-        return log2(num / den)
+        return np.log2(num / den)
 
-    def threshold(self, g_hat, sqrt=math.sqrt):
+    def threshold(self, g_hat):
         # beta^2 + g(1+u)*beta + g^2*u + g*v = 0 with u = C1 + ratio*ln(eps)
         # and v = (a_bar/d_bar)*ln(eps) <= 0; 1 - u = (c_bar - ratio)*ln(eps)
         # >= 0 is formed without the leading 1, and the discriminant
@@ -401,7 +489,7 @@ class _MrtScales:
         one_minus_u = (self.c_bar - self.ratio) * self.log_eps
         v = self.a_bar / self.d_bar * self.log_eps
         a1 = g_hat * (2.0 - one_minus_u)
-        return 0.5 * (-a1 + sqrt((g_hat * one_minus_u) ** 2 - 4.0 * v * g_hat))
+        return 0.5 * (-a1 + np.sqrt((g_hat * one_minus_u) ** 2 - 4.0 * v * g_hat))
 
 
 def _bar_scales(cfg: SystemConfig) -> _MrtScales:
@@ -431,7 +519,7 @@ def mrt_rate(g_hat, g_check, cfg: SystemConfig):
 
     Negative values mean the state is outside the transmission region.
     """
-    out = _bar_scales(cfg).rate(np.asarray(g_hat, float), np.asarray(g_check, float), np.log2)
+    out = _bar_scales(cfg).rate(np.asarray(g_hat, float), np.asarray(g_check, float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -448,7 +536,7 @@ def mrt_transmit_threshold(g_hat, cfg: SystemConfig):
     Root of the quadratic form of the full-power transmission inequality;
     may be negative (always transmit).  Vectorizes over g_hat.
     """
-    out = _bar_scales(cfg).threshold(np.asarray(g_hat, float), np.sqrt)
+    out = _bar_scales(cfg).threshold(np.asarray(g_hat, float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -458,8 +546,9 @@ def _laguerre_rule(order_m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.gamma(order_m + 1)
 
 
-def _log_moments(q: float, m_max: int) -> list[float]:
-    """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1), for every order m = 0..m_max.
+def _log_moments(q, m_max: int):
+    """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1), for every order m = 0..m_max,
+    elementwise over q; the orders lie on a new leading axis.
 
     With w = 1/q, order m is the sum over j = 0..m of
     (-w)^j/j! * e^w E1(w) + inner_j/j!, where
@@ -467,61 +556,60 @@ def _log_moments(q: float, m_max: int) -> list[float]:
     inner_j/j! = (-w * inner_{j-1}/(j-1)! + 1)/j; each order adds one
     term.  The two parts of a term cancel when w is large; where the
     largest part met so far exceeds the running sum by more digits than
-    the sum must keep, that order is taken from a generalized
-    Gauss-Laguerre rule instead.
+    the sum must keep, or the sum is not finite (w^j/j! overflowing), that
+    order is taken from a generalized Gauss-Laguerre rule instead.  q = 0
+    gives 0 at every order.
     """
-    if q < 0.0:
+    q = np.asarray(q, float)
+    if np.any(q < 0.0):
         raise ValueError("q must be non-negative")
-    if q == 0.0:
-        return [0.0] * (m_max + 1)
-    w = 1.0 / q
+    pos = q > 0.0
+    w = np.divide(1.0, q, out=np.ones(q.shape), where=pos)
     a_scaled = _e1_scaled(w)
-    out = []
-    total = 0.0
-    peak = 0.0
-    pow_w = 1.0  # (-w)^j / j!
-    inner = 0.0  # inner_j / j!
-    for j in range(m_max + 1):
-        if j > 0:
-            pow_w *= -w / j
-            inner = (1.0 - w * inner) / j
-        head = pow_w * a_scaled
-        total += head + inner
-        peak = max(peak, abs(head), abs(inner))
-        # written so that a NaN sum (w^j/j! overflowing) also falls back
-        if not peak * 5e-16 <= 1e-10 * max(abs(total), 1e-12):
-            nodes, weights = _laguerre_rule(j)
-            out.append(float(np.sum(weights * np.log2(1.0 + q * nodes))))
-        else:
-            out.append(total / LN2)
+    out = np.empty((m_max + 1,) + q.shape)
+    total = np.zeros(q.shape)
+    peak = np.zeros(q.shape)
+    pow_w = np.ones(q.shape)  # (-w)^j / j!
+    inner = np.zeros(q.shape)  # inner_j / j!
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m_max + 1):
+            if j > 0:
+                pow_w *= -w / j
+                inner = (1.0 - w * inner) / j
+            head = pow_w * a_scaled
+            total += head + inner
+            peak = np.maximum(peak, np.maximum(np.abs(head), np.abs(inner)))
+            kept = np.isfinite(total) & (peak * 5e-16 <= 1e-10 * np.maximum(np.abs(total), 1e-12))
+            out[j] = np.where(pos, total / LN2, 0.0)
+            fallback = pos & ~kept
+            if fallback.any():
+                nodes, weights = _laguerre_rule(j)
+                out[j, ...][fallback] = np.sum(weights * np.log2(1.0 + q[fallback][:, None] * nodes), axis=1)
     return out
 
 
 def log_moment(q: float, m: int) -> float:
     """E[log2(1 + q*X)] for X ~ Gamma(m+1, 1); order m of ``_log_moments``."""
-    return _log_moments(q, m)[m]
+    return float(_log_moments(q, m)[m])
 
 
-def _gamma_pdf(x: float, shape: int, norm: float) -> float:
-    return math.exp(-x) * x ** (shape - 1) * norm
+def _gamma_pdf(x, shape: int, norm: float):
+    return np.exp(-x) * x ** (shape - 1) * norm
 
 
-def _mrt_kernel(y: float, s: _MrtScales, n_c: int, n_dc: int) -> float:
-    """Inner closed form of the expected MRT throughput at common gain y."""
-    beta = max(0.0, s.threshold(y))
+def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
+    """Inner closed form of the expected MRT throughput, elementwise over
+    the common gains y."""
+    beta = np.maximum(0.0, s.threshold(y))
     g = beta + y
     de = s.e_bar + s.d_bar
-    q1 = 1.0 / (beta + y * s.c1)
-    q2 = de / (de * g + 1.0)
-    q3 = 1.0 / (beta + y * s.c3)
-    q4 = s.e_bar / (s.e_bar * g + 1.0)
-    q5 = s.rate(y, beta)
-    moments = zip(*(_log_moments(q, n_dc - 1) for q in (q1, q2, q3, q4)))
-    total = 0.0
-    for m, (l1, l2, l3, l4) in enumerate(moments):
-        k = n_dc - 1 - m
-        total += beta**k / math.factorial(k) * (l1 + l2 - l3 - l4 + q5)
-    return math.exp(-beta) * _gamma_pdf(y, n_c, s.norm_c) * total
+    qs = np.stack([1.0 / (beta + y * s.c1), de / (de * g + 1.0),
+                   1.0 / (beta + y * s.c3), s.e_bar / (s.e_bar * g + 1.0)])
+    l1, l2, l3, l4 = np.moveaxis(_log_moments(qs, n_dc - 1), 1, 0)
+    # order m carries beta^k/k! with k = n_dc - 1 - m
+    k = np.arange(n_dc - 1, -1, -1).reshape((-1,) + (1,) * beta.ndim)
+    total = np.sum(beta**k / special.factorial(k) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
+    return np.exp(-beta) * _gamma_pdf(y, n_c, s.norm_c) * total
 
 
 def _gamma_cap(shape: int, tail: float = 1e-10) -> float:
@@ -532,39 +620,34 @@ def mrt_throughput_closed_form(cfg: SystemConfig) -> float:
     """Expected MRT secrecy throughput via the exponential-integral sum."""
     if cfg.N_C < 1 or cfg.n_dc < 1:
         raise ValueError("closed form needs N_C >= 1 and N_D - N_C >= 1")
-    value, _ = integrate.quad(
-        _mrt_kernel, 0.0, _gamma_cap(cfg.N_C), args=(_bar_scales(cfg), cfg.N_C, cfg.n_dc),
-        limit=300, epsabs=1e-12, epsrel=1e-9,
-    )
-    return value
+    s, n_c, n_dc = _bar_scales(cfg), cfg.N_C, cfg.n_dc
+    return float(_gk21(lambda y, _: _mrt_kernel(y, s, n_c, n_dc), 0.0, _gamma_cap(n_c), 1e-12, 1e-9))
 
 
 def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
     """Reference: direct 2-D quadrature of the rate against both gain laws.
 
     It integrates the rate itself above the transmission threshold and
-    uses neither the exponential integral nor the log moments.
+    uses neither the exponential integral nor the log moments.  The inner
+    integrals over the non-common gain, one per outer node, are solved
+    together.
     """
     if cfg.N_C < 1 or cfg.n_dc < 1:
         raise ValueError("2-D quadrature needs N_C >= 1 and N_D - N_C >= 1")
     s = _bar_scales(cfg)
     n_c, n_dc = cfg.N_C, cfg.n_dc
-    y_cap = _gamma_cap(n_c)
     x_cap = _gamma_cap(n_dc)
 
-    def inner(x: float, y: float) -> float:
-        return _gamma_pdf(x, n_dc, s.norm_dc) * s.rate(y, x)
-
-    def outer(y: float) -> float:
-        beta = max(0.0, s.threshold(y))
-        val, _ = integrate.quad(
-            inner, beta, max(x_cap, beta * 4.0 + 40.0), args=(y,),
-            limit=300, epsabs=1e-12, epsrel=1e-9,
+    def outer(y, _):
+        g_hat = y.ravel()
+        beta = np.maximum(0.0, s.threshold(g_hat))
+        inner = _gk21(
+            lambda x, node: _gamma_pdf(x, n_dc, s.norm_dc) * s.rate(g_hat[node, None], x),
+            beta, np.maximum(x_cap, beta * 4.0 + 40.0), 1e-12, 1e-9,
         )
-        return _gamma_pdf(y, n_c, s.norm_c) * val
+        return _gamma_pdf(y, n_c, s.norm_c) * inner.reshape(y.shape)
 
-    value, _ = integrate.quad(outer, 0.0, y_cap, limit=300, epsabs=1e-12, epsrel=1e-8)
-    return value
+    return float(_gk21(outer, 0.0, _gamma_cap(n_c), 1e-12, 1e-8))
 
 
 def _mrt_throughput_no_common(cfg: SystemConfig) -> float:
@@ -573,14 +656,10 @@ def _mrt_throughput_no_common(cfg: SystemConfig) -> float:
     That is the full-power rate at G_hat = 0, integrated against the
     gain law of all N_D paths (here N_D - N_C = N_D).
     """
-    s = _bar_scales(cfg)
-    n_d = cfg.N_D
-
-    def f(g: float) -> float:
-        return _gamma_pdf(g, n_d, s.norm_dc) * s.rate(0.0, g)
-
-    value, _ = integrate.quad(f, 0.0, _gamma_cap(n_d), limit=200, epsabs=1e-12, epsrel=1e-9)
-    return value
+    s, n_d = _bar_scales(cfg), cfg.N_D
+    return float(_gk21(
+        lambda g, _: _gamma_pdf(g, n_d, s.norm_dc) * s.rate(0.0, g), 0.0, _gamma_cap(n_d), 1e-12, 1e-9
+    ))
 
 
 # relative gap allowed between the closed form and the 2-D quadrature

@@ -2,13 +2,11 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from mmwsec import cli, throughput
 from mmwsec.channel import sample_gain_scalars
@@ -85,9 +83,9 @@ def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
         "mode=throughput_mrt\nswept_key=P_dBm\nvalues=50,60\ntrials=20\nseed=5\n"
         "N_C=8\nk_tx=0.1\nk_rx=0.1\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        rc = cli.main(["sweep", "--spec", str(spec_path)])
+    # a quadrature that does not settle raises ConvergenceError, which
+    # fails the test by itself
+    rc = cli.main(["sweep", "--spec", str(spec_path)])
     out, _ = capsys.readouterr()
     assert rc == 0
     rows = [line.split(",") for line in out.splitlines() if line.startswith("custom,")]
@@ -293,6 +291,19 @@ def test_sweep_rejects_unreadable_input_files(tmp_path, capsys):
     missing = str(tmp_path / "missing.cfg")
     assert missing in _usage_error(["sweep", "--preset", "fig3", "--config", missing], capsys)
     assert str(tmp_path) in _usage_error(["sweep", "--spec", str(tmp_path)], capsys)  # a directory
+
+
+def test_sweep_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
+    # an --out path in a missing directory is bad input, found before the
+    # sweep is run: one usage error that names the path, exit 2
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = str(tmp_path / "missing" / "x.csv")
+    line = _usage_error(["sweep", "--preset", "fig7", "--trials", "5", "--out", out], capsys)
+    assert line.startswith(f"mmwsec sweep: error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_preset_specs_exist():

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import throughput
@@ -45,13 +49,17 @@ from mmwsec.throughput import (
 def test_e1_scaled_against_mpmath():
     # both branches: scipy's exp1 up to z = 5, the continued fraction above;
     # z = 1e-12 is deep in the -gamma - ln(z) limit, z = 700 is where
-    # exp(-z) nears the double underflow
-    zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [5.0, 700.0]])
+    # exp(-z) nears the double underflow.  One array call over the grid,
+    # equal bit for bit to the calls on each 0-d element.
+    zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [5.0, np.nextafter(5.0, 6.0), 700.0]])
+    got = throughput._e1_scaled(zs)
+    assert got.shape == zs.shape
     with mpmath.workdps(40):
-        for z in zs:
+        for z, value in zip(zs, got):
             zm = mpmath.mpf(float(z))
             ref = float(mpmath.e1(zm) * mpmath.exp(zm))
-            assert abs(throughput._e1_scaled(float(z)) - ref) <= 1e-12 * ref, z
+            assert abs(value - ref) <= 1e-12 * ref, z
+            assert throughput._e1_scaled(np.asarray(z)) == value, z
 
 
 # Ei(x) = -E1(-x) for x < 0, through the scaled form the library evaluates,
@@ -500,14 +508,91 @@ def test_log_moment_against_mpmath():
     # one q per decade, across both sides of the Gauss-Laguerre switch: at
     # q = 1e-7 every order m >= 1 cancels past the guard, at q = 1e6 none
     # does.  A guard that only saw the terms after they cancelled gave
-    # -5.9e31 at (q, m) = (1e-6, 10) and 4.7e4 at (1e-3, 10).
+    # -5.9e31 at (q, m) = (1e-6, 10) and 4.7e4 at (1e-3, 10).  One array
+    # call over the grid, orders on the leading axis, equal bit for bit to
+    # the calls on each 0-d element.
     top = 19
-    for q in np.geomspace(1e-7, 1e6, 14).tolist():
-        moments = throughput._log_moments(q, top)
+    qs = np.geomspace(1e-7, 1e6, 14)
+    moments = throughput._log_moments(qs, top)
+    assert moments.shape == (top + 1, qs.size)
+    for i, q in enumerate(qs.tolist()):
+        assert np.array_equal(throughput._log_moments(np.asarray(q), top), moments[:, i]), q
         for m in range(top + 1):
             ref = log_moment_oracle(q, m)
-            assert abs(moments[m] - ref) <= 1e-9 * abs(ref), (q, m, moments[m], ref)
-            assert log_moment(q, m) == moments[m]
+            assert abs(moments[m, i] - ref) <= 1e-9 * abs(ref), (q, m, moments[m, i], ref)
+            assert log_moment(q, m) == moments[m, i]
+
+
+def test_log_moments_of_zero_q_are_zero():
+    # q = 0 (no impairment gives e_bar = 0) is 0 at every order, with no
+    # division by zero, next to q > 0 in the same call
+    qs = np.array([[0.0, 1e-7], [0.3, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = throughput._log_moments(qs, 6)
+    assert moments.shape == (7, 2, 2)
+    assert np.all(moments[:, qs == 0.0] == 0.0)
+    assert np.all(moments[:, qs > 0.0] > 0.0)
+    with pytest.raises(ValueError):
+        throughput._log_moments(np.array([0.5, -1e-3]), 2)
+
+
+# ---------------------------------------------------------------------------
+# batched adaptive Gauss-Kronrod rule
+# ---------------------------------------------------------------------------
+
+def _gamma_mass(shapes):
+    """Integrand of the Gamma(shape_i, 1) pdf, integral i taking shape i."""
+    log_norm = special.gammaln(shapes)
+    return lambda x, owner: np.exp((shapes[owner, None] - 1.0) * np.log(x) - x - log_norm[owner, None])
+
+
+def test_gk21_gamma_mass_matches_gammainc(rng):
+    # per-element limits and shapes, some intervals wide enough to hold
+    # the whole mode and some far out in the tail
+    shapes = rng.integers(1, 40, 60).astype(float)
+    lo = rng.uniform(0.0, 60.0, 60)
+    hi = lo + rng.uniform(0.0, 80.0, 60)
+    got = throughput._gk21(_gamma_mass(shapes), lo, hi, 1e-14, 1e-12)
+    ref = special.gammainc(shapes, hi) - special.gammainc(shapes, lo)
+    assert got.shape == lo.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_gk21_batch_equals_each_integral_alone(rng):
+    # a (3 x 4) batch with broadcast limits against 12 one-integral calls,
+    # each within its own tolerance
+    shapes = rng.integers(1, 20, 12).astype(float)
+    lo = rng.uniform(0.0, 10.0, (3, 1))
+    hi = lo + rng.uniform(0.5, 60.0, (1, 4))
+    epsabs, epsrel = 1e-12, 1e-9
+    batch = throughput._gk21(_gamma_mass(shapes), lo, hi, epsabs, epsrel)
+    assert batch.shape == (3, 4)
+    for i, (a, b) in enumerate(zip(np.broadcast_to(lo, (3, 4)).ravel(), np.broadcast_to(hi, (3, 4)).ravel())):
+        alone = throughput._gk21(_gamma_mass(shapes[i : i + 1]), a, b, epsabs, epsrel)
+        assert alone.shape == ()
+        assert abs(batch.flat[i] - alone) <= max(epsabs, epsrel * abs(alone))
+
+
+def test_gk21_raises_when_an_integral_cannot_settle():
+    # 1/x on [0, 1] diverges: the panel at 0 never meets its share.  The
+    # rule raises, it does not warn and return, and a settled neighbour in
+    # the batch does not hide it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            throughput._gk21(lambda x, _: 1.0 / x, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-12, 1e-9)
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # the library's quadratures are its own, so importing it stays light
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, mmwsec; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mrt_throughput_dual_quadrature():
@@ -520,18 +605,18 @@ def test_mrt_throughput_dual_quadrature():
 
 
 def test_mrt_closed_form_matches_quad2d_across_configs(rng):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for _ in range(20):
-            cfg = SystemConfig(
-                M=100, N_D=20, N_C=int(rng.integers(1, 20)), P_dBm=float(rng.uniform(40, 70)),
-                epsilon=float(rng.uniform(0.005, 0.2)), k_tx=float(rng.uniform(0, 0.15)),
-                k_rx=float(rng.uniform(0, 0.15)),
-            )
-            closed = mrt_throughput_closed_form(cfg)
-            direct = mrt_throughput_quad2d(cfg)
-            gap = abs(closed - direct) / max(abs(closed), abs(direct), 1e-9)
-            assert gap <= 1e-6, (cfg, closed, direct)
+    # a quadrature that does not settle raises ConvergenceError, which
+    # fails the test by itself
+    for _ in range(20):
+        cfg = SystemConfig(
+            M=100, N_D=20, N_C=int(rng.integers(1, 20)), P_dBm=float(rng.uniform(40, 70)),
+            epsilon=float(rng.uniform(0.005, 0.2)), k_tx=float(rng.uniform(0, 0.15)),
+            k_rx=float(rng.uniform(0, 0.15)),
+        )
+        closed = mrt_throughput_closed_form(cfg)
+        direct = mrt_throughput_quad2d(cfg)
+        gap = abs(closed - direct) / max(abs(closed), abs(direct), 1e-9)
+        assert gap <= 1e-6, (cfg, closed, direct)
 
 
 def test_mrt_throughput_unconstrained_reduction():
