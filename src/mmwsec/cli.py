@@ -122,12 +122,12 @@ def _fmt(x) -> str:
 # its channel gains come first, then one u/v block per state that carries a
 # Monte-Carlo event, so the j-th such state of every cell meets the j-th
 # block.  Cells that share a draw key therefore share one gain draw and one
-# walk of the u/v stream.  ``_sop_cells`` (all SOP cells of a group, as
-# one stacked batch) and ``_throughput_cell`` turn the shared gains into
-# each cell's per-state columns (alpha, beta, thr) of its event, y_E above
-# a per-state threshold, plus a ``finish`` that builds the row from the
-# walk's per-state hit rates, their summed binomial variance and the
-# draws' seed.
+# walk of the u/v stream.  ``_sop_cells`` and ``_throughput_cells`` take
+# all SOP or all throughput cells of a group as one stacked batch and turn
+# the shared gains into each cell's per-state columns (alpha, beta, thr)
+# of its event, y_E above a per-state threshold, plus a ``finish`` that
+# builds the row from the walk's per-state hit rates, their summed
+# binomial variance and the draws' seed.
 # The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
 # y_E > thr is the linear event alpha*u - beta*v > thr with
 # alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b.
@@ -207,29 +207,34 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
     return [(cols[:, lo:hi], partial(finish, lo, hi)) for lo, hi in pairwise(bounds)]
 
 
-def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check: np.ndarray):
-    """Average secrecy throughput of the opa or equal-power split over the
-    shared gains, paired with the realized outage at the designed rate."""
-    trials = len(g_hat)
-    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
-    if scheme == "opa":
-        res = throughput.optimize_tau_throughput_batch(coeffs, cfg.n_ec, cfg.epsilon)
-        tau_eval, k_eval, rates, transmit = res.tau_star, res.k_star, res.R_s_star, res.transmit
-        tags = _tallies(res.case_tag, throughput.ThroughputCase)
-    else:  # equal power
-        tau_eval = np.full(trials, 0.5)
-        k_eval = throughput.solve_k_batch(tau_eval, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
-        rates = throughput.rs_of_tau(tau_eval, k_eval, coeffs)
-        transmit = rates >= 0.0
-        rates = np.maximum(rates, 0.0)
-        tags = "fixed_tau"
-    checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k_eval > 0.0))
+def _throughput_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check: np.ndarray):
+    """Per (scheme, config) cell of one draw group: the average secrecy
+    throughput of the opa or equal-power split over the shared gains, paired
+    with the realized outage at the designed rate, as one (event columns,
+    finish) pair.  The cells form one stacked batch with a per-state epsilon
+    (one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
+    n = len(g_hat)
+    n_ec = cells[0][1].n_ec
+    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
+    eps = np.repeat([cfg.epsilon for _, cfg in cells], n)
+    opa = np.repeat([scheme == "opa" for scheme, _ in cells], n)
+    res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec, eps[opa])
+    tau, k, case = np.full(opa.size, 0.5), np.empty(opa.size), np.empty(opa.size, object)
+    tau[opa], k[opa], case[opa] = res.tau_star, res.k_star, res.case_tag
+    k[~opa] = throughput.solve_k_batch(0.5, coeffs.a[~opa], coeffs.b[~opa], coeffs.c[~opa], n_ec, eps[~opa])
+    rates = throughput.rs_of_tau(tau, k, coeffs)  # the equal-power rates; opa states take the optimizer's
+    transmit, rates = rates >= 0.0, np.maximum(rates, 0.0)
+    rates[opa], transmit[opa] = res.R_s_star, res.transmit
+    checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k > 0.0))
     # rate outage: y_E above the designed margin tau * k
-    tau = tau_eval[checked]
-    cols = _event_columns(tau, coeffs.a[checked], coeffs.b, coeffs.c[checked], tau * k_eval[checked])
+    cols = _event_columns(*(x[checked] for x in (tau, coeffs.a, coeffs.b, coeffs.c, tau * k)))
+    bounds = np.searchsorted(checked, n * np.arange(len(cells) + 1))
 
-    def finish(outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
-        est = montecarlo.sample_mean(rates, seed)
+    def finish(i: int, outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
+        scheme, cfg = cells[i]
+        rows = slice(i * n, (i + 1) * n)
+        sent = transmit[rows]
+        est = montecarlo.sample_mean(rates[rows], seed)
         if len(outage_hats):
             mc_value = float(np.mean(outage_hats))
             se_pair = math.sqrt(pair_var) / len(outage_hats)
@@ -243,12 +248,12 @@ def _throughput_cell(cfg: SystemConfig, scheme: str, g_hat: np.ndarray, g_check:
             mc_target=target,
             mc_stderr=est.std_error,
             tol=tol,
-            tau_star_mean=float(np.mean(tau_eval[transmit])) if transmit.any() else math.nan,
-            accept_rate=int(transmit.sum()) / trials,
-            tags=tags,
+            tau_star_mean=float(np.mean(tau[rows][sent])) if sent.any() else math.nan,
+            accept_rate=int(sent.sum()) / n,
+            tags=_tallies(case[rows], throughput.ThroughputCase) if scheme == "opa" else "fixed_tau",
         )
 
-    return cols, finish
+    return [(cols[:, lo:hi], partial(finish, i)) for i, (lo, hi) in enumerate(pairwise(bounds))]
 
 
 def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
@@ -325,7 +330,7 @@ def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> l
         policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
         made = _sop_cells(cells, g_hat, g_check, policy)
     else:
-        made = [_throughput_cell(cfg, scheme, g_hat, g_check) for scheme, cfg in cells]
+        made = _throughput_cells(cells, g_hat, g_check)
     walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made])
     return [finish(*w, spec.seed) for (_, finish), w in zip(made, walked)]
 
@@ -595,8 +600,8 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
     worst_rel = max(0.0, float(np.max((best - res.objective_value) / np.maximum(best, 1e-12))))
     record("opa_sop_vs_grid", worst_rel <= 1e-6, f"worst relative shortfall = {worst_rel:.2e}")
 
-    # throughput optimizer vs dense grid
-    worst_bits = 0.0
+    # throughput optimizer vs dense grid, in one batch (per-state b, N_EC, epsilon)
+    drawn = []
     for _ in range(30):
         cfg_i = SystemConfig(
             M=100, N_D=20, N_C=int(rng.integers(2, 19)), P_dBm=float(rng.uniform(45, 70)),
@@ -604,14 +609,15 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             k_rx=float(rng.uniform(0, 0.15)),
         )
         g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        coeffs_i = coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))
-        res = throughput.optimize_tau_throughput_batch(coeffs_i, cfg_i.n_ec, cfg_i.epsilon)
-        taus = np.linspace(1.0 / 2000, 1.0, 2000)
-        ks = throughput.solve_k_batch(taus, coeffs_i.a, coeffs_i.b, coeffs_i.c, cfg_i.n_ec, cfg_i.epsilon)
-        rates = np.log2((taus * (coeffs_i.d + coeffs_i.e) + 1.0)
-                        / ((taus * coeffs_i.e + 1.0) * (1.0 + taus * ks)))
-        best = float(np.max(rates))
-        worst_bits = max(worst_bits, best - res.R_s_star[0])  # R_s_star is 0 where it cannot transmit
+        drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
+    states = stack_coeffs([co for _, co in drawn])
+    n_ec, eps = (np.array([getattr(cfg_i, key) for cfg_i, _ in drawn]) for key in ("n_ec", "epsilon"))
+    res = throughput.optimize_tau_throughput_batch(states, n_ec, eps)
+    taus = np.linspace(1.0 / 2000, 1.0, 2000)  # a row per state
+    a, b, c, d, e, n_ec, eps = (x[:, None] for x in (states.a, states.b, states.c, states.d, states.e, n_ec, eps))
+    ks = throughput.solve_k_batch(taus, a, b, c, n_ec, eps)
+    best = np.max(np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks))), axis=1)
+    worst_bits = max(0.0, float(np.max(best - res.R_s_star)))  # R_s_star is 0 where it cannot transmit
     record("throughput_opt_vs_grid", worst_bits <= 1e-5, f"worst shortfall = {worst_bits:.2e} bits")
 
     # MRT throughput: exponential-integral sum vs 2-D quadrature

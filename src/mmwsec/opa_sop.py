@@ -310,8 +310,6 @@ def _minimize_leaking(target, coeffs, n_ec, t_min):
     lower = np.flatnonzero(rising[:, 0])
     cand_state = np.concatenate([owner, rows, lower])
     cand_tau = np.concatenate([roots, np.ones(t_min.size), grid[lower, 0]])
-    # a shared n_ec stays a scalar: x ** -1 is then a reciprocal, while an
-    # array exponent goes through numpy's power, which can round differently
     cand_value = sop_conditional(
         cand_tau, target.take(cand_state), coeffs.take(cand_state), per_state(n_ec, cand_state)
     )

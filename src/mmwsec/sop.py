@@ -35,6 +35,23 @@ def per_state(x, index):
     return x if np.ndim(x) == 0 else np.asarray(x)[index]
 
 
+def per_value(f, x, *args):
+    """``f(v, *args)`` for each distinct value v of ``x``, as a Python scalar,
+    on the entries of ``args`` (broadcast with x) where x is v.  numpy can
+    round an array log or power differently in the last bit from a scalar
+    one (x ** -1 is a reciprocal only for a scalar exponent), and a state
+    must get the bits it gets alone."""
+    if np.ndim(x) == 0:
+        return f(x, *args)
+    x, *args = np.broadcast_arrays(x, *args)
+    values, inverse = np.unique(x, return_inverse=True)
+    out = np.empty(x.shape)
+    for i, v in enumerate(values.tolist()):
+        at = inverse.reshape(x.shape) == i
+        out[at] = f(v, *(a[at] for a in args))
+    return out
+
+
 @dataclass(frozen=True)
 class SecrecyTarget:
     """Target secrecy rate (a float, or an array with one rate per state for
@@ -53,12 +70,7 @@ class SecrecyTarget:
 
     @cached_property
     def T(self) -> float:
-        if np.ndim(self.R_s) == 0:
-            return 2.0**self.R_s
-        # one scalar power per distinct rate: numpy's array power can round
-        # differently in the last bit, and a state must get the T it gets alone
-        rates, inverse = np.unique(self.R_s, return_inverse=True)
-        return np.array([2.0 ** float(r) for r in rates])[inverse]
+        return per_value(lambda r: 2.0**r, self.R_s)
 
     @cached_property
     def T_bar(self) -> float:
@@ -200,7 +212,7 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (tau * den_core)
-        value = np.exp(-ratio) * (1.0 + (1.0 - tau) * coeffs.b * ratio) ** (-n_ec)
+        value = np.exp(-ratio) * per_value(lambda n, x: x**-n, n_ec, 1.0 + (1.0 - tau) * coeffs.b * ratio)
     value = np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
     return value if value.ndim else float(value)
 

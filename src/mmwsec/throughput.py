@@ -30,6 +30,7 @@ from .config import EffectiveCoeffs, SystemConfig
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng, sample_mean
 from .sndr import sndr_destination
+from .sop import per_value
 
 LN2 = math.log(2.0)
 
@@ -219,8 +220,8 @@ def k_max_tau1(a: float, c: float, epsilon: float) -> float:
     return -a * log_eps / (1.0 - c * log_eps)
 
 
-def _solve_x(tau, b, n_ec: int, epsilon: float):
-    """x(tau) = k / (a - c*tau*k) elementwise over broadcastable tau/b arrays.
+def _solve_x(tau, b, n_ec, log_eps):
+    """x(tau) = k / (a - c*tau*k) elementwise over broadcastable tau, b, n_ec and ln(eps).
 
     In x, Q(k) = 0 becomes
 
@@ -229,14 +230,13 @@ def _solve_x(tau, b, n_ec: int, epsilon: float):
     free of a and c.  h is increasing and concave with h(0) = ln(eps) <= 0,
     so Newton started at x = 0 climbs to the root without overshooting.
     Each element stops on its own last step, so its value does not depend
-    on the rest of the batch.
+    on the rest of the batch; callers take ln(eps) with ``sop.per_value``.
     """
     tau = np.asarray(tau, float)
-    log_eps = math.log(epsilon)
     s = (1.0 - tau) * np.asarray(b, float)
     ns = n_ec * s
-    x = np.zeros(s.shape)
-    live = np.ones(s.shape, bool)
+    x = np.zeros(np.broadcast(s, n_ec, log_eps).shape)
+    live = np.ones(x.shape, bool)
     for _ in range(_NEWTON_MAX_ITERS):
         sx = s * x
         step = (x + n_ec * np.log1p(sx) + log_eps) / (1.0 + ns / (1.0 + sx))
@@ -254,14 +254,14 @@ def _k_of_x(x, tau, a, c):
     return x * a / (1.0 + c * tau * x)
 
 
-def solve_k_batch(tau, a, b, c, n_ec: int, epsilon: float):
-    """k(tau) elementwise over broadcastable tau/a/b/c arrays.
+def solve_k_batch(tau, a, b, c, n_ec, epsilon):
+    """k(tau) elementwise over broadcastable tau/a/b/c/n_ec/epsilon arrays.
 
-    x(tau) is solved over the broadcast of tau and b alone; then
-    k = x*a / (1 + c*tau*x), which keeps a - c*tau*k > 0 and reduces to
-    ``k_max_tau1`` at tau = 1.
+    x(tau) is solved over the broadcast of tau, b, n_ec and epsilon alone;
+    then k = x*a / (1 + c*tau*x), which keeps a - c*tau*k > 0 and reduces
+    to ``k_max_tau1`` at tau = 1.
     """
-    return _k_of_x(_solve_x(tau, b, n_ec, epsilon), tau, a, c)
+    return _k_of_x(_solve_x(tau, b, n_ec, per_value(math.log, epsilon)), tau, a, c)
 
 
 def solve_k(tau: float, solver: KTauSolver) -> float:
@@ -279,10 +279,10 @@ def _dk_dtau(x, tau, a, b, c, n_ec):
     return a * (dx - c * x * x) / (1.0 + c * tau * x) ** 2
 
 
-def dk_dtau(tau, coeffs: EffectiveCoeffs, n_ec: int, epsilon: float):
+def dk_dtau(tau, coeffs: EffectiveCoeffs, n_ec, epsilon):
     """Implicit-function derivative of k(tau), elementwise over tau and the
-    states; x(tau) is solved as the optimizer solves it."""
-    x = _solve_x(tau, coeffs.b, n_ec, epsilon)
+    states (n_ec and epsilon too); x(tau) is solved as the optimizer does."""
+    x = _solve_x(tau, coeffs.b, n_ec, per_value(math.log, epsilon))
     return _dk_dtau(x, tau, coeffs.a, coeffs.b, coeffs.c, n_ec)
 
 
@@ -307,10 +307,10 @@ def rs_of_tau(tau, k, coeffs: EffectiveCoeffs):
     return _rate(tau, k, coeffs.d, coeffs.e)
 
 
-def drs_dtau(tau, coeffs: EffectiveCoeffs, n_ec: int, epsilon: float):
+def drs_dtau(tau, coeffs: EffectiveCoeffs, n_ec, epsilon):
     """Derivative of the secrecy rate in tau, using the implicit dk/dtau,
-    elementwise over tau and the states."""
-    x = _solve_x(tau, coeffs.b, n_ec, epsilon)
+    elementwise over tau and the states (n_ec and epsilon too)."""
+    x = _solve_x(tau, coeffs.b, n_ec, per_value(math.log, epsilon))
     return _rate_slope(tau, x, coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, n_ec)
 
 
@@ -339,6 +339,8 @@ class ThroughputResult:
 # interior points.
 _SCAN_GRID = np.concatenate([np.geomspace(1e-6, 0.1, 33, endpoint=False), np.linspace(0.1, 1.0, 96)])
 _CONCAVITY_IDX = np.linspace(1, len(_SCAN_GRID) - 2, 64).astype(int)
+# states scanned together, which bounds the (states x 129) temporaries
+_SCAN_BLOCK_STATES = 256
 
 
 def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
@@ -373,63 +375,65 @@ def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
     )
 
 
-def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec: int, epsilon: float) -> ThroughputResult:
+def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> ThroughputResult:
     """Maximize the capped secrecy rate over the power split, per channel state.
 
-    ``coeffs`` carries one channel state per element of its a..e fields
-    (scalars broadcast).  Concavity of the rate in tau is classified
+    ``coeffs``, ``n_ec`` and ``epsilon`` carry one channel state per
+    element (scalars broadcast).  Concavity of the rate in tau is classified
     numerically: central differences of the analytic derivative at 64
-    interior points of a fixed 129-point scan grid on [1e-6, 1].  The
-    concave case follows the boundary-or-unique-root rule; otherwise all
-    stationary points found by a sign-change scan are compared against the
-    full-power boundary.  A channel state whose rate is negative even at
-    the optimum cannot transmit: it keeps its split and cap, with rate 0,
-    transmit False and the tag Silent.  The stationary points of all
-    states are solved together.  The tests and ``mmwsec validate`` check
-    the results against dense grids of splits.
+    interior points of a fixed 129-point scan grid on [1e-6, 1], scanned
+    in blocks of ``_SCAN_BLOCK_STATES`` states.  The concave case follows
+    the boundary-or-unique-root rule; otherwise all stationary points found
+    by a sign-change scan are compared against the full-power boundary.  A
+    channel state whose rate is negative even at the optimum cannot
+    transmit: it keeps its split and cap, with rate 0, transmit False and
+    the tag Silent.  The stationary points of all states are solved
+    together.  The tests and ``mmwsec validate`` check the results against
+    dense grids of splits.
 
     Returns a ThroughputResult of arrays over the states.
     """
-    a, b, c, d, e = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, float)) for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e))
-    )
-    states = np.arange(a.size)
-    grid = _SCAN_GRID
-    # b stays unbroadcast here: a b shared by all states (as derive_coeffs
-    # builds it) costs one Newton solve per grid point, not one per state
-    col = (a[:, None], np.asarray(coeffs.b, float)[..., None], c[:, None])
-    x_grid = _solve_x(grid, col[1], n_ec, epsilon)
-    rp = _rate_slope(grid, x_grid, *col, d[:, None], e[:, None], n_ec)
+    a, b, c, d, e, n_ec, epsilon = np.broadcast_arrays(*(
+        np.atleast_1d(np.asarray(x, float)) for x in (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, n_ec, epsilon)
+    ))
+    grid, idx = _SCAN_GRID, _CONCAVITY_IDX
+    # x(tau) on the scan grid depends on a state only through (b, n_ec, eps)
+    log_eps = per_value(math.log, epsilon)
+    keys, key_of = np.unique(np.column_stack([b, n_ec, log_eps]), axis=0, return_inverse=True)
+    x_keys = _solve_x(grid, *keys.T[:, :, None])
 
-    # concavity probe: derivative differences at evenly spread interior points
-    idx = _CONCAVITY_IDX
-    second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
-    concave = np.all(second <= 1e-8, axis=1)
-    rising = rp[:, -1] > 0.0  # the rate still climbs at full power
-
-    # stationary points: the first sign change of a concave state that does
-    # not rise at full power, every sign change of a non-concave one
-    sign = rp > 0.0
-    flips = sign[:, :-1] != sign[:, 1:]
-    first = flips & (np.cumsum(flips, axis=1) == 1)
-    brackets = np.where(concave[:, None], first & ~rising[:, None], flips)
-    owner, left = np.nonzero(brackets)
+    concave, rising, interior = np.empty((3, a.size), bool)
+    brackets = []
+    for start in range(0, max(a.size, 1), _SCAN_BLOCK_STATES):  # one pass for an empty batch
+        rows = slice(start, start + _SCAN_BLOCK_STATES)
+        rp = _rate_slope(grid, x_keys[key_of[rows]], *(x[rows, None] for x in (a, b, c, d, e, n_ec)))
+        # concavity probe: derivative differences at evenly spread interior points
+        second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
+        concave[rows] = cv = np.all(second <= 1e-8, axis=1)
+        rising[rows] = up = rp[:, -1] > 0.0  # the rate still climbs at full power
+        # stationary points: the first sign change of a concave state that
+        # does not rise at full power, every sign change of a non-concave one
+        sign = rp > 0.0
+        flips = sign[:, :-1] != sign[:, 1:]
+        first = flips & (np.cumsum(flips, axis=1) == 1)
+        interior[rows] = cv & ~up & flips.any(axis=1)
+        i, j = np.nonzero(np.where(cv[:, None], first & ~up[:, None], flips))
+        brackets.append((start + i, j, rp[i, j], rp[i, j + 1]))
+    owner, left, f_lo, f_hi = (np.concatenate(x) for x in zip(*brackets))
     roots = bracketed_roots(
-        lambda t, a, b, c, d, e: _rate_slope(t, _solve_x(t, b, n_ec, epsilon), a, b, c, d, e, n_ec),
-        grid[left], grid[left + 1], rp[owner, left], rp[owner, left + 1],
-        a[owner], b[owner], c[owner], d[owner], e[owner],
+        lambda t, a, b, c, d, e, n, ln_eps: _rate_slope(t, _solve_x(t, b, n, ln_eps), a, b, c, d, e, n),
+        grid[left], grid[left + 1], f_lo, f_hi, *(x[owner] for x in (a, b, c, d, e, n_ec, log_eps)),
     )
 
     # candidates: full power (unless a concave state has its interior root)
     # and the stationary points; each state keeps its best rate, the larger
     # split on a tie
-    interior = concave & ~rising & flips.any(axis=1)
-    cand_state = np.concatenate([states[~interior], owner])
+    cand_state = np.concatenate([np.flatnonzero(~interior), owner])
     cand_tau = np.concatenate([np.ones(int((~interior).sum())), roots])
-    cand_k = solve_k_batch(cand_tau, a[cand_state], b[cand_state], c[cand_state], n_ec, epsilon)
+    cand_k = solve_k_batch(cand_tau, *(x[cand_state] for x in (a, b, c, n_ec, epsilon)))
     cand_rate = _rate(cand_tau, cand_k, d[cand_state], e[cand_state])
     order = np.lexsort((cand_tau, cand_rate, cand_state))
-    best = order[np.searchsorted(cand_state[order], states, side="right") - 1]
+    best = order[np.searchsorted(cand_state[order], np.arange(a.size), side="right") - 1]
     tau_star, k_star, r_star = cand_tau[best], cand_k[best], cand_rate[best]
 
     # transmission region test at the chosen split

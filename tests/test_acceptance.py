@@ -21,7 +21,7 @@ from mmwsec.channel import (
     sample_channel,
     sample_path_sets,
 )
-from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains
+from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, stack_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec.montecarlo import (
     empirical_cdf_Y_E,
@@ -45,11 +45,10 @@ from mmwsec.sop import (
     tau_min,
 )
 from mmwsec.throughput import (
-    KTauSolver,
     k_max_tau1,
     mrt_throughput_closed_form,
     mrt_throughput_quad2d,
-    optimize_tau_throughput,
+    optimize_tau_throughput_batch,
     q_of_k,
     solve_k_batch,
 )
@@ -183,28 +182,35 @@ def test_acceptance_3_sop_power_split_optimizer():
 def test_acceptance_4_throughput_optimizer():
     """Rate optimizer matches a 1e4-point grid; cap and survival monotone."""
     rng = np.random.Generator(np.random.Philox(404))
-    worst_bits = 0.0
+    drawn, q_taus = [], {}
     for done in range(1000):
         cfg, coeffs = _broad_state(
             rng,
             N_C=int(rng.integers(2, 19)),
             P_dBm=float(rng.uniform(42, 72)),
         )
-        cfg = cfg.with_overrides(epsilon=float(rng.uniform(0.003, 0.3)))
-        solver = KTauSolver(coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
-        res = optimize_tau_throughput(coeffs, solver)
-        taus = np.linspace(1e-4, 1.0, 10_000)
-        ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
+        drawn.append((cfg.with_overrides(epsilon=float(rng.uniform(0.003, 0.3))), coeffs))
+        if done % 50 == 0 and coeffs.a > 0.0:
+            q_taus[done] = float(rng.uniform(0.05, 1.0))
+    # one optimizer call over the 1,000 states, each with its own n_ec and epsilon
+    res = optimize_tau_throughput_batch(
+        stack_coeffs([co for _, co in drawn]),
+        np.array([cfg.n_ec for cfg, _ in drawn]), np.array([cfg.epsilon for cfg, _ in drawn]),
+    )
+    worst_bits = 0.0
+    taus = np.linspace(1e-4, 1.0, 10_000)
+    for done, (cfg, coeffs) in enumerate(drawn):
+        ks = solve_k_batch(taus, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
         assert np.all(np.diff(ks) >= -1e-9), f"draw {done}: cap not monotone"
         rates = np.log2((taus * (coeffs.d + coeffs.e) + 1.0)
                         / ((taus * coeffs.e + 1.0) * (1.0 + taus * ks)))
-        achieved = res.R_s_star if res.transmit else 0.0
+        achieved = res.R_s_star[done] if res.transmit[done] else 0.0
         shortfall = float(np.max(rates)) - achieved
         assert shortfall <= 1e-6, f"draw {done}: shortfall {shortfall:.2e} bits"
         worst_bits = max(worst_bits, shortfall)
-        if done % 50 == 0 and coeffs.a > 0.0:
+        if done in q_taus:
             k_hi = k_max_tau1(coeffs.a, coeffs.c, cfg.epsilon)
-            tau = float(rng.uniform(0.05, 1.0))
+            tau = q_taus[done]
             qs = np.array([
                 q_of_k(float(k), tau, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
                 for k in np.linspace(0.0, k_hi, 64)

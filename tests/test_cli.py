@@ -230,6 +230,44 @@ def test_stacked_sop_group_equals_its_cells_alone():
     assert len(widths) >= 4  # cells leave the stack with different state counts
 
 
+def test_stacked_throughput_group_equals_its_cells_alone():
+    # _throughput_cells stacks a draw group's cells into one batch with a
+    # per-state epsilon; each cell must get the event columns (bitwise) and
+    # the row it gets when run alone
+    fig7 = SystemConfig(M=100, N_D=20, N_C=16, epsilon=0.01)
+    dominated = fig7.with_overrides(P_dBm=28.0, d_D_m=300.0, d_E_m=5.0, k_tx=0.1, k_rx=0.1)
+    partly = dominated.with_overrides(P_dBm=45.0, d_E_m=80.0)  # some states transmit
+    no_common = SystemConfig(M=100, N_D=20, N_C=0, epsilon=0.01)
+    groups = (
+        [("opa", fig7.with_overrides(P_dBm=p, k_tx=k, k_rx=k)) for p in (35.0, 50.0, 65.0, 75.0) for k in (0.0, 0.1)],
+        [("equal", fig7.with_overrides(P_dBm=55.0, epsilon=eps)) for eps in (1e-4, 0.01, 0.3)],
+        # silent cells of both schemes next to cells that transmit in part or in full
+        [("opa", dominated), ("equal", dominated), ("opa", partly), ("equal", partly),
+         ("equal", fig7.with_overrides(P_dBm=45.0, epsilon=0.05))],
+        # no common path: a = 0, so no state has an outage event to check
+        [("opa", no_common.with_overrides(P_dBm=p)) for p in (40.0, 60.0)] + [("equal", no_common)],
+    )
+    rows, widths = [], set()
+    for cells in groups:
+        first = cells[0][1]
+        rng = np.random.Generator(np.random.Philox(31))
+        g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, 120, rng)
+        stacked = cli._throughput_cells(cells, g_hat, g_check)
+        for cell, (cols, finish) in zip(cells, stacked, strict=True):
+            ((alone_cols, alone_finish),) = cli._throughput_cells([cell], g_hat, g_check)
+            assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
+            hits = np.linspace(0.0, 0.02, cols.shape[1])
+            row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
+            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
+            rows.append(row)
+            widths.add(cols.shape[1])
+    tags = [row["tags"] for row in rows]
+    assert "fixed_tau" in tags and "Silent:120" in tags and any(";Silent:" in t for t in tags)
+    assert sum(row["accept_rate"] == "0.0" for row in rows) == 2  # the dominated cells
+    assert sum(row["mc_value"] == "nan" for row in rows) >= 3  # the N_C = 0 cells check no state
+    assert len(widths) >= 4  # cells leave the stack with different state counts
+
+
 def test_csv_is_deterministic():
     spec = _tiny_spec()
     text1 = cli.render_csv([spec], cli.run_sweep(spec))

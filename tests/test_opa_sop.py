@@ -436,12 +436,13 @@ def test_batch_stacked_from_several_configurations():
     assert batch.gamma3[0] == math.inf
 
     # per-state R_s and n_ec: each state keeps its own configuration's, the
-    # zero rate (infimum at the open end tau_min) and fractional rates too.
-    # n_ec >= 2, because elsewhere x ** -1 with an array exponent goes
-    # through numpy's power, not a reciprocal, and can differ in the last bit
+    # zero rate (infimum at the open end tau_min), fractional rates and
+    # n_ec = 1 too (a shared x ** -1 is a reciprocal, not numpy's power)
     cfgs = [
         cfg.with_overrides(R_s=r_s, N_E=cfg.N_C + n_ec)
-        for cfg, r_s, n_ec in zip(cfgs + [workable_cfg(P_dBm=58.0)], (3.3, 2.0, 0.0, 0.7), (8, 4, 2, 3))
+        for cfg, r_s, n_ec in zip(
+            cfgs + [workable_cfg(P_dBm=58.0), workable_cfg(P_dBm=57.0)], (3.3, 2.0, 0.0, 0.7, 1.5), (8, 4, 2, 3, 1)
+        )
     ]
     singles = [make_coeffs(cfg, 9.0, 6.0) for cfg in cfgs]
     taus, vals = minimize_sop_tau(

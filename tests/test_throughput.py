@@ -14,7 +14,7 @@ from scipy import integrate, special
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import throughput
 from mmwsec.cli import SweepSpec, run_sweep
-from mmwsec.config import SystemConfig
+from mmwsec.config import SystemConfig, stack_coeffs
 from mmwsec.errors import ConvergenceError, InfeasibleError
 from mmwsec.sop import cdf_Y_E
 from mmwsec.throughput import (
@@ -276,26 +276,42 @@ def test_solve_k_batch_matches_scalar(rng):
         assert abs(solve_k(float(t), solver) - kb) < 1e-8
 
 
+def test_per_state_epsilon_keeps_the_one_state_bits(rng):
+    # numpy's array log can round differently from math.log in the last bit;
+    # each state with its own epsilon must still get its one-state k(tau)
+    eps = rng.uniform(0.003, 1.0, 20_000)
+    eps = eps[np.log(eps) != np.array([math.log(x) for x in eps])][:40]
+    cfg = workable_cfg()
+    co = make_coeffs(cfg, 10.0, 6.0)
+    taus = np.array([[0.25], [0.5], [1.0]])
+    ks = solve_k_batch(taus, co.a, co.b, co.c, cfg.n_ec, eps)
+    for x, k in zip(eps, ks.T):
+        assert np.array_equal(k, solve_k_batch(taus[:, 0], co.a, co.b, co.c, cfg.n_ec, float(x)))
+
+
 def _slope_batches(rng):
-    """Fuzzed batches of 8 states with an outage cap and one split per state."""
+    """Fuzzed batches of 8 states, each with its own n_ec in [1, 19] (one
+    of them 1), outage cap and split."""
     for cfg, co in fuzz_states(rng, 30, 8):
-        yield cfg, co, float(rng.uniform(0.003, 0.3)), rng.uniform(0.1, 0.95, 8)
+        n_ec = np.append(1, rng.integers(1, 20, 7))
+        yield cfg, co, n_ec, rng.uniform(0.003, 0.3, 8), rng.uniform(0.1, 0.95, 8)
 
 
 def _assert_batch_is_per_state(slope, tau, co, n_ec, eps):
-    """The batch of a slope equals its calls on each 0-d state, bit for bit."""
+    """The batch of a slope equals its calls on each 0-d state with a
+    scalar n_ec and epsilon, bit for bit."""
     batch = slope(tau, co, n_ec, eps)
     for i in range(tau.size):
-        assert batch[i] == slope(float(tau[i]), co.take(i), n_ec, eps)
+        assert batch[i] == slope(float(tau[i]), co.take(i), int(n_ec[i]), float(eps[i]))
     return batch
 
 
 def test_dk_dtau_matches_finite_differences(rng):
     no_leak = 0
     h = 1e-5
-    for cfg, co, eps, tau in _slope_batches(rng):
-        an = _assert_batch_is_per_state(dk_dtau, tau, co, cfg.n_ec, eps)
-        k_of = lambda t: solve_k_batch(t, co.a, co.b, co.c, cfg.n_ec, eps)
+    for cfg, co, n_ec, eps, tau in _slope_batches(rng):
+        an = _assert_batch_is_per_state(dk_dtau, tau, co, n_ec, eps)
+        k_of = lambda t: solve_k_batch(t, co.a, co.b, co.c, n_ec, eps)
         fd = (k_of(tau + h) - k_of(tau - h)) / (2 * h)
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
         if cfg.N_C == 0:  # no leakage, a = 0: k(tau) = 0 and so is its slope
@@ -320,9 +336,9 @@ def test_rs_hand_values():
 
 def test_drs_matches_finite_differences(rng):
     h = 1e-5
-    for cfg, co, eps, tau in _slope_batches(rng):
-        an = _assert_batch_is_per_state(drs_dtau, tau, co, cfg.n_ec, eps)
-        rate_of = lambda t: rs_of_tau(t, solve_k_batch(t, co.a, co.b, co.c, cfg.n_ec, eps), co)
+    for _, co, n_ec, eps, tau in _slope_batches(rng):
+        an = _assert_batch_is_per_state(drs_dtau, tau, co, n_ec, eps)
+        rate_of = lambda t: rs_of_tau(t, solve_k_batch(t, co.a, co.b, co.c, n_ec, eps), co)
         fd = (rate_of(tau + h) - rate_of(tau - h)) / (2 * h)
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
@@ -335,9 +351,11 @@ def _assert_state(batch: ThroughputResult, i: int, one: ThroughputResult):
 
 def test_optimizer_dominates_grid(rng):
     # each configuration also draws three extra states from a separate
-    # stream; the batched optimizer over all four must return exactly the
-    # one-state results
+    # stream; the batched optimizer over all four, and one stacked call
+    # over all 400 states with a per-state n_ec and epsilon, must return
+    # exactly the one-state results
     extra = np.random.Generator(np.random.Philox(7))
+    singles, states, n_ec, eps = [], [], [], []
     for _ in range(100):
         cfg = workable_cfg(
             N_C=int(rng.integers(2, 19)),
@@ -354,11 +372,31 @@ def test_optimizer_dominates_grid(rng):
             solver = _solver(cfg, co)
             res = optimize_tau_throughput(co, solver)
             _assert_state(batch, i, res)
+            singles.append(res)
             taus = np.linspace(1e-4, 1.0, 10_000)
             ks = solve_k_batch(taus, solver.a, solver.b, solver.c, solver.n_ec, solver.epsilon)
             rates = np.log2((taus * (co.d + co.e) + 1.0) / ((taus * co.e + 1.0) * (1.0 + taus * ks)))
             achieved = res.R_s_star if res.transmit else 0.0
             assert achieved >= float(np.max(rates)) - 1e-6
+        states.append(make_coeffs(cfg, g_hat, g_check))
+        n_ec += [cfg.n_ec] * 4
+        eps += [cfg.epsilon] * 4
+    stacked = optimize_tau_throughput_batch(stack_coeffs(states), np.array(n_ec), np.array(eps))
+    assert len(set(n_ec)) > 10 and len(set(eps)) == 100
+    for i, res in enumerate(singles):
+        _assert_state(stacked, i, res)
+
+
+def test_optimizer_blocks_keep_the_bits(rng, monkeypatch):
+    # fuzzed states with a per-state n_ec and epsilon give the same bits
+    # whole and scanned in blocks of 7 states
+    co = stack_coeffs([co for _, co in fuzz_states(rng, 20, 12)])
+    n_ec, eps = rng.integers(1, 20, co.a.size), rng.uniform(0.003, 0.3, co.a.size)
+    whole = optimize_tau_throughput_batch(co, n_ec, eps)
+    monkeypatch.setattr(throughput, "_SCAN_BLOCK_STATES", 7)
+    blocked = optimize_tau_throughput_batch(co, n_ec, eps)
+    for f in fields(ThroughputResult):
+        assert np.array_equal(getattr(whole, f.name), getattr(blocked, f.name)), f.name
 
 
 def test_optimizer_full_power_at_low_budget():
