@@ -57,7 +57,6 @@ from .sop import (
     SecrecyTarget,
     SopBranch,
     SopBreakdown,
-    cdf_Lambda_hat,
     cdf_Y_E,
     sop_conditional,
     sop_overall,

@@ -196,8 +196,8 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
         cfg: system parameters.
         g_hat, g_check: common and non-common destination gains, floats
             for one state or equal-shape arrays for a batch of states;
-            a, c, d and e are then arrays over the states and b stays a
-            scalar.
+            a, c, d and e are then shaped like the gains (np.float64 for
+            one state) and b stays a scalar.
 
     Raises:
         InfeasibleError: if N_E == N_C, which leaves no eavesdropper-only
@@ -207,15 +207,9 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
         raise InfeasibleError(
             f"N_E - N_C must be positive to aim artificial noise (got {cfg.n_ec})"
         )
-    if isinstance(g_hat, np.ndarray) or isinstance(g_check, np.ndarray):  # a batch
-        g_hat = np.asarray(g_hat, float)
-        g_tot = g_hat + np.asarray(g_check, float)
-        nonpositive = bool(np.any(g_tot <= 0.0))
-    else:
-        g_hat = float(g_hat)
-        g_tot = g_hat + float(g_check)
-        nonpositive = g_tot <= 0.0
-    if cfg.N_D > 0 and nonpositive:
+    g_hat = np.asarray(g_hat, float)
+    g_tot = g_hat + np.asarray(g_check, float)
+    if cfg.N_D > 0 and np.any(g_tot <= 0.0):
         raise ValueError("G = G_hat + G_check must be positive when N_D > 0")
 
     beta_d = cfg.beta_d()

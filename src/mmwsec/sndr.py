@@ -6,9 +6,7 @@ function per receiver serves a single state and a batch alike.
 
 from __future__ import annotations
 
-import math
-
-from .config import EffectiveCoeffs
+import numpy as np
 
 
 def sndr_destination(tau, d, e):
@@ -26,20 +24,10 @@ def sndr_eve(tau, u, v, a, b, c):
     return tau * a * u / ((1.0 - tau) * b * v + tau * c * u + 1.0)
 
 
-def sndr_destination_ideal(tau: float, coeffs: EffectiveCoeffs) -> float:
-    """Ideal-hardware destination SNR tau*d."""
-    return tau * coeffs.d
-
-
-def sndr_eve_ideal(tau: float, u, v, coeffs: EffectiveCoeffs, n_ec: int):
-    """Ideal-hardware eavesdropper SNR N_EC*tau*a*u / ((1-tau)*beta_E*v + N_EC)."""
-    return n_ec * tau * coeffs.a * u / ((1.0 - tau) * coeffs.beta_E * v + n_ec)
-
-
-def high_snr_ceiling(k_tot2: float) -> float:
-    """Large-power limit of the destination SNDR, 1/k_tot^2 (inf if ideal)."""
-    if k_tot2 < 0.0:
+def high_snr_ceiling(k_tot2):
+    """Large-power limit of the destination SNDR, 1/k_tot^2 (inf if ideal),
+    elementwise over k_tot2."""
+    if np.any(k_tot2 < 0.0):
         raise ValueError("k_tot2 must be non-negative")
-    if k_tot2 == 0.0:
-        return math.inf
-    return 1.0 / k_tot2
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, k_tot2)

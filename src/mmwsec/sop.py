@@ -7,7 +7,8 @@ transmit-or-suspend).
 
 The formulas work on batches of channel states (EffectiveCoeffs whose a,
 c, d and e are arrays), and scalar coefficients are one state:
-``sop_conditional`` broadcasts the split against the states, and
+``sop_conditional`` broadcasts the split, and ``cdf_Y_E`` the level and
+the split, against the states, and
 ``tau_min``/``sop_overall`` return per-state values and branches, shaped
 like the states (0-d for one state), and mark silent states instead of
 raising.
@@ -19,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -121,28 +121,7 @@ def outage_threshold(tau: float, target: SecrecyTarget, coeffs: EffectiveCoeffs)
     return (tau * coeffs.d - target.T_bar * te1) / (target.T * te1)
 
 
-def cdf_Lambda_hat(
-    f_lambda: Callable[[float], float],
-    alpha1: float,
-    alpha2: float,
-    alpha3: float,
-    x: float,
-) -> float:
-    """CDF of alpha1*L/(alpha2*L + alpha3) for a nonnegative r.v. L.
-
-    ``f_lambda`` is the CDF of L; the transformed variable saturates at
-    alpha1/alpha2, above which the CDF is identically 1.
-    """
-    if min(alpha1, alpha2, alpha3) <= 0.0:
-        raise ValueError("alpha coefficients must be positive")
-    if x < 0.0:
-        return 0.0
-    if alpha1 - alpha2 * x <= 0.0:
-        return 1.0
-    return float(f_lambda(alpha3 * x / (alpha1 - alpha2 * x)))
-
-
-def cdf_Y_E(x: float, tau: float, coeffs: EffectiveCoeffs, n_ec: int) -> float:
+def cdf_Y_E(x, tau, coeffs: EffectiveCoeffs, n_ec):
     """CDF of the eavesdropper SNDR at power split tau.
 
     Averages the exponential law of the beam-leakage gain against the
@@ -150,19 +129,19 @@ def cdf_Y_E(x: float, tau: float, coeffs: EffectiveCoeffs, n_ec: int) -> float:
     a/c = 1/k_tx^2 where the transmit distortion caps the SNDR; with an
     ideal transmitter the support is unbounded.  Degenerate cases (tau = 0
     or no common path) concentrate the SNDR at zero, so the CDF is 1.
+    Elementwise over broadcastable x, tau and the states (n_ec too).
     """
-    if not 0.0 <= tau <= 1.0:
+    x, tau = np.asarray(x, float), np.asarray(tau, float)
+    if not np.all((0.0 <= tau) & (tau <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
-    if x < 0.0:
-        return 0.0
-    if tau == 0.0 or coeffs.a == 0.0:
-        return 1.0
     rest = coeffs.a - coeffs.c * x
-    if rest <= 0.0:  # x at or past the distortion-imposed ceiling
-        return 1.0
     scale = tau * rest
-    bracket = 1.0 + (1.0 - tau) * coeffs.b * x / scale
-    return 1.0 - math.exp(-x / scale) * bracket ** (-n_ec)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bracket = 1.0 + (1.0 - tau) * coeffs.b * x / scale
+        value = 1.0 - np.exp(-x / scale) * per_value(lambda n, y: np.power(y, -n), n_ec, bracket)
+    # rest <= 0: x at or past the distortion-imposed ceiling
+    value = np.where((tau == 0.0) | (coeffs.a == 0.0) | (rest <= 0.0), 1.0, value)
+    return np.where(x < 0.0, 0.0, value)
 
 
 def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float]:
@@ -258,7 +237,9 @@ def sop_overall(
     feasible = conditional & (tau > t_min * (1.0 + _GATE_RTOL))
 
     value = np.where(silent, 0.0, 1.0)
-    value[feasible] = sop_conditional(tau[feasible], target.take(feasible), coeffs.take(feasible), n_ec)
+    value[feasible] = sop_conditional(
+        tau[feasible], target.take(feasible), coeffs.take(feasible), per_state(n_ec, feasible)
+    )
     branch = np.full(d.shape, SopBranch.CONDITIONAL, dtype=object)
     branch[silent] = SopBranch.SOURCE_SILENT
     branch[always] = SopBranch.ALWAYS_OUTAGE

@@ -29,7 +29,7 @@ from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng, sample_mean
-from .sndr import sndr_destination
+from .sndr import high_snr_ceiling, sndr_destination
 from .sop import per_value
 
 LN2 = math.log(2.0)
@@ -195,28 +195,29 @@ class KTauSolver:
             raise ValueError("coefficients a, b, c must be non-negative")
 
 
-def q_of_k(
-    k: float, tau: float, a: float, b: float, c: float, n_ec: int, epsilon: float
-) -> float:
+def q_of_k(k, tau, a, b, c, n_ec, epsilon):
     """Survival gap Q(k): eavesdropper outage survival at level tau*k, minus eps.
 
     Zero at k = k(tau); positive below, negative above (Q is strictly
-    decreasing in k on the feasible bracket).
+    decreasing in k on the feasible bracket).  Elementwise over
+    broadcastable k, tau, a, b, c, n_ec and epsilon.
     """
     rest = a - c * tau * k
-    if rest <= 0.0:
-        raise ValueError(f"a - c*tau*k must stay positive (got {rest:.3g})")
+    if np.any(rest <= 0.0):
+        raise ValueError(f"a - c*tau*k must stay positive (got {np.min(rest):.3g})")
     bracket = 1.0 + (1.0 - tau) * b * k / rest
-    return math.exp(-k / rest) * bracket ** (-n_ec) - epsilon
+    return np.exp(-k / rest) * per_value(lambda n, y: np.power(y, -n), n_ec, bracket) - epsilon
 
 
-def k_max_tau1(a: float, c: float, epsilon: float) -> float:
-    """Closed-form k(1): the cap at full power, -a*ln(eps) / (1 - c*ln(eps))."""
-    if not (0.0 < epsilon <= 1.0):
+def k_max_tau1(a, c, epsilon):
+    """Closed-form k(1): the cap at full power, -a*ln(eps) / (1 - c*ln(eps)),
+    elementwise over broadcastable a, c and epsilon.  ln(eps) is taken as
+    ``solve_k_batch`` takes it, so k(1) has its bits at tau = 1."""
+    if not np.all((0.0 < epsilon) & (epsilon <= 1.0)):
         raise ValueError("epsilon must lie in (0, 1]")
-    if a < 0.0 or c < 0.0:
+    if np.any((a < 0.0) | (c < 0.0)):
         raise ValueError("a and c must be non-negative")
-    log_eps = math.log(epsilon)
+    log_eps = per_value(math.log, epsilon)
     return -a * log_eps / (1.0 - c * log_eps)
 
 
@@ -523,15 +524,15 @@ def mrt_rate(g_hat, g_check, cfg: SystemConfig):
 
     Negative values mean the state is outside the transmission region.
     """
-    out = _bar_scales(cfg).rate(np.asarray(g_hat, float), np.asarray(g_check, float))
-    return float(out) if out.ndim == 0 else out
+    return _bar_scales(cfg).rate(np.asarray(g_hat, float), np.asarray(g_check, float))
 
 
-def mrt_rate_direct(coeffs: EffectiveCoeffs, epsilon: float) -> float:
-    """Full-power rate from the per-state coefficients, log2((1+Y_D)/(1+k(1)))."""
+def mrt_rate_direct(coeffs: EffectiveCoeffs, epsilon):
+    """Full-power rate from the per-state coefficients, log2((1+Y_D)/(1+k(1))),
+    elementwise over the states (epsilon too)."""
     k1 = k_max_tau1(coeffs.a, coeffs.c, epsilon)
     y_d = coeffs.d / (coeffs.e + 1.0)
-    return math.log2((1.0 + y_d) / (1.0 + k1))
+    return np.log2((1.0 + y_d) / (1.0 + k1))
 
 
 def mrt_transmit_threshold(g_hat, cfg: SystemConfig):
@@ -540,8 +541,7 @@ def mrt_transmit_threshold(g_hat, cfg: SystemConfig):
     Root of the quadratic form of the full-power transmission inequality;
     may be negative (always transmit).  Vectorizes over g_hat.
     """
-    out = _bar_scales(cfg).threshold(np.asarray(g_hat, float))
-    return float(out) if out.ndim == 0 else out
+    return _bar_scales(cfg).threshold(np.asarray(g_hat, float))
 
 
 @lru_cache(maxsize=64)
@@ -712,28 +712,26 @@ def avg_throughput_mrt(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
 # high-SNR limits
 # ---------------------------------------------------------------------------
 
-def high_snr_k_and_rate(
-    tau: float, coeffs: EffectiveCoeffs, epsilon: float, n_ec: int
-) -> tuple[float, float]:
-    """Large-power limits (k_inf, rate) at split tau.
+def high_snr_k_and_rate(tau, coeffs: EffectiveCoeffs, epsilon, n_ec):
+    """Large-power limits (k_inf, rate) at split tau, elementwise over tau
+    and the states (epsilon and n_ec too).
 
     The noise floor drops out of the quantile equation, which then inverts
     algebraically; the destination SNDR sits at its impairment ceiling.
     """
-    if not (0.0 < tau < 1.0):
+    if not np.all((0.0 < tau) & (tau < 1.0)):
         raise ValueError("tau must lie strictly inside (0, 1)")
-    if not (0.0 < epsilon <= 1.0):
+    if not np.all((0.0 < epsilon) & (epsilon <= 1.0)):
         raise ValueError("epsilon must lie in (0, 1]")
-    if coeffs.k_tot2 <= 0.0:
+    if np.any(coeffs.k_tot2 <= 0.0):
         raise InfeasibleError("high-SNR ceiling requires k_tot2 > 0")
-    phi_eps = epsilon ** (-1.0 / n_ec) - 1.0
-    if coeffs.c * phi_eps >= coeffs.b and phi_eps > 0.0:
+    phi_eps = np.power(epsilon, -1.0 / n_ec) - 1.0
+    if np.any((coeffs.c * phi_eps >= coeffs.b) & (phi_eps > 0.0)):
         raise InfeasibleError(
             "outside the monotone region: c * (eps^(-1/N)-1) >= b"
         )
     k_inf = phi_eps * coeffs.a / ((1.0 - tau) * coeffs.b + coeffs.c * tau * phi_eps)
-    if coeffs.c > 0.0 and k_inf * tau * coeffs.c >= coeffs.a:
+    if np.any((coeffs.c > 0.0) & (k_inf * tau * coeffs.c >= coeffs.a)):
         raise InfeasibleError("k_inf lands outside its feasible bracket")
-    ceiling = 1.0 / coeffs.k_tot2
-    rate = math.log2((1.0 + ceiling) / (1.0 + tau * k_inf))
+    rate = np.log2((1.0 + high_snr_ceiling(coeffs.k_tot2)) / (1.0 + tau * k_inf))
     return k_inf, rate

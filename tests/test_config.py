@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_coeffs
 from mmwsec.channel import ChannelDraw
 from mmwsec.config import (
     SystemConfig,
+    coeffs_from_gains,
     dbm_to_watt,
     derive_coeffs,
     load_config,
@@ -68,11 +70,20 @@ def test_no_common_paths_means_no_leakage_scale():
     assert coeffs.c == 0.0
 
 
-def test_coefficient_identities():
+def test_coefficient_identities(rng):
     cfg = SystemConfig(k_tx=0.13, k_rx=0.07)
     coeffs = make_coeffs(cfg, 11.0, 6.0)
     assert math.isclose(coeffs.c / coeffs.a, cfg.k_tx**2, rel_tol=1e-15)
     assert math.isclose(coeffs.e / coeffs.d, cfg.k_tot2, rel_tol=1e-15)
+    assert isinstance(coeffs.a, np.float64)  # a 0-d state, still a float
+    # one call over a batch of gains equals its 0-d calls, field by field,
+    # and one non-positive total gain in a batch raises
+    g_hat, g_check = rng.gamma(16.0, 1.0, 50), rng.gamma(4.0, 1.0, 50)
+    batch = coeffs_from_gains(cfg, g_hat, g_check)
+    for i in range(50):
+        assert batch.take(i) == coeffs_from_gains(cfg, float(g_hat[i]), float(g_check[i]))
+    with pytest.raises(ValueError, match="positive"):
+        coeffs_from_gains(cfg, np.array([11.0, 0.0]), np.array([6.0, 0.0]))
 
 
 def test_bar_variants_reconstruct_draw_coefficients():

@@ -5,13 +5,17 @@ import pytest
 
 from conftest import make_coeffs, workable_cfg
 from mmwsec.config import SystemConfig
-from mmwsec.sndr import (
-    high_snr_ceiling,
-    sndr_destination,
-    sndr_destination_ideal,
-    sndr_eve,
-    sndr_eve_ideal,
-)
+from mmwsec.sndr import high_snr_ceiling, sndr_destination, sndr_eve
+
+
+def sndr_destination_ideal(tau, coeffs):
+    """Ideal-hardware destination SNR tau*d, the reference of the ideal reduction."""
+    return tau * coeffs.d
+
+
+def sndr_eve_ideal(tau, u, v, coeffs, n_ec):
+    """Ideal-hardware eavesdropper SNR N_EC*tau*a*u / ((1-tau)*beta_E*v + N_EC)."""
+    return n_ec * tau * coeffs.a * u / ((1.0 - tau) * coeffs.beta_E * v + n_ec)
 
 
 def test_destination_hand_values():
@@ -50,12 +54,17 @@ def test_destination_monotone_in_tau(rng):
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_high_snr_ceiling_values():
+def test_high_snr_ceiling_values(rng):
     assert math.isclose(high_snr_ceiling(0.02), 50.0, rel_tol=1e-12)
     assert high_snr_ceiling(1.0) == 1.0
     assert math.isinf(high_snr_ceiling(0.0))
     with pytest.raises(ValueError):
         high_snr_ceiling(-0.1)
+    # one call over a grid equals its 0-d calls, and one negative entry raises
+    k_tot2 = np.append(0.0, rng.uniform(0.0, 0.05, 50))
+    assert np.array_equal(high_snr_ceiling(k_tot2), [high_snr_ceiling(float(k)) for k in k_tot2])
+    with pytest.raises(ValueError):
+        high_snr_ceiling(np.array([0.02, -0.1]))
 
 
 def test_destination_approaches_ceiling():

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec.channel import sample_gain_scalars
-from mmwsec.config import coeffs_from_gains
+from mmwsec.config import coeffs_from_gains, stack_coeffs
 from mmwsec.sop import (
     SecrecyTarget,
     SopBranch,
-    cdf_Lambda_hat,
     cdf_Y_E,
     outage_threshold,
     sop_conditional,
@@ -52,31 +50,6 @@ def test_tau_min_infeasible():
     assert t_min.shape == () and t_min == math.inf
 
 
-# -- ratio-variable CDF helper ----------------------------------------------
-
-def test_cdf_lambda_hat_branches():
-    f_exp = lambda x: 1.0 - math.exp(-x)
-    assert cdf_Lambda_hat(f_exp, 2.0, 1.0, 1.0, 0.0) == 0.0
-    assert cdf_Lambda_hat(f_exp, 2.0, 1.0, 1.0, 2.0) == 1.0
-    assert cdf_Lambda_hat(f_exp, 2.0, 1.0, 1.0, 5.0) == 1.0
-    assert math.isclose(cdf_Lambda_hat(f_exp, 2.0, 1.0, 1.0, 1.0), 1.0 - math.exp(-1.0), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        cdf_Lambda_hat(f_exp, 0.0, 1.0, 1.0, 0.5)
-
-
-def test_cdf_lambda_hat_against_empirical(rng):
-    n = 100_000
-    lam = rng.gamma(3.0, 1.0, size=n)
-    f_gamma = stats.gamma(3.0).cdf
-    for _ in range(5):
-        a1, a2, a3 = rng.uniform(0.5, 3.0, size=3)
-        transformed = a1 * lam / (a2 * lam + a3)
-        grid = np.quantile(transformed, np.linspace(0.04, 0.96, 20))
-        for x in grid:
-            emp = float(np.mean(transformed <= x))
-            assert abs(cdf_Lambda_hat(f_gamma, a1, a2, a3, float(x)) - emp) <= 0.01
-
-
 # -- eavesdropper SNDR CDF ---------------------------------------------------
 
 def test_cdf_y_e_examples():
@@ -100,6 +73,7 @@ def test_cdf_y_e_degenerate_cases():
 
 
 def test_cdf_y_e_monotone_with_limits(rng):
+    states, taus, n_ec = [], [], []
     for _ in range(100):
         cfg = workable_cfg(
             N_C=int(rng.integers(1, 19)),
@@ -107,12 +81,33 @@ def test_cdf_y_e_monotone_with_limits(rng):
             k_rx=float(rng.uniform(0, 0.15)),
             P_dBm=float(rng.uniform(45, 65)),
         )
-        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        tau = float(rng.uniform(0.05, 1.0))
-        xs = np.geomspace(1e-6, 1e6, 60)
-        vals = [cdf_Y_E(float(x), tau, co, cfg.n_ec) for x in xs]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[0] >= 0.0 and vals[-1] > 0.999
+        states.append(make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1))))
+        taus.append(float(rng.uniform(0.05, 1.0)))
+        n_ec.append(cfg.n_ec)
+    xs = np.geomspace(1e-6, 1e6, 60)[:, None]  # a row per x, a column per state
+    vals = cdf_Y_E(xs, np.array(taus), stack_coeffs(states), np.array(n_ec))
+    assert np.all(np.diff(vals, axis=0) >= -1e-12)
+    assert np.all(vals[0] >= 0.0) and np.all(vals[-1] > 0.999)
+
+
+def test_cdf_y_e_and_sop_overall_lie_in_unit_interval():
+    # one call per fuzzed configuration: the CDF on a grid of x (a row per
+    # x, a column per state, each state with its own split and N_EC, splits
+    # 0 and 1 among them) lies in [0, 1], does not decrease in x and equals
+    # its 0-d calls bit for bit; the overall SOP lies in [0, 1]
+    rng = np.random.Generator(np.random.Philox(1717))
+    xs = np.concatenate([[-1.0, 0.0], np.geomspace(1e-6, 1e6, 58)])[:, None]
+    for cfg, co in fuzz_states(rng, 50, 40):
+        tau = np.append([0.0, 1.0], rng.uniform(0.0, 1.0, 38))
+        n_ec = rng.integers(1, 20, 40)
+        vals = cdf_Y_E(xs, tau, co, n_ec)
+        assert np.all((0.0 <= vals) & (vals <= 1.0))
+        assert np.all(np.diff(vals, axis=0) >= 0.0)
+        for i in range(0, 60, 10):
+            for j in range(40):
+                assert cdf_Y_E(float(xs[i, 0]), float(tau[j]), co.take(j), int(n_ec[j])) == vals[i, j]
+        value = sop_overall(tau, SecrecyTarget(cfg.R_s), co, np.full(40, cfg.n_ec)).value
+        assert np.all((0.0 <= value) & (value <= 1.0))
 
 
 def test_cdf_y_e_against_empirical(rng):
@@ -187,6 +182,21 @@ def test_sop_conditional_equals_ccdf_at_threshold(rng):
         via_cdf = 1.0 - cdf_Y_E(outage_threshold(tau, target, co), tau, co, cfg.n_ec)
         assert abs(direct - via_cdf) <= 1e-12
         assert 0.0 <= direct <= 1.0
+    # and every fuzzed state that can transmit, one call per configuration
+    fuzz = np.random.Generator(np.random.Philox(1718))
+    checked = 0
+    for cfg, co in fuzz_states(fuzz, 50, 40):
+        target = SecrecyTarget(cfg.R_s)
+        t_min = tau_min(target, co)
+        live = (sop_overall(1.0, target, co, cfg.n_ec).branch == SopBranch.CONDITIONAL) & (t_min < 1.0 - 1e-6)
+        co, t_min = co.take(live), t_min[live]
+        tau = fuzz.uniform(t_min + 1e-6, 1.0)
+        direct = sop_conditional(tau, target, co, cfg.n_ec)
+        via_cdf = 1.0 - cdf_Y_E(outage_threshold(tau, target, co), tau, co, cfg.n_ec)
+        assert np.all(np.abs(direct - via_cdf) <= 1e-12)
+        assert np.all((0.0 <= direct) & (direct <= 1.0))
+        checked += live.sum()
+    assert checked > 500
 
 
 def test_sop_conditional_ideal_hardware_form():
@@ -296,6 +306,17 @@ def test_sop_overall_batch_matches_one_state(rng):
             assert tau_min(target, co.take(i)) == t_min[i]  # inf == inf where silent
         assert np.all(np.isinf(t_min) == (co.d <= co.e * target.T_bar))
     assert branches == set(SopBranch)
+
+
+def test_sop_overall_per_state_n_ec_with_a_silent_state():
+    # the feasible states take their own n_ec entries
+    cfg = workable_cfg()
+    co = coeffs_from_gains(cfg, np.array([12.0, 1e-6, 10.0]), np.array([6.0, 1e-6, 8.0]))
+    target = SecrecyTarget(cfg.R_s)
+    shared = sop_overall(0.7, target, co, 8)
+    per_state = sop_overall(0.7, target, co, np.array([8, 8, 8]))
+    assert list(shared.branch) == [SopBranch.CONDITIONAL, SopBranch.SOURCE_SILENT, SopBranch.CONDITIONAL]
+    assert np.array_equal(per_state.value, shared.value) and list(per_state.branch) == list(shared.branch)
 
 
 def test_sop_overall_batch_with_per_state_target(rng):

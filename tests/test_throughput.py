@@ -164,6 +164,19 @@ def test_solve_k_full_power_matches_closed_form():
     solver = _solver(cfg, co)
     k_closed = k_max_tau1(co.a, co.c, cfg.epsilon)
     assert abs(solve_k(1.0, solver) - k_closed) <= 1e-9 * max(1.0, k_closed)
+    # over fuzzed states, each with its own epsilon: the closed form is the
+    # solver's k(1) bit for bit, and it and the full-power rate from the
+    # coefficients equal their 0-d calls
+    rng = np.random.Generator(np.random.Philox(1719))
+    for cfg, co in fuzz_states(rng, 30, 20):
+        eps = rng.uniform(0.003, 1.0, 20)
+        k1 = k_max_tau1(co.a, co.c, eps)
+        assert np.array_equal(k1, solve_k_batch(1.0, co.a, co.b, co.c, cfg.n_ec, eps))
+        rate = mrt_rate_direct(co, eps)
+        for i in range(20):
+            one = co.take(i)
+            assert k_max_tau1(one.a, one.c, float(eps[i])) == k1[i]
+            assert mrt_rate_direct(one, float(eps[i])) == rate[i]
 
 
 def test_solve_k_monotone_in_tau(rng):
@@ -203,6 +216,7 @@ def test_solve_k_self_consistency_with_cdf(rng):
 
 
 def test_q_strictly_decreasing_in_k(rng):
+    states, taus, n_ec, eps = [], [], [], []
     for _ in range(100):
         cfg = workable_cfg(
             N_C=int(rng.integers(1, 19)),
@@ -210,36 +224,68 @@ def test_q_strictly_decreasing_in_k(rng):
             k_tx=float(rng.uniform(0, 0.15)),
             k_rx=float(rng.uniform(0, 0.15)),
         )
-        co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        tau = float(rng.uniform(0.05, 1.0))
-        k_hi = k_max_tau1(co.a, co.c, cfg.epsilon)
-        ks = np.linspace(0.0, k_hi, 64)
-        qs = np.array([q_of_k(float(k), tau, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon) for k in ks])
-        assert np.all(np.diff(qs) <= 0.0)
-        live = qs > -cfg.epsilon * (1.0 - 1e-9)  # flat only after underflow to -eps
-        assert np.all(np.diff(qs[live]) < 0.0)
+        states.append(make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1))))
+        taus.append(float(rng.uniform(0.05, 1.0)))
+        n_ec.append(cfg.n_ec)
+        eps.append(cfg.epsilon)
+    co, eps = stack_coeffs(states), np.array(eps)
+    ks = np.linspace(0.0, k_max_tau1(co.a, co.c, eps), 64)  # a column per state
+    qs = q_of_k(ks, np.array(taus), co.a, co.b, co.c, np.array(n_ec), eps)
+    steps = np.diff(qs, axis=0)
+    assert np.all(steps <= 0.0)
+    live = qs > -eps * (1.0 - 1e-9)  # flat only after underflow to -eps
+    assert np.all(steps[live[1:]] < 0.0)
+
+
+def test_q_vanishes_at_the_solved_k_over_fuzzed_states():
+    # |Q(k(tau))| stays at rounding level at every leaking state, each with
+    # its own epsilon and split, one call per configuration, and the batch
+    # Q equals its 0-d calls.  Without leakage (a = 0) k(tau) = 0 makes
+    # a - c*tau*k = 0, which lies outside Q's domain.
+    rng = np.random.Generator(np.random.Philox(1720))
+    worst, leaking = 0.0, 0
+    for cfg, co in fuzz_states(rng, 50, 50):
+        eps, tau = rng.uniform(0.003, 1.0, 50), rng.uniform(0.0, 1.0, 50)
+        leak = co.a > 0.0
+        co, eps, tau = co.take(leak), eps[leak], tau[leak]
+        k = solve_k_batch(tau, co.a, co.b, co.c, cfg.n_ec, eps)
+        q = q_of_k(k, tau, co.a, co.b, co.c, cfg.n_ec, eps)
+        for i in range(tau.size):
+            assert q_of_k(float(k[i]), float(tau[i]), co.a[i], co.b, co.c[i], cfg.n_ec, float(eps[i])) == q[i]
+        worst = max(worst, float(np.max(np.abs(q), initial=0.0)))
+        leaking += tau.size
+    assert leaking > 1500
+    assert worst <= 1e-12
 
 
 def _bisect_k(tau, a, b, c, n_ec, eps):
-    """Reference k(tau): plain bisection of Q(k) over the feasible set, to the last bit."""
-    lo = 0.0
-    hi = a / (c * tau) if c * tau > 0.0 else max(1.0, a)
-    while c * tau == 0.0 and q_of_k(hi, tau, a, b, c, n_ec, eps) > 0.0:
-        hi *= 2.0
+    """Reference k(tau), elementwise over arrays of leaking states (a > 0):
+    plain bisection of Q(k) over the feasible set, each element to its last bit."""
+    args = np.broadcast_arrays(tau, a, b, c, n_ec, eps)
+    tau, a, b, c, n_ec, eps = args
+    lo = np.zeros(tau.shape)
+    bounded = c * tau > 0.0
+    with np.errstate(divide="ignore"):
+        hi = np.where(bounded, a / (c * tau), np.maximum(1.0, a))
+    grow = ~bounded
+    while grow.any():  # no ceiling a/(c*tau): double until Q(hi) <= 0
+        grow[grow] = q_of_k(hi[grow], *(x[grow] for x in args)) > 0.0
+        hi[grow] *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
             return mid
-        if q_of_k(mid, tau, a, b, c, n_ec, eps) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        up = np.zeros(tau.shape, bool)
+        up[live] = q_of_k(mid[live], *(x[live] for x in args)) > 0.0
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
 
 
 def test_solve_k_batch_matches_bisection_oracle(rng):
     # random configurations x splits, with c > 0, tau -> 1 and eps -> 1 drawn
     # on purpose; the Newton loop raises ConvergenceError if it hits its cap
-    worst = 0.0
+    drawn = []  # (taus, ks, a, b, c, n_ec, eps) of each configuration
     for _ in range(300):
         cfg = SystemConfig(
             M=100, N_D=20, N_C=int(rng.integers(1, 19)), P_dBm=float(rng.uniform(20, 85)),
@@ -252,10 +298,11 @@ def test_solve_k_batch_matches_bisection_oracle(rng):
             [0.0, 1.0], rng.uniform(0.0, 1.0, 4), 1.0 - 10.0 ** -rng.uniform(3, 12, 3),
         ])
         ks = solve_k_batch(taus, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
-        for tau, k in zip(taus, ks):
-            ref = _bisect_k(float(tau), co.a, co.b, co.c, cfg.n_ec, cfg.epsilon)
-            worst = max(worst, abs(k - ref) / ref)
-    assert worst <= 1e-10
+        drawn.append((taus, ks, co.a, co.b, co.c, cfg.n_ec, cfg.epsilon))
+    # one bisection over every configuration, a row each
+    taus, ks, *states = (np.array(col) for col in zip(*drawn))
+    ref = _bisect_k(taus, *(x[:, None] for x in states))
+    assert np.max(np.abs(ks - ref) / ref) <= 1e-10
 
 
 def test_solve_k_batch_raises_at_newton_cap(monkeypatch):
@@ -725,17 +772,15 @@ def test_throughput_nondecreasing_in_epsilon():
 def test_high_snr_rate_decreases_with_tau():
     cfg = workable_cfg(epsilon=0.05)
     co = make_coeffs(cfg, 12.0, 6.0)
-    rates = [high_snr_k_and_rate(t, co, cfg.epsilon, cfg.n_ec)[1]
-             for t in np.linspace(0.05, 0.95, 30)]
-    assert all(b < a for a, b in zip(rates, rates[1:]))
+    rates = high_snr_k_and_rate(np.linspace(0.05, 0.95, 30), co, cfg.epsilon, cfg.n_ec)[1]
+    assert np.all(np.diff(rates) < 0.0)
 
 
 def test_high_snr_cap_increases_with_tau():
     cfg = workable_cfg(epsilon=0.05)
     co = make_coeffs(cfg, 12.0, 6.0)
-    ks = [high_snr_k_and_rate(t, co, cfg.epsilon, cfg.n_ec)[0]
-          for t in np.linspace(0.05, 0.95, 30)]
-    assert all(b > a for a, b in zip(ks, ks[1:]))
+    ks = high_snr_k_and_rate(np.linspace(0.05, 0.95, 30), co, cfg.epsilon, cfg.n_ec)[0]
+    assert np.all(np.diff(ks) > 0.0)
 
 
 def test_high_snr_special_epsilon_identity():
@@ -770,20 +815,27 @@ def test_high_snr_requires_impairments_and_interior_tau():
 def test_high_snr_limits_meet_the_finite_power_solution():
     # the limits' oracle: the finite-power k(tau) of solve_k_batch and its
     # rate approach (k_inf, rate) as 1/P, two decades per 20 dB; the rate
-    # keeps the larger gap, the destination SNDR's 1/(tau*e) from its ceiling
+    # keeps the larger gap, the destination SNDR's 1/(tau*e) from its ceiling.
+    # One call per power over the 200 states, equal to its 0-d calls
     rng = np.random.Generator(np.random.Philox(2026))
     powers = (100.0, 120.0, 140.0)
-    gaps = np.zeros((len(powers), 2))  # worst relative gap of k and of the rate
+    params, gains, eps, tau = [], [], [], []
     for _ in range(200):
         n_c, k = int(rng.integers(1, 19)), float(rng.uniform(0.01, 0.2))
-        eps, tau = float(rng.uniform(0.003, 0.3)), float(rng.uniform(0.05, 0.95))
-        g_hat, g_check = rng.gamma(n_c), rng.gamma(20 - n_c)
-        for row, p_dbm in enumerate(powers):
-            cfg = SystemConfig(M=100, N_D=20, N_C=n_c, P_dBm=p_dbm, k_tx=k, k_rx=k, epsilon=eps)
-            co = make_coeffs(cfg, g_hat, g_check)
-            k_inf, rate_inf = high_snr_k_and_rate(tau, co, eps, cfg.n_ec)
-            k_p = solve_k_batch(tau, co.a, co.b, co.c, cfg.n_ec, eps)
-            rate_p = rs_of_tau(tau, k_p, co)
-            gaps[row] = np.maximum(gaps[row], [abs(k_p / k_inf - 1.0), abs(rate_p / rate_inf - 1.0)])
+        eps.append(float(rng.uniform(0.003, 0.3)))
+        tau.append(float(rng.uniform(0.05, 0.95)))
+        params.append(dict(M=100, N_D=20, N_C=n_c, k_tx=k, k_rx=k, epsilon=eps[-1]))
+        gains.append((rng.gamma(n_c), rng.gamma(20 - n_c)))
+    eps, tau = np.array(eps), np.array(tau)
+    n_ec = np.array([20 - p["N_C"] for p in params])
+    gaps = np.zeros((len(powers), 2))  # worst relative gap of k and of the rate
+    for row, p_dbm in enumerate(powers):
+        co = stack_coeffs([make_coeffs(SystemConfig(P_dBm=p_dbm, **p), *g) for p, g in zip(params, gains)])
+        k_inf, rate_inf = high_snr_k_and_rate(tau, co, eps, n_ec)
+        for i in range(tau.size):
+            assert high_snr_k_and_rate(float(tau[i]), co.take(i), float(eps[i]), int(n_ec[i])) == (k_inf[i], rate_inf[i])
+        k_p = solve_k_batch(tau, co.a, co.b, co.c, n_ec, eps)
+        rate_p = rs_of_tau(tau, k_p, co)
+        gaps[row] = [np.max(np.abs(k_p / k_inf - 1.0)), np.max(np.abs(rate_p / rate_inf - 1.0))]
     assert np.all(gaps[1:] <= 0.02 * gaps[:-1]), gaps
     assert gaps[-1, 0] <= 1e-7 and gaps[-1, 1] <= 1e-6, gaps
