@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import math
 import sys
@@ -530,7 +531,8 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
 # ---------------------------------------------------------------------------
 
 def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True) -> list[tuple[str, bool, str]]:
-    """Run formula-vs-oracle spot checks; returns (name, ok, detail) triples."""
+    """Run formula-vs-oracle spot checks; returns (name, ok, detail) triples.
+    Needs scipy (the ``test`` extra), the reference of the E1 check."""
     from scipy import special as sp
 
     results = []
@@ -638,9 +640,9 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
            f"y_D {recon.y_d.value:.4g}~{recon.y_d_formula:.4g}, "
            f"y_E {recon.y_e.value:.4g}~{recon.y_e_formula:.4g}")
 
-    # scaled exponential integral exp(z)*E1(z) against scipy, on the
-    # continued-fraction branch (z > 5), where the library does not call scipy
-    zs = np.geomspace(5.01, 600.0, 200)
+    # scaled exponential integral exp(z)*E1(z) against scipy, on both the
+    # power-series (z <= 1) and the continued-fraction side
+    zs = np.geomspace(1e-8, 600.0, 200)
     ref = sp.exp1(zs) * np.exp(zs)
     worst_e1 = float(np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref))
     record("e1_scaled", worst_e1 <= 1e-12, f"worst relative error = {worst_e1:.2e}")
@@ -711,6 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="run the formula-vs-oracle suite")
     validate.add_argument("--trials", type=int, default=200_000)
     validate.add_argument("--seed", type=int, default=4242)
+    validate.set_defaults(parser=validate)
 
     return parser
 
@@ -752,6 +755,8 @@ def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
 
 
 def cmd_validate(args) -> int:
+    if importlib.util.find_spec("scipy") is None:  # the reference of run_validation
+        args.parser.error("needs scipy (pip install mmwsec[test])")
     results = run_validation(trials=args.trials, seed=args.seed)
     return 0 if all(ok for _, ok, _ in results) else 1
 

@@ -191,7 +191,7 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (tau * den_core)
-        value = np.exp(-ratio) * per_value(lambda n, x: x**-n, n_ec, 1.0 + (1.0 - tau) * coeffs.b * ratio)
+        value = np.exp(-ratio) * per_value(lambda n, x: np.power(x, -n), n_ec, 1.0 + (1.0 - tau) * coeffs.b * ratio)
     value = np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
     return value if value.ndim else float(value)
 

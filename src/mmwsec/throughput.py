@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .channel import sample_gain_scalars
 from .config import EffectiveCoeffs, SystemConfig
@@ -34,12 +33,18 @@ from .sop import per_value
 
 LN2 = math.log(2.0)
 
-# z above which exp(z)*E1(z) comes from the continued fraction instead of
-# scipy's exp1: exp1(z) underflows and exp(z) overflows for large z, and
-# from z = 5 up, 30 terms of the fraction, evaluated backward, stay within
-# 2.4e-16 relative of 40-digit mpmath (3,000 points on [5, 1e7])
-_E1_CF_CUTOFF = 5.0
-_E1_CF_TERMS = 30
+# exp(z)*E1(z) comes from the power series up to z = 1 (Abramowitz &
+# Stegun 5.1.11, 18 terms) and above from the continued fraction 5.1.22 cut
+# at level 100, the depth 20 + floor(80/z) of E1XB (Zhang & Jin,
+# Computation of Special Functions, 1996) at z = 1: its first 10 levels
+# run backward from the fraction's tail, levels 11 to 100, taken as one
+# sum over the Gauss rule of rows 10 to 100 of the Laguerre Jacobi matrix.
+# The 10 levels shrink the sum's rounding by 1e-4 or more; both sides are
+# within 5.5e-16 relative of 40-digit mpmath on [1e-12, 1e7]
+_EULER_GAMMA = 0.5772156649015329
+_E1_SERIES = [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1)]
+_E1_LEVELS = 10
+_E1_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +54,21 @@ _E1_CF_TERMS = 30
 def _e1_scaled(z):
     """exp(z) * E1(z) elementwise for z > 0, stable for arbitrarily large z.
 
-    Up to z = 5 it is scipy's exp1 times exp; above, the continued fraction
-    1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))) cut at a fixed depth.
-    Both branches are evaluated on z clipped to their side of the cutoff.
+    Up to z = 1 it is -gamma - ln z + sum (-1)^(k+1) z^k/(k k!), times
+    exp(z); above, 1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))) to level 100.
     """
     z = np.asarray(z, float)
-    small = np.minimum(z, _E1_CF_CUTOFF)
-    large = np.maximum(z, _E1_CF_CUTOFF)
-    t = large + (2 * _E1_CF_TERMS + 1.0)
-    for i in range(_E1_CF_TERMS, 0, -1):
-        t = large + (2 * i - 1.0) - (i * i) / t
-    return np.where(z <= _E1_CF_CUTOFF, special.exp1(small) * np.exp(small), 1.0 / t)
+    small = np.minimum(z, 1.0)
+    series = np.zeros(z.shape)
+    for coef in _E1_SERIES:
+        series += coef
+        series *= small
+    large = np.maximum(z, 1.0)
+    nodes, weights = _laguerre_rule(0, _E1_LEVELS, _E1_DEPTH + 1 - _E1_LEVELS)
+    t = 1.0 / np.sum(weights / (large[..., None] + nodes), axis=-1)
+    for i in range(_E1_LEVELS, 0, -1):
+        t = large + (2.0 * i - 1.0) - (i * i) / t
+    return np.where(z <= 1.0, (series - _EULER_GAMMA - np.log(small)) * np.exp(small), 1.0 / t)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +506,18 @@ class _MrtScales:
         return 0.5 * (-a1 + np.sqrt((g_hat * one_minus_u) ** 2 - 4.0 * v * g_hat))
 
 
+def _rgamma(n: int) -> float:
+    """1/Gamma(n) = 1/(n-1)! of an integer n >= 0, exactly rounded, and 0 at
+    the pole n = 0."""
+    return 1 / math.factorial(n - 1) if n > 0 else 0.0
+
+
+def _factorial(k):
+    """k! of an array of non-negative integers as floats, inf past 170!
+    (the largest factorial below the double range)."""
+    return np.array([math.factorial(i) if i <= 170 else math.inf for i in k.flat], float).reshape(k.shape)
+
+
 def _bar_scales(cfg: SystemConfig) -> _MrtScales:
     """Constants of the full-power rate, built once per configuration."""
     beta_e = cfg.beta_e()
@@ -508,8 +529,8 @@ def _bar_scales(cfg: SystemConfig) -> _MrtScales:
         c1=1.0 - c_bar * log_eps,
         c3=1.0 - (a_bar + c_bar) * log_eps,
         ratio=a_bar * e_bar / d_bar,
-        norm_c=float(special.rgamma(cfg.N_C)),
-        norm_dc=float(special.rgamma(cfg.n_dc)),
+        norm_c=_rgamma(cfg.N_C),
+        norm_dc=_rgamma(cfg.n_dc),
     )
 
 
@@ -545,9 +566,29 @@ def mrt_transmit_threshold(g_hat, cfg: SystemConfig):
 
 
 @lru_cache(maxsize=64)
-def _laguerre_rule(order_m: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = special.roots_genlaguerre(160, order_m)
-    return nodes, weights / math.gamma(order_m + 1)
+def _laguerre_rule(order_m: int, first: int = 0, count: int = 160) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (Golub & Welsch, Math. Comp. 23, 1969) of rows first to
+    first + count - 1 of the Jacobi matrix of the order-m Laguerre
+    polynomials: from row 0, the 160-point rule of the Gamma(m+1, 1) law;
+    from a later row, sum w/(z + x) is the tail of the matrix's J-fraction.
+    The block is A A^T with A[i, i] = sqrt(k), A[i, i+1] = sqrt(k+m+1),
+    k = first + i, so the nodes are A's squared singular values; the
+    weights, summing to 1, are the Christoffel numbers 1/sum_j p_j^2 of the
+    block's orthonormal polynomials, each sum scaled by its largest term
+    so that no square overflows.
+    """
+    n = count
+    k = np.arange(first, first + n + 0.0)
+    factor = np.eye(n, n + 1) * np.sqrt(k)[:, None] + np.eye(n, n + 1, 1) * np.sqrt(k + order_m + 1.0)[:, None]
+    x = np.linalg.svd(factor, compute_uv=False)[::-1] ** 2
+    diag, off = 2.0 * k + order_m + 1.0, np.sqrt(k * (k + order_m))
+    # off[j+1] p_{j+1} = (x - diag[j]) p_j - off[j] p_{j-1}; row j + 1 holds p_j, row 0 p_-1 = 0
+    p = np.zeros((n + 1, n))
+    p[1] = 1.0
+    for j in range(n - 1):
+        p[j + 2] = ((x - diag[j]) * p[j + 1] - off[j] * p[j]) / off[j + 1]
+    scale = np.max(np.abs(p), axis=0)
+    return x, (1.0 / scale) ** 2 / np.sum((p / scale) ** 2, axis=0)
 
 
 def _log_moments(q, m_max: int):
@@ -612,12 +653,25 @@ def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
     l1, l2, l3, l4 = np.moveaxis(_log_moments(qs, n_dc - 1), 1, 0)
     # order m carries beta^k/k! with k = n_dc - 1 - m
     k = np.arange(n_dc - 1, -1, -1).reshape((-1,) + (1,) * beta.ndim)
-    total = np.sum(beta**k / special.factorial(k) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
+    total = np.sum(beta**k / _factorial(k) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
     return np.exp(-beta) * _gamma_pdf(y, n_c, s.norm_c) * total
 
 
+@lru_cache(maxsize=64)
 def _gamma_cap(shape: int, tail: float = 1e-10) -> float:
-    return float(special.gammainccinv(shape, tail))
+    """The gain x that a Gamma(shape, 1) law exceeds with probability tail.
+    For an integer shape Q(n, x) = e^-x sum_{k<n} x^k/k!, whose largest term
+    is k = n - 1 for x >= n; ln Q falls from about ln(1/2) at x = n to below
+    ln(tail) at x = 2n + 40."""
+    k = np.arange(shape)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(shape)])
+
+    def log_q_excess(x):
+        terms = np.log(x)[:, None] * k - log_fact
+        return terms[:, -1] + np.log(np.sum(np.exp(terms - terms[:, -1:]), axis=1)) - x - math.log(tail)
+
+    lo, hi = np.array([float(shape)]), np.array([2.0 * shape + 40.0])
+    return float(bracketed_roots(log_q_excess, lo, hi, log_q_excess(lo), log_q_excess(hi))[0])
 
 
 def mrt_throughput_closed_form(cfg: SystemConfig) -> float:
@@ -725,7 +779,7 @@ def high_snr_k_and_rate(tau, coeffs: EffectiveCoeffs, epsilon, n_ec):
         raise ValueError("epsilon must lie in (0, 1]")
     if np.any(coeffs.k_tot2 <= 0.0):
         raise InfeasibleError("high-SNR ceiling requires k_tot2 > 0")
-    phi_eps = np.power(epsilon, -1.0 / n_ec) - 1.0
+    phi_eps = np.expm1(-per_value(math.log, epsilon) / n_ec)  # eps^(-1/N) - 1 without cancellation
     if np.any((coeffs.c * phi_eps >= coeffs.b) & (phi_eps > 0.0)):
         raise InfeasibleError(
             "outside the monotone region: c * (eps^(-1/N)-1) >= b"

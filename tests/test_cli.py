@@ -363,6 +363,16 @@ def test_throughput_sweep_modes_smoke():
         assert cli.check_rows(rows) == []
 
 
+def test_validate_without_scipy_is_a_usage_error(capsys, monkeypatch):
+    # scipy is validate's reference, and only the test extra installs it
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["mmwsec validate: error: needs scipy (pip install mmwsec[test])"]
+
+
 def test_validate_suite_passes():
     results = cli.run_validation(trials=30_000, seed=4242, verbose=False)
     assert results

@@ -199,6 +199,24 @@ def test_sop_conditional_equals_ccdf_at_threshold(rng):
     assert checked > 500
 
 
+def test_sop_conditional_batch_equals_0d_calls():
+    # a 0-d state (np.float64 coefficients, a float split) gets the bits it
+    # gets inside a batch; the N_EC power is numpy's for both
+    fuzz = np.random.Generator(np.random.Philox(7))
+    checked = 0
+    for cfg, co in fuzz_states(fuzz, 40, 40):
+        target = SecrecyTarget(cfg.R_s)
+        t_min = tau_min(target, co)
+        live = (sop_overall(1.0, target, co, cfg.n_ec).branch == SopBranch.CONDITIONAL) & (t_min < 1.0 - 1e-6)
+        co, t_min = co.take(live), t_min[live]
+        tau = fuzz.uniform(t_min + 1e-6, 1.0)
+        batch = sop_conditional(tau, target, co, cfg.n_ec)
+        for i in range(tau.size):
+            assert sop_conditional(float(tau[i]), target, co.take(i), cfg.n_ec) == batch[i]
+        checked += tau.size
+    assert checked > 500
+
+
 def test_sop_conditional_ideal_hardware_form():
     # no-distortion reduction: exp(-(tau*d - T+1)/(tau*T*a)) * (1 + (1-tau)*b*(...)/(tau*T*a))^-N
     co = _ideal_coeffs(d=200.0, a=8.0, b=3.0)

@@ -47,11 +47,11 @@ from mmwsec.throughput import (
 # ---------------------------------------------------------------------------
 
 def test_e1_scaled_against_mpmath():
-    # both branches: scipy's exp1 up to z = 5, the continued fraction above;
-    # z = 1e-12 is deep in the -gamma - ln(z) limit, z = 700 is where
+    # both branches: the power series up to z = 1, the continued fraction
+    # above; z = 1e-12 is deep in the -gamma - ln(z) limit, z = 700 is where
     # exp(-z) nears the double underflow.  One array call over the grid,
     # equal bit for bit to the calls on each 0-d element.
-    zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [5.0, np.nextafter(5.0, 6.0), 700.0]])
+    zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [1.0, np.nextafter(1.0, 2.0), 5.0, 700.0]])
     got = throughput._e1_scaled(zs)
     assert got.shape == zs.shape
     with mpmath.workdps(40):
@@ -60,6 +60,25 @@ def test_e1_scaled_against_mpmath():
             ref = float(mpmath.e1(zm) * mpmath.exp(zm))
             assert abs(value - ref) <= 1e-12 * ref, z
             assert throughput._e1_scaled(np.asarray(z)) == value, z
+
+
+def test_e1_scaled_against_scipy():
+    # the whole of (0, 5], where the library took scipy's exp1 before
+    zs = np.concatenate([np.geomspace(1e-300, 1e-3, 200), np.linspace(1e-3, 5.0, 4000)])
+    ref = special.exp1(zs) * np.exp(zs)
+    assert np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref) <= 1e-12
+
+
+def test_e1_tail_rule_is_the_fraction_tail():
+    # the Gauss rule of rows 10 to 100 of the Laguerre Jacobi matrix sums to
+    # the continued fraction's levels 11 to 100, evaluated backward
+    z = np.geomspace(1.0, 1e7, 200)
+    t = z + 201.0
+    for i in range(100, 10, -1):
+        t = z + (2 * i - 1.0) - i * i / t
+    nodes, weights = throughput._laguerre_rule(0, 10, 91)
+    tail = 1.0 / np.sum(weights / (z[:, None] + nodes), axis=1)
+    assert np.max(np.abs(tail / t - 1.0)) <= 1e-13
 
 
 # Ei(x) = -E1(-x) for x < 0, through the scaled form the library evaluates,
@@ -608,6 +627,49 @@ def test_log_moment_against_mpmath():
             assert log_moment(q, m) == moments[m, i]
 
 
+def test_laguerre_rule_against_scipy():
+    # every order the fallback can take with N_D = 20: the nodes, and the
+    # weights of the Gamma(m+1, 1) law, none of them underflowing to 0;
+    # a smooth integral against mpmath at the lowest, a middle and the top order
+    for m in range(20):
+        nodes, weights = throughput._laguerre_rule(m)
+        ref_nodes, ref_weights = special.roots_genlaguerre(160, m)
+        ref_weights = ref_weights / math.factorial(m)
+        assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-12, m
+        assert np.all(weights > 0.0)
+        assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-10, m
+        if m not in (0, 7, 19):
+            continue
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda x: mpmath.log(1 + x / 3) * x**m * mpmath.exp(-x), [0, mpmath.inf])
+            ref = float(ref / mpmath.factorial(m))
+        assert abs(np.sum(weights * np.log1p(nodes / 3.0)) - ref) <= 1e-13 * ref, m
+
+
+def test_gamma_cap_against_scipy_and_mpmath():
+    # Q(n, cap) = 1e-10 for the shapes 1-20 of N_D = 20, and 100
+    for n in [*range(1, 21), 100]:
+        cap = throughput._gamma_cap(n)
+        assert abs(cap - special.gammainccinv(n, 1e-10)) <= 1e-12 * cap, n
+        with mpmath.workdps(30):
+            tail = float(mpmath.gammainc(n, cap, mpmath.inf, regularized=True))
+        assert abs(tail / 1e-10 - 1.0) <= 1e-11, n
+
+
+def test_integer_gammas_against_scipy():
+    # 1/Gamma(n) and k! for 0-25 within an ulp of scipy, exactly rounded
+    # from the integers; 1/Gamma(0) = 0 at the pole, and k! past 170! is inf
+    ns = np.arange(26)
+    rgamma = np.array([throughput._rgamma(int(n)) for n in ns])
+    fact = throughput._factorial(ns)
+    assert np.allclose(rgamma, special.rgamma(ns), rtol=2.3e-16, atol=0.0)
+    assert np.allclose(fact, special.factorial(ns), rtol=2.3e-16, atol=0.0)
+    assert rgamma[0] == 0.0 and all(r == 1 / math.factorial(n - 1) for n, r in zip(ns[1:], rgamma[1:]))
+    assert all(f == float(math.factorial(k)) for k, f in zip(ns, fact))
+    big = throughput._factorial(np.array([[170], [171]]))
+    assert big.shape == (2, 1) and np.isfinite(big[0, 0]) and big[1, 0] == np.inf
+
+
 def test_log_moments_of_zero_q_are_zero():
     # q = 0 (no impairment gives e_bar = 0) is 0 at every order, with no
     # division by zero, next to q > 0 in the same call
@@ -669,15 +731,23 @@ def test_gk21_raises_when_an_integral_cannot_settle():
             throughput._gk21(lambda x, _: 1.0 / x, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-12, 1e-9)
 
 
-def test_import_loads_no_scipy_integrate_or_optimize():
-    # the library's quadratures are its own, so importing it stays light
+def test_library_loads_no_scipy():
+    # scipy is the tests' and validate's reference only: neither the import
+    # nor a sweep through fig6's MRT rows (E1, the Laguerre fallback, the
+    # gamma cap and the integer gammas) loads any part of it
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, mmwsec; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    code = ("import sys, mmwsec\n"
+            "from mmwsec import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for fig in ('fig5', 'fig6'):\n"
+            "    for spec in cli.preset_specs(fig, trials=4):\n"
+            "        cli.run_sweep(spec)\n"
+            "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_mrt_throughput_dual_quadrature():
@@ -790,6 +860,24 @@ def test_high_snr_special_epsilon_identity():
     tau = 0.4
     k_inf, _ = high_snr_k_and_rate(tau, co, eps, cfg.n_ec)
     assert math.isclose((1.0 - tau) * co.b * k_inf, co.a - co.c * tau * k_inf, rel_tol=1e-12)
+
+
+def test_high_snr_cap_against_mpmath_near_eps_one():
+    # eps^(-1/N) - 1 is formed as expm1(-ln(eps)/N), which does not cancel
+    # when eps^(-1/N) is near 1: eps near 1 and N up to 20
+    cfg = workable_cfg()
+    co = make_coeffs(cfg, 12.0, 6.0)
+    tau = 0.4
+    eps = np.array([0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-7, 1 - 1e-10, 1 - 1e-13])[:, None]
+    n_ec = np.arange(1, 21)
+    k_inf, _ = high_snr_k_and_rate(tau, co, eps, n_ec)
+    with mpmath.workdps(40):
+        a, b, c = (mpmath.mpf(float(v)) for v in (co.a, co.b, co.c))
+        for i, e in enumerate(eps[:, 0]):
+            for j, n in enumerate(n_ec):
+                phi = mpmath.mpf(float(e)) ** (-mpmath.mpf(1) / int(n)) - 1
+                ref = float(phi * a / ((1 - mpmath.mpf(tau)) * b + c * tau * phi))
+                assert abs(k_inf[i, j] - ref) <= 1e-14 * ref, (e, n)
 
 
 def test_high_snr_power_invariance():
