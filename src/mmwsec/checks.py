@@ -1,0 +1,155 @@
+"""One check per pairing of a closed form with its independent oracle,
+called by ``mmwsec validate``, the acceptance suite and the unit tests at
+their own budgets and tolerances.  A check takes the states, splits, seeds
+and grids its caller drew, runs both sides and returns a ``Check``; a
+margin <= 1 passes, and NaN fails."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+from typing import NamedTuple
+
+import numpy as np
+
+from . import montecarlo, opa_sop, sndr, sop, throughput
+from .config import coeffs_from_gains
+
+# A (points x states) grid of at most this many elements is one array, a
+# larger one runs state by state: that bounds the working set, and each k(tau)
+# solve settles on its own (at 10,000 splits, even 2-state blocks were slower).
+_GRID_ELEMENTS = 1 << 19
+
+
+class Check(NamedTuple):
+    """The worst gap, the worst gap/tol margin and the line ``validate`` prints."""
+
+    gap: float
+    margin: float
+    detail: str
+
+
+def _worst(x) -> float:
+    """Largest element, 0 for none; NaN propagates."""
+    return float(np.max(np.asarray(x, float), initial=0.0))
+
+
+def _state_blocks(n_states: int, n_points: int) -> list[slice]:
+    step = n_states if n_states * n_points <= _GRID_ELEMENTS else 1
+    return [slice(i, i + step) for i in range(0, n_states, max(step, 1))]
+
+
+def _vs_estimates(pairs, tol: float, sigmas: float) -> tuple[float, float]:
+    """Worst gap |closed - mc| and worst margin of (closed value, McEstimate)
+    pairs, each tolerance max(tol, sigmas * standard error)."""
+    gaps = [abs(closed - est.value) for closed, est in pairs]
+    return _worst(gaps), _worst(np.divide(gaps, [max(tol, sigmas * est.std_error) for _, est in pairs]))
+
+
+def sop_conditional_vs_mc(cases, n: int, tol: float, sigmas: float) -> Check:
+    """``sop.sop_conditional`` vs ``montecarlo.empirical_sop_conditional``
+    at each (coeffs, feasible tau, target, n_ec, seed) of ``cases``, with
+    ``n`` samples each."""
+    gap, margin = _vs_estimates([
+        (sop.sop_conditional(tau, target, coeffs, n_ec),
+         montecarlo.empirical_sop_conditional(coeffs, tau, target, n_ec, n, seed))
+        for coeffs, tau, target, n_ec, seed in cases
+    ], tol, sigmas)
+    return Check(gap, margin, f"worst gap/tol = {margin:.3f}")
+
+
+def cdf_Y_E_vs_mc(cases, n: int, tol: float, sigmas: float) -> Check:
+    """``sop.cdf_Y_E`` vs ``montecarlo.empirical_cdf_Y_E`` at every level of
+    each (coeffs, tau, ascending levels, n_ec, seed) of ``cases``."""
+    gap, margin = _vs_estimates([
+        pair for coeffs, tau, levels, n_ec, seed in cases
+        for pair in zip(sop.cdf_Y_E(levels, tau, coeffs, n_ec), montecarlo.empirical_cdf_Y_E(coeffs, tau, levels, n, seed, n_ec))
+    ], tol, sigmas)
+    return Check(gap, margin, f"max pointwise gap = {gap:.4f}")
+
+
+def opa_sop_vs_grid(target, states, n_ec, u, v, points: int, tol: float) -> Check:
+    """``opa_sop.optimize_tau_sop_batch`` vs the best of ``points`` even
+    splits of each state's feasible set (tau_min, 1], with phi at the given
+    (u, v) (u = 1, v = n_ec is the optimizer's mean policy); every state must
+    be able to transmit.  The gap is the grid's relative lead (best - phi*) /
+    best, 0 where the optimizer wins; phi is a ratio of positive terms."""
+    objective = opa_sop.optimize_tau_sop_batch(target, states, n_ec, u, v).objective_value
+    t_min = sop.tau_min(target, states)
+    pc = opa_sop.phi_coeffs(u, v, states)
+    steps = np.arange(1, points + 1)[:, None] / points  # a column per state
+    best = np.empty(t_min.shape)
+    for rows in _state_blocks(t_min.size, points):
+        block = opa_sop.PhiCoeffs(*(np.broadcast_to(getattr(pc, f.name), t_min.shape)[rows] for f in fields(pc)))
+        best[rows] = np.max(opa_sop.phi_rational(t_min[rows] + steps * (1.0 - t_min[rows]), block), axis=0)
+    gap = _worst((best - objective) / np.abs(best))
+    return Check(gap, gap / tol, f"worst relative shortfall = {gap:.2e}")
+
+
+def throughput_opt_vs_grid(states, n_ec, epsilon, taus: np.ndarray, tol: float) -> Check:
+    """``throughput.optimize_tau_throughput_batch`` vs the best rate over the
+    splits ``taus`` with k from ``throughput.solve_k_batch``; ``n_ec`` and
+    ``epsilon`` are shared or per state.  The gap is the grid's lead in bits,
+    0 where the optimizer wins (its rate is 0 where it cannot transmit)."""
+    rate = throughput.optimize_tau_throughput_batch(states, n_ec, epsilon).R_s_star
+    per_state = np.broadcast_arrays(states.a, states.b, states.c, states.d, states.e, n_ec, epsilon)
+    best = np.empty(rate.shape)
+    for rows in _state_blocks(rate.size, taus.size):
+        a, b, c, d, e, n, eps = (x[rows, None] for x in per_state)  # a row per state
+        ks = throughput.solve_k_batch(taus, a, b, c, n, eps)
+        best[rows] = np.max(np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks))), axis=1)
+    gap = _worst(best - rate)
+    return Check(gap, gap / tol, f"worst shortfall = {gap:.2e} bits")
+
+
+def mrt_throughput_dual_quadrature(configs, tol: float) -> Check:
+    """``throughput.mrt_throughput_closed_form`` vs the direct 2-D quadrature
+    ``mrt_throughput_quad2d`` per configuration: gap |closed - direct| /
+    max(|direct|, 1e-12); the detail names the worst configuration's pair."""
+    pairs = [(throughput.mrt_throughput_closed_form(cfg), throughput.mrt_throughput_quad2d(cfg)) for cfg in configs]
+    rels = [abs(closed - direct) / max(abs(direct), 1e-12) for closed, direct in pairs]
+    worst = int(np.argmax(rels))  # the first NaN, if any
+    (closed, direct), rel = pairs[worst], rels[worst]
+    return Check(rel, rel / tol, f"closed={closed:.6g} direct={direct:.6g} rel={rel:.2e}")
+
+
+def sndr_reconstruction(cfg, tau: float, n: int, seed: int, sigmas: float) -> Check:
+    """Both closed-form SNDRs vs ``montecarlo.empirical_sndr_from_distortion``,
+    their signal-level synthesis at one drawn state: gap |mc - formula| /
+    formula, the larger of the two, tolerance ``sigmas`` standard errors."""
+    rec = montecarlo.empirical_sndr_from_distortion(cfg, tau, n, seed)
+    formula = np.array([rec.y_d_formula, rec.y_e_formula])
+    diff = np.abs([rec.y_d.value, rec.y_e.value] - formula)
+    margin = _worst(diff / (sigmas * np.array([rec.y_d.std_error, rec.y_e.std_error])))
+    detail = f"y_D {rec.y_d.value:.4g}~{rec.y_d_formula:.4g}, y_E {rec.y_e.value:.4g}~{rec.y_e_formula:.4g}"
+    return Check(_worst(diff / formula), margin, detail)
+
+
+def e1_scaled(zs: np.ndarray, tol: float) -> Check:
+    """``throughput._e1_scaled``, exp(z)*E1(z), vs ``scipy.special.exp1``:
+    gap the worst relative error.  The package imports scipy here only."""
+    from scipy import special
+
+    ref = special.exp1(zs) * np.exp(zs)
+    gap = _worst(np.abs(throughput._e1_scaled(zs) - ref) / ref)
+    return Check(gap, gap / tol, f"worst relative error = {gap:.2e}")
+
+
+def high_snr_ceiling(states, powers, ratio_band: tuple[float, float], tol: float) -> Check:
+    """``sndr.high_snr_ceiling`` vs the finite-power destination SNDR of each
+    impaired (cfg, g_hat, g_check, tau) of ``states`` at each transmit power
+    of ``powers`` (dBm, in equal steps).  The relative gap 1 - y_D/ceiling =
+    1/(tau*e + 1) must be positive, shrink by a ratio inside ``ratio_band``
+    per step, and be at most ``tol`` at the last power, where the reported
+    gap is taken.  No Monte-Carlo sample is drawn."""
+    gaps = np.array([
+        [1.0 - sndr.sndr_destination(tau, co.d, co.e) / sndr.high_snr_ceiling(co.k_tot2)
+         for co in (coeffs_from_gains(cfg.with_overrides(P_dBm=p), g_hat, g_check) for p in powers)]
+        for cfg, g_hat, g_check, tau in states
+    ])
+    ratios = gaps[:, 1:] / gaps[:, :-1]
+    lo, hi = ratio_band
+    gap = _worst(gaps[:, -1])
+    margin = _worst([gap / tol, _worst(np.abs(ratios - 0.5 * (lo + hi))) / (0.5 * (hi - lo))])
+    detail = f"gap ratios {ratios.min():.9f}-{ratios.max():.9f}, worst gap {gap:.2e} at {powers[-1]:g} dBm"
+    return Check(gap, margin if np.all(gaps > 0.0) else math.inf, detail)

@@ -20,7 +20,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from . import montecarlo, opa_sop, sop, throughput
+from . import checks, montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
 from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config, stack_coeffs
 from .sndr import sndr_destination, sndr_eve
@@ -531,55 +531,48 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
 # ---------------------------------------------------------------------------
 
 def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True) -> list[tuple[str, bool, str]]:
-    """Run formula-vs-oracle spot checks; returns (name, ok, detail) triples.
-    Needs scipy (the ``test`` extra), the reference of the E1 check."""
-    from scipy import special as sp
-
+    """Run the formula-vs-oracle checks of ``mmwsec.checks`` on states of
+    its own drawing; returns (name, ok, detail) triples.  Needs scipy (the
+    ``test`` extra), the reference of the E1 check, and ``trials`` >= 2."""
     results = []
 
-    def record(name: str, ok: bool, detail: str):
-        results.append((name, bool(ok), detail))
+    def record(check, *args):
+        result = check(*args)
+        ok = result.margin <= 1.0
+        results.append((check.__name__, ok, result.detail))
         if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+            print(f"[{'PASS' if ok else 'FAIL'}] {check.__name__}: {result.detail}")
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = montecarlo.as_rng(seed)
+
+    def gains(cfg: SystemConfig):
+        g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
+        return float(g_hat[0]), float(g_check[0])
+
+    # conditional SOP at the middle of each feasible set
     target = sop.SecrecyTarget(3.0)
-
-    # conditional SOP closed form vs event-level MC
-    worst = 0.0
+    cases = []
     for trial in range(3):
         cfg = SystemConfig(
             M=100, N_D=20, N_C=int(rng.integers(4, 17)), P_dBm=float(rng.uniform(48, 62)),
             R_s=3.0, k_tx=0.08, k_rx=0.08,
         )
-        g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
-        coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
+        coeffs = coeffs_from_gains(cfg, *gains(cfg))
         t_min = sop.tau_min(target, coeffs)
-        if t_min >= 1.0:  # inf when the source is silent
-            continue
-        tau = 0.5 * (t_min + 1.0)
-        analytic = sop.sop_conditional(tau, target, coeffs, cfg.n_ec)
-        est = montecarlo.empirical_sop_conditional(
-            coeffs, tau, target, cfg.n_ec, trials, int(seed + trial)
-        )
-        gap = abs(analytic - est.value)
-        tol = max(0.01, 4.0 * est.std_error)
-        worst = max(worst, gap / tol)
-    record("sop_conditional_vs_mc", worst <= 1.0, f"worst gap/tol = {worst:.3f}")
+        if t_min < 1.0:  # inf when the source is silent
+            cases.append((coeffs, 0.5 * (t_min + 1.0), target, cfg.n_ec, seed + trial))
+    record(checks.sop_conditional_vs_mc, cases, trials, 0.01, 4.0)
 
-    # CDF closed form vs empirical CDF
+    # CDF at ten quantiles of one sample of the eavesdropper SNDR
     cfg = SystemConfig(M=100, N_D=20, N_C=10, P_dBm=55.0)
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 1, rng)
-    coeffs = coeffs_from_gains(cfg, float(g_hat[0]), float(g_check[0]))
+    coeffs = coeffs_from_gains(cfg, *gains(cfg))
     tau = 0.6
     probe = sndr_eve(tau, rng.exponential(1.0, 4000), rng.gamma(cfg.n_ec, 1.0, 4000), coeffs.a, coeffs.b, coeffs.c)
-    grid = np.quantile(probe, np.linspace(0.05, 0.95, 10)).tolist()  # ascending: one sample's quantiles
-    ests = montecarlo.empirical_cdf_Y_E(coeffs, tau, grid, trials, int(seed + 10), cfg.n_ec)
-    gap = float(np.max(np.abs(sop.cdf_Y_E(grid, tau, coeffs, cfg.n_ec) - [e.value for e in ests])))
-    record("cdf_Y_E_vs_mc", gap <= 0.01, f"max pointwise gap = {gap:.4f}")
+    levels = np.quantile(probe, np.linspace(0.05, 0.95, 10)).tolist()  # ascending: one sample's quantiles
+    record(checks.cdf_Y_E_vs_mc, [(coeffs, tau, levels, cfg.n_ec, seed + 10)], trials, 0.01, 0.0)
 
-    # SOP power-split optimizer vs dense grid, over the drawn states that
-    # can transmit, in one batch (each state has its own R_s, b and N_EC)
+    # SOP power-split optimizer over the drawn states that can transmit,
+    # in one batch (each state has its own R_s, b and N_EC)
     drawn = []
     for _ in range(100):
         cfg_i = SystemConfig(
@@ -587,22 +580,14 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             R_s=float(rng.uniform(1, 5)), k_tx=float(rng.uniform(0, 0.15)),
             k_rx=float(rng.uniform(0, 0.15)),
         )
-        g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
+        drawn.append((cfg_i, coeffs_from_gains(cfg_i, *gains(cfg_i))))
     tgt = sop.SecrecyTarget(np.array([cfg_i.R_s for cfg_i, _ in drawn]))
     states = stack_coeffs([co for _, co in drawn])
-    t_min = sop.tau_min(tgt, states)
-    ok = t_min < 1.0
-    tgt = tgt.take(ok)
-    states = states.take(ok)
-    n_ec, t_min = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok], t_min[ok]
-    res = opa_sop.optimize_tau_sop_batch(tgt, states, n_ec)
-    taus = t_min + (np.arange(1, 4001)[:, None] / 4000.0) * (1.0 - t_min)  # a column per state
-    best = np.max(opa_sop.phi_rational(taus, opa_sop.phi_coeffs(1.0, n_ec, states)), axis=0)
-    worst_rel = max(0.0, float(np.max((best - res.objective_value) / np.maximum(best, 1e-12))))
-    record("opa_sop_vs_grid", worst_rel <= 1e-6, f"worst relative shortfall = {worst_rel:.2e}")
+    ok = sop.tau_min(tgt, states) < 1.0
+    n_ec = np.array([cfg_i.n_ec for cfg_i, _ in drawn], float)[ok]
+    record(checks.opa_sop_vs_grid, tgt.take(ok), states.take(ok), n_ec, 1.0, n_ec, 4000, 1e-6)
 
-    # throughput optimizer vs dense grid, in one batch (per-state b, N_EC, epsilon)
+    # throughput optimizer, in one batch (per-state b, N_EC, epsilon)
     drawn = []
     for _ in range(30):
         cfg_i = SystemConfig(
@@ -610,43 +595,26 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
             epsilon=float(rng.uniform(0.005, 0.2)), k_tx=float(rng.uniform(0, 0.15)),
             k_rx=float(rng.uniform(0, 0.15)),
         )
-        g_hat, g_check, _, _ = sample_gain_scalars(cfg_i.N_C, cfg_i.n_dc, cfg_i.n_ec, 1, rng)
-        drawn.append((cfg_i, coeffs_from_gains(cfg_i, float(g_hat[0]), float(g_check[0]))))
-    states = stack_coeffs([co for _, co in drawn])
+        drawn.append((cfg_i, coeffs_from_gains(cfg_i, *gains(cfg_i))))
     n_ec, eps = (np.array([getattr(cfg_i, key) for cfg_i, _ in drawn]) for key in ("n_ec", "epsilon"))
-    res = throughput.optimize_tau_throughput_batch(states, n_ec, eps)
-    taus = np.linspace(1.0 / 2000, 1.0, 2000)  # a row per state
-    a, b, c, d, e, n_ec, eps = (x[:, None] for x in (states.a, states.b, states.c, states.d, states.e, n_ec, eps))
-    ks = throughput.solve_k_batch(taus, a, b, c, n_ec, eps)
-    best = np.max(np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks))), axis=1)
-    worst_bits = max(0.0, float(np.max(best - res.R_s_star)))  # R_s_star is 0 where it cannot transmit
-    record("throughput_opt_vs_grid", worst_bits <= 1e-5, f"worst shortfall = {worst_bits:.2e} bits")
+    record(checks.throughput_opt_vs_grid, stack_coeffs([co for _, co in drawn]), n_ec, eps,
+           np.linspace(1.0 / 2000, 1.0, 2000), 1e-5)
 
-    # MRT throughput: exponential-integral sum vs 2-D quadrature
-    cfg6 = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=0.01)
-    closed = throughput.mrt_throughput_closed_form(cfg6)
-    direct = throughput.mrt_throughput_quad2d(cfg6)
-    rel = abs(closed - direct) / max(abs(direct), 1e-12)
-    record("mrt_throughput_dual_quadrature", rel <= 1e-3,
-           f"closed={closed:.6g} direct={direct:.6g} rel={rel:.2e}")
+    record(checks.mrt_throughput_dual_quadrature, [SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=0.01)], 1e-3)
+    record(checks.sndr_reconstruction, SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0), 0.6,
+           min(trials, 100_000), seed + 77, 4.0)
+    # both sides of exp(z)*E1(z): the power series (z <= 1) and the continued fraction
+    record(checks.e1_scaled, np.geomspace(1e-8, 600.0, 200), 1e-12)
 
-    # distortion-level SNDR synthesis vs closed forms
-    recon = montecarlo.empirical_sndr_from_distortion(
-        SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0), 0.6, min(trials, 100_000), int(seed + 77)
-    )
-    ok_d = abs(recon.y_d.value - recon.y_d_formula) <= 4.0 * recon.y_d.std_error
-    ok_e = abs(recon.y_e.value - recon.y_e_formula) <= 4.0 * recon.y_e.std_error
-    record("sndr_reconstruction", ok_d and ok_e,
-           f"y_D {recon.y_d.value:.4g}~{recon.y_d_formula:.4g}, "
-           f"y_E {recon.y_e.value:.4g}~{recon.y_e_formula:.4g}")
-
-    # scaled exponential integral exp(z)*E1(z) against scipy, on both the
-    # power-series (z <= 1) and the continued-fraction side
-    zs = np.geomspace(1e-8, 600.0, 200)
-    ref = sp.exp1(zs) * np.exp(zs)
-    worst_e1 = float(np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref))
-    record("e1_scaled", worst_e1 <= 1e-12, f"worst relative error = {worst_e1:.2e}")
-
+    # high-SNR ceiling at 40 impaired states, 100 to 140 dBm
+    states = []
+    for _ in range(40):
+        cfg_i = SystemConfig(
+            M=100, N_D=20, N_C=int(rng.integers(0, 20)), k_tx=float(rng.uniform(0.0, 0.2)),
+            k_rx=float(rng.uniform(0.01, 0.2)), d_D_m=float(rng.uniform(20.0, 200.0)),
+        )
+        states.append((cfg_i, *gains(cfg_i), float(rng.uniform(0.05, 1.0))))
+    record(checks.high_snr_ceiling, states, (100.0, 120.0, 140.0), (0.00999, 0.0101), 1e-6)
     return results
 
 
@@ -755,6 +723,8 @@ def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.trials < 2:  # a standard error needs two samples
+        args.parser.error(f"--trials must be at least 2 (got {args.trials})")
     if importlib.util.find_spec("scipy") is None:  # the reference of run_validation
         args.parser.error("needs scipy (pip install mmwsec[test])")
     results = run_validation(trials=args.trials, seed=args.seed)

@@ -4,16 +4,14 @@ Each test prints one PASS line with its headline numbers; tolerances are
 fixed here and nowhere else.
 """
 
-import dataclasses
 import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from conftest import make_coeffs
-from mmwsec import cli
+from mmwsec import checks, cli
 from mmwsec.channel import (
     build_basis,
     channel_row,
@@ -21,37 +19,11 @@ from mmwsec.channel import (
     sample_channel,
     sample_path_sets,
 )
-from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, stack_coeffs
-from mmwsec.errors import SilentSourceError
-from mmwsec.montecarlo import (
-    empirical_cdf_Y_E,
-    empirical_sndr_from_distortion,
-    empirical_sop_conditional,
-)
-from mmwsec.opa_sop import (
-    OpaCase,
-    minimize_sop_tau,
-    optimize_tau_sop,
-    optimize_tau_sop_batch,
-    phi_coeffs,
-    phi_rational,
-)
-from mmwsec.sop import (
-    SecrecyTarget,
-    SopBranch,
-    cdf_Y_E,
-    sop_conditional,
-    sop_overall,
-    tau_min,
-)
-from mmwsec.throughput import (
-    k_max_tau1,
-    mrt_throughput_closed_form,
-    mrt_throughput_quad2d,
-    optimize_tau_throughput_batch,
-    q_of_k,
-    solve_k_batch,
-)
+from mmwsec.config import SystemConfig, coeffs_from_gains, stack_coeffs
+from mmwsec.opa_sop import OpaCase, minimize_sop_tau, optimize_tau_sop_batch
+from mmwsec.sndr import sndr_eve
+from mmwsec.sop import SecrecyTarget, SopBranch, sop_overall, tau_min
+from mmwsec.throughput import k_max_tau1, q_of_k, solve_k_batch
 
 
 def _broad_state(rng, **overrides):
@@ -76,57 +48,41 @@ def test_acceptance_1_conditional_sop_oracle():
     """Closed-form conditional SOP vs 1e6-sample Monte-Carlo, 25 states."""
     t0 = time.monotonic()
     rng = np.random.Generator(np.random.Philox(101))
-    done = 0
-    worst = 0.0
-    while done < 25:
+    cases = []
+    while len(cases) < 25:
         cfg, coeffs = _broad_state(rng)
         target = SecrecyTarget(cfg.R_s)
         t_min = tau_min(target, coeffs)
-        if t_min >= 1.0:  # inf when the source is silent
-            continue
-        tau = float(rng.uniform(t_min + 1e-6, 1.0))
-        analytic = sop_conditional(tau, target, coeffs, cfg.n_ec)
-        est = empirical_sop_conditional(coeffs, tau, target, cfg.n_ec, 1_000_000, 1000 + done)
-        gap = abs(analytic - est.value)
-        tol = max(0.005, 3.0 * est.std_error)
-        assert gap <= tol, f"state {done}: gap {gap:.5f} > tol {tol:.5f}"
-        worst = max(worst, gap)
-        done += 1
+        if t_min < 1.0:  # inf when the source is silent
+            cases.append((coeffs, float(rng.uniform(t_min + 1e-6, 1.0)), target, cfg.n_ec, 1000 + len(cases)))
+    check = checks.sop_conditional_vs_mc(cases, 1_000_000, 0.005, 3.0)
+    assert check.margin <= 1.0, check.detail
     elapsed = time.monotonic() - t0
     assert elapsed <= 60.0, f"runtime {elapsed:.1f}s exceeds 60s budget"
-    print(f"\nACCEPTANCE 1 PASS: 25 states, worst gap {worst:.5f} <= 0.005, {elapsed:.1f}s")
+    print(f"\nACCEPTANCE 1 PASS: 25 states, worst gap {check.gap:.5f} <= 0.005, {elapsed:.1f}s")
 
 
 def test_acceptance_2_cdf_oracle():
     """Eavesdropper SNDR CDF vs empirical CDF on 20-point grids, 10 sets."""
     rng = np.random.Generator(np.random.Philox(202))
-    worst = 0.0
+    cases = []
     for trial in range(10):
         cfg, coeffs = _broad_state(rng)
         tau = float(rng.uniform(0.1, 1.0))
-        probe_u = rng.exponential(1.0, 4000)
-        probe_v = rng.gamma(cfg.n_ec, 1.0, 4000)
-        from mmwsec.sndr import sndr_eve
-
-        probe = sndr_eve(tau, probe_u, probe_v, coeffs.a, coeffs.b, coeffs.c)
-        grid = sorted(float(np.quantile(probe, q)) for q in np.linspace(0.03, 0.97, 20))
-        ests = empirical_cdf_Y_E(coeffs, tau, grid, 1_000_000, 2000 + trial, cfg.n_ec)
-        gaps = np.abs(cdf_Y_E(grid, tau, coeffs, cfg.n_ec) - [est.value for est in ests])
-        i = int(np.argmax(gaps))
-        assert gaps[i] <= 0.005, f"set {trial}, x={grid[i]:.4g}: gap {gaps[i]:.5f}"
-        worst = max(worst, float(gaps[i]))
-    print(f"\nACCEPTANCE 2 PASS: 10 parameter sets, worst pointwise gap {worst:.5f} <= 0.005")
+        probe = sndr_eve(tau, rng.exponential(1.0, 4000), rng.gamma(cfg.n_ec, 1.0, 4000), coeffs.a, coeffs.b, coeffs.c)
+        levels = sorted(float(np.quantile(probe, q)) for q in np.linspace(0.03, 0.97, 20))
+        cases.append((coeffs, tau, levels, cfg.n_ec, 2000 + trial))
+    check = checks.cdf_Y_E_vs_mc(cases, 1_000_000, 0.005, 0.0)
+    assert check.margin <= 1.0, check.detail
+    print(f"\nACCEPTANCE 2 PASS: 10 parameter sets, worst pointwise gap {check.gap:.5f} <= 0.005")
 
 
 def test_acceptance_3_sop_power_split_optimizer():
     """Capacity-ratio optimizer matches a 1e4-point grid; all sign cases hit."""
     rng = np.random.Generator(np.random.Philox(303))
-    counts = {case: 0 for case in OpaCase}
-    worst_rel = 0.0
-    accepted = []  # (R_s, coeffs, u, v, objective) of every draw checked
-    done = 0
-    while done < 1000:
-        if done % 10 < 7:
+    drawn = []  # (R_s, coeffs, n_ec, u, v) of every draw that can transmit
+    while len(drawn) < 1000:
+        if len(drawn) % 10 < 7:
             cfg, coeffs = _broad_state(rng)
             u = float(rng.exponential(1.0))
             v = float(rng.gamma(cfg.n_ec, 1.0))
@@ -146,37 +102,23 @@ def test_acceptance_3_sop_power_split_optimizer():
             coeffs = make_coeffs(cfg, float(rng.gamma(n_c, 1.0)), float(rng.gamma(n_d - n_c, 1.0)))
             u = float(rng.uniform(1.0, 8.0))
             v = float(rng.uniform(0.0005, 0.05))
-        target = SecrecyTarget(cfg.R_s)
-        try:
-            res = optimize_tau_sop(target, coeffs, cfg.n_ec, u=u, v=v, grid_points=0)
-        except SilentSourceError:
-            continue
-        counts[res.case_tag] += 1
-        t_min = tau_min(target, coeffs)
-        taus = t_min + (np.arange(1, 10_001) / 10_000) * (1.0 - t_min)
-        grid_best = float(np.max(phi_rational(taus, phi_coeffs(u, v, coeffs))))
-        rel = (grid_best - res.objective_value) / max(abs(grid_best), 1e-12)
-        worst_rel = max(worst_rel, rel)
-        assert rel <= 1e-7, f"draw {done}: shortfall {rel:.2e}"
-        accepted.append((cfg.R_s, coeffs, u, v, res.objective_value))
-        done += 1
+        if tau_min(SecrecyTarget(cfg.R_s), coeffs) < 1.0:  # inf when the source is silent
+            drawn.append((cfg.R_s, coeffs, cfg.n_ec, u, v))
+    r_s, states, n_ec, u, v = zip(*drawn)
+    target, states, n_ec, u, v = SecrecyTarget(np.array(r_s)), stack_coeffs(states), *map(np.array, (n_ec, u, v))
+    res = optimize_tau_sop_batch(target, states, n_ec, u, v)
+    counts = {case: int(np.count_nonzero(res.case_tag == case)) for case in OpaCase}
     for case in (OpaCase.BOTH_SIGN, OpaCase.CONVEX_ENDPOINTS, OpaCase.CONCAVE_INTERIOR):
         assert counts[case] >= 10, f"case {case.value} hit only {counts[case]} times"
-    # the same draws as one batch, audited on a 10,000-point grid: the grid
-    # never beats the analytic split, which keeps its value (to rounding:
-    # numpy's vectorized 2**R_s may differ from the scalar one in the last bit)
-    r_s, states, u_arr, v_arr, objective = zip(*accepted)
-    states = EffectiveCoeffs(**{
-        f.name: np.array([getattr(c, f.name) for c in states])
-        for f in dataclasses.fields(EffectiveCoeffs)
-    })
-    audited = optimize_tau_sop_batch(
-        SecrecyTarget(np.array(r_s)), states, 1, u=np.array(u_arr), v=np.array(v_arr), grid_points=10_000
-    )
+    check = checks.opa_sop_vs_grid(target, states, n_ec, u, v, 10_000, 1e-7)
+    assert check.margin <= 1.0, check.detail
+    # audited on a 10,000-point grid, the grid never beats the analytic
+    # split, which keeps its value
+    audited = optimize_tau_sop_batch(target, states, n_ec, u, v, grid_points=10_000)
     assert not np.any(audited.case_tag == OpaCase.GRID_FALLBACK)
-    np.testing.assert_allclose(audited.objective_value, objective, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(audited.objective_value, res.objective_value, rtol=1e-12, atol=0.0)
     tally = {c.value: n for c, n in counts.items() if n}
-    print(f"\nACCEPTANCE 3 PASS: 1000 draws, worst rel shortfall {worst_rel:.2e} <= 1e-7, cases {tally}")
+    print(f"\nACCEPTANCE 3 PASS: 1000 draws, worst rel shortfall {check.gap:.2e} <= 1e-7, cases {tally}")
 
 
 def test_acceptance_4_throughput_optimizer():
@@ -193,21 +135,15 @@ def test_acceptance_4_throughput_optimizer():
         if done % 50 == 0 and coeffs.a > 0.0:
             q_taus[done] = float(rng.uniform(0.05, 1.0))
     # one optimizer call over the 1,000 states, each with its own n_ec and epsilon
-    res = optimize_tau_throughput_batch(
-        stack_coeffs([co for _, co in drawn]),
-        np.array([cfg.n_ec for cfg, _ in drawn]), np.array([cfg.epsilon for cfg, _ in drawn]),
-    )
-    worst_bits = 0.0
     taus = np.linspace(1e-4, 1.0, 10_000)
+    check = checks.throughput_opt_vs_grid(
+        stack_coeffs([co for _, co in drawn]),
+        np.array([cfg.n_ec for cfg, _ in drawn]), np.array([cfg.epsilon for cfg, _ in drawn]), taus, 1e-6,
+    )
+    assert check.margin <= 1.0, check.detail
     for done, (cfg, coeffs) in enumerate(drawn):
         ks = solve_k_batch(taus, coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
         assert np.all(np.diff(ks) >= -1e-9), f"draw {done}: cap not monotone"
-        rates = np.log2((taus * (coeffs.d + coeffs.e) + 1.0)
-                        / ((taus * coeffs.e + 1.0) * (1.0 + taus * ks)))
-        achieved = res.R_s_star[done] if res.transmit[done] else 0.0
-        shortfall = float(np.max(rates)) - achieved
-        assert shortfall <= 1e-6, f"draw {done}: shortfall {shortfall:.2e} bits"
-        worst_bits = max(worst_bits, shortfall)
         if done in q_taus:
             ks = np.linspace(0.0, k_max_tau1(coeffs.a, coeffs.c, cfg.epsilon), 64)
             qs = q_of_k(ks, q_taus[done], coeffs.a, coeffs.b, coeffs.c, cfg.n_ec, cfg.epsilon)
@@ -215,25 +151,20 @@ def test_acceptance_4_throughput_optimizer():
             assert np.all(np.diff(qs) <= 0.0), "survival gap not decreasing"
             live = qs > -cfg.epsilon * (1.0 - 1e-9)
             assert np.all(np.diff(qs[live]) < 0.0), "survival gap flat before saturation"
-    print(f"\nACCEPTANCE 4 PASS: 1000 draws, worst shortfall {worst_bits:.2e} <= 1e-6 bits")
+    print(f"\nACCEPTANCE 4 PASS: 1000 draws, worst shortfall {check.gap:.2e} <= 1e-6 bits")
 
 
 def test_acceptance_5_mrt_throughput_closed_form():
     """Exponential-integral sum vs direct 2-D quadrature on a 3x3 grid."""
     t0 = time.monotonic()
-    worst = 0.0
-    for p_dbm in (50.0, 55.0, 60.0):
-        for k in (0.0, 0.05, 0.1):
-            cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=p_dbm,
-                               epsilon=0.01, k_tx=k, k_rx=k)
-            closed = mrt_throughput_closed_form(cfg)
-            direct = mrt_throughput_quad2d(cfg)
-            rel = abs(closed - direct) / max(abs(direct), 1e-9)
-            assert rel <= 1e-3, f"P={p_dbm}, k={k}: rel gap {rel:.2e}"
-            worst = max(worst, rel)
+    check = checks.mrt_throughput_dual_quadrature([
+        SystemConfig(M=100, N_D=20, N_C=16, P_dBm=p_dbm, epsilon=0.01, k_tx=k, k_rx=k)
+        for p_dbm in (50.0, 55.0, 60.0) for k in (0.0, 0.05, 0.1)
+    ], 1e-3)
+    assert check.margin <= 1.0, check.detail
     elapsed = time.monotonic() - t0
     assert elapsed <= 120.0, f"runtime {elapsed:.1f}s exceeds 120s budget"
-    print(f"\nACCEPTANCE 5 PASS: 3x3 grid, worst rel gap {worst:.2e} <= 1e-3, {elapsed:.1f}s")
+    print(f"\nACCEPTANCE 5 PASS: 3x3 grid, worst rel gap {check.gap:.2e} <= 1e-3, {elapsed:.1f}s")
 
 
 def test_acceptance_6_impairment_ceiling():
@@ -389,8 +320,7 @@ def test_acceptance_8_structural_invariants():
     assert abs(corr) < 0.01
 
     cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=0.1, k_rx=0.1)
-    recon = empirical_sndr_from_distortion(cfg, 0.5, 100_000, 3030)
-    assert abs(recon.y_d.value - recon.y_d_formula) <= 3.0 * recon.y_d.std_error
-    assert abs(recon.y_e.value - recon.y_e_formula) <= 3.0 * recon.y_e.std_error
+    check = checks.sndr_reconstruction(cfg, 0.5, 100_000, 3030, 3.0)
+    assert check.margin <= 1.0, check.detail
     print(f"\nACCEPTANCE 8 PASS: unitarity <= 1e-10, worst AN leak {worst_leak:.2e} <= 1e-9, "
           f"KS and SNDR synthesis within tolerance")

@@ -49,7 +49,7 @@ def _usage_error(argv, capsys) -> str:
         cli.main(argv)
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].startswith("mmwsec sweep: error: ")
+    assert len(errors) == 1 and errors[0].startswith(f"mmwsec {argv[0]}: error: ")
     return errors[0]
 
 
@@ -366,15 +366,18 @@ def test_throughput_sweep_modes_smoke():
 def test_validate_without_scipy_is_a_usage_error(capsys, monkeypatch):
     # scipy is validate's reference, and only the test extra installs it
     monkeypatch.setitem(sys.modules, "scipy", None)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["validate"])
-    assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == ["mmwsec validate: error: needs scipy (pip install mmwsec[test])"]
+    assert _usage_error(["validate"], capsys) == "mmwsec validate: error: needs scipy (pip install mmwsec[test])"
 
 
-def test_validate_suite_passes():
-    results = cli.run_validation(trials=30_000, seed=4242, verbose=False)
+def test_validate_rejects_fewer_than_two_trials(capsys):
+    # one sample has no standard error; no samples ended in a traceback
+    for trials in ("1", "0", "-3"):
+        assert "--trials must be at least 2" in _usage_error(["validate", "--trials", trials], capsys)
+
+
+@pytest.mark.parametrize("seed", [4242, -1])  # negative seeds run, as in sweep
+def test_validate_suite_passes(seed):
+    results = cli.run_validation(trials=30_000, seed=seed, verbose=False)
     assert results
     failing = [name for name, ok, _ in results if not ok]
     assert failing == []

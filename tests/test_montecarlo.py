@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_coeffs, workable_cfg
+from mmwsec import checks
 from mmwsec.config import SystemConfig
-from mmwsec.montecarlo import (
-    empirical_cdf_Y_E,
-    empirical_sndr_from_distortion,
-    empirical_sop,
-    empirical_sop_conditional,
-)
-from mmwsec.sop import SecrecyTarget, sop_conditional, sop_overall, SopBranch
+from mmwsec.montecarlo import empirical_cdf_Y_E, empirical_sop, empirical_sop_conditional
+from mmwsec.sop import SecrecyTarget, sop_overall, SopBranch
 
 
 def test_conditional_estimates_are_reproducible():
@@ -73,9 +69,7 @@ def test_full_sop_warns_on_empty_region():
     assert est.accept_rate < 1e-4
 
 
-def test_empirical_cdf_limits_and_agreement(rng):
-    from mmwsec.sop import cdf_Y_E
-
+def test_empirical_cdf_limits_and_agreement():
     cfg = workable_cfg(N_C=8)
     co = make_coeffs(cfg, 8.0, 12.0)
     tau = 0.55
@@ -83,8 +77,8 @@ def test_empirical_cdf_limits_and_agreement(rng):
     ests = empirical_cdf_Y_E(co, tau, grid, 200_000, 17, cfg.n_ec)
     assert ests[0].value == 0.0
     assert ests[-1].value == 1.0
-    gaps = np.abs([est.value for est in ests] - cdf_Y_E(grid, tau, co, cfg.n_ec))
-    assert np.all(gaps <= np.maximum(0.005, [4 * est.std_error for est in ests]))
+    check = checks.cdf_Y_E_vs_mc([(co, tau, grid, cfg.n_ec, 17)], 200_000, 0.005, 4.0)
+    assert check.margin <= 1.0, check.detail
 
 
 def test_empirical_cdf_rejects_unsorted():
@@ -94,23 +88,10 @@ def test_empirical_cdf_rejects_unsorted():
         empirical_cdf_Y_E(co, 0.5, [1.0, 0.5], 1000, 5, cfg.n_ec)
 
 
-def test_sndr_reconstruction_impaired():
-    cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=0.1, k_rx=0.1)
-    recon = empirical_sndr_from_distortion(cfg, 0.5, 100_000, 2024)
-    assert abs(recon.y_d.value - recon.y_d_formula) <= 3.0 * recon.y_d.std_error
-    assert abs(recon.y_e.value - recon.y_e_formula) <= 3.0 * recon.y_e.std_error
-
-
-def test_sndr_reconstruction_ideal_hardware():
-    cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=0.0, k_rx=0.0)
-    recon = empirical_sndr_from_distortion(cfg, 0.5, 100_000, 99)
-    # formula collapses to the no-distortion SNRs
-    assert abs(recon.y_d.value - recon.y_d_formula) <= 3.0 * recon.y_d.std_error
-    assert abs(recon.y_e.value - recon.y_e_formula) <= 3.0 * recon.y_e.std_error
-
-
-def test_sndr_reconstruction_full_power():
-    cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=0.1, k_rx=0.05)
-    recon = empirical_sndr_from_distortion(cfg, 1.0, 100_000, 500)
-    assert abs(recon.y_d.value - recon.y_d_formula) <= 3.0 * recon.y_d.std_error
-    assert abs(recon.y_e.value - recon.y_e_formula) <= 3.0 * recon.y_e.std_error
+# ideal hardware: the formulas collapse to the no-distortion SNRs
+@pytest.mark.parametrize("k_tx, k_rx, tau, seed", [(0.1, 0.1, 0.5, 2024), (0.0, 0.0, 0.5, 99), (0.1, 0.05, 1.0, 500)],
+                         ids=["impaired", "ideal_hardware", "full_power"])
+def test_sndr_reconstruction(k_tx, k_rx, tau, seed):
+    cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=k_tx, k_rx=k_rx)
+    check = checks.sndr_reconstruction(cfg, tau, 100_000, seed, 3.0)
+    assert check.margin <= 1.0, check.detail

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
+from mmwsec import checks
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import coeffs_from_gains, stack_coeffs
 from mmwsec.sop import (
@@ -108,20 +109,6 @@ def test_cdf_y_e_and_sop_overall_lie_in_unit_interval():
                 assert cdf_Y_E(float(xs[i, 0]), float(tau[j]), co.take(j), int(n_ec[j])) == vals[i, j]
         value = sop_overall(tau, SecrecyTarget(cfg.R_s), co, np.full(40, cfg.n_ec)).value
         assert np.all((0.0 <= value) & (value <= 1.0))
-
-
-def test_cdf_y_e_against_empirical(rng):
-    cfg = workable_cfg(N_C=8)
-    co = make_coeffs(cfg, 8.0, 12.0)
-    tau = 0.6
-    n = 200_000
-    u = rng.exponential(1.0, n)
-    v = rng.gamma(cfg.n_ec, 1.0, n)
-    y = tau * co.a * u / ((1 - tau) * co.b * v + tau * co.c * u + 1.0)
-    for q in np.linspace(0.05, 0.95, 10):
-        x = float(np.quantile(y, q))
-        emp = float(np.mean(y < x))
-        assert abs(cdf_Y_E(x, tau, co, cfg.n_ec) - emp) < 0.01
 
 
 # -- branch gates -------------------------------------------------------------
@@ -254,16 +241,11 @@ def test_sop_conditional_rejects_infeasible_split():
         sop_conditional(0.5 * t_min, target, co, cfg.n_ec)
 
 
-def test_sop_conditional_against_mc(rng):
-    from mmwsec.montecarlo import empirical_sop_conditional
-
+def test_sop_conditional_against_mc():
     cfg = workable_cfg(N_C=10)
-    co = make_coeffs(cfg, 10.0, 8.0)
-    target = SecrecyTarget(cfg.R_s)
-    tau = 0.6
-    analytic = sop_conditional(tau, target, co, cfg.n_ec)
-    est = empirical_sop_conditional(co, tau, target, cfg.n_ec, 200_000, 99)
-    assert abs(analytic - est.value) <= max(0.01, 4.0 * est.std_error)
+    case = (make_coeffs(cfg, 10.0, 8.0), 0.6, SecrecyTarget(cfg.R_s), cfg.n_ec, 99)
+    check = checks.sop_conditional_vs_mc([case], 200_000, 0.01, 4.0)
+    assert check.margin <= 1.0, check.detail
 
 
 # -- overall SOP branching ----------------------------------------------------
