@@ -180,6 +180,13 @@ def sample_channel(
     return g_d, g_e, draw
 
 
+def sample_gains(n_c: int, n_dc: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n draws of (G_hat, G_check), the first draws of ``sample_gain_scalars``."""
+    g_hat = rng.gamma(n_c, 1.0, size=n) if n_c > 0 else np.zeros(n)
+    g_check = rng.gamma(n_dc, 1.0, size=n) if n_dc > 0 else np.zeros(n)
+    return g_hat, g_check
+
+
 def sample_gain_scalars(
     n_c: int, n_dc: int, n_ec: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,8 +196,7 @@ def sample_gain_scalars(
     G_check ~ Gamma(n_dc,1), u ~ Exp(1) (0 if no common path),
     v ~ Gamma(n_ec,1).  ``sample_channel`` is the oracle of these laws.
     """
-    g_hat = rng.gamma(n_c, 1.0, size=n) if n_c > 0 else np.zeros(n)
-    g_check = rng.gamma(n_dc, 1.0, size=n) if n_dc > 0 else np.zeros(n)
+    g_hat, g_check = sample_gains(n_c, n_dc, n, rng)
     u = rng.exponential(1.0, size=n) if n_c > 0 else np.zeros(n)
     v = rng.gamma(n_ec, 1.0, size=n) if n_ec > 0 else np.zeros(n)
     return g_hat, g_check, u, v

@@ -19,6 +19,9 @@ from .config import coeffs_from_gains
 # larger one runs state by state: that bounds the working set, and each k(tau)
 # solve settles on its own (at 10,000 splits, even 2-state blocks were slower).
 _GRID_ELEMENTS = 1 << 19
+# the fall of k(tau) from one split to the next that a solved grid may show:
+# the secrecy cap is non-decreasing in tau, up to the solver's tolerance
+_K_DROP = 1e-9
 
 
 class Check(NamedTuple):
@@ -88,18 +91,25 @@ def opa_sop_vs_grid(target, states, n_ec, u, v, points: int, tol: float) -> Chec
 
 def throughput_opt_vs_grid(states, n_ec, epsilon, taus: np.ndarray, tol: float) -> Check:
     """``throughput.optimize_tau_throughput_batch`` vs the best rate over the
-    splits ``taus`` with k from ``throughput.solve_k_batch``; ``n_ec`` and
-    ``epsilon`` are shared or per state.  The gap is the grid's lead in bits,
-    0 where the optimizer wins (its rate is 0 where it cannot transmit)."""
+    ascending splits ``taus`` with k from ``throughput.solve_k_batch``;
+    ``n_ec`` and ``epsilon`` are shared or per state.  The gap is the grid's
+    lead in bits, 0 where the optimizer wins (its rate is 0 where it cannot
+    transmit).  The same k grid must not fall: a drop of more than 1e-9
+    from one split to the next fails the check."""
     rate = throughput.optimize_tau_throughput_batch(states, n_ec, epsilon).R_s_star
     per_state = np.broadcast_arrays(states.a, states.b, states.c, states.d, states.e, n_ec, epsilon)
     best = np.empty(rate.shape)
+    drops = []
     for rows in _state_blocks(rate.size, taus.size):
         a, b, c, d, e, n, eps = (x[rows, None] for x in per_state)  # a row per state
         ks = throughput.solve_k_batch(taus, a, b, c, n, eps)
         best[rows] = np.max(np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks))), axis=1)
-    gap = _worst(best - rate)
-    return Check(gap, gap / tol, f"worst shortfall = {gap:.2e} bits")
+        drops.append(_worst(-np.diff(ks, axis=1)))
+    gap, drop = _worst(best - rate), _worst(drops)
+    detail = f"worst shortfall = {gap:.2e} bits"
+    if drop <= _K_DROP:
+        return Check(gap, gap / tol, detail)
+    return Check(gap, math.inf, f"{detail}; k(tau) falls by {drop:.2e}")
 
 
 def mrt_throughput_dual_quadrature(configs, tol: float) -> Check:

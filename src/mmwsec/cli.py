@@ -96,6 +96,21 @@ class SweepSpec:
             raise ValueError(
                 f"trials and uv_samples must be at least 1 (got {self.trials}, {self.uv_samples})"
             )
+        cells = self.cells()  # builds, and so checks, every cell's configuration
+        # with common paths the MRT closed form integrates over the non-common gain too
+        bad = [value for value, _, _, cfg in cells if cfg.N_C >= 1 and cfg.n_dc < 1]
+        if self.mode == "throughput_mrt" and bad:
+            raise ValueError(f"throughput_mrt needs N_D - N_C >= 1 where N_C >= 1, "
+                             f"not N_C = N_D at {self.swept_key}={bad[0]}")
+
+    def cells(self) -> list[tuple]:
+        """(swept value, overrides, scheme, config) of every cell, in row order."""
+        cells = []
+        for value in self.values:
+            for overrides in self.variants:
+                cfg = self.base.with_overrides(**coerce_overrides({**overrides, self.swept_key: value}))
+                cells.extend((value, overrides, scheme, cfg) for scheme in _MODE_SCHEMES[self.mode])
+        return cells
 
 
 def _with_budgets(spec: SweepSpec, trials=None, uv_samples=None, seed=None) -> SweepSpec:
@@ -128,7 +143,10 @@ def _fmt(x) -> str:
 # the shared gains into each cell's per-state columns (alpha, beta, thr)
 # of its event, y_E above a per-state threshold, plus a ``finish`` that
 # builds the row from the walk's per-state hit rates, their summed
-# binomial variance and the draws' seed.
+# binomial variance and the draws' seed.  ``_mrt_cells`` takes a group's
+# MRT cells as one batch too: one closed-form call over their
+# configurations and one estimator call that draws the shared gains once;
+# MRT rows have no outage event, so no u/v stream is walked.
 # The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
 # y_E > thr is the linear event alpha*u - beta*v > thr with
 # alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b.
@@ -257,24 +275,30 @@ def _throughput_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, 
     return [(cols[:, lo:hi], partial(finish, i)) for i, (lo, hi) in enumerate(pairwise(bounds))]
 
 
-def _mrt_point(cfg: SystemConfig, trials: int, seed: int) -> dict:
-    """Average MRT secrecy throughput by quadrature, checked against its own
-    Monte-Carlo estimator."""
-    analytic = throughput.mrt_throughput(cfg, cross_check=False)
+def _mrt_cells(cells: list[tuple[str, SystemConfig]], trials: int, seed: int) -> list[dict]:
+    """Per (scheme, config) cell of one draw group: the average MRT secrecy
+    throughput by quadrature, checked against its own Monte-Carlo
+    estimator.  One closed-form call integrates every cell as one batch
+    and one estimator call draws the gains once for all of them; a cell
+    gets the numbers it would get alone."""
+    cfgs = [cfg for _, cfg in cells]
+    analytic = throughput.mrt_throughput(cfgs, cross_check=False).tolist()
     # the full-power region can be a rare event at high power under
     # impairments; the vectorized estimator is cheap, so oversample
     n_mrt = min(max(80 * trials, 20_000), 200_000)
-    est = throughput.avg_throughput_mrt(cfg, n_mrt, seed)
-    return dict(
-        analytic=analytic,
-        mc_value=est.value,
-        mc_target=analytic,
-        mc_stderr=est.std_error,
-        tol=5.0 * est.std_error + 2e-3 * abs(analytic) + 2e-6,
-        tau_star_mean=1.0,
-        accept_rate=1.0,
-        tags="quadrature_vs_mc",
-    )
+    return [
+        dict(
+            analytic=value,
+            mc_value=est.value,
+            mc_target=value,
+            mc_stderr=est.std_error,
+            tol=5.0 * est.std_error + 2e-3 * abs(value) + 2e-6,
+            tau_star_mean=1.0,
+            accept_rate=1.0,
+            tags="quadrature_vs_mc",
+        )
+        for value, est in zip(analytic, throughput.avg_throughput_mrt(cfgs, n_mrt, seed), strict=True)
+    ]
 
 
 def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list:
@@ -323,7 +347,7 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
 def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> list[dict]:
     """Result columns of the (scheme, config) cells that share one draw key."""
     if spec.mode == "throughput_mrt":
-        return [_mrt_point(cfg, spec.trials, spec.seed) for _, cfg in cells]
+        return _mrt_cells(cells, spec.trials, spec.seed)
     first = cells[0][1]
     rng = montecarlo.as_rng(spec.seed)
     g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, spec.trials, rng)
@@ -343,17 +367,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     budgets are the spec's).  Each group draws its channel gains once from
     ``spec.seed`` and walks its u/v stream once, evaluating every cell of
     the group block by block as one array; a cell gets exactly the numbers
-    it would draw alone, so sweeps share common random numbers.  MRT
-    throughput cells each re-seed their own estimator.  ``workers`` threads
-    evaluate groups in parallel; rows come back in cell order and their
-    bytes do not depend on the worker count.
+    it would draw alone, so sweeps share common random numbers.  A group of
+    MRT throughput cells is one batch as well: one closed-form integration
+    and one draw of its estimator's gains from ``spec.seed``, at its own
+    oversampled budget.  ``workers`` threads evaluate groups in parallel;
+    rows come back in cell order and their bytes do not depend on the
+    worker count.
     """
-    jobs = []
-    for value in spec.values:
-        for overrides in spec.variants:
-            cfg = spec.base.with_overrides(**coerce_overrides({**overrides, spec.swept_key: value}))
-            for scheme in _MODE_SCHEMES[spec.mode]:
-                jobs.append((value, overrides, scheme, cfg))
+    jobs = spec.cells()
     groups: dict[tuple, list[int]] = {}
     for i, (_, _, _, cfg) in enumerate(jobs):
         groups.setdefault((cfg.N_C, cfg.n_dc, cfg.n_ec), []).append(i)
@@ -698,9 +719,8 @@ def _sweep_specs(args) -> list[SweepSpec]:
     if args.preset:
         specs = preset_specs(args.preset, trials=args.trials,
                              uv_samples=args.uv_samples, seed=args.seed)
-        if overrides:
-            for spec in specs:
-                spec.base = spec.base.with_overrides(**overrides)
+        if overrides:  # a new spec, so that its cells are checked again
+            specs = [replace(spec, base=spec.base.with_overrides(**overrides)) for spec in specs]
         return specs
     spec = _parse_spec_file(args.spec, base)
     return [_with_budgets(spec, args.trials, args.uv_samples, args.seed)]

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import sample_gain_scalars
+from .channel import sample_gains
 from .config import EffectiveCoeffs, SystemConfig
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng, sample_mean
@@ -476,7 +477,8 @@ def optimize_tau_throughput(coeffs: EffectiveCoeffs, solver: KTauSolver) -> Thro
 
 @dataclass(frozen=True)
 class _MrtScales:
-    """Draw-independent constants of the full-power rate of one configuration."""
+    """Draw-independent constants of the full-power rate: floats for one
+    configuration, arrays with one entry per configuration for a batch."""
 
     a_bar: float
     c_bar: float
@@ -488,6 +490,14 @@ class _MrtScales:
     ratio: float  # a_bar*e_bar/d_bar
     norm_c: float  # 1/Gamma(N_C), the common-gain pdf normalizer
     norm_dc: float  # 1/Gamma(N_D - N_C), the non-common-gain pdf normalizer
+
+    def rows(self, index) -> _MrtScales:
+        """The entries ``index`` of a batch's scales as a column, one row
+        each, that broadcasts against rows of gains; the floats of one
+        configuration serve every row as they are."""
+        if isinstance(self.a_bar, float):
+            return self
+        return _MrtScales(*(getattr(self, f.name)[index, None] for f in fields(self)))
 
     def rate(self, g_hat, g_check):
         g = g_hat + g_check
@@ -518,20 +528,37 @@ def _factorial(k):
     return np.array([math.factorial(i) if i <= 170 else math.inf for i in k.flat], float).reshape(k.shape)
 
 
-def _bar_scales(cfg: SystemConfig) -> _MrtScales:
-    """Constants of the full-power rate, built once per configuration."""
-    beta_e = cfg.beta_e()
-    beta_d = cfg.beta_d()
-    a_bar, c_bar, d_bar, e_bar = beta_e, cfg.k_tx**2 * beta_e, beta_d, cfg.k_tot2 * beta_d
-    log_eps = math.log(cfg.epsilon)
-    return _MrtScales(
-        a_bar, c_bar, d_bar, e_bar, log_eps,
-        c1=1.0 - c_bar * log_eps,
-        c3=1.0 - (a_bar + c_bar) * log_eps,
-        ratio=a_bar * e_bar / d_bar,
-        norm_c=_rgamma(cfg.N_C),
-        norm_dc=_rgamma(cfg.n_dc),
-    )
+def _config_batch(cfg: SystemConfig | Sequence[SystemConfig]) -> tuple[list[SystemConfig], bool]:
+    """The configurations of one SystemConfig or of a sequence, and whether
+    it was one.  A sequence shares its gain laws: configurations with mixed
+    N_C or N_D - N_C raise ValueError."""
+    if isinstance(cfg, SystemConfig):
+        return [cfg], True
+    cfgs = list(cfg)
+    if len({(c.N_C, c.n_dc) for c in cfgs}) != 1:
+        raise ValueError("a batch of configurations needs one shared N_C and N_D - N_C")
+    return cfgs, False
+
+
+def _bar_scales(cfg: SystemConfig | Sequence[SystemConfig]) -> _MrtScales:
+    """Constants of the full-power rate of one configuration, or of each of
+    a sequence stacked into arrays; every entry is built with Python floats."""
+    cfgs, one = _config_batch(cfg)
+    entries = []
+    for c in cfgs:
+        beta_e = c.beta_e()
+        beta_d = c.beta_d()
+        a_bar, c_bar, d_bar, e_bar = beta_e, c.k_tx**2 * beta_e, beta_d, c.k_tot2 * beta_d
+        log_eps = math.log(c.epsilon)
+        entries.append((
+            a_bar, c_bar, d_bar, e_bar, log_eps,
+            1.0 - c_bar * log_eps,
+            1.0 - (a_bar + c_bar) * log_eps,
+            a_bar * e_bar / d_bar,
+            _rgamma(c.N_C),
+            _rgamma(c.n_dc),
+        ))
+    return _MrtScales(*entries[0]) if one else _MrtScales(*np.array(entries).T)
 
 
 def mrt_rate(g_hat, g_check, cfg: SystemConfig):
@@ -674,12 +701,21 @@ def _gamma_cap(shape: int, tail: float = 1e-10) -> float:
     return float(bracketed_roots(log_q_excess, lo, hi, log_q_excess(lo), log_q_excess(hi))[0])
 
 
-def mrt_throughput_closed_form(cfg: SystemConfig) -> float:
-    """Expected MRT secrecy throughput via the exponential-integral sum."""
-    if cfg.N_C < 1 or cfg.n_dc < 1:
+def mrt_throughput_closed_form(cfg: SystemConfig | Sequence[SystemConfig]) -> float | np.ndarray:
+    """Expected MRT secrecy throughput via the exponential-integral sum, of
+    one configuration (a float) or of each of a sequence sharing N_C and
+    N_D - N_C (an array).  The sequence is one batch of integrals whose
+    kernel reads each panel's scales by its owner; every integral settles
+    on its own panels, so a configuration gets the bits of its one-config
+    call."""
+    cfgs, one = _config_batch(cfg)
+    n_c, n_dc = cfgs[0].N_C, cfgs[0].n_dc
+    if n_c < 1 or n_dc < 1:
         raise ValueError("closed form needs N_C >= 1 and N_D - N_C >= 1")
-    s, n_c, n_dc = _bar_scales(cfg), cfg.N_C, cfg.n_dc
-    return float(_gk21(lambda y, _: _mrt_kernel(y, s, n_c, n_dc), 0.0, _gamma_cap(n_c), 1e-12, 1e-9))
+    s = _bar_scales(cfg)
+    values = _gk21(lambda y, owner: _mrt_kernel(y, s.rows(owner), n_c, n_dc),
+                   np.zeros(len(cfgs)), _gamma_cap(n_c), 1e-12, 1e-9)
+    return float(values[0]) if one else values
 
 
 def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
@@ -708,44 +744,53 @@ def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
     return float(_gk21(outer, 0.0, _gamma_cap(n_c), 1e-12, 1e-8))
 
 
-def _mrt_throughput_no_common(cfg: SystemConfig) -> float:
+def _mrt_throughput_no_common(cfg: SystemConfig | Sequence[SystemConfig]) -> float | np.ndarray:
     """No common paths: no leakage, full region, rate log2(1 + Y_D(1)).
 
     That is the full-power rate at G_hat = 0, integrated against the
-    gain law of all N_D paths (here N_D - N_C = N_D).
+    gain law of all N_D paths (here N_D - N_C = N_D); one configuration or
+    a sequence, as in ``mrt_throughput_closed_form``.
     """
-    s, n_d = _bar_scales(cfg), cfg.N_D
-    return float(_gk21(
-        lambda g, _: _gamma_pdf(g, n_d, s.norm_dc) * s.rate(0.0, g), 0.0, _gamma_cap(n_d), 1e-12, 1e-9
-    ))
+    cfgs, one = _config_batch(cfg)
+    s, n_d = _bar_scales(cfg), cfgs[0].N_D
+
+    def integrand(g, owner):
+        at = s.rows(owner)
+        return _gamma_pdf(g, n_d, at.norm_dc) * at.rate(0.0, g)
+
+    values = _gk21(integrand, np.zeros(len(cfgs)), _gamma_cap(n_d), 1e-12, 1e-9)
+    return float(values[0]) if one else values
 
 
 # relative gap allowed between the closed form and the 2-D quadrature
 _MRT_ROUTES_RTOL = 1e-3
 
 
-def mrt_throughput(cfg: SystemConfig, cross_check: bool = False) -> float:
-    """Expected MRT secrecy throughput.
+def mrt_throughput(cfg: SystemConfig | Sequence[SystemConfig], cross_check: bool = False) -> float | np.ndarray:
+    """Expected MRT secrecy throughput of one configuration (a float) or of
+    each of a sequence sharing N_C and N_D - N_C (an array).
 
     Without common paths (N_C = 0) there is no leakage and it is one 1-D
     quadrature of log2(1 + Y_D(1)).  Otherwise it is the
     exponential-integral closed form.  ``cross_check`` also runs the
-    independent 2-D quadrature of the rate and raises ConvergenceError,
-    reporting both estimates, when the two routes disagree by more than
-    1e-3 relative.  The sweeps leave it off; the tests and
-    ``mmwsec validate`` compare the routes themselves.
+    independent 2-D quadrature of the rate per configuration and raises
+    ConvergenceError, reporting both estimates, when the two routes
+    disagree by more than 1e-3 relative.  The sweeps leave it off; the
+    tests and ``mmwsec validate`` compare the routes themselves.
     """
-    if cfg.N_C == 0:
+    cfgs, _ = _config_batch(cfg)
+    if cfgs[0].N_C == 0:
         return _mrt_throughput_no_common(cfg)
     closed = mrt_throughput_closed_form(cfg)
     if cross_check:
-        direct = mrt_throughput_quad2d(cfg)
-        gap = abs(closed - direct)
-        if gap > _MRT_ROUTES_RTOL * max(abs(closed), abs(direct), 1e-9):
-            raise ConvergenceError(
-                f"throughput quadratures disagree: closed={closed:.9g}, "
-                f"direct={direct:.9g}, gap={gap:.3g}"
-            )
+        for c, value in zip(cfgs, np.atleast_1d(closed)):
+            direct = mrt_throughput_quad2d(c)
+            gap = abs(value - direct)
+            if gap > _MRT_ROUTES_RTOL * max(abs(value), abs(direct), 1e-9):
+                raise ConvergenceError(
+                    f"throughput quadratures disagree: closed={value:.9g}, "
+                    f"direct={direct:.9g}, gap={gap:.3g}"
+                )
     return closed
 
 
@@ -753,13 +798,21 @@ def mrt_throughput(cfg: SystemConfig, cross_check: bool = False) -> float:
 # Monte-Carlo averaged throughputs over channel states
 # ---------------------------------------------------------------------------
 
-def avg_throughput_mrt(cfg: SystemConfig, trials: int, seed: int) -> McEstimate:
+def avg_throughput_mrt(
+    cfg: SystemConfig | Sequence[SystemConfig], trials: int, seed: int
+) -> McEstimate | list[McEstimate]:
     """Sample mean full-power secrecy rate over ``trials`` drawn states (0
-    outside the transmission region)."""
+    outside the transmission region): one McEstimate for one configuration,
+    a list of one per configuration for a sequence sharing N_C and
+    N_D - N_C.  The sequence shares one draw of the gains, the numbers each
+    configuration draws alone from ``seed``."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, trials, as_rng(seed))
-    return sample_mean(np.maximum(mrt_rate(g_hat, g_check, cfg), 0.0), seed)
+    cfgs, one = _config_batch(cfg)
+    g_hat, g_check = sample_gains(cfgs[0].N_C, cfgs[0].n_dc, trials, as_rng(seed))
+    # a row of rates at a time: a (configs x trials) block would raise the peak memory
+    estimates = [sample_mean(np.maximum(mrt_rate(g_hat, g_check, c), 0.0), seed) for c in cfgs]
+    return estimates[0] if one else estimates
 
 
 # ---------------------------------------------------------------------------

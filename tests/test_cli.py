@@ -94,6 +94,38 @@ def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
         assert float(row[12]) == pytest.approx(throughput.mrt_throughput_quad2d(cfg), rel=1e-6)
 
 
+def test_mrt_rows_equal_the_one_config_calls():
+    # _mrt_cells evaluates a draw group's MRT cells as one batch; each fig6
+    # row carries exactly the one-config closed form and estimate
+    (spec,) = [s for s in cli.preset_specs("fig6", trials=5, seed=11) if s.mode == "throughput_mrt"]
+    rows = cli.run_sweep(spec)
+    assert len(rows) == 12
+    for row, (_, _, _, cfg) in zip(rows, spec.cells(), strict=True):
+        assert row["analytic"] == row["mc_target"] == throughput.mrt_throughput(cfg)
+        assert row["mc_value"] == throughput.avg_throughput_mrt(cfg, 20_000, 11).value
+
+
+def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
+    # N_C = N_D = 20 leaves the MRT closed form no non-common gain; the spec
+    # is rejected when it is built, before any group runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called on a spec with an N_C = N_D cell")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    spec_path = tmp_path / "mrt_nc20.spec"
+    spec_path.write_text("mode=throughput_mrt\nswept_key=N_C\nvalues=0,16,20\ntrials=20\n")
+    line = _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    assert "N_C=20" in line and "N_D - N_C >= 1" in line
+    # the same cell reached through a preset override
+    assert "N_D - N_C >= 1" in _usage_error(["sweep", "--preset", "fig6", "--set", "N_D=16"], capsys)
+    with pytest.raises(ValueError):
+        cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[20])
+    cli.SweepSpec(mode="throughput_opa", swept_key="N_C", values=[20])  # the other modes keep the cell
+    # a cell whose configuration cannot be built is rejected at build in every mode
+    spec_path.write_text("mode=throughput_opa\nswept_key=N_C\nvalues=16,21\ntrials=20\n")
+    assert "N_C must satisfy" in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

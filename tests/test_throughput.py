@@ -450,6 +450,19 @@ def test_optimizer_dominates_grid(rng):
     assert check.margin <= 1.0, check.detail
 
 
+def test_throughput_opt_vs_grid_fails_on_a_falling_cap(rng, monkeypatch):
+    # the check solves each state's k grid once and also audits that the
+    # grid does not fall; a solver that returns it reversed must fail it
+    co = stack_coeffs([co for _, co in fuzz_states(rng, 6, 12)])
+    taus = np.linspace(1e-3, 1.0, 50)
+    assert checks.throughput_opt_vs_grid(co, 4, 0.01, taus, 1e-6).margin <= 1.0
+    solve = throughput.solve_k_batch
+    monkeypatch.setattr(throughput, "solve_k_batch",
+                        lambda tau, *rest: solve(tau, *rest)[..., ::-1] if tau is taus else solve(tau, *rest))
+    check = checks.throughput_opt_vs_grid(co, 4, 0.01, taus, 1e-6)
+    assert check.margin == math.inf and "k(tau) falls by" in check.detail
+
+
 def test_optimizer_blocks_keep_the_bits(rng, monkeypatch):
     # fuzzed states with a per-state n_ec and epsilon give the same bits
     # whole and scanned in blocks of 7 states
@@ -767,6 +780,33 @@ def test_mrt_closed_form_matches_quad2d_across_configs(rng):
     ]
     check = checks.mrt_throughput_dual_quadrature(cfgs, 1e-6)
     assert check.margin <= 1.0, check.detail
+
+
+def test_mrt_batch_equals_each_config_alone():
+    # a sequence of configurations sharing N_C and N_D - N_C is one batch
+    # of integrals and one gain draw; each gets its one-config bits, on the
+    # closed form (N_C >= 1) and on the no-common-path route (N_C = 0)
+    for n_c in (16, 8, 0):
+        cfgs = [SystemConfig(M=100, N_D=20, N_C=n_c, P_dBm=p, epsilon=eps, k_tx=k, k_rx=k)
+                for p in (40.0, 55.0, 65.0) for k in (0.0, 0.1) for eps in (0.01, 0.2)]
+        values = mrt_throughput(cfgs)
+        estimates = avg_throughput_mrt(cfgs, 3000, 99)
+        assert isinstance(values, np.ndarray) and values.shape == (len(cfgs),)
+        for cfg, value, est in zip(cfgs, values, estimates, strict=True):
+            alone = mrt_throughput(cfg)
+            assert type(alone) is float and value == alone
+            assert est == avg_throughput_mrt(cfg, 3000, 99)
+        if n_c:
+            assert mrt_throughput_closed_form(cfgs).tolist() == values.tolist()
+
+
+def test_mrt_batch_rejects_mixed_path_counts():
+    base = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0)
+    for mixed in ([base, base.with_overrides(N_C=8)], [base, base.with_overrides(N_D=18)],
+                  [base.with_overrides(N_C=0), base]):
+        for call in (mrt_throughput, mrt_throughput_closed_form, lambda c: avg_throughput_mrt(c, 10, 1)):
+            with pytest.raises(ValueError):
+                call(mixed)
 
 
 def test_mrt_throughput_unconstrained_reduction():
