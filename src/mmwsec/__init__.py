@@ -61,7 +61,6 @@ from .sop import (
     sop_conditional,
     sop_overall,
     tau_min,
-    thresholds,
 )
 from .throughput import (
     KTauSolver,

@@ -97,11 +97,17 @@ class SweepSpec:
                 f"trials and uv_samples must be at least 1 (got {self.trials}, {self.uv_samples})"
             )
         cells = self.cells()  # builds, and so checks, every cell's configuration
-        # with common paths the MRT closed form integrates over the non-common gain too
-        bad = [value for value, _, _, cfg in cells if cfg.N_C >= 1 and cfg.n_dc < 1]
-        if self.mode == "throughput_mrt" and bad:
-            raise ValueError(f"throughput_mrt needs N_D - N_C >= 1 where N_C >= 1, "
-                             f"not N_C = N_D at {self.swept_key}={bad[0]}")
+        # with common paths the MRT closed form integrates over the non-common
+        # gain too; every other mode aims artificial noise at the
+        # eavesdropper-only paths
+        if self.mode == "throughput_mrt":
+            bad = [value for value, _, _, cfg in cells if cfg.N_C >= 1 and cfg.n_dc < 1]
+            need = "N_D - N_C >= 1 where N_C >= 1, not N_C = N_D"
+        else:
+            bad = [value for value, _, _, cfg in cells if cfg.n_ec < 1]
+            need = "N_E - N_C >= 1 for artificial noise, not N_C = N_E"
+        if bad:
+            raise ValueError(f"{self.mode} needs {need} at {self.swept_key}={bad[0]}")
 
     def cells(self) -> list[tuple]:
         """(swept value, overrides, scheme, config) of every cell, in row order."""
@@ -169,9 +175,9 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
     secrecy outage at each accepted state.  Returns one (event columns,
     finish) pair per cell.
 
-    The cells' states form one stacked batch with a per-state R_s: one gate
-    call at tau = 1, one split-optimizer call over the Conditional states
-    of the an_opa cells and one gate call at the chosen splits.  Every step
+    The cells' states form one stacked batch with a per-state R_s: one
+    split-optimizer call over the an_opa cells' states with tau_min < 1
+    and one ``sop_overall`` call at the chosen splits.  Every step
     is elementwise, so a cell gets the numbers it would get alone.  The
     an_opa split ``split_policy`` is ``min_sop`` (minimize the closed-form
     conditional SOP; the SOP curves) or ``phi_mean`` (the capacity-ratio
@@ -182,10 +188,9 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
     coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
     target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg in cells], n))
 
-    breakdown = sop.sop_overall(1.0, target, coeffs, n_ec)
     tau = np.ones(n * len(cells))
     opa = np.repeat([scheme == "an_opa" for scheme, _ in cells], n)
-    split = np.flatnonzero(opa & (breakdown.branch == sop.SopBranch.CONDITIONAL))
+    split = np.flatnonzero(opa & (sop.tau_min(target, coeffs) < 1.0))
     states, split_target = coeffs.take(split), target.take(split)
     if split_policy == "min_sop":
         tau[split], _ = opa_sop.minimize_sop_tau(split_target, states, n_ec)
@@ -580,7 +585,7 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
         )
         coeffs = coeffs_from_gains(cfg, *gains(cfg))
         t_min = sop.tau_min(target, coeffs)
-        if t_min < 1.0:  # inf when the source is silent
+        if t_min < 1.0:  # >= 1 (inf past the impairment ceiling) when no split is feasible
             cases.append((coeffs, 0.5 * (t_min + 1.0), target, cfg.n_ec, seed + trial))
     record(checks.sop_conditional_vs_mc, cases, trials, 0.01, 4.0)
 

@@ -135,7 +135,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class EffectiveCoeffs:
-    """The five scalars feeding every closed form, plus their scale factors.
+    """The five scalars feeding every closed form, plus the impairment level.
 
     For a channel state with common/non-common destination gains
     (G_hat, G_check), G = G_hat + G_check:
@@ -151,8 +151,6 @@ class EffectiveCoeffs:
     every field as such an array.
     """
 
-    beta_E: float
-    k_tx2: float
     k_tot2: float
     a: float
     b: float
@@ -179,7 +177,7 @@ def stack_coeffs(records) -> EffectiveCoeffs:
     """One batch of the states of several records, in record order.
 
     a, c, d and e are concatenated, and every field a record shares by
-    its states (b, beta_E, k_tx2, k_tot2) is repeated once per state, so
+    its states (b, k_tot2) is repeated once per state, so
     each state keeps its own; a record of scalars counts as one state.
     """
     sizes = [np.size(r.d) for r in records]
@@ -222,7 +220,7 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
     c = k_tx2 * a
     d = beta_d * g_tot
     e = k_tot2 * d
-    return EffectiveCoeffs(beta_E=beta_e, k_tx2=k_tx2, k_tot2=k_tot2, a=a, b=b, c=c, d=d, e=e)
+    return EffectiveCoeffs(k_tot2=k_tot2, a=a, b=b, c=c, d=d, e=e)
 
 
 def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:

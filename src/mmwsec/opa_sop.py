@@ -149,7 +149,7 @@ def omega_roots(pc: PhiCoeffs) -> np.ndarray:
 
 def _feasible_tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
     """tau_min of every state; raises SilentSourceError when any state has
-    no feasible split (tau_min >= 1, inf when silent)."""
+    no feasible split (tau_min >= 1, inf past the impairment ceiling)."""
     t_min = tau_min(target, coeffs)
     empty = t_min >= 1.0
     if empty.any():

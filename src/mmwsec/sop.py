@@ -2,16 +2,17 @@
 
 The conditional outage probability is the tail of the eavesdropper SNDR
 distribution past the rate threshold implied by the destination SNDR; the
-overall value wraps it in the on-off protocol gates (impairment ceiling,
-transmit-or-suspend).
+overall value wraps it in the on-off protocol's branches (impairment
+ceiling, transmit-or-suspend), which the smallest feasible split tau_min
+decides.
 
 The formulas work on batches of channel states (EffectiveCoeffs whose a,
 c, d and e are arrays), and scalar coefficients are one state:
 ``sop_conditional`` broadcasts the split, and ``cdf_Y_E`` the level and
 the split, against the states, and
 ``tau_min``/``sop_overall`` return per-state values and branches, shaped
-like the states (0-d for one state), and mark silent states instead of
-raising.
+like the states (0-d for one state), and mark states without a feasible
+split instead of raising.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .config import EffectiveCoeffs
 
-# Boundary comparisons between the rate factor T and the branch gates use
-# this relative tolerance; exact ties go to the less favorable branch.
+# A split counts as feasible only this far (relative) above tau_min; a tie
+# goes to the less favorable certain outage.
 _GATE_RTOL = 1e-12
 
 
@@ -85,18 +86,14 @@ class SopBranch(enum.Enum):
 
 @dataclass(frozen=True)
 class SopBreakdown:
-    """Overall SOP value plus the branch and gate values that produced it.
+    """Overall SOP value plus the branch and tau_min that produced it.
 
     The fields are arrays shaped like the states (``branch`` holds one
-    SopBranch per state; ``gamma3`` is shared unless the states come from
-    several configurations).
+    SopBranch per state).
     """
 
     value: float
     branch: SopBranch
-    gamma1: float
-    gamma2: float
-    gamma3: float
     tau_min: float
 
 
@@ -104,9 +101,11 @@ def tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
     """Smallest power split supporting the target rate, per state.
 
     Returns t_min shaped like the states (0-d for scalar coefficients).
-    A state with d <= e*(T-1) is silent: its destination SNDR cannot reach
-    the target for any split, the source suspends, and t_min is inf, so
-    ``t_min >= 1`` marks every state without a feasible split.  At
+    t_min is inf where d <= e*(T-1): T is at or past the impairment
+    ceiling, no power reaches the target and the outage is certain
+    (ALWAYS_OUTAGE).  A finite t_min >= 1 means the target needs more
+    than the full power, so the source suspends (SOURCE_SILENT).  Either
+    way ``t_min >= 1`` marks a state without a feasible split.  At
     R_s = 0 every state (d > 0) has t_min = 0.
     """
     t_bar = target.T_bar
@@ -144,29 +143,6 @@ def cdf_Y_E(x, tau, coeffs: EffectiveCoeffs, n_ec):
     return np.where(x < 0.0, 0.0, value)
 
 
-def thresholds(tau: float, coeffs: EffectiveCoeffs) -> tuple[float, float, float]:
-    """Gate values (gamma1, gamma2, gamma3) of the piecewise SOP.
-
-    gamma1(tau): largest rate factor whose outage threshold exceeds the
-    eavesdropper SNDR ceiling (outage impossible below it).
-    gamma2(tau): rate factor reachable by the destination at split tau.
-    gamma3: large-power limit of gamma2 (infinite for ideal hardware).
-    gamma1 and gamma2 are arrays when tau or the coefficients are, and
-    gamma3 is one when k_tot2 is (a batch of several configurations).
-    """
-    k_tx2 = coeffs.k_tx2
-    k_tot2 = coeffs.k_tot2
-    k1 = k_tx2 * (1.0 + k_tot2)
-    k2 = k_tot2 * (1.0 + k_tx2)
-    k3 = 1.0 + k_tot2
-    td = tau * coeffs.d
-    gamma1 = (td * k1 + k_tx2) / (td * k2 + k_tx2 + 1.0)
-    gamma2 = (td * k3 + 1.0) / (td * k_tot2 + 1.0)
-    with np.errstate(divide="ignore"):
-        gamma3 = np.divide(k3, k_tot2)  # inf for ideal hardware
-    return gamma1, gamma2, gamma3
-
-
 def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int):
     """Conditional SOP at split tau inside the transmission region.
 
@@ -176,7 +152,7 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
     closed form to 1 - cdf_Y_E there.  ``tau`` broadcasts
     against array coefficients (a (states, 1) column of coefficients
     against a (states, grid) array of splits gives one grid per state); a
-    float split of one state gives a float.
+    float split of one state gives a 0-d array.
     """
     tau = np.asarray(tau, float)
     te1 = tau * coeffs.e + 1.0
@@ -185,20 +161,15 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
         raise ValueError(
             "sop_conditional requires tau > tau_min; use sop_overall for branching"
         )
-    # den_core > 0 because T >= 1 > gamma1, the gate where the threshold
-    # would reach the SNDR ceiling (see thresholds), except without
-    # leakage (a = 0), where it is 0 and the SOP is 0
+    # den_core = a*(te1*T - k_tx^2*num) since c = k_tx^2*a, and it is
+    # positive: num < tau*d, while te1*T >= tau*e + 1 > k_tx^2*tau*d as
+    # T >= 1 and e = k_tot^2*d >= k_tx^2*d.  Without leakage (a = 0) it is
+    # 0 and the SOP is 0
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (tau * den_core)
         value = np.exp(-ratio) * per_value(lambda n, x: np.power(x, -n), n_ec, 1.0 + (1.0 - tau) * coeffs.b * ratio)
-    value = np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
-    return value if value.ndim else float(value)
-
-
-def _gate_ge(t: float, gate):
-    """T >= gate with ties (to relative tolerance) counted as crossing."""
-    return t >= gate * (1.0 - _GATE_RTOL)
+    return np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
 
 
 def sop_overall(
@@ -208,15 +179,13 @@ def sop_overall(
 
     ``tau`` is one split for all states or one per state, and the
     target's R_s one rate for all states or one per state; scalar
-    coefficients count as one state.  Branches, in order: rate factor
-    above the impairment ceiling gamma3 is a certain outage; rate
-    unreachable even at full power means the source suspends; otherwise
-    the conditional closed form applies.  (Below gamma1 the outage event
-    would be impossible, but gamma1 < 1 <= T for every R_s >= 0, so that
-    gate never opens.)  Boundary ties are assigned to the less favorable
-    branch.  A split at or below tau_min (possible only in fixed-split
-    mode) cannot support the target rate, which is reported as a certain
-    outage through the Conditional branch limit.
+    coefficients count as one state.  tau_min decides the branch: inf
+    (rate factor at or past the impairment ceiling) is a certain outage;
+    finite but at least 1 (rate unreachable even at full power) means the
+    source suspends; below 1 the conditional closed form applies.  A
+    split at or below tau_min (possible only in fixed-split mode) cannot
+    support the target rate, which is reported as a certain outage
+    through the Conditional branch limit.
 
     Returns a SopBreakdown of arrays shaped like the states (0-d for one
     state); tau_min is inf outside the Conditional branch.
@@ -226,14 +195,11 @@ def sop_overall(
     tau = np.broadcast_to(np.asarray(tau, float), d.shape)
     if not np.all((0.0 <= tau) & (tau <= 1.0)):
         raise ValueError("tau_opt must lie in [0, 1]")
-    t = target.T
-    gamma1, gamma2, gamma3 = thresholds(tau, coeffs)
-    _, gamma2_full, _ = thresholds(1.0, coeffs)
-
-    always = np.full(d.shape, _gate_ge(t, gamma3))
-    silent = ~always & _gate_ge(t, gamma2_full)
-    conditional = ~(always | silent)
-    t_min = np.where(conditional, tau_min(target, coeffs), math.inf)
+    t_min = np.broadcast_to(tau_min(target, coeffs), d.shape)
+    always = np.isinf(t_min)
+    conditional = t_min < 1.0
+    silent = ~(always | conditional)
+    t_min = np.where(conditional, t_min, math.inf)
     feasible = conditional & (tau > t_min * (1.0 + _GATE_RTOL))
 
     value = np.where(silent, 0.0, 1.0)
@@ -243,5 +209,5 @@ def sop_overall(
     branch = np.full(d.shape, SopBranch.CONDITIONAL, dtype=object)
     branch[silent] = SopBranch.SOURCE_SILENT
     branch[always] = SopBranch.ALWAYS_OUTAGE
-    value, branch, gamma1, gamma2, t_min = (np.reshape(x, shape) for x in (value, branch, gamma1, gamma2, t_min))
-    return SopBreakdown(value, branch, gamma1, gamma2, gamma3, t_min)
+    value, branch, t_min = (np.reshape(x, shape) for x in (value, branch, t_min))
+    return SopBreakdown(value, branch, t_min)

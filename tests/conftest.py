@@ -3,6 +3,7 @@ import pytest
 
 from mmwsec.channel import ChannelDraw, sample_gain_scalars
 from mmwsec.config import SystemConfig, coeffs_from_gains, derive_coeffs
+from mmwsec.sop import SopBranch
 
 
 def make_coeffs(cfg: SystemConfig, g_hat: float, g_check: float, u: float = 0.0, v: float = 0.0):
@@ -37,6 +38,44 @@ def fuzz_states(rng, n_configs: int, n_states: int):
         cfg = SystemConfig(**params)
         g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, n_states, rng)
         yield cfg, coeffs_from_gains(cfg, g_hat, g_check)
+
+
+def thresholds(tau, coeffs, k_tx2):
+    """The paper's gate values (gamma1, gamma2, gamma3) of the piecewise SOP,
+    the reference that ``sop_overall``'s tau_min branch rule is held to.
+
+    gamma1(tau): largest rate factor whose outage threshold exceeds the
+    eavesdropper SNDR ceiling (outage impossible below it).
+    gamma2(tau): rate factor reachable by the destination at split tau.
+    gamma3: large-power limit of gamma2 (infinite for ideal hardware).
+    Elementwise over tau, the states and k_tx2 = k_tx^2.
+    """
+    k_tot2 = coeffs.k_tot2
+    k1 = k_tx2 * (1.0 + k_tot2)
+    k2 = k_tot2 * (1.0 + k_tx2)
+    k3 = 1.0 + k_tot2
+    td = tau * coeffs.d
+    gamma1 = (td * k1 + k_tx2) / (td * k2 + k_tx2 + 1.0)
+    gamma2 = (td * k3 + 1.0) / (td * k_tot2 + 1.0)
+    with np.errstate(divide="ignore"):
+        gamma3 = np.divide(k3, k_tot2)  # inf for ideal hardware
+    return gamma1, gamma2, gamma3
+
+
+def gate_ge(t, gate):
+    """T >= gate with ties (to 1e-12 relative) counted as crossing."""
+    return t >= gate * (1.0 - 1e-12)
+
+
+def gate_branch(target, coeffs, k_tx2):
+    """The paper's SOP branch of each state through the gates: T past the
+    impairment ceiling gamma3 is a certain outage, T past gamma2(1) means
+    the source suspends, and the rest is conditional (gamma1 < 1 <= T, so
+    the zero-outage gate never opens)."""
+    _, gamma2_full, gamma3 = thresholds(1.0, coeffs, k_tx2)
+    always = np.broadcast_to(gate_ge(target.T, gamma3), np.shape(gamma2_full))
+    silent = gate_ge(target.T, gamma2_full)
+    return np.select([always, silent], [SopBranch.ALWAYS_OUTAGE, SopBranch.SOURCE_SILENT], SopBranch.CONDITIONAL)
 
 
 @pytest.fixture

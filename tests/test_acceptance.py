@@ -53,7 +53,7 @@ def test_acceptance_1_conditional_sop_oracle():
         cfg, coeffs = _broad_state(rng)
         target = SecrecyTarget(cfg.R_s)
         t_min = tau_min(target, coeffs)
-        if t_min < 1.0:  # inf when the source is silent
+        if t_min < 1.0:  # >= 1 when no split is feasible
             cases.append((coeffs, float(rng.uniform(t_min + 1e-6, 1.0)), target, cfg.n_ec, 1000 + len(cases)))
     check = checks.sop_conditional_vs_mc(cases, 1_000_000, 0.005, 3.0)
     assert check.margin <= 1.0, check.detail
@@ -102,7 +102,7 @@ def test_acceptance_3_sop_power_split_optimizer():
             coeffs = make_coeffs(cfg, float(rng.gamma(n_c, 1.0)), float(rng.gamma(n_d - n_c, 1.0)))
             u = float(rng.uniform(1.0, 8.0))
             v = float(rng.uniform(0.0005, 0.05))
-        if tau_min(SecrecyTarget(cfg.R_s), coeffs) < 1.0:  # inf when the source is silent
+        if tau_min(SecrecyTarget(cfg.R_s), coeffs) < 1.0:  # >= 1 when no split is feasible
             drawn.append((cfg.R_s, coeffs, cfg.n_ec, u, v))
     r_s, states, n_ec, u, v = zip(*drawn)
     target, states, n_ec, u, v = SecrecyTarget(np.array(r_s)), stack_coeffs(states), *map(np.array, (n_ec, u, v))

@@ -120,10 +120,20 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     assert "N_D - N_C >= 1" in _usage_error(["sweep", "--preset", "fig6", "--set", "N_D=16"], capsys)
     with pytest.raises(ValueError):
         cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[20])
-    cli.SweepSpec(mode="throughput_opa", swept_key="N_C", values=[20])  # the other modes keep the cell
+    # N_C = N_E leaves the artificial noise no eavesdropper-only path in
+    # every mode but throughput_mrt, which carries none and still runs
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=18,20\ntrials=20\n")
+    line = _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    assert "N_C=20" in line and "N_E - N_C >= 1" in line
+    for mode in ("sop_opa", "throughput_opa", "throughput_equal_power"):
+        with pytest.raises(ValueError, match="N_E - N_C >= 1"):
+            cli.SweepSpec(mode=mode, swept_key="N_C", values=[16, 20])
     # a cell whose configuration cannot be built is rejected at build in every mode
     spec_path.write_text("mode=throughput_opa\nswept_key=N_C\nvalues=16,21\ntrials=20\n")
     assert "N_C must satisfy" in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    mrt = cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[16], base=SystemConfig(N_E=16), trials=20)
+    monkeypatch.undo()
+    assert cli.check_rows(cli.run_sweep(mrt)) == []
 
 
 def test_module_entry_point():

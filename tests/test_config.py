@@ -104,8 +104,9 @@ def test_coefficients_scale_linearly_with_power():
     hi = SystemConfig(P_dBm=50.0)
     c_lo = make_coeffs(lo, 12.0, 8.0)
     c_hi = make_coeffs(hi, 12.0, 8.0)
-    for name in ("a", "b", "c", "d", "e", "beta_E"):
+    for name in ("a", "b", "c", "d", "e"):
         assert math.isclose(getattr(c_hi, name), 10.0 * getattr(c_lo, name), rel_tol=1e-12)
+    assert math.isclose(hi.beta_e(), 10.0 * lo.beta_e(), rel_tol=1e-12)
 
 
 def test_no_an_direction_is_infeasible():

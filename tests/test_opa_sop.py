@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fuzz_states, make_coeffs, workable_cfg
+from conftest import fuzz_states, make_coeffs, thresholds, workable_cfg
 from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, stack_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec import checks, opa_sop
@@ -413,11 +413,11 @@ def test_batch_stacked_from_several_configurations():
             assert getattr(stacked.take(i), f.name) == getattr(one, f.name)
         gate = sop_overall(1.0, target, one, n_ec)
         assert batch.branch[i] is gate.branch.item() is SopBranch.CONDITIONAL
-        for f in ("value", "gamma1", "gamma2", "gamma3", "tau_min"):
+        for f in ("value", "tau_min"):
             assert getattr(batch, f)[i] == getattr(gate, f), f
         tau_one, val_one = minimize_sop_tau(target, one, n_ec)
         assert taus[i] == tau_one and vals[i] == val_one
-    assert batch.gamma3[0] == math.inf
+    assert thresholds(1.0, stacked, np.array([cfg.k_tx**2 for cfg in cfgs]))[2][0] == math.inf
 
     # per-state R_s and n_ec: each state keeps its own configuration's, the
     # zero rate (infimum at the open end tau_min), fractional rates and
@@ -445,7 +445,7 @@ def test_optimize_tau_sop_batch_fuzz(rng):
     for cfg, coeffs in fuzz_states(rng, 40, 12):
         target = SecrecyTarget(cfg.R_s)
         t_min = tau_min(target, coeffs)
-        feasible = np.flatnonzero(t_min < 1.0)  # t_min is inf where the source is silent
+        feasible = np.flatnonzero(t_min < 1.0)  # t_min >= 1 where no split is feasible
         if feasible.size < 12:
             with pytest.raises(SilentSourceError):
                 optimize_tau_sop_batch(target, coeffs, cfg.n_ec)

@@ -14,9 +14,9 @@ def sndr_destination_ideal(tau, coeffs):
     return tau * coeffs.d
 
 
-def sndr_eve_ideal(tau, u, v, coeffs, n_ec):
+def sndr_eve_ideal(tau, u, v, coeffs, cfg):
     """Ideal-hardware eavesdropper SNR N_EC*tau*a*u / ((1-tau)*beta_E*v + N_EC)."""
-    return n_ec * tau * coeffs.a * u / ((1.0 - tau) * coeffs.beta_E * v + n_ec)
+    return cfg.n_ec * tau * coeffs.a * u / ((1.0 - tau) * cfg.beta_e() * v + cfg.n_ec)
 
 
 def test_destination_hand_values():
@@ -43,7 +43,7 @@ def test_ideal_reductions_match(rng):
         )
         np.testing.assert_allclose(
             sndr_eve(tau, u, v, co.a, co.b, co.c),
-            sndr_eve_ideal(tau, u, v, co, cfg.n_ec),
+            sndr_eve_ideal(tau, u, v, co, cfg),
             rtol=1e-12,
         )
 

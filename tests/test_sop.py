@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fuzz_states, make_coeffs, workable_cfg
+from conftest import fuzz_states, gate_branch, make_coeffs, thresholds, workable_cfg
 from mmwsec import checks
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import coeffs_from_gains, stack_coeffs
@@ -15,15 +15,13 @@ from mmwsec.sop import (
     sop_conditional,
     sop_overall,
     tau_min,
-    thresholds,
 )
 
 
 def _ideal_coeffs(d, a, b):
     from mmwsec.config import EffectiveCoeffs
 
-    return EffectiveCoeffs(beta_E=1.0, k_tx2=0.0, k_tot2=0.0,
-                           a=a, b=b, c=0.0, d=d, e=0.0)
+    return EffectiveCoeffs(k_tot2=0.0, a=a, b=b, c=0.0, d=d, e=0.0)
 
 
 # -- secrecy target and minimum split ---------------------------------------
@@ -45,9 +43,8 @@ def test_tau_min_values():
 def test_tau_min_infeasible():
     from mmwsec.config import EffectiveCoeffs
 
-    co = EffectiveCoeffs(beta_E=1.0, k_tx2=0.5, k_tot2=1.0,
-                         a=1.0, b=1.0, c=0.5, d=1.0, e=1.0)
-    t_min = tau_min(SecrecyTarget(math.log2(3.0)), co)  # T=3: d <= e*(T-1), the source is silent
+    co = EffectiveCoeffs(k_tot2=1.0, a=1.0, b=1.0, c=0.5, d=1.0, e=1.0)
+    t_min = tau_min(SecrecyTarget(math.log2(3.0)), co)  # T=3: d <= e*(T-1), past the impairment ceiling
     assert t_min.shape == () and t_min == math.inf
 
 
@@ -113,15 +110,28 @@ def test_cdf_y_e_and_sop_overall_lie_in_unit_interval():
 
 # -- branch gates -------------------------------------------------------------
 
+def test_tau_min_branch_equals_the_gate_branch():
+    # the paper states the branches through the gates gamma3 and gamma2(1);
+    # sop_overall takes them from tau_min alone, and the two agree on every
+    # fuzzed state (d > 0, e = k_tot^2 d)
+    seen = set()
+    for cfg, co in fuzz_states(np.random.Generator(np.random.Philox(7)), 400, 200):
+        target = SecrecyTarget(cfg.R_s)
+        branch = sop_overall(1.0, target, co, cfg.n_ec).branch
+        assert np.array_equal(branch, gate_branch(target, co, cfg.k_tx**2))
+        seen.update(branch)
+    assert seen == set(SopBranch)
+
+
 def test_thresholds_values():
     cfg = workable_cfg(k_tx=0.1, k_rx=0.1)
     co = make_coeffs(cfg, 10.0, 6.0)
-    g1, g2, g3 = thresholds(0.7, co)
+    g1, g2, g3 = thresholds(0.7, co, cfg.k_tx**2)
     assert math.isclose(g3, 1.02 / 0.02, rel_tol=1e-12)  # rates past log2(51) never work
     assert math.log2(g3) < 6.0 < math.log2(g3) + 0.5
 
     ideal = _ideal_coeffs(10.0, 1.0, 1.0)
-    g1, g2, g3 = thresholds(0.5, ideal)
+    g1, g2, g3 = thresholds(0.5, ideal, 0.0)
     assert g1 == 0.0
     assert math.isclose(g2, 0.5 * 10.0 + 1.0, rel_tol=1e-14)
     assert math.isinf(g3)
@@ -130,7 +140,7 @@ def test_thresholds_values():
 def test_thresholds_at_zero_split():
     cfg = workable_cfg(k_tx=0.2, k_rx=0.1)
     co = make_coeffs(cfg, 10.0, 6.0)
-    g1, g2, _ = thresholds(0.0, co)
+    g1, g2, _ = thresholds(0.0, co, cfg.k_tx**2)
     k_tx2 = 0.04
     assert math.isclose(g1, k_tx2 / (k_tx2 + 1.0), rel_tol=1e-12)
     assert math.isclose(g2, 1.0, rel_tol=1e-14)
@@ -144,7 +154,7 @@ def test_gamma1_below_one_for_all_valid_rates(rng):
             P_dBm=float(rng.uniform(0, 80)),
         )
         co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
-        g1, _, _ = thresholds(float(rng.uniform(0, 1)), co)
+        g1, _, _ = thresholds(float(rng.uniform(0, 1)), co, cfg.k_tx**2)
         assert g1 < 1.0
 
 
@@ -162,7 +172,7 @@ def test_sop_conditional_equals_ccdf_at_threshold(rng):
         co = make_coeffs(cfg, float(rng.gamma(cfg.N_C, 1)), float(rng.gamma(cfg.n_dc, 1)))
         target = SecrecyTarget(cfg.R_s)
         t_min = tau_min(target, co)
-        if t_min >= 1.0:  # inf when the source is silent
+        if t_min >= 1.0:  # no feasible split
             continue
         tau = float(rng.uniform(t_min + 1e-6, 1.0))
         direct = sop_conditional(tau, target, co, cfg.n_ec)
@@ -275,7 +285,8 @@ def test_overall_middle_branch_delegates():
     bd = sop_overall(0.7, target, co, cfg.n_ec)
     assert bd.branch == SopBranch.CONDITIONAL
     assert math.isclose(bd.value, sop_conditional(0.7, target, co, cfg.n_ec), rel_tol=1e-14)
-    assert bd.gamma1 < target.T < bd.gamma2
+    g1, g2, _ = thresholds(0.7, co, cfg.k_tx**2)
+    assert g1 < target.T < g2
 
 
 def test_overall_split_below_tau_min_is_certain_outage():
@@ -303,7 +314,7 @@ def test_sop_overall_batch_matches_one_state(rng):
                 branches.add(one.branch.item())
         t_min = tau_min(target, co)
         for i in range(8):
-            assert tau_min(target, co.take(i)) == t_min[i]  # inf == inf where silent
+            assert tau_min(target, co.take(i)) == t_min[i]  # inf == inf past the ceiling
         assert np.all(np.isinf(t_min) == (co.d <= co.e * target.T_bar))
     assert branches == set(SopBranch)
 
@@ -348,7 +359,7 @@ def test_zero_d_state_gives_zero_d_results():
     target = SecrecyTarget(cfg.R_s)
     assert tau_min(target, co).shape == ()
     bd = sop_overall(0.7, target, co, cfg.n_ec)
-    assert all(np.shape(getattr(bd, f)) == () for f in ("value", "branch", "gamma1", "gamma2", "gamma3", "tau_min"))
+    assert all(np.shape(getattr(bd, f)) == () for f in ("value", "branch", "tau_min"))
     assert bd.branch.item() is SopBranch.CONDITIONAL
     tau_star, value = minimize_sop_tau(target, co, cfg.n_ec)
     assert tau_star.shape == value.shape == ()

@@ -392,8 +392,7 @@ def test_dk_dtau_matches_finite_differences(rng):
 def test_rs_hand_values():
     from mmwsec.config import EffectiveCoeffs
 
-    co = EffectiveCoeffs(beta_E=1, k_tx2=0, k_tot2=0,
-                         a=1.0, b=1.0, c=0.0, d=10.0, e=0.0)
+    co = EffectiveCoeffs(k_tot2=0, a=1.0, b=1.0, c=0.0, d=10.0, e=0.0)
     assert rs_of_tau(0.0, 5.0, co) == 0.0
     assert math.isclose(rs_of_tau(0.5, 1.0, co), 2.0, rel_tol=1e-14)  # log2(6/1.5)
     assert math.isclose(rs_of_tau(0.5, 0.0, co), math.log2(6.0), rel_tol=1e-14)
