@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks, montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars
-from .config import SystemConfig, coeffs_from_gains, coerce_overrides, key_value_lines, load_config, stack_coeffs
+from .config import SystemConfig, coeffs_from_gains, coerce_overrides, read_key_values, stack_coeffs
 from .sndr import sndr_destination, sndr_eve
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
@@ -89,14 +89,11 @@ class SweepSpec:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.values:
             raise ValueError("sweep needs a non-empty value list")
-        known = {f.name for f in fields(SystemConfig)}
-        if self.swept_key not in known:
-            raise ValueError(f"swept key {self.swept_key!r} is not a config field")
         if self.trials < 1 or self.uv_samples < 1:
             raise ValueError(
                 f"trials and uv_samples must be at least 1 (got {self.trials}, {self.uv_samples})"
             )
-        cells = self.cells()  # builds, and so checks, every cell's configuration
+        cells = self.cells()  # builds, and so checks, every cell's configuration and the swept key
         # with common paths the MRT closed form integrates over the non-common
         # gain too; every other mode aims artificial noise at the
         # eavesdropper-only paths
@@ -473,7 +470,6 @@ def render_csv(specs: list[SweepSpec], rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[SweepSpec]:
-    common = dict(seed=20240801)
     if name == "fig3":
         specs = [SweepSpec(
             mode="sop_fixed_rate",
@@ -488,7 +484,6 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
             trials=800,
             uv_samples=1500,
             preset="fig3",
-            **common,
         )]
     elif name == "fig4":
         specs = [SweepSpec(
@@ -507,7 +502,6 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
             trials=800,
             uv_samples=1500,
             preset="fig4",
-            **common,
         )]
     elif name == "fig5":
         specs = [SweepSpec(
@@ -523,7 +517,6 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
             trials=600,
             uv_samples=1200,
             preset="fig5",
-            **common,
         )]
     elif name == "fig6":
         base = SystemConfig(M=100, N_D=20, N_C=16, epsilon=0.01)
@@ -532,7 +525,7 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
         specs = [
             SweepSpec(mode=m, swept_key="P_dBm", values=values, base=base,
                       variants=variants, trials=400, uv_samples=1000,
-                      preset="fig6", **common)
+                      preset="fig6")
             for m in ("throughput_opa", "throughput_equal_power", "throughput_mrt")
         ]
     elif name == "fig7":
@@ -545,7 +538,6 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
             trials=400,
             uv_samples=1000,
             preset="fig7",
-            **common,
         )]
     else:
         raise ValueError(f"unknown preset {name!r}; expected fig3..fig7")
@@ -648,37 +640,35 @@ def run_validation(trials: int = 200_000, seed: int = 4242, verbose: bool = True
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(SystemConfig):
-        parser.add_argument(f"--{f.name}", dest=f"cfg_{f.name}", default=None,
-                            help=f"override config field {f.name}")
+_SPEC_KEYS = ("mode", "swept_key", "values", "trials", "uv_samples", "seed")
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    for f in fields(SystemConfig):
-        val = getattr(args, f"cfg_{f.name}", None)
-        if val is not None:
-            overrides[f.name] = val
-    for item in args.set or []:
+def _collect_overrides(items: list[str]) -> dict:
+    """The ``--set KEY=VALUE`` items as configuration values; a later item wins."""
+    for item in items:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        overrides[key.strip()] = val
-    return coerce_overrides(overrides)
+    return coerce_overrides(dict(map(str.strip, item.split("=", 1)) for item in items))
 
 
-def _parse_spec_file(path: str, base: SystemConfig) -> SweepSpec:
-    config_keys = {f.name for f in fields(SystemConfig)}
-    keys = {}
-    for lineno, key, val in key_value_lines(path):
-        if key not in config_keys | {"mode", "swept_key", "values", "trials", "uv_samples", "seed"}:
-            raise ValueError(f"{path}:{lineno}: unknown sweep key {key!r}")
-        keys[key] = val
-    base = base.with_overrides(**coerce_overrides({k: v for k, v in keys.items() if k in config_keys}))
-    swept_key = keys.get("swept_key")
-    if swept_key is None or "values" not in keys or "mode" not in keys:
+def _refuse_cell_keys(overrides: dict, swept_key: str, variants: list) -> None:
+    """A ``--set`` of a key that every cell sets itself would change no row: ValueError."""
+    for key in overrides:
+        if key == swept_key or any(key in variant for variant in variants):
+            role = "the swept key" if key == swept_key else "a variant key"
+            raise ValueError(f"--set {key}: {key} is {role}, which every cell of the sweep sets itself")
+
+
+def _parse_spec_file(path: str, config: dict, overrides: dict) -> SweepSpec:
+    """The sweep of a spec file.  Its base is SystemConfig() under
+    ``config`` (the values of a --config file), then the spec file's own
+    configuration keys, then ``overrides``, built once."""
+    keys = read_key_values(path, _SPEC_KEYS)
+    if not {"mode", "swept_key", "values"} <= keys.keys():
         raise ValueError(f"{path}: spec needs mode, swept_key and values entries")
+    swept_key = keys["swept_key"]
+    _refuse_cell_keys(overrides, swept_key, [])
+    base = SystemConfig(**coerce_overrides({**config, **{k: keys[k] for k in keys.keys() - _SPEC_KEYS}, **overrides}))
     values = [coerce_overrides({swept_key: v})[swept_key] for v in keys["values"].split(",") if v.strip()]
     budgets = {k: int(keys[k]) for k in ("trials", "uv_samples", "seed") if k in keys}
     return SweepSpec(mode=keys["mode"], swept_key=swept_key, values=values, base=base, **budgets)
@@ -692,16 +682,17 @@ def build_parser() -> argparse.ArgumentParser:
     which = sweep.add_mutually_exclusive_group(required=True)
     which.add_argument("--preset", choices=["fig3", "fig4", "fig5", "fig6", "fig7"])
     which.add_argument("--spec", help="sweep specification file (key=value lines)")
-    sweep.add_argument("--config", help="base configuration file (key=value lines)")
-    sweep.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one configuration key (repeatable)")
+    sweep.add_argument("--config", help="base configuration file (key=value lines) under the --spec "
+                       "file's own keys; not with --preset, which has its own base")
+    sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="set one configuration key of the sweep's base, after every file (repeatable); "
+                       "not the swept key or a variant key, which every cell sets itself")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--trials", type=int, default=None, help="channel draws per sweep point")
     sweep.add_argument("--uv-samples", type=int, default=None,
                        help="eavesdropper samples per draw for the MC columns")
-    sweep.add_argument("--workers", type=int, default=1, help="draw groups evaluated in parallel")
+    sweep.add_argument("--workers", type=int, default=1, help="draw groups evaluated in parallel (at least 1)")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    _add_config_flags(sweep)
     sweep.set_defaults(parser=sweep)
 
     validate = sub.add_parser("validate", help="run the formula-vs-oracle suite")
@@ -713,28 +704,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_specs(args) -> list[SweepSpec]:
-    """The sweeps a ``sweep`` command asks for: overrides, then the preset
-    or spec file, then the budgets.  Raises ValueError on bad input."""
-    overrides = _collect_overrides(args)
-    if args.config:
-        base = load_config(args.config, overrides)
-    else:
-        base = SystemConfig().with_overrides(**overrides)
+    """The sweeps a ``sweep`` command asks for, each over its own base.
 
+    A preset's base is its own; ``--config`` does not go with it.  A spec
+    file's base is SystemConfig() under the ``--config`` file's keys, then
+    the spec file's configuration keys.  ``--set`` is applied once, last,
+    to that base, and may not name the swept key or a variant key.  Then
+    ``--trials``, ``--uv-samples`` and ``--seed`` replace the budgets.
+    Raises ValueError on bad input and OSError on an unreadable file.
+    """
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1 (got {args.workers})")
+    overrides = _collect_overrides(args.set)
     if args.preset:
-        specs = preset_specs(args.preset, trials=args.trials,
-                             uv_samples=args.uv_samples, seed=args.seed)
-        if overrides:  # a new spec, so that its cells are checked again
-            specs = [replace(spec, base=spec.base.with_overrides(**overrides)) for spec in specs]
-        return specs
-    spec = _parse_spec_file(args.spec, base)
-    return [_with_budgets(spec, args.trials, args.uv_samples, args.seed)]
+        if args.config:
+            raise ValueError("--config goes with --spec only; a preset has its own base, which --set changes")
+        specs = preset_specs(args.preset)
+        for spec in specs:
+            _refuse_cell_keys(overrides, spec.swept_key, spec.variants)
+        specs = [replace(spec, base=spec.base.with_overrides(**overrides)) for spec in specs]
+    else:
+        specs = [_parse_spec_file(args.spec, read_key_values(args.config) if args.config else {}, overrides)]
+    return [_with_budgets(spec, args.trials, args.uv_samples, args.seed) for spec in specs]
 
 
 def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
-    rows: list[dict] = []
-    for spec in specs:
-        rows.extend(run_sweep(spec, workers=args.workers))
+    rows = [row for spec in specs for row in run_sweep(spec, workers=args.workers)]
     out.write(render_csv(specs, rows))
 
     failures = check_rows(rows)

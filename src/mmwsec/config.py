@@ -7,6 +7,7 @@ dimensionless SNRs); dB/dBm appear only at the configuration boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -63,11 +64,15 @@ class SystemConfig:
     epsilon: float = 0.01     # maximum tolerable secrecy outage probability
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name not in _INT_FIELDS and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.N_E is None:
             object.__setattr__(self, "N_E", self.N_D)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _INT_FIELDS:
+                if not isinstance(value, numbers.Integral):  # numpy integers are Integral too
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if not (0 <= self.N_D < self.M and 0 <= self.N_E < self.M):
@@ -238,56 +243,45 @@ def derive_coeffs(cfg: SystemConfig, draw) -> EffectiveCoeffs:
 _INT_FIELDS = {"M", "N_D", "N_E", "N_C"}
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+def read_key_values(path: str, sweep_keys=()) -> dict:
+    """The ``key=value`` lines of a text file as key -> value strings.
 
-
-def key_value_lines(path: str):
-    """Yield (lineno, key, value) for each ``key=value`` line of a text file.
-
-    Blank lines and lines starting with ``#`` are skipped; key and value
-    are stripped.  A line without ``=`` raises ValueError naming
-    ``path:lineno``.
-    """
+    Blank and ``#`` lines are skipped, key and value are stripped, and a
+    later line wins.  A line without ``=`` or with a key that is neither a
+    SystemConfig field nor one of ``sweep_keys`` raises ValueError naming
+    ``path:lineno``."""
+    known = {f.name for f in fields(SystemConfig)} | set(sweep_keys)
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            yield lineno, key.strip(), value.strip()
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown {'sweep' if sweep_keys else 'configuration'} key {key!r}")
+            values[key] = value
+    return values
 
 
-def load_config(path: str, overrides: dict | None = None) -> SystemConfig:
-    """Read a flat ``key=value`` configuration file.
-
-    Blank lines and lines starting with ``#`` are ignored.  Keys must match
-    SystemConfig field names; ``overrides`` (same conventions, values may
-    already be numeric) win over file contents.
-    """
-    known = {f.name for f in fields(SystemConfig)}
-    values: dict = {}
-    for lineno, key, raw in key_value_lines(path):
-        if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        values[key] = _parse_value(key, raw)
-    values.update(coerce_overrides(overrides or {}))
-    return SystemConfig(**values)
+def load_config(path: str) -> SystemConfig:
+    """Read a flat ``key=value`` configuration file (see ``read_key_values``)."""
+    return SystemConfig(**coerce_overrides(read_key_values(path)))
 
 
 def coerce_overrides(overrides: dict) -> dict:
-    """Normalize a key->value mapping onto SystemConfig field types."""
+    """Normalize a key->value mapping onto SystemConfig field types: a
+    string is read as an int or a float, as its field is."""
     known = {f.name for f in fields(SystemConfig)}
     out: dict = {}
     for key, value in overrides.items():
         if key not in known:
             raise ValueError(f"unknown configuration key {key!r}")
-        out[key] = _parse_value(key, str(value)) if isinstance(value, str) else value
+        if isinstance(value, str):
+            value = int(value) if key in _INT_FIELDS else float(value)
+        out[key] = value
     return out
 
 

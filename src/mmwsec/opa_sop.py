@@ -58,8 +58,8 @@ _SLOPE_BLOCK_STATES = 1024
 class PhiCoeffs:
     """Quadratic-over-quadratic coefficients of phi and of its derivative sign.
 
-    c3 == c6 structurally; eps1..eps3 define Omega(tau), whose sign equals
-    the sign of dphi/dtau.
+    phi = (c1 tau^2 + c2 tau + c3) / (c4 tau^2 + c5 tau + c3); eps1..eps3
+    define Omega(tau), whose sign equals the sign of dphi/dtau.
     """
 
     c1: float
@@ -67,7 +67,6 @@ class PhiCoeffs:
     c3: float
     c4: float
     c5: float
-    c6: float
     eps1: float
     eps2: float
     eps3: float
@@ -108,17 +107,16 @@ def phi_coeffs(u: float, v: float, coeffs: EffectiveCoeffs) -> PhiCoeffs:
     c3 = bv + 1.0
     c4 = e * (cu + au - bv)
     c5 = e * (bv + 1.0) + cu + au - bv
-    c6 = c3
     eps1 = c1 * c5 - c2 * c4
     eps2 = 2.0 * c3 * (c1 - c4)
     eps3 = c3 * (c2 - c5)
-    return PhiCoeffs(c1, c2, c3, c4, c5, c6, eps1, eps2, eps3)
+    return PhiCoeffs(c1, c2, c3, c4, c5, eps1, eps2, eps3)
 
 
 def phi_rational(tau, pc: PhiCoeffs):
     """phi via the expanded rational form; accepts scalar or array tau."""
     num = (pc.c1 * tau + pc.c2) * tau + pc.c3
-    den = (pc.c4 * tau + pc.c5) * tau + pc.c6
+    den = (pc.c4 * tau + pc.c5) * tau + pc.c3
     return num / den
 
 

@@ -488,8 +488,6 @@ class _MrtScales:
     c1: float  # 1 - c_bar*ln(eps)
     c3: float  # 1 - (a_bar + c_bar)*ln(eps)
     ratio: float  # a_bar*e_bar/d_bar
-    norm_c: float  # 1/Gamma(N_C), the common-gain pdf normalizer
-    norm_dc: float  # 1/Gamma(N_D - N_C), the non-common-gain pdf normalizer
 
     def rows(self, index) -> _MrtScales:
         """The entries ``index`` of a batch's scales as a column, one row
@@ -517,9 +515,8 @@ class _MrtScales:
 
 
 def _rgamma(n: int) -> float:
-    """1/Gamma(n) = 1/(n-1)! of an integer n >= 0, exactly rounded, and 0 at
-    the pole n = 0."""
-    return 1 / math.factorial(n - 1) if n > 0 else 0.0
+    """1/Gamma(n) = 1/(n-1)! of an integer n >= 1, exactly rounded."""
+    return 1 / math.factorial(n - 1)
 
 
 def _factorial(k):
@@ -555,8 +552,6 @@ def _bar_scales(cfg: SystemConfig | Sequence[SystemConfig]) -> _MrtScales:
             1.0 - c_bar * log_eps,
             1.0 - (a_bar + c_bar) * log_eps,
             a_bar * e_bar / d_bar,
-            _rgamma(c.N_C),
-            _rgamma(c.n_dc),
         ))
     return _MrtScales(*entries[0]) if one else _MrtScales(*np.array(entries).T)
 
@@ -665,8 +660,8 @@ def log_moment(q: float, m: int) -> float:
     return float(_log_moments(q, m)[m])
 
 
-def _gamma_pdf(x, shape: int, norm: float):
-    return np.exp(-x) * x ** (shape - 1) * norm
+def _gamma_pdf(x, shape: int):
+    return np.exp(-x) * x ** (shape - 1) * _rgamma(shape)
 
 
 def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
@@ -681,21 +676,25 @@ def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
     # order m carries beta^k/k! with k = n_dc - 1 - m
     k = np.arange(n_dc - 1, -1, -1).reshape((-1,) + (1,) * beta.ndim)
     total = np.sum(beta**k / _factorial(k) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
-    return np.exp(-beta) * _gamma_pdf(y, n_c, s.norm_c) * total
+    return np.exp(-beta) * _gamma_pdf(y, n_c) * total
+
+
+# the probability mass of a gain law that the MRT integrals leave beyond their cap
+_GAMMA_TAIL = 1e-10
 
 
 @lru_cache(maxsize=64)
-def _gamma_cap(shape: int, tail: float = 1e-10) -> float:
-    """The gain x that a Gamma(shape, 1) law exceeds with probability tail.
+def _gamma_cap(shape: int) -> float:
+    """The gain x that a Gamma(shape, 1) law exceeds with probability _GAMMA_TAIL.
     For an integer shape Q(n, x) = e^-x sum_{k<n} x^k/k!, whose largest term
     is k = n - 1 for x >= n; ln Q falls from about ln(1/2) at x = n to below
-    ln(tail) at x = 2n + 40."""
+    ln(_GAMMA_TAIL) at x = 2n + 40."""
     k = np.arange(shape)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(shape)])
 
     def log_q_excess(x):
         terms = np.log(x)[:, None] * k - log_fact
-        return terms[:, -1] + np.log(np.sum(np.exp(terms - terms[:, -1:]), axis=1)) - x - math.log(tail)
+        return terms[:, -1] + np.log(np.sum(np.exp(terms - terms[:, -1:]), axis=1)) - x - math.log(_GAMMA_TAIL)
 
     lo, hi = np.array([float(shape)]), np.array([2.0 * shape + 40.0])
     return float(bracketed_roots(log_q_excess, lo, hi, log_q_excess(lo), log_q_excess(hi))[0])
@@ -736,10 +735,10 @@ def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
         g_hat = y.ravel()
         beta = np.maximum(0.0, s.threshold(g_hat))
         inner = _gk21(
-            lambda x, node: _gamma_pdf(x, n_dc, s.norm_dc) * s.rate(g_hat[node, None], x),
+            lambda x, node: _gamma_pdf(x, n_dc) * s.rate(g_hat[node, None], x),
             beta, np.maximum(x_cap, beta * 4.0 + 40.0), 1e-12, 1e-9,
         )
-        return _gamma_pdf(y, n_c, s.norm_c) * inner.reshape(y.shape)
+        return _gamma_pdf(y, n_c) * inner.reshape(y.shape)
 
     return float(_gk21(outer, 0.0, _gamma_cap(n_c), 1e-12, 1e-8))
 
@@ -756,7 +755,7 @@ def _mrt_throughput_no_common(cfg: SystemConfig | Sequence[SystemConfig]) -> flo
 
     def integrand(g, owner):
         at = s.rows(owner)
-        return _gamma_pdf(g, n_d, at.norm_dc) * at.rate(0.0, g)
+        return _gamma_pdf(g, n_d) * at.rate(0.0, g)
 
     values = _gk21(integrand, np.zeros(len(cfgs)), _gamma_cap(n_d), 1e-12, 1e-9)
     return float(values[0]) if one else values

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -343,6 +344,11 @@ def test_spec_file_round_trip(tmp_path):
     assert out_path.read_text() == text  # byte-identical rerun
 
 
+def _csv_rows(text: str) -> list[dict]:
+    """The data rows of a sweep CSV, column name -> field."""
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+
+
 def test_cli_config_overrides(tmp_path):
     cfg_path = tmp_path / "base.cfg"
     cfg_path.write_text("M=64\nN_D=10\nN_C=4\nP_dBm=55\nR_s=3\n")
@@ -354,7 +360,52 @@ def test_cli_config_overrides(tmp_path):
         "--set", "P_dBm=56", "--out", str(out_path),
     ])
     assert rc == 0
-    assert "P_dBm=56.0" in out_path.read_text()
+    assert [row["P_dBm"] for row in _csv_rows(out_path.read_text())] == ["56.0", "56.0"]  # mrt, an_opa
+
+
+def test_set_is_applied_last_over_the_sweep_base(tmp_path, capsys, monkeypatch):
+    # --set wins over a spec file's key (P_dBm=50 in the file, every row at 60)
+    spec_path = tmp_path / "p50.spec"
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2,4\ntrials=20\nuv_samples=100\nP_dBm=50.0\n")
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text("P_dBm=40.0\nR_s=3.0\n")
+    assert cli.main(["sweep", "--spec", str(spec_path), "--config", str(cfg_path), "--set", "P_dBm=60"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 4 and {row["P_dBm"] for row in rows} == {"60.0"}
+    assert {row["R_s"] for row in rows} == {"3.0"}  # the --config file's key, under the spec file's
+    # a --set on a preset is checked against the preset's own base: fig5
+    # has M = 150, so N_D = 120 is a valid path count there
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec, workers=1: seen.append(spec) or [])
+    assert cli.main(["sweep", "--preset", "fig5", "--trials", "5", "--set", "N_D=120"]) == 0
+    assert [cfg.N_D for spec in seen for *_, cfg in spec.cells()] == [120] * 15
+    bases = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# base ")]
+    assert len(bases) == 1 and "M=150,N_D=120," in bases[0]
+
+
+def test_sweep_refuses_inputs_it_would_ignore(tmp_path, capsys, monkeypatch):
+    # a --config next to a preset, and a --set of a key that every cell
+    # sets itself, would be read and then ignored: each is one usage
+    # error, found before any group runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called on ignored input")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text("P_dBm=70.0\nk_tx=0.0\n")
+    line = _usage_error(["sweep", "--preset", "fig7", "--trials", "5", "--config", str(cfg_path)], capsys)
+    assert "--config goes with --spec only" in line
+    assert "k_tx is a variant key" in _usage_error(["sweep", "--preset", "fig7", "--trials", "5", "--set", "k_tx=0.3"], capsys)
+    assert "P_dBm is the swept key" in _usage_error(["sweep", "--preset", "fig6", "--set", "P_dBm=50"], capsys)
+    spec_path = tmp_path / "sweep.spec"
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2\n")
+    assert "N_C is the swept key" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "N_C=4"], capsys)
+
+
+def test_sweep_rejects_fewer_than_one_worker(capsys):
+    for workers in ("0", "-2"):
+        line = _usage_error(["sweep", "--preset", "fig7", "--trials", "5", "--workers", workers], capsys)
+        assert line == f"mmwsec sweep: error: --workers must be at least 1 (got {workers})"
 
 
 def test_cli_rejects_unknown_override(tmp_path, capsys):
@@ -368,8 +419,10 @@ def test_sweep_rejects_unreadable_input_files(tmp_path, capsys):
     # is bad input: one usage error that names the path, exit 2
     missing = str(tmp_path / "missing.spec")
     assert missing in _usage_error(["sweep", "--spec", missing], capsys)
+    spec_path = tmp_path / "sweep.spec"
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2\n")
     missing = str(tmp_path / "missing.cfg")
-    assert missing in _usage_error(["sweep", "--preset", "fig3", "--config", missing], capsys)
+    assert missing in _usage_error(["sweep", "--spec", str(spec_path), "--config", missing], capsys)
     assert str(tmp_path) in _usage_error(["sweep", "--spec", str(tmp_path)], capsys)  # a directory
 
 

@@ -152,6 +152,21 @@ def test_config_validation(bad):
         assert key in str(err.value)
 
 
+def test_path_counts_must_be_integers():
+    # a float path count was accepted: N_C = 2.5 gave n_ec = 17.5, sweep
+    # rows of NaN and a TypeError in the MRT closed form
+    from mmwsec import cli
+
+    for key in ("M", "N_D", "N_E", "N_C"):
+        for value in (2.5, 16.0, "16"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+                SystemConfig(**{key: value})
+    cfg = SystemConfig(M=np.int64(100), N_D=np.int32(20), N_E=np.uint8(18), N_C=np.int64(16))
+    assert cfg.n_ec == 2 and cfg.n_dc == 4
+    with pytest.raises(ValueError, match="N_C must be an integer"):
+        cli.SweepSpec(mode="sop_fixed_rate", swept_key="N_C", values=[2.5])
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = SystemConfig(M=64, N_D=10, N_E=12, N_C=4, P_dBm=37.5, k_tx=0.08)
     path = tmp_path / "scenario.cfg"
@@ -161,9 +176,10 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_config_file_overrides_and_comments(tmp_path):
+    # comments and blank lines are skipped, and a later line overrides an earlier one
     path = tmp_path / "scenario.cfg"
-    path.write_text("# comment line\nM=64\nN_D=10\nN_C=4\n\nP_dBm=40\n")
-    loaded = load_config(str(path), overrides={"P_dBm": "55", "k_tx": 0.05})
+    path.write_text("# comment line\nM=64\nN_D=10\nN_C=4\n\nP_dBm=40\n k_tx = 0.05 \nP_dBm=55\n")
+    loaded = load_config(str(path))
     assert loaded.M == 64 and loaded.P_dBm == 55.0 and loaded.k_tx == 0.05
 
 
@@ -179,7 +195,7 @@ def test_key_value_files_name_the_bad_line(tmp_path):
     from mmwsec import cli
 
     def read_spec(path):
-        return cli._parse_spec_file(path, SystemConfig())
+        return cli._parse_spec_file(path, {}, {})
 
     cases = [
         ("bad.cfg", load_config, "no equals sign", "expected key=value"),
