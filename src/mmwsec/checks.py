@@ -145,21 +145,22 @@ def e1_scaled(zs: np.ndarray, tol: float) -> Check:
     return Check(gap, gap / tol, f"worst relative error = {gap:.2e}")
 
 
-def high_snr_ceiling(states, powers, ratio_band: tuple[float, float], tol: float) -> Check:
+def high_snr_ceiling(states, powers, ratio_tol: float, tol: float) -> Check:
     """``sndr.high_snr_ceiling`` vs the finite-power destination SNDR of each
     impaired (cfg, g_hat, g_check, tau) of ``states`` at each transmit power
-    of ``powers`` (dBm, in equal steps).  The relative gap 1 - y_D/ceiling =
-    1/(tau*e + 1) must be positive, shrink by a ratio inside ``ratio_band``
-    per step, and be at most ``tol`` at the last power, where the reported
-    gap is taken.  No Monte-Carlo sample is drawn."""
-    gaps = np.array([
-        [1.0 - sndr.sndr_destination(tau, co.d, co.e) / sndr.high_snr_ceiling(co.k_tot2)
+    of ``powers`` (dBm).  The relative gap 1 - y_D/ceiling must be positive
+    and within ``tol`` of its law 1/(tau*e + 1) at every power, and each
+    step's gap ratio within ``ratio_tol`` of its law (1 + tau*e_k)/(1 +
+    tau*e_k+1).  The reported gap is the worst at the last power.  No
+    Monte-Carlo sample is drawn."""
+    gaps, laws = np.array([
+        [(1.0 - sndr.sndr_destination(tau, co.d, co.e) / sndr.high_snr_ceiling(co.k_tot2), 1.0 / (tau * co.e + 1.0))
          for co in (coeffs_from_gains(cfg.with_overrides(P_dBm=p), g_hat, g_check) for p in powers)]
         for cfg, g_hat, g_check, tau in states
-    ])
+    ]).transpose(2, 0, 1)
     ratios = gaps[:, 1:] / gaps[:, :-1]
-    lo, hi = ratio_band
     gap = _worst(gaps[:, -1])
-    margin = _worst([gap / tol, _worst(np.abs(ratios - 0.5 * (lo + hi))) / (0.5 * (hi - lo))])
+    margin = _worst([_worst(np.abs(gaps - laws)) / tol,
+                     _worst(np.abs(ratios - laws[:, 1:] / laws[:, :-1])) / ratio_tol])
     detail = f"gap ratios {ratios.min():.9f}-{ratios.max():.9f}, worst gap {gap:.2e} at {powers[-1]:g} dBm"
     return Check(gap, margin if np.all(gaps > 0.0) else math.inf, detail)

@@ -134,7 +134,11 @@ class SystemConfig:
         return self.power_watt * self.M * self.alpha_e() / (self.N_E * self.noise_watt)
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
-        """Return a copy with the given fields replaced."""
+        """Return a copy with the given fields replaced.  An N_E equal to
+        N_D follows an N_D override unless N_E is overridden too, as N_E
+        defaults to N_D when the configuration is built."""
+        if "N_D" in kwargs and self.N_E == self.N_D:
+            kwargs.setdefault("N_E", kwargs["N_D"])
         return replace(self, **kwargs)
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmwsec import cli, throughput
+from conftest import walk_uv_reference
+from mmwsec import cli, montecarlo, throughput
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import SystemConfig
 from mmwsec.sndr import sndr_eve
@@ -117,8 +118,9 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     spec_path.write_text("mode=throughput_mrt\nswept_key=N_C\nvalues=0,16,20\ntrials=20\n")
     line = _usage_error(["sweep", "--spec", str(spec_path)], capsys)
     assert "N_C=20" in line and "N_D - N_C >= 1" in line
-    # the same cell reached through a preset override
-    assert "N_D - N_C >= 1" in _usage_error(["sweep", "--preset", "fig6", "--set", "N_D=16"], capsys)
+    # the same cell reached through a preset override (N_E stays at 20, so
+    # the throughput_opa cells keep their artificial-noise direction)
+    assert "N_D - N_C >= 1" in _usage_error(["sweep", "--preset", "fig6", "--set", "N_D=16", "--set", "N_E=20"], capsys)
     with pytest.raises(ValueError):
         cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[20])
     # N_C = N_E leaves the artificial noise no eavesdropper-only path in
@@ -236,6 +238,83 @@ def test_walk_counts_the_sndr_event(n_c):
         near_total += near.sum()
     if n_c:  # without common paths y_E = 0: no sample is near, and every count is exact
         assert near_total > 1000
+
+
+def _mixed_events(rng, m: int, n_open: int) -> np.ndarray:
+    """(alpha, beta, thr) of m events: open ones, events whose signs say
+    never (alpha <= 0, beta >= 0, thr >= 0) or always (alpha >= 0, beta <= 0,
+    thr < 0), signed zeros in alpha, beta and thr, and tau = 1 rows (beta a
+    zero).  Signs decide every event from state n_open on."""
+    alpha, beta, thr = rng.normal(size=(3, m))
+    kind = rng.integers(0, 6, m)
+    kind[n_open:] = rng.integers(1, 4, max(m - n_open, 0))
+    never, always, signed_zero, tau_1, thr_0 = (kind == k for k in range(1, 6))
+
+    def zeros(mask):
+        return rng.choice([0.0, -0.0], np.count_nonzero(mask))
+
+    alpha[never], beta[never], thr[never] = -np.abs(alpha[never]), np.abs(beta[never]), np.abs(thr[never])
+    alpha[always], beta[always], thr[always] = np.abs(alpha[always]), -np.abs(beta[always]), -np.abs(thr[always])
+    alpha[signed_zero], beta[signed_zero] = zeros(signed_zero), zeros(signed_zero)
+    thr[signed_zero & (rng.random(m) < 0.3)] = 0.0
+    beta[tau_1] = zeros(tau_1)
+    thr[thr_0] = zeros(thr_0)
+    return np.array((alpha, beta, thr))
+
+
+class _NoDraws:
+    """A generator stand-in whose draw methods raise."""
+
+    def standard_exponential(self, *args, **kwargs):
+        raise AssertionError("the walk drew a u/v block")
+
+    standard_gamma = standard_exponential
+
+
+@pytest.mark.parametrize("n_c", [9, 0])
+def test_walk_matches_the_full_walk(n_c):
+    # the walk decides events by their signs, skips the v product where beta
+    # is a zero and draws no block after its last open event; it must return
+    # what the full walk returns, bit for bit.  Every state from 250 on, and
+    # every state of block 100, is decided; block 249 has an open event.
+    uv, n_ec = 64, 3
+    rng = np.random.Generator(np.random.Philox(97))
+    cells = [_mixed_events(rng, m, 250) for m in (300, 0, 120, 1, 300, 45)]
+    for cols in cells:
+        cols[:, 100:101] = np.array([[-1.0], [1.0], [1.0]])
+    cells[0][:, 249] = (1.0, -1.0, 0.5)
+    walked_rng = np.random.Generator(np.random.Philox(5))
+    walked = cli._walk_uv(walked_rng, n_c, n_ec, uv, cells)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(5)), n_c, n_ec, uv, cells)
+    for (p_hat, pair_var), (p_ref, var_ref) in zip(walked, full, strict=True):
+        assert (p_hat.tobytes(), pair_var) == (p_ref.tobytes(), var_ref)
+    rates = np.concatenate([p for p, _ in walked])
+    assert {0.0, 1.0} < set(rates.tolist()) and np.count_nonzero((rates > 0.0) & (rates < 1.0)) > 20
+    drawn = np.random.Generator(np.random.Philox(5))  # the walk stops after block 249
+    for _ in range(250):
+        if n_c:
+            drawn.standard_exponential(uv)
+        drawn.standard_gamma(n_ec, uv)
+    assert np.array_equal(walked_rng.random(4), drawn.random(4))
+
+
+def test_walk_without_open_events_draws_nothing():
+    # events that signs decide, and every event of a preset's N_C = 0
+    # group, are counted without a u/v draw
+    rng = np.random.Generator(np.random.Philox(98))
+    decided = [_mixed_events(rng, m, 0) for m in (40, 0, 7)]
+    walked = cli._walk_uv(_NoDraws(), 12, 8, 50, decided)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(6)), 12, 8, 50, decided)
+    assert [(p.tobytes(), var) for p, var in walked] == [(p.tobytes(), var) for p, var in full]
+    for spec in cli.preset_specs("fig3", trials=60) + cli.preset_specs("fig4", trials=60):
+        group = [(scheme, cfg) for _, _, scheme, cfg in spec.cells() if cfg.N_C == 0]
+        first = group[0][1]
+        g_hat, g_check, _, _ = sample_gain_scalars(0, first.n_dc, first.n_ec, spec.trials,
+                                                   montecarlo.as_rng(spec.seed))
+        for policy in ("min_sop", "phi_mean"):
+            cells = [cols for cols, _ in cli._sop_cells(group, g_hat, g_check, policy)]
+            walked = cli._walk_uv(_NoDraws(), 0, first.n_ec, spec.uv_samples, cells)
+            assert sum(len(p) for p, _ in walked) > 0
 
 
 def test_stacked_sop_group_equals_its_cells_alone():
@@ -374,13 +453,13 @@ def test_set_is_applied_last_over_the_sweep_base(tmp_path, capsys, monkeypatch):
     assert len(rows) == 4 and {row["P_dBm"] for row in rows} == {"60.0"}
     assert {row["R_s"] for row in rows} == {"3.0"}  # the --config file's key, under the spec file's
     # a --set on a preset is checked against the preset's own base: fig5
-    # has M = 150, so N_D = 120 is a valid path count there
+    # has M = 150, so N_D = 120 is a valid path count there; N_E follows it
     seen = []
     monkeypatch.setattr(cli, "run_sweep", lambda spec, workers=1: seen.append(spec) or [])
     assert cli.main(["sweep", "--preset", "fig5", "--trials", "5", "--set", "N_D=120"]) == 0
     assert [cfg.N_D for spec in seen for *_, cfg in spec.cells()] == [120] * 15
     bases = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# base ")]
-    assert len(bases) == 1 and "M=150,N_D=120," in bases[0]
+    assert len(bases) == 1 and "M=150,N_D=120,N_E=120," in bases[0]
 
 
 def test_sweep_refuses_inputs_it_would_ignore(tmp_path, capsys, monkeypatch):

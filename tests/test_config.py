@@ -120,6 +120,14 @@ def test_n_e_defaults_to_n_d():
     assert cfg.N_E == 18
 
 
+def test_n_e_follows_an_n_d_override():
+    # an N_E equal to N_D follows an N_D override, as it does when the
+    # configuration is built; an N_E of its own, or one overridden too, stays
+    assert SystemConfig().with_overrides(N_D=30) == SystemConfig(N_D=30)
+    assert SystemConfig(N_E=24).with_overrides(N_D=30).N_E == 24
+    assert SystemConfig().with_overrides(N_D=30, N_E=25).N_E == 25
+
+
 @pytest.mark.parametrize(
     "bad",
     [
