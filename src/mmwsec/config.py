@@ -45,11 +45,11 @@ class SystemConfig:
 
     Resolvable-path counts follow the single-cluster angular-domain model:
     the destination and eavesdropper occupy N_D and N_E angular bins of
-    which N_C are shared.
+    which N_C are shared, so N_D + N_E - N_C of the M bins.
     """
 
     M: int = 100              # transmit antennas (uniform linear array, half-wavelength spacing)
-    N_D: int = 20             # destination resolvable paths, N_D < M
+    N_D: int = 20             # destination resolvable paths, 1 <= N_D < M
     N_E: int | None = None    # eavesdropper resolvable paths; defaults to N_D
     N_C: int = 16             # common paths, N_C <= min(N_D, N_E)
     P_dBm: float = 5.0        # total transmit power
@@ -75,10 +75,13 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
-        if not (0 <= self.N_D < self.M and 0 <= self.N_E < self.M):
-            raise ValueError("path counts must satisfy 0 <= N_D, N_E < M")
+        counts = f"N_D={self.N_D}, N_E={self.N_E}, N_C={self.N_C}, M={self.M}"
+        if not (1 <= self.N_D < self.M and 1 <= self.N_E < self.M):
+            raise ValueError(f"path counts must satisfy 1 <= N_D, N_E < M (got {counts})")
         if not (0 <= self.N_C <= min(self.N_D, self.N_E)):
             raise ValueError("N_C must satisfy 0 <= N_C <= min(N_D, N_E)")
+        if self.N_D + self.N_E - self.N_C > self.M:
+            raise ValueError(f"path counts must satisfy N_D + N_E - N_C <= M bins (got {counts})")
         if not (0.0 <= self.k_tx < 1.0 and 0.0 <= self.k_rx < 1.0):
             raise ValueError("EVMs k_tx, k_rx must lie in [0, 1)")
         if self.d_D_m <= 0.0 or self.d_E_m <= 0.0:
@@ -123,14 +126,10 @@ class SystemConfig:
 
     def beta_d(self) -> float:
         """Per-link SNR scale of the destination, P*M*alpha_D/(N_D*sigma_n^2)."""
-        if self.N_D == 0:
-            raise InfeasibleError("beta_D undefined for N_D = 0")
         return self.power_watt * self.M * self.alpha_d() / (self.N_D * self.noise_watt)
 
     def beta_e(self) -> float:
         """Per-link SNR scale of the eavesdropper, P*M*alpha_E/(N_E*sigma_n^2)."""
-        if self.N_E == 0:
-            raise InfeasibleError("beta_E undefined for N_E = 0")
         return self.power_watt * self.M * self.alpha_e() / (self.N_E * self.noise_watt)
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
@@ -216,8 +215,8 @@ def coeffs_from_gains(cfg: SystemConfig, g_hat, g_check) -> EffectiveCoeffs:
         )
     g_hat = np.asarray(g_hat, float)
     g_tot = g_hat + np.asarray(g_check, float)
-    if cfg.N_D > 0 and np.any(g_tot <= 0.0):
-        raise ValueError("G = G_hat + G_check must be positive when N_D > 0")
+    if np.any(g_tot <= 0.0):
+        raise ValueError("G = G_hat + G_check must be positive")
 
     beta_d = cfg.beta_d()
     beta_e = cfg.beta_e()

@@ -249,7 +249,7 @@ def empirical_sndr_from_distortion(
     p_watt, sigma2 = cfg.power_watt, cfg.noise_watt
     n_ec = cfg.n_ec
     sig_amp = math.sqrt(tau * p_watt)
-    an_amp = math.sqrt((1.0 - tau) * p_watt / n_ec) if n_ec > 0 else 0.0
+    an_amp = math.sqrt((1.0 - tau) * p_watt / n_ec)
 
     hd_f1 = complex(h_d @ f1)
     hd_F = np.asarray(h_d @ f_an)

@@ -10,11 +10,12 @@ Omega between them, for a whole batch of channel states at once
 The split minimizing the closed-form conditional SOP itself is found for
 a whole batch of channel states at once (``minimize_sop_tau``; scalar
 coefficients are one state and give 0-d results) from the sign of the
-analytic slope of log SOP: one (states x grid) array of slopes brackets
-every falling-to-rising sign change, and one Illinois false-position
-loop (``throughput.bracketed_roots``, shared with the throughput
-optimizer) refines all brackets together, each stopping on its own.  No
-SOP value is scanned.
+analytic slope of log SOP.  It searches as the throughput optimizer
+does: a scan of the slope in blocks of states brackets every
+falling-to-rising sign change, one Illinois false-position call
+(``throughput.bracketed_roots``) refines all brackets, each stopping on
+its own, and one helper picks each state's smallest SOP among the local
+minima and full power.  No SOP value is scanned.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, per_state, sop_conditional, tau_min
-from .throughput import bracketed_roots
+from .throughput import _best_candidates, bracketed_roots
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
@@ -125,6 +126,12 @@ def omega(tau, pc: PhiCoeffs):
     return (pc.eps1 * tau + pc.eps2) * tau + pc.eps3
 
 
+def _linear_omega(pc: PhiCoeffs):
+    """Where Omega counts as linear: |eps1| <= 1e-12 * max(|eps1|, |eps2|, |eps3|)."""
+    scale = np.maximum(np.maximum(np.abs(pc.eps1), np.abs(pc.eps2)), np.abs(pc.eps3))
+    return np.abs(pc.eps1) <= _LINEAR_RTOL * scale
+
+
 def omega_roots(pc: PhiCoeffs) -> np.ndarray:
     """Real zero crossings of Omega as a (..., 2) array, ascending.
 
@@ -133,7 +140,7 @@ def omega_roots(pc: PhiCoeffs) -> np.ndarray:
     roots (a complex pair, or a constant Omega) are NaN.
     """
     e1, e2, e3 = pc.eps1, pc.eps2, pc.eps3
-    linear = np.abs(e1) <= _LINEAR_RTOL * np.maximum(np.maximum(np.abs(e1), np.abs(e2)), np.abs(e3))
+    linear = _linear_omega(pc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sq = np.sqrt(e2 * e2 - 4.0 * e1 * e3)  # NaN for a complex pair
         q = -0.5 * (e2 + np.copysign(sq, e2))
@@ -197,9 +204,8 @@ def optimize_tau_sop_batch(
     objective = phi_rational(tau_star, pc)
 
     om_lo, om_hi = omega(t_min, pc), omega(1.0, pc)
-    scale = np.maximum(np.maximum(np.abs(pc.eps1), np.abs(pc.eps2)), np.maximum(np.abs(pc.eps3), 1.0))
     case = np.select(
-        [np.abs(pc.eps1) <= _LINEAR_RTOL * scale, (om_lo > 0.0) & (om_hi < 0.0), (om_lo < 0.0) & (om_hi > 0.0)],
+        [_linear_omega(pc), (om_lo > 0.0) & (om_hi < 0.0), (om_lo < 0.0) & (om_hi > 0.0)],
         [OpaCase.DEGENERATE_LINEAR, OpaCase.CONCAVE_INTERIOR, OpaCase.CONVEX_ENDPOINTS],
         OpaCase.BOTH_SIGN,
     )
@@ -260,17 +266,17 @@ def minimize_sop_tau(
     can land far from the minimum of the (u, v)-averaged SOP; this routine
     minimizes that averaged closed form directly and is what figure-level
     sweeps use.  The analytic slope of log SOP is evaluated on one fixed
-    relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``); every
-    change of its sign from falling to rising brackets a local minimum,
-    and one Illinois false-position loop refines the brackets of a block
-    of states (``_SLOPE_BLOCK_STATES``) together, each stopping on its
-    own.  No unimodality is assumed: every local minimum competes with
-    the full power split tau = 1, and with the grid's first split where
-    the SOP rises from tau_min (at R_s = 0, where the infimum lies at the
-    open end).  Each state keeps its smallest SOP,
-    the smaller split on a tie.  States without leakage (a = 0) are
-    outage-free at any feasible split and get (1, 0).  ``n_ec``, the
-    target's R_s and the coefficient b may be per-state arrays.
+    relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``), in
+    blocks of ``_SLOPE_BLOCK_STATES`` states; every change of its sign
+    from falling to rising brackets a local minimum, and one Illinois
+    false-position loop refines the brackets of all states together, each
+    stopping on its own.  No unimodality is assumed: every local minimum
+    competes with the full power split tau = 1, and with the grid's first
+    split where the SOP rises from tau_min (at R_s = 0, where the infimum
+    lies at the open end).  Each state keeps its smallest SOP, the smaller
+    split on a tie.  States without leakage (a = 0) are outage-free at any
+    feasible split and get (1, 0).  ``n_ec``, the target's R_s and the
+    coefficient b may be per-state arrays.
 
     Returns arrays (tau_star, sop value) shaped like the states (0-d for
     scalar coefficients).  Raises SilentSourceError when any state has no
@@ -278,39 +284,30 @@ def minimize_sop_tau(
     """
     t_min = _feasible_tau_min(target, coeffs)
     shape, t_min = t_min.shape, t_min.ravel()
-    tau_star = np.ones(t_min.shape)
-    value = np.zeros(t_min.shape)
+    tau_star, value = np.ones(t_min.shape), np.zeros(t_min.shape)
     leak = np.flatnonzero(np.atleast_1d(coeffs.a) != 0.0)
-    for start in range(0, leak.size, _SLOPE_BLOCK_STATES):
-        rows = leak[start:start + _SLOPE_BLOCK_STATES]
-        tau_star[rows], value[rows] = _minimize_leaking(
-            target.take(rows), coeffs.take(rows), per_state(n_ec, rows), t_min[rows]
-        )
-    return tau_star.reshape(shape), value.reshape(shape)
-
-
-def _minimize_leaking(target, coeffs, n_ec, t_min):
-    """``minimize_sop_tau`` on states that all leak (a > 0)."""
-    # the slope's arguments a..e, T and n_ec, one entry per state
+    target, coeffs, n_ec, t_min = target.take(leak), coeffs.take(leak), per_state(n_ec, leak), t_min[leak]
+    # the slope's arguments a..e, T and n_ec, one entry per leaking state
     args = [np.broadcast_to(np.asarray(x, float), t_min.shape) for x in (
         coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec
     )]
-    grid = t_min[:, None] + _SLOPE_GRID * (1.0 - t_min[:, None])
-    g = _log_sop_slope(grid, *(x[:, None] for x in args))
-    rising = g > 0.0
-    owner, left = np.nonzero(~rising[:, :-1] & rising[:, 1:])
-    roots = bracketed_roots(
-        _log_sop_slope, grid[owner, left], grid[owner, left + 1], g[owner, left], g[owner, left + 1],
-        *(x[owner] for x in args),
-    )
+    brackets, firsts = [], []  # the bracket ends and slopes; the first split where the SOP rises
+    for start in range(0, max(t_min.size, 1), _SLOPE_BLOCK_STATES):  # one pass for an empty batch
+        rows = slice(start, start + _SLOPE_BLOCK_STATES)
+        grid = t_min[rows, None] + _SLOPE_GRID * (1.0 - t_min[rows, None])
+        g = _log_sop_slope(grid, *(x[rows, None] for x in args))
+        rising = g > 0.0
+        i, j = np.nonzero(~rising[:, :-1] & rising[:, 1:])
+        brackets.append((start + i, grid[i, j], grid[i, j + 1], g[i, j], g[i, j + 1]))
+        first = np.flatnonzero(rising[:, 0])
+        firsts.append((start + first, grid[first, 0]))
+    owner, lo, hi, f_lo, f_hi = (np.concatenate(x) for x in zip(*brackets))
+    roots = bracketed_roots(_log_sop_slope, lo, hi, f_lo, f_hi, *(x[owner] for x in args))
 
-    rows = np.arange(t_min.size)
-    lower = np.flatnonzero(rising[:, 0])
-    cand_state = np.concatenate([owner, rows, lower])
-    cand_tau = np.concatenate([roots, np.ones(t_min.size), grid[lower, 0]])
-    cand_value = sop_conditional(
-        cand_tau, target.take(cand_state), coeffs.take(cand_state), per_state(n_ec, cand_state)
-    )
-    order = np.lexsort((cand_tau, cand_value, cand_state))
-    best = order[np.searchsorted(cand_state[order], rows)]
-    return cand_tau[best], cand_value[best]
+    first, first_tau = (np.concatenate(x) for x in zip(*firsts))
+    cand_state = np.concatenate([owner, np.arange(t_min.size), first])
+    cand_tau = np.concatenate([roots, np.ones(t_min.size), first_tau])
+    cand_value = sop_conditional(cand_tau, target.take(cand_state), coeffs.take(cand_state), per_state(n_ec, cand_state))
+    best = _best_candidates(cand_state, cand_value, cand_tau, t_min.size)
+    tau_star[leak], value[leak] = cand_tau[best], cand_value[best]
+    return tau_star.reshape(shape), value.reshape(shape)

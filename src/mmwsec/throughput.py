@@ -5,9 +5,10 @@ eavesdropper SNDR, expressed through the implicit function k(tau).  In the
 variable x = k/(a - c*tau*k) its defining equation Q(k) = 0 turns into an
 increasing, concave equation in x that does not involve a or c, which
 Newton's method solves from x = 0 without a bracket.  The rate optimizer
-works on arrays of channel states: one scan grid for all of them, then
-one batched false-position search for every stationary point.  The module
-also carries the full-power (MRT) closed forms: the per-state rate, its
+works on arrays of channel states: one scan grid for all of them, one
+batched false-position search for every local maximum, and full power
+competes with them.  The module also carries the full-power (MRT) closed
+forms: the per-state rate, its
 transmission threshold, and the expected throughput as an
 exponential-integral sum over the common gain, with a direct 2-D
 quadrature of the rate as its check.  Both integrate with one adaptive
@@ -386,21 +387,30 @@ def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
     )
 
 
+def _best_candidates(state, value, tau, n):
+    """Index of the smallest-value candidate of each state 0..n-1, the smaller
+    tau on a tie; every state must have a candidate.  Both split optimizers
+    pick with it, the rate optimizer passing -rate and -tau."""
+    order = np.lexsort((tau, value, state))
+    return order[np.searchsorted(state[order], np.arange(n))]
+
+
 def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> ThroughputResult:
     """Maximize the capped secrecy rate over the power split, per channel state.
 
     ``coeffs``, ``n_ec`` and ``epsilon`` carry one channel state per
-    element (scalars broadcast).  Concavity of the rate in tau is classified
-    numerically: central differences of the analytic derivative at 64
-    interior points of a fixed 129-point scan grid on [1e-6, 1], scanned
-    in blocks of ``_SCAN_BLOCK_STATES`` states.  The concave case follows
-    the boundary-or-unique-root rule; otherwise all stationary points found
-    by a sign-change scan are compared against the full-power boundary.  A
-    channel state whose rate is negative even at the optimum cannot
-    transmit: it keeps its split and cap, with rate 0, transmit False and
-    the tag Silent.  The stationary points of all states are solved
-    together.  The tests and ``mmwsec validate`` check the results against
-    dense grids of splits.
+    element (scalars broadcast).  The analytic rate slope is scanned on a
+    fixed 129-point grid on [1e-6, 1], in blocks of ``_SCAN_BLOCK_STATES``
+    states; every fall of the slope from > 0 to <= 0 between two grid
+    points brackets a local maximum, and the brackets of all states are
+    refined together.  Full power and every local maximum compete; each
+    state keeps its best rate, the larger split on a tie.  A state whose
+    rate is negative even at the optimum cannot transmit: it keeps its
+    split and cap, with rate 0, transmit False and the tag Silent.  Any
+    other tag names the rate's concavity, probed by central differences
+    of the slope at 64 interior grid points, and whether the rate still
+    climbs at full power; the probe chooses no candidate.  The tests and
+    ``mmwsec validate`` check the results against dense grids of splits.
 
     Returns a ThroughputResult of arrays over the states.
     """
@@ -413,22 +423,17 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> Thr
     keys, key_of = np.unique(np.column_stack([b, n_ec, log_eps]), axis=0, return_inverse=True)
     x_keys = _solve_x(grid, *keys.T[:, :, None])
 
-    concave, rising, interior = np.empty((3, a.size), bool)
+    concave, rising = np.empty((2, a.size), bool)
     brackets = []
     for start in range(0, max(a.size, 1), _SCAN_BLOCK_STATES):  # one pass for an empty batch
         rows = slice(start, start + _SCAN_BLOCK_STATES)
         rp = _rate_slope(grid, x_keys[key_of[rows]], *(x[rows, None] for x in (a, b, c, d, e, n_ec)))
-        # concavity probe: derivative differences at evenly spread interior points
+        # concavity probe, for the tag: derivative differences at evenly spread interior points
         second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
-        concave[rows] = cv = np.all(second <= 1e-8, axis=1)
-        rising[rows] = up = rp[:, -1] > 0.0  # the rate still climbs at full power
-        # stationary points: the first sign change of a concave state that
-        # does not rise at full power, every sign change of a non-concave one
-        sign = rp > 0.0
-        flips = sign[:, :-1] != sign[:, 1:]
-        first = flips & (np.cumsum(flips, axis=1) == 1)
-        interior[rows] = cv & ~up & flips.any(axis=1)
-        i, j = np.nonzero(np.where(cv[:, None], first & ~up[:, None], flips))
+        concave[rows] = np.all(second <= 1e-8, axis=1)
+        rising[rows] = rp[:, -1] > 0.0  # the rate still climbs at full power
+        up = rp > 0.0
+        i, j = np.nonzero(up[:, :-1] & ~up[:, 1:])
         brackets.append((start + i, j, rp[i, j], rp[i, j + 1]))
     owner, left, f_lo, f_hi = (np.concatenate(x) for x in zip(*brackets))
     roots = bracketed_roots(
@@ -436,15 +441,11 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> Thr
         grid[left], grid[left + 1], f_lo, f_hi, *(x[owner] for x in (a, b, c, d, e, n_ec, log_eps)),
     )
 
-    # candidates: full power (unless a concave state has its interior root)
-    # and the stationary points; each state keeps its best rate, the larger
-    # split on a tie
-    cand_state = np.concatenate([np.flatnonzero(~interior), owner])
-    cand_tau = np.concatenate([np.ones(int((~interior).sum())), roots])
+    cand_state = np.concatenate([np.arange(a.size), owner])
+    cand_tau = np.concatenate([np.ones(a.size), roots])
     cand_k = solve_k_batch(cand_tau, *(x[cand_state] for x in (a, b, c, n_ec, epsilon)))
     cand_rate = _rate(cand_tau, cand_k, d[cand_state], e[cand_state])
-    order = np.lexsort((cand_tau, cand_rate, cand_state))
-    best = order[np.searchsorted(cand_state[order], np.arange(a.size), side="right") - 1]
+    best = _best_candidates(cand_state, -cand_rate, -cand_tau, a.size)
     tau_star, k_star, r_star = cand_tau[best], cand_k[best], cand_rate[best]
 
     # transmission region test at the chosen split

@@ -134,6 +134,12 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     # a cell whose configuration cannot be built is rejected at build in every mode
     spec_path.write_text("mode=throughput_opa\nswept_key=N_C\nvalues=16,21\ntrials=20\n")
     assert "N_C must satisfy" in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    # so is a base whose path counts the model cannot place: N_D = 0 leaves
+    # beta_D undefined, and fig3's 20 + 20 - 0 paths do not fit in 30 bins
+    spec_path.write_text("mode=throughput_mrt\nswept_key=P_dBm\nvalues=30,40\ntrials=20\nN_D=0\nN_E=5\nN_C=0\n")
+    assert "1 <= N_D, N_E < M (got N_D=0, N_E=5," in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    line = _usage_error(["sweep", "--preset", "fig3", "--set", "M=30"], capsys)
+    assert "N_D + N_E - N_C <= M" in line and "M=30" in line
     mrt = cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[16], base=SystemConfig(N_E=16), trials=20)
     monkeypatch.undo()
     assert cli.check_rows(cli.run_sweep(mrt)) == []
@@ -453,13 +459,16 @@ def test_set_is_applied_last_over_the_sweep_base(tmp_path, capsys, monkeypatch):
     assert len(rows) == 4 and {row["P_dBm"] for row in rows} == {"60.0"}
     assert {row["R_s"] for row in rows} == {"3.0"}  # the --config file's key, under the spec file's
     # a --set on a preset is checked against the preset's own base: fig5
-    # has M = 150, so N_D = 120 is a valid path count there; N_E follows it
+    # has M = 150, so N_D = 70 (N_E follows it, 124 bins with N_C = 16) is
+    # a valid path count there, and not under the default M = 100
     seen = []
     monkeypatch.setattr(cli, "run_sweep", lambda spec, workers=1: seen.append(spec) or [])
-    assert cli.main(["sweep", "--preset", "fig5", "--trials", "5", "--set", "N_D=120"]) == 0
-    assert [cfg.N_D for spec in seen for *_, cfg in spec.cells()] == [120] * 15
+    assert cli.main(["sweep", "--preset", "fig5", "--trials", "5", "--set", "N_D=70"]) == 0
+    assert [cfg.N_D for spec in seen for *_, cfg in spec.cells()] == [70] * 15
     bases = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# base ")]
-    assert len(bases) == 1 and "M=150,N_D=120,N_E=120," in bases[0]
+    assert len(bases) == 1 and "M=150,N_D=70,N_E=70," in bases[0]
+    with pytest.raises(ValueError, match="N_D \\+ N_E - N_C <= M"):
+        SystemConfig(N_D=70)
 
 
 def test_sweep_refuses_inputs_it_would_ignore(tmp_path, capsys, monkeypatch):

@@ -150,14 +150,19 @@ def test_n_e_follows_an_n_d_override():
         dict(pl_b=-math.inf),
         dict(R_s=math.nan),
         dict(R_s=math.inf),
+        dict(N_D=0),            # every closed form needs beta_D and beta_E
+        dict(N_E=0),
+        dict(M=30, N_D=20, N_C=0),  # 40 paths in 30 bins
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError) as err:
         SystemConfig(**bad)
-    ((key, value),) = bad.items()
-    if not math.isfinite(value):
-        assert key in str(err.value)
+    for key, value in bad.items():
+        if not math.isfinite(value):
+            assert key in str(err.value)
+        if str(err.value).startswith("path counts"):  # the error names the counts
+            assert f"{key}={value}" in str(err.value)
 
 
 def test_path_counts_must_be_integers():

@@ -169,6 +169,21 @@ def test_degenerate_linear_case():
     assert res.case_tag is OpaCase.DEGENERATE_LINEAR
 
 
+@pytest.mark.parametrize("p_dbm", [0.0, 5.0, 10.0])
+def test_degenerate_linear_tag_follows_the_roots_rule(rng, p_dbm):
+    # the tag calls Omega linear exactly where omega_roots solves it as
+    # linear: |eps1| <= 1e-12 * max(|eps1|, |eps2|, |eps3|), with no
+    # absolute floor, which at low power called quadratics linear
+    cfg = SystemConfig(P_dBm=p_dbm, R_s=0.0)
+    g_hat, g_check = rng.gamma(cfg.N_C, 1.0, 2000), rng.gamma(cfg.n_dc, 1.0, 2000)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
+    res = optimize_tau_sop_batch(SecrecyTarget(cfg.R_s), coeffs, cfg.n_ec)
+    pc = phi_coeffs(1.0, np.full(2000, float(cfg.n_ec)), coeffs)
+    scale = np.max(np.abs([pc.eps1, pc.eps2, pc.eps3]), axis=0)
+    linear = np.abs(pc.eps1) <= 1e-12 * scale
+    assert np.array_equal(res.case_tag == OpaCase.DEGENERATE_LINEAR, linear)
+
+
 def test_mean_policy_default_and_validation():
     cfg = workable_cfg()
     coeffs = make_coeffs(cfg, 12.0, 6.0)
@@ -272,7 +287,8 @@ def test_minimize_sop_tau_batch_fuzz(rng):
 def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
     # the Conditional states of fuzzed configurations, stacked with a
     # per-state R_s and n_ec (the N_C = 0 ones do not leak), give the same
-    # bits whole and scanned in blocks of 7 states
+    # bits whole and scanned in blocks of 1 and of 7 states, whose brackets
+    # are refined in one call
     states, r_s, n_ec = [], [], []
     for cfg, coeffs in fuzz_states(rng, 20, 12):
         target = SecrecyTarget(cfg.R_s)
@@ -283,9 +299,10 @@ def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
     stacked, target, n_ec = stack_coeffs(states), SecrecyTarget(np.array(r_s)), np.array(n_ec)
     assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size
     whole = minimize_sop_tau(target, stacked, n_ec)
-    monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", 7)
-    blocked = minimize_sop_tau(target, stacked, n_ec)
-    assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
+    for block in (1, 7):
+        monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", block)
+        blocked = minimize_sop_tau(target, stacked, n_ec)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, blocked)), block
 
 
 def _slope_cols(states: EffectiveCoeffs):

@@ -474,6 +474,20 @@ def test_optimizer_blocks_keep_the_bits(rng, monkeypatch):
         assert np.array_equal(getattr(whole, f.name), getattr(blocked, f.name)), f.name
 
 
+def test_candidates_do_not_depend_on_the_concavity_probe(rng, monkeypatch):
+    # an empty probe calls every state concave: full power and every local
+    # maximum still compete, so only the case tags may move
+    co = stack_coeffs([co for _, co in fuzz_states(rng, 20, 12)])
+    n_ec, eps = rng.integers(1, 20, co.a.size), rng.uniform(0.003, 0.3, co.a.size)
+    probed = optimize_tau_throughput_batch(co, n_ec, eps)
+    monkeypatch.setattr(throughput, "_CONCAVITY_IDX", np.array([], dtype=int))
+    concave = optimize_tau_throughput_batch(co, n_ec, eps)
+    non_concave = [ThroughputCase.NONCONCAVE_TAU1_VS_1, ThroughputCase.NONCONCAVE_TAU1P_VS_TAU3]
+    assert np.isin(probed.case_tag, non_concave).any() and not np.isin(concave.case_tag, non_concave).any()
+    for name in ("tau_star", "R_s_star", "k_star", "transmit"):
+        assert np.array_equal(getattr(probed, name), getattr(concave, name)), name
+
+
 def test_optimizer_full_power_at_low_budget():
     cfg = workable_cfg(P_dBm=32.0, R_s=1.0, epsilon=0.01, N_C=16)
     co = make_coeffs(cfg, 16.0, 4.0)
