@@ -21,8 +21,8 @@ from itertools import pairwise
 import numpy as np
 
 from . import checks, montecarlo, opa_sop, sop, throughput
-from .channel import sample_gain_scalars
-from .config import SystemConfig, coeffs_from_gains, coerce_overrides, read_key_values, stack_coeffs
+from .channel import sample_gain_scalars, sample_gains
+from .config import SystemConfig, coeffs_from_gains, coerce_overrides, parse_value, read_key_values, stack_coeffs
 from .sndr import sndr_destination, sndr_eve
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
@@ -138,15 +138,17 @@ def _fmt(x) -> str:
 # sweep cells
 #
 # A cell's draws depend only on (seed, N_C, n_dc, n_ec, trials, uv_samples):
-# its channel gains come first, then one u/v block per state that carries a
-# Monte-Carlo event, so the j-th such state of every cell meets the j-th
-# block.  Cells that share a draw key therefore share one gain draw and one
-# walk of the u/v stream.  ``_sop_cells`` and ``_throughput_cells`` take
-# all SOP or all throughput cells of a group as one stacked batch and turn
-# the shared gains into each cell's per-state columns (alpha, beta, thr)
-# of its event, y_E above a per-state threshold, plus a ``finish`` that
-# builds the row from the walk's per-state hit rates, their summed
-# binomial variance and the draws' seed.  ``_mrt_cells`` takes a group's
+# its channel gains come from the Philox stream ``as_rng(seed)``, and its
+# u/v blocks from a SFC64 stream of its own, ``walk_rng(seed, N_C, n_dc,
+# n_ec)``, one block per state that carries a Monte-Carlo event, so the
+# j-th such state of every cell meets the j-th block.  Cells that share a
+# draw key therefore share one gain draw and one walk of the u/v stream.
+# ``_sop_cells`` and ``_throughput_cells`` take all SOP or all throughput
+# cells of a group as one stacked batch and turn the shared gains into
+# each cell's per-state columns (alpha, beta, thr) of its event, y_E above
+# a per-state threshold, plus a ``finish`` that builds the row from the
+# walk's per-state hit rates, their summed binomial variance and the
+# draws' seed.  ``_mrt_cells`` takes a group's
 # MRT cells as one batch too: one closed-form call over their
 # configurations and one estimator call that draws the shared gains once;
 # MRT rows have no outage event, so no u/v stream is walked.
@@ -321,10 +323,12 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
     ``uv_samples`` hits before the walk.  A block tests its open events
     as one (events x uv) array, and an event with beta = 0 skips the v
     product.  The walk stops after the last block with an open event, so
-    a group without one draws nothing; ``standard_exponential`` and
-    ``standard_gamma`` draw the same numbers as ``exponential(1.0)`` and
-    ``gamma(n_ec, 1.0)``.  Returns per cell its per-state hit rates and
-    their binomial variances summed in state order.
+    a group without one draws nothing.  ``rng`` is any numpy Generator; a
+    sweep passes its group's SFC64 ``montecarlo.walk_rng``, which no other
+    draw touches.  ``standard_exponential`` and ``standard_gamma`` draw
+    the same numbers as ``exponential(1.0)`` and ``gamma(n_ec, 1.0)``.
+    Returns per cell its per-state hit rates and their binomial variances
+    summed in state order.
     """
     counts = [cols.shape[1] for cols in cells]
     stacked = np.zeros((3, len(cells), max(counts)))  # the zero padding never hits
@@ -366,13 +370,13 @@ def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> l
     if spec.mode == "throughput_mrt":
         return _mrt_cells(cells, spec.trials, spec.seed)
     first = cells[0][1]
-    rng = montecarlo.as_rng(spec.seed)
-    g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, spec.trials, rng)
+    g_hat, g_check = sample_gains(first.N_C, first.n_dc, spec.trials, montecarlo.as_rng(spec.seed))
     if spec.mode in ("sop_fixed_rate", "sop_opa"):
         policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
         made = _sop_cells(cells, g_hat, g_check, policy)
     else:
         made = _throughput_cells(cells, g_hat, g_check)
+    rng = montecarlo.walk_rng(spec.seed, first.N_C, first.n_dc, first.n_ec)
     walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made])
     return [finish(*w, spec.seed) for (_, finish), w in zip(made, walked)]
 
@@ -382,12 +386,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
 
     Cells are grouped by their draw key (N_C, n_dc, n_ec; the seed and
     budgets are the spec's).  Each group draws its channel gains once from
-    ``spec.seed`` and walks its u/v stream once, evaluating every cell of
-    the group block by block as one array; a cell gets exactly the numbers
-    it would draw alone, so sweeps share common random numbers.  A group of
-    MRT throughput cells is one batch as well: one closed-form integration
-    and one draw of its estimator's gains from ``spec.seed``, at its own
-    oversampled budget.  ``workers`` threads evaluate groups in parallel;
+    ``spec.seed`` and walks its own u/v stream of the seed and the draw
+    key once, evaluating every cell of the group block by block as one
+    array; a cell gets exactly the numbers it would draw alone, so sweeps
+    share common random numbers.  A group of MRT throughput cells is one
+    batch as well: one closed-form integration and one draw of its
+    estimator's gains from ``spec.seed``, at its own oversampled budget.  ``workers`` threads evaluate groups in parallel;
     rows come back in cell order and their bytes do not depend on the
     worker count.
     """
@@ -676,16 +680,18 @@ def _refuse_cell_keys(overrides: dict, swept_key: str, variants: list) -> None:
 
 def _parse_spec_file(path: str, config: dict, overrides: dict) -> SweepSpec:
     """The sweep of a spec file.  Its base is SystemConfig() under
-    ``config`` (the values of a --config file), then the spec file's own
-    configuration keys, then ``overrides``, built once."""
+    ``config`` (the coerced values of a --config file), then the spec
+    file's own configuration keys, then ``overrides``, built once."""
     keys = read_key_values(path, _SPEC_KEYS)
     if not {"mode", "swept_key", "values"} <= keys.keys():
         raise ValueError(f"{path}: spec needs mode, swept_key and values entries")
     swept_key = keys["swept_key"]
     _refuse_cell_keys(overrides, swept_key, [])
-    base = SystemConfig(**coerce_overrides({**config, **{k: keys[k] for k in keys.keys() - _SPEC_KEYS}, **overrides}))
-    values = [coerce_overrides({swept_key: v})[swept_key] for v in keys["values"].split(",") if v.strip()]
-    budgets = {k: int(keys[k]) for k in ("trials", "uv_samples", "seed") if k in keys}
+    own = coerce_overrides({k: keys[k] for k in keys.keys() - _SPEC_KEYS}, path)
+    base = SystemConfig(**{**config, **own, **overrides})
+    values = [coerce_overrides({swept_key: v}, f"{path}: values")[swept_key]
+              for v in keys["values"].split(",") if v.strip()]
+    budgets = {k: parse_value(k, keys[k], int, path) for k in ("trials", "uv_samples", "seed") if k in keys}
     return SweepSpec(mode=keys["mode"], swept_key=swept_key, values=values, base=base, **budgets)
 
 
@@ -739,7 +745,8 @@ def _sweep_specs(args) -> list[SweepSpec]:
             _refuse_cell_keys(overrides, spec.swept_key, spec.variants)
         specs = [replace(spec, base=spec.base.with_overrides(**overrides)) for spec in specs]
     else:
-        specs = [_parse_spec_file(args.spec, read_key_values(args.config) if args.config else {}, overrides)]
+        config = coerce_overrides(read_key_values(args.config), args.config) if args.config else {}
+        specs = [_parse_spec_file(args.spec, config, overrides)]
     return [_with_budgets(spec, args.trials, args.uv_samples, args.seed) for spec in specs]
 
 

@@ -271,19 +271,30 @@ def read_key_values(path: str, sweep_keys=()) -> dict:
 
 def load_config(path: str) -> SystemConfig:
     """Read a flat ``key=value`` configuration file (see ``read_key_values``)."""
-    return SystemConfig(**coerce_overrides(read_key_values(path)))
+    return SystemConfig(**coerce_overrides(read_key_values(path), path))
 
 
-def coerce_overrides(overrides: dict) -> dict:
+def parse_value(key: str, text: str, kind: type, source: str = ""):
+    """``kind(text)``; text that does not parse raises ValueError naming
+    ``key``, ``kind`` and the text, after ``source: `` (a file) when given."""
+    try:
+        return kind(text)
+    except ValueError:
+        where = f"{source}: " if source else ""
+        raise ValueError(f"{where}{key}: expected {kind.__name__}, got {text!r}") from None
+
+
+def coerce_overrides(overrides: dict, source: str = "") -> dict:
     """Normalize a key->value mapping onto SystemConfig field types: a
-    string is read as an int or a float, as its field is."""
+    string is read as an int or a float, as its field is (``parse_value``;
+    ``source`` names the file the strings came from)."""
     known = {f.name for f in fields(SystemConfig)}
     out: dict = {}
     for key, value in overrides.items():
         if key not in known:
             raise ValueError(f"unknown configuration key {key!r}")
         if isinstance(value, str):
-            value = int(value) if key in _INT_FIELDS else float(value)
+            value = parse_value(key, value, int if key in _INT_FIELDS else float, source)
         out[key] = value
     return out
 

@@ -41,6 +41,14 @@ def as_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
+def walk_rng(seed: int, n_c: int, n_dc: int, n_ec: int) -> np.random.Generator:
+    """The SFC64 generator of a sweep draw group's u/v walk: a stream of
+    its own for the 64-bit seed and the group's path counts, apart from
+    the group's ``as_rng(seed)`` gains."""
+    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, n_c, n_dc, n_ec]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+
+
 def _substream(seed: int, chunk: int) -> np.random.Generator:
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import os
@@ -396,6 +397,57 @@ def test_stacked_throughput_group_equals_its_cells_alone():
     assert len(widths) >= 4  # cells leave the stack with different state counts
 
 
+def test_walk_draws_its_own_stream_of_the_draw_key(monkeypatch):
+    # a group walks a SFC64 stream of (seed, N_C, n_dc, n_ec), apart from
+    # the Philox stream of its gains
+    (spec,) = cli.preset_specs("fig4", trials=40)
+    one_group = replace(spec, values=[8])
+    handed, walk = [], cli._walk_uv
+
+    def spy(rng, *args):
+        handed.append(copy.deepcopy(rng))
+        return walk(rng, *args)
+
+    monkeypatch.setattr(cli, "_walk_uv", spy)
+    cli.run_sweep(one_group)
+    (rng,) = handed
+    cfg = one_group.cells()[0][3]
+    key = [spec.seed & 0xFFFFFFFFFFFFFFFF, cfg.N_C, cfg.n_dc, cfg.n_ec]
+    defined = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+    assert rng.standard_exponential(spec.uv_samples).tobytes() == \
+        defined.standard_exponential(spec.uv_samples).tobytes()
+    monkeypatch.undo()
+
+    # the gain generator's end position reaches no row
+    rows, gains, extra = cli.run_sweep(spec), cli.sample_gains, []
+
+    def gains_then_more(n_c, n_dc, n, rng):
+        drawn = gains(n_c, n_dc, n, rng)
+        extra.append((rng.standard_exponential(1000), rng.standard_gamma(3.0, 1000)))
+        return drawn
+
+    monkeypatch.setattr(cli, "sample_gains", gains_then_more)
+    moved = cli.run_sweep(spec)
+    assert len(extra) == 10  # one per draw group
+    assert [cli._fmt(r["mc_value"]) for r in moved] == [cli._fmt(r["mc_value"]) for r in rows]
+    assert sum(0.0 < r["mc_value"] < 1.0 for r in rows) > 20  # rows with open events
+
+
+def test_seed_is_taken_modulo_2_64(tmp_path):
+    # --seed -7 and --seed 2**64 - 7 name the same gain and walk streams
+    outs = []
+    for seed in ("-7", str(2**64 - 7)):
+        out = tmp_path / f"seed{seed}.csv"
+        assert cli.main(["sweep", "--preset", "fig4", "--trials", "20", "--seed", seed, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            outs.append([row for row in csv.DictReader(line for line in fh if not line.startswith("#"))])
+    neg, pos = outs
+    assert len(neg) == len(pos) == 120
+    for a, b in zip(neg, pos):
+        assert (a.pop("seed"), b.pop("seed")) == ("-7", str(2**64 - 7))
+        assert a == b
+
+
 def test_csv_is_deterministic():
     spec = _tiny_spec()
     text1 = cli.render_csv([spec], cli.run_sweep(spec))
@@ -500,6 +552,18 @@ def test_cli_rejects_unknown_override(tmp_path, capsys):
     spec_path = tmp_path / "sweep.spec"
     spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2\n")
     assert "bogus" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "bogus=1"], capsys)
+
+
+def test_value_parse_errors_name_the_key(tmp_path, capsys):
+    # a --set or --config value that does not parse is one usage line that
+    # names the key, the expected type and the value (and the file)
+    line = _usage_error(["sweep", "--preset", "fig4", "--set", "M=1e2"], capsys)
+    assert line == "mmwsec sweep: error: M: expected int, got '1e2'"
+    spec_path, cfg_path = tmp_path / "sweep.spec", tmp_path / "base.cfg"
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=P_dBm\nvalues=56\n")
+    cfg_path.write_text("N_C=4.5\n")
+    line = _usage_error(["sweep", "--spec", str(spec_path), "--config", str(cfg_path)], capsys)
+    assert line == f"mmwsec sweep: error: {cfg_path}: N_C: expected int, got '4.5'"
 
 
 def test_sweep_rejects_unreadable_input_files(tmp_path, capsys):

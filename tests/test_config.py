@@ -221,3 +221,27 @@ def test_key_value_files_name_the_bad_line(tmp_path):
         path.write_text(f"# header\nM=64\n\n{line}\n")
         with pytest.raises(ValueError, match=f"{name}:4: {message}"):
             read(str(path))
+
+
+def test_key_value_files_name_the_bad_value(tmp_path):
+    # a value that does not parse names its file, its key, the expected
+    # type and the value, not only the value
+    from mmwsec import cli
+
+    def read_spec(path):
+        return cli._parse_spec_file(path, {}, {})
+
+    spec = "mode=sop_fixed_rate\nswept_key=P_dBm\n"
+    cases = [
+        ("bad.cfg", load_config, "M=64\nN_C=4.5\n", "N_C: expected int, got '4.5'"),
+        ("p.spec", read_spec, spec + "values=56,58\nP_dBm=x\n", "P_dBm: expected float, got 'x'"),
+        ("values.spec", read_spec, spec + "values=56,x\n", "values: P_dBm: expected float, got 'x'"),
+        ("seed.spec", read_spec, spec + "values=56\nseed=1.5\n", "seed: expected int, got '1.5'"),
+        ("trials.spec", read_spec, spec + "values=56\ntrials=1e3\n", "trials: expected int, got '1e3'"),
+    ]
+    for name, read, text, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read(str(path))
+        assert str(exc.value) == f"{path}: {message}"

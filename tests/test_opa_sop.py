@@ -489,3 +489,28 @@ def test_optimize_tau_sop_batch_fuzz(rng):
         seen["R_s=0"] += feasible.size * (cfg.R_s == 0.0)
         seen["ideal"] += feasible.size * (cfg.k_tot2 == 0.0)
     assert min(seen.values()) > 0, seen
+
+
+def test_capacity_ratio_split_never_beats_the_sop_minimum():
+    # fig5 reports optimize_tau_sop_batch's capacity-ratio split; fig3 and
+    # fig4 use minimize_sop_tau.  At every feasible fuzzed state the
+    # minimizer's SOP is at most the SOP at the capacity-ratio split.  The
+    # relative slack of 1e-12 allows only rounding: the minimizer's split is
+    # a slope root refined to 1e-12 in tau, where the SOP is flat, and both
+    # sides are sop_conditional values (the measured worst excess is 0)
+    seen = {"states": 0, "strictly_lower": 0, "N_C=0": 0, "R_s=0": 0, "ideal": 0}
+    for cfg, coeffs in fuzz_states(np.random.Generator(np.random.Philox(11)), 200, 200):
+        target = SecrecyTarget(cfg.R_s)
+        states = coeffs.take(np.flatnonzero(tau_min(target, coeffs) < 1.0))
+        if not states.a.size:
+            continue
+        _, best = minimize_sop_tau(target, states, cfg.n_ec)
+        at_ratio = sop_conditional(optimize_tau_sop_batch(target, states, cfg.n_ec).tau_star,
+                                   target, states, cfg.n_ec)
+        assert np.all(best <= at_ratio * (1.0 + 1e-12)), cfg
+        seen["states"] += best.size
+        seen["strictly_lower"] += np.count_nonzero(best < at_ratio)
+        seen["N_C=0"] += best.size * (cfg.N_C == 0)
+        seen["R_s=0"] += best.size * (cfg.R_s == 0.0)
+        seen["ideal"] += best.size * (cfg.k_tot2 == 0.0)
+    assert seen["states"] > 25_000 and seen["strictly_lower"] > 10_000 and min(seen.values()) > 0, seen
