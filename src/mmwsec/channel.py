@@ -137,9 +137,16 @@ class ChannelDraw:
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. circularly-symmetric complex Gaussians of unit variance.
 
-    The real parts are drawn before the imaginary parts.
+    The real parts are drawn before the imaginary parts, in one
+    ``standard_normal((2,) + shape)`` call, and each is scaled by 1/sqrt(2)
+    into a float (..., 2) buffer viewed as complex: the bits of
+    ``(re + 1j * im) / sqrt(2)``, whose complex-by-real division multiplies
+    by 1/sqrt(2), without its complex temporaries.
     """
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    out = np.empty((*shape, 2))
+    np.multiply(rng.standard_normal((2, *shape)), 1.0 / np.sqrt(2.0), out=np.moveaxis(out, -1, 0))
+    return out.view(complex)[..., 0]
 
 
 def sample_channel(

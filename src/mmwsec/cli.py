@@ -686,6 +686,8 @@ def _parse_spec_file(path: str, config: dict, overrides: dict) -> SweepSpec:
     if not {"mode", "swept_key", "values"} <= keys.keys():
         raise ValueError(f"{path}: spec needs mode, swept_key and values entries")
     swept_key = keys["swept_key"]
+    if swept_key not in {f.name for f in fields(SystemConfig)}:
+        raise ValueError(f"{path}: swept_key: unknown configuration key {swept_key!r}")
     _refuse_cell_keys(overrides, swept_key, [])
     own = coerce_overrides({k: keys[k] for k in keys.keys() - _SPEC_KEYS}, path)
     base = SystemConfig(**{**config, **own, **overrides})

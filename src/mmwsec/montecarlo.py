@@ -1,9 +1,10 @@
 """Stochastic oracles for every closed form in the package.
 
-Every estimator takes an integer seed.  Estimates are reproducible by
-construction: trials are split into fixed-size chunks, chunk i draws from
-its own counter-derived stream of the seed, and the chunk sums are added
-in chunk order.
+Every estimator takes an integer seed, taken modulo 2^64.  Estimates are
+reproducible by construction: trials are split into fixed-size chunks,
+chunk i draws from its own SFC64 stream of (seed, i) (``_chunk_rng``), and
+the chunk sums are added in chunk order.  The distortion-level synthesis
+draws everything from the seed's chunk-0 stream.
 """
 
 from __future__ import annotations
@@ -41,28 +42,35 @@ def as_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
+def _sfc64(entropy, spawn_key: tuple = ()) -> np.random.Generator:
+    """The SFC64 generator of ``SeedSequence(entropy, spawn_key=spawn_key)``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy, spawn_key=spawn_key)))
+
+
 def walk_rng(seed: int, n_c: int, n_dc: int, n_ec: int) -> np.random.Generator:
     """The SFC64 generator of a sweep draw group's u/v walk: a stream of
     its own for the 64-bit seed and the group's path counts, apart from
     the group's ``as_rng(seed)`` gains."""
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, n_c, n_dc, n_ec]
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+    return _sfc64([int(seed) & 0xFFFFFFFFFFFFFFFF, n_c, n_dc, n_ec])
 
 
-def _substream(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """The SFC64 generator of an estimator's chunk: ``SeedSequence(seed
+    mod 2^64, spawn_key=(chunk,))``.  A spawn key, not the list ``[seed,
+    chunk]``: SeedSequence pads short entropy with zeros, so that list
+    would name ``walk_rng(seed, chunk, 0, 0)``'s stream."""
+    return _sfc64(int(seed) & 0xFFFFFFFFFFFFFFFF, (chunk,))
 
 
 def _chunk_sums(n: int, seed: int, chunk_fn, width: int) -> np.ndarray:
     """Sum chunk_fn(stream, size) -> length-``width`` arrays over n trials.
 
-    Chunk i draws from ``_substream(seed, i)`` and the sums are added in
+    Chunk i draws from ``_chunk_rng(seed, i)`` and the sums are added in
     chunk order.
     """
     total = np.zeros(width)
     for i, start in enumerate(range(0, n, _CHUNK)):
-        total += chunk_fn(_substream(seed, i), min(_CHUNK, n - start))
+        total += chunk_fn(_chunk_rng(seed, i), min(_CHUNK, n - start))
     return total
 
 
@@ -243,8 +251,9 @@ def empirical_sndr_from_distortion(
     by k_tx) and receive distortion scaled to the received signal power.
     The sample power ratios must land on the closed-form SNDRs, which
     validates the algebra collapsing the received-signal expressions.
+    Every draw comes from the seed's chunk-0 stream, ``_chunk_rng(seed, 0)``.
     """
-    gen = as_rng(seed)
+    gen = _chunk_rng(seed, 0)
     sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
     g_d, g_e, draw = sample_channel(sets, 1, gen)
     coeffs = derive_coeffs(cfg, draw).take(0)

@@ -140,6 +140,17 @@ def test_sample_channel_contract():
             np.testing.assert_array_equal(getattr(again[2], k), getattr(draw, k))
 
 
+def test_complex_normal_keeps_the_bits_of_the_complex_expression():
+    # one (2,) + shape draw scaled into a float buffer gives the bits of the
+    # complex expression on a same-seeded generator, real parts first
+    for shape in (1000, (6, 500), (0,)):
+        drawn = complex_normal(shape, np.random.Generator(np.random.Philox(31)))
+        rng = np.random.Generator(np.random.Philox(31))
+        expected = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
+        assert drawn.view(float).tobytes() == expected.view(float).tobytes()
+
+
 def test_an_beamformer_nulls_destination(rng):
     m = 64
     w = build_basis(m)

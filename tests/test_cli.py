@@ -554,6 +554,13 @@ def test_cli_rejects_unknown_override(tmp_path, capsys):
     assert "bogus" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "bogus=1"], capsys)
 
 
+def test_spec_file_names_an_unknown_swept_key(tmp_path, capsys):
+    spec_path = tmp_path / "s.spec"
+    spec_path.write_text("mode=sop_fixed_rate\nswept_key=bogus\nvalues=1\n")
+    line = _usage_error(["sweep", "--spec", str(spec_path)], capsys)
+    assert line == f"mmwsec sweep: error: {spec_path}: swept_key: unknown configuration key 'bogus'"
+
+
 def test_value_parse_errors_name_the_key(tmp_path, capsys):
     # a --set or --config value that does not parse is one usage line that
     # names the key, the expected type and the value (and the file)
@@ -620,6 +627,12 @@ def test_validate_rejects_fewer_than_two_trials(capsys):
     # one sample has no standard error; no samples ended in a traceback
     for trials in ("1", "0", "-3"):
         assert "--trials must be at least 2" in _usage_error(["validate", "--trials", trials], capsys)
+
+
+def test_validate_takes_its_seed_modulo_2_64():
+    # SeedSequence rejects negative entropy, so the estimator streams mask the seed
+    assert cli.run_validation(trials=2000, seed=-7, verbose=False) == \
+        cli.run_validation(trials=2000, seed=2**64 - 7, verbose=False)
 
 
 @pytest.mark.parametrize("seed", [4242, -1])  # negative seeds run, as in sweep

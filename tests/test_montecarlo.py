@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_coeffs, workable_cfg
-from mmwsec import checks
+from mmwsec import checks, montecarlo
 from mmwsec.config import SystemConfig
 from mmwsec.montecarlo import empirical_cdf_Y_E, empirical_sop, empirical_sop_conditional
 from mmwsec.sop import SecrecyTarget, sop_overall, SopBranch
@@ -21,6 +22,41 @@ def test_conditional_estimates_are_reproducible():
     assert a.value == b.value == c.value
     assert a.value != d.value
     assert a.seed == 42 and a.n == 250_000
+
+
+def test_chunks_draw_their_own_stream_of_the_seed():
+    # chunk i draws from SFC64(SeedSequence(seed mod 2^64, spawn_key=(i,)))
+    handed = []
+
+    def spy(stream, m):
+        handed.append(copy.deepcopy(stream))
+        return np.zeros(1)
+
+    montecarlo._chunk_sums(2 * montecarlo._CHUNK + 5, -7, spy, width=1)
+    assert len(handed) == 3
+    firsts = []
+    for i, stream in enumerate(handed):
+        defined = np.random.Generator(np.random.SFC64(np.random.SeedSequence(2**64 - 7, spawn_key=(i,))))
+        firsts.append(stream.standard_normal(8).tobytes())
+        assert firsts[-1] == defined.standard_normal(8).tobytes()
+    assert firsts[0] != firsts[1]
+
+
+def test_chunk_streams_are_not_walk_streams():
+    # SeedSequence pads short entropy with zeros, so a [seed, i] key would
+    # name walk_rng(seed, i, 0, 0); no chunk may meet a valid draw key's walk
+    keys = []
+    for n_c, n_dc, n_ec in np.ndindex(4, 4, 4):
+        try:
+            SystemConfig(M=100, N_D=n_c + n_dc, N_E=n_c + n_ec, N_C=n_c)
+        except ValueError:
+            continue
+        keys.append((n_c, n_dc, n_ec))
+    assert (1, 0, 0) in keys and len(keys) > 50
+    for seed in (4242, 2**64 - 7):
+        walks = {montecarlo.walk_rng(seed, *key).bit_generator.random_raw(4).tobytes() for key in keys}
+        chunks = {montecarlo._chunk_rng(seed, i).bit_generator.random_raw(4).tobytes() for i in range(4)}
+        assert len(chunks) == 4 and not chunks & walks
 
 
 def test_full_sop_estimator_matches_analytic_average():
