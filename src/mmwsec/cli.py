@@ -144,11 +144,11 @@ def _fmt(x) -> str:
 # j-th such state of every cell meets the j-th block.  Cells that share a
 # draw key therefore share one gain draw and one walk of the u/v stream.
 # ``_sop_cells`` and ``_throughput_cells`` take all SOP or all throughput
-# cells of a group as one stacked batch and turn the shared gains into
-# each cell's per-state columns (alpha, beta, thr) of its event, y_E above
-# a per-state threshold, plus a ``finish`` that builds the row from the
-# walk's per-state hit rates, their summed binomial variance and the
-# draws' seed.  ``_mrt_cells`` takes a group's
+# cells of a spec as one stacked batch, each cell with its group's gains,
+# and turn them into each cell's per-state columns (alpha, beta, thr) of
+# its event, y_E above a per-state threshold, plus a ``finish`` that
+# builds the row from the walk's per-state hit rates, their summed
+# binomial variance and the draws' seed.  ``_mrt_cells`` takes a group's
 # MRT cells as one batch too: one closed-form call over their
 # configurations and one estimator call that draws the shared gains once;
 # MRT rows have no outage event, so no u/v stream is walked.
@@ -162,7 +162,12 @@ def _fmt(x) -> str:
 # alpha*u >= 0, beta <= 0 and thr < 0 with alpha and beta finite.  Without
 # common paths beta has the sign of thr, so every event of an N_C = 0
 # group is decided.  At tau = 1 beta is a zero, beta*v is a zero too, and
-# the event is alpha*u > thr.
+# the event is alpha*u > thr.  Rounding to nearest is monotone, so with
+# finite alpha > 0 the product fl(alpha*u) never falls as u grows: for the
+# cutoff t with fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)), u <= t
+# gives fl(alpha*u) <= thr and u > t gives fl(alpha*u) > thr, and the
+# event is exactly u > t.  Events without a cutoff (alpha < 0, non-finite
+# values, beta != 0, or products that underflow) keep the product test.
 # ---------------------------------------------------------------------------
 
 def _event_columns(tau, a, b, c, thr) -> np.ndarray:
@@ -176,33 +181,35 @@ def _tallies(tags: np.ndarray, members) -> str:
     return ";".join(f"{k}:{n}" for k, n in sorted(counts.items()) if n)
 
 
-def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check: np.ndarray, split_policy: str):
-    """Per (scheme, config) cell of one draw group: the average SOP over the
-    accepted states of the shared gains, paired with the event-level
+def _sop_cells(cells: list[tuple], split_policy: str):
+    """Per (scheme, config, g_hat, g_check) cell: the average SOP over the
+    accepted states of the cell's gains, paired with the event-level
     secrecy outage at each accepted state.  Returns one (event columns,
     finish) pair per cell.
 
-    The cells' states form one stacked batch with a per-state R_s: one
-    split-optimizer call over the an_opa cells' states with tau_min < 1
-    and one ``sop_overall`` call at the chosen splits.  Every step
-    is elementwise, so a cell gets the numbers it would get alone.  The
+    The cells' states form one stacked batch with a per-state R_s and
+    n_ec, whatever draw group each cell belongs to: one split-optimizer
+    call over the an_opa cells' states with tau_min < 1 and one
+    ``sop_overall`` call at the chosen splits.  Every step is
+    elementwise, so a cell gets the numbers it would get alone.  The
     an_opa split ``split_policy`` is ``min_sop`` (minimize the closed-form
     conditional SOP; the SOP curves) or ``phi_mean`` (the capacity-ratio
     optimizer at mean eavesdropper variables; when the split is reported).
     """
-    n = len(g_hat)
-    n_ec = cells[0][1].n_ec
-    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
-    target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg in cells], n))
+    sizes = [len(g_hat) for _, _, g_hat, _ in cells]
+    offsets = np.cumsum([0, *sizes])
+    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg, g_hat, g_check in cells])
+    target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg, _, _ in cells], sizes))
+    n_ec = np.repeat([cfg.n_ec for _, cfg, _, _ in cells], sizes)
 
-    tau = np.ones(n * len(cells))
-    opa = np.repeat([scheme == "an_opa" for scheme, _ in cells], n)
+    tau = np.ones(offsets[-1])
+    opa = np.repeat([scheme == "an_opa" for scheme, *_ in cells], sizes)
     split = np.flatnonzero(opa & (sop.tau_min(target, coeffs) < 1.0))
     states, split_target = coeffs.take(split), target.take(split)
     if split_policy == "min_sop":
-        tau[split], _ = opa_sop.minimize_sop_tau(split_target, states, n_ec)
+        tau[split], _ = opa_sop.minimize_sop_tau(split_target, states, n_ec[split])
     else:
-        tau[split] = opa_sop.optimize_tau_sop_batch(split_target, states, n_ec).tau_star
+        tau[split] = opa_sop.optimize_tau_sop_batch(split_target, states, n_ec[split]).tau_star
     breakdown = sop.sop_overall(tau, target, coeffs, n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tau, values = tau[accepted], breakdown.value[accepted]
@@ -210,10 +217,10 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
     # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, solved for y_E
     thr = (1.0 + y_d) / target.T[accepted] - 1.0
     cols = _event_columns(tau, coeffs.a[accepted], coeffs.b[accepted], coeffs.c[accepted], thr)
-    bounds = np.searchsorted(accepted, n * np.arange(len(cells) + 1))
+    bounds = np.searchsorted(accepted, offsets)
     branch = breakdown.branch[accepted]
 
-    def finish(lo: int, hi: int, empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
+    def finish(n: int, lo: int, hi: int, empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
         m = int(hi - lo)
         if m == 0:
             return dict(
@@ -235,35 +242,36 @@ def _sop_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check
             tags=_tallies(branch[lo:hi], sop.SopBranch),
         )
 
-    return [(cols[:, lo:hi], partial(finish, lo, hi)) for lo, hi in pairwise(bounds)]
+    return [(cols[:, lo:hi], partial(finish, n, lo, hi)) for n, (lo, hi) in zip(sizes, pairwise(bounds))]
 
 
-def _throughput_cells(cells: list[tuple[str, SystemConfig]], g_hat: np.ndarray, g_check: np.ndarray):
-    """Per (scheme, config) cell of one draw group: the average secrecy
-    throughput of the opa or equal-power split over the shared gains, paired
-    with the realized outage at the designed rate, as one (event columns,
-    finish) pair.  The cells form one stacked batch with a per-state epsilon
+def _throughput_cells(cells: list[tuple]):
+    """Per (scheme, config, g_hat, g_check) cell: the average secrecy
+    throughput of the opa or equal-power split over the cell's gains,
+    paired with the realized outage at the designed rate, as one (event
+    columns, finish) pair.  The cells form one stacked batch with a
+    per-state n_ec and epsilon, whatever draw group each cell belongs to
     (one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
-    n = len(g_hat)
-    n_ec = cells[0][1].n_ec
-    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg in cells])
-    eps = np.repeat([cfg.epsilon for _, cfg in cells], n)
-    opa = np.repeat([scheme == "opa" for scheme, _ in cells], n)
-    res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec, eps[opa])
+    sizes = [len(g_hat) for _, _, g_hat, _ in cells]
+    offsets = np.cumsum([0, *sizes])
+    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg, g_hat, g_check in cells])
+    n_ec, eps = (np.repeat([getattr(cfg, key) for _, cfg, _, _ in cells], sizes) for key in ("n_ec", "epsilon"))
+    opa = np.repeat([scheme == "opa" for scheme, *_ in cells], sizes)
+    res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec[opa], eps[opa])
     tau, k, case = np.full(opa.size, 0.5), np.empty(opa.size), np.empty(opa.size, object)
     tau[opa], k[opa], case[opa] = res.tau_star, res.k_star, res.case_tag
-    k[~opa] = throughput.solve_k_batch(0.5, coeffs.a[~opa], coeffs.b[~opa], coeffs.c[~opa], n_ec, eps[~opa])
+    k[~opa] = throughput.solve_k_batch(0.5, coeffs.a[~opa], coeffs.b[~opa], coeffs.c[~opa], n_ec[~opa], eps[~opa])
     rates = throughput.rs_of_tau(tau, k, coeffs)  # the equal-power rates; opa states take the optimizer's
     transmit, rates = rates >= 0.0, np.maximum(rates, 0.0)
     rates[opa], transmit[opa] = res.R_s_star, res.transmit
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k > 0.0))
     # rate outage: y_E above the designed margin tau * k
     cols = _event_columns(*(x[checked] for x in (tau, coeffs.a, coeffs.b, coeffs.c, tau * k)))
-    bounds = np.searchsorted(checked, n * np.arange(len(cells) + 1))
+    bounds = np.searchsorted(checked, offsets)
 
     def finish(i: int, outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
-        scheme, cfg = cells[i]
-        rows = slice(i * n, (i + 1) * n)
+        scheme, cfg, *_ = cells[i]
+        n, rows = sizes[i], slice(offsets[i], offsets[i + 1])
         sent = transmit[rows]
         est = montecarlo.sample_mean(rates[rows], seed)
         if len(outage_hats):
@@ -313,6 +321,26 @@ def _mrt_cells(cells: list[tuple[str, SystemConfig]], trials: int, seed: int) ->
     ]
 
 
+def _tau1_cutoffs(alpha: np.ndarray, beta: np.ndarray, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which events alpha*u - beta*v > thr the walk tests as u > t, and
+    each event's bound: its cutoff t where it has one, thr elsewhere.
+
+    An event at tau = 1 (beta a zero) with finite alpha > 0 gets the t with
+    fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)), reached from the
+    quotient thr/alpha in one step down and one up.  Where the products
+    underflow (a zero or subnormal thr) the two steps can fall short, and
+    the event keeps its product test.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = thr / alpha
+        t = np.where(alpha * t > thr, np.nextafter(t, -np.inf), t)
+        up = np.nextafter(t, np.inf)
+        t = np.where(alpha * up <= thr, up, t)
+        pinned = (alpha * t <= thr) & (alpha * np.nextafter(t, np.inf) > thr)
+    cut = pinned & (beta == 0.0) & (alpha > 0.0) & np.isfinite(alpha)
+    return cut, np.where(cut, t, thr)
+
+
 def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list:
     """Walk one draw group's u/v stream once, over the events its draws
     can change.
@@ -321,8 +349,10 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
     thr) from ``_event_columns``; block j meets the j-th state of every
     cell that has one.  An event whose signs decide it gets 0 or
     ``uv_samples`` hits before the walk.  A block tests its open events
-    as one (events x uv) array, and an event with beta = 0 skips the v
-    product.  The walk stops after the last block with an open event, so
+    as one (events x uv) array and counts hits over the mask's bytes; an
+    event with beta = 0 skips the v product, and one with a cutoff
+    (``_tau1_cutoffs``) compares u with it and multiplies nothing.  The
+    walk stops after the last block with an open event, so
     a group without one draws nothing.  ``rng`` is any numpy Generator; a
     sweep passes its group's SFC64 ``montecarlo.walk_rng``, which no other
     draw touches.  ``standard_exponential`` and ``standard_gamma`` draw
@@ -339,75 +369,83 @@ def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray])
     always = ((alpha >= 0.0) | (n_c == 0)) & np.isfinite(alpha) & np.isfinite(beta) & (beta <= 0.0) & (thr < 0.0)
     hits = np.where(always, uv_samples, 0)
     cell, block = np.nonzero(~(never | always))
-    # open events block by block, those with a v product first: block j
-    # holds rows edges[2j]:edges[2j+2], and its v products end at edges[2j+1]
-    key = 2 * block + (beta[cell, block] == 0.0)
+    alpha, beta, thr = stacked[:, cell, block]
+    cut, bound = _tau1_cutoffs(alpha, beta, thr)
+    # open events block by block: those with a v product, the other
+    # products, then those tested on u alone; block j holds rows
+    # edges[3j]:edges[3j+3], its v products end at edges[3j+1] and its
+    # products at edges[3j+2]
+    key = 3 * block + (beta == 0.0) + cut
     order = np.argsort(key, kind="stable")
-    cell, block = cell[order], block[order]
-    edges = np.searchsorted(key[order], np.arange(2 * block[-1] + 3 if block.size else 1)).tolist()
-    alpha, beta, thr = stacked[:, cell, block, None]
-    open_hits = np.empty(len(cell), int)
-    width = max(np.diff(edges[::2]), default=0)
+    cell, block, alpha, beta, bound = cell[order], block[order], alpha[order, None], beta[order, None], bound[order, None]
+    edges = np.searchsorted(key[order], np.arange(3 * block[-1] + 4 if block.size else 1)).tolist()
+    open_hits = np.empty(len(cell), np.uint32)  # uv_samples < 2**32: a longer sample vector takes 32 GiB
+    width = max(np.diff(edges[::3]), default=0)
     u, v = np.zeros(uv_samples), np.empty(uv_samples)  # u stays 0 without common paths
     au, bv = np.empty((2, width, uv_samples))
     hit = np.empty((width, uv_samples), bool)
-    for lo, mid, hi in zip(edges[:-1:2], edges[1::2], edges[2::2]):
+    for lo, v_end, mul_end, hi in zip(edges[:-1:3], edges[1::3], edges[2::3], edges[3::3]):
         if n_c > 0:
             rng.standard_exponential(out=u)
         rng.standard_gamma(n_ec, out=v)
-        lhs = np.multiply(alpha[lo:hi], u, out=au[: hi - lo])
-        if mid > lo:
-            np.subtract(lhs[: mid - lo], np.multiply(beta[lo:mid], v, out=bv[: mid - lo]), out=lhs[: mid - lo])
-        open_hits[lo:hi] = np.greater(lhs, thr[lo:hi], out=hit[: hi - lo]).sum(axis=1)
+        lhs = np.multiply(alpha[lo:mul_end], u, out=au[: mul_end - lo])
+        if v_end > lo:
+            np.subtract(lhs[: v_end - lo], np.multiply(beta[lo:v_end], v, out=bv[: v_end - lo]), out=lhs[: v_end - lo])
+        np.greater(lhs, bound[lo:mul_end], out=hit[: mul_end - lo])
+        np.greater(u, bound[mul_end:hi], out=hit[mul_end - lo : hi - lo])
+        hit[: hi - lo].view(np.uint8).sum(axis=1, dtype=np.uint32, out=open_hits[lo:hi])
     hits[cell, block] = open_hits
     p_hat = hits / uv_samples
     pair_var = np.cumsum(p_hat * (1.0 - p_hat) / uv_samples, axis=1)  # left to right, as the states come
     return [(p_hat[i, :m], float(pair_var[i, m - 1]) if m else 0.0) for i, m in enumerate(counts)]
 
 
-def _evaluate_group(spec: SweepSpec, cells: list[tuple[str, SystemConfig]]) -> list[dict]:
-    """Result columns of the (scheme, config) cells that share one draw key."""
-    if spec.mode == "throughput_mrt":
-        return _mrt_cells(cells, spec.trials, spec.seed)
-    first = cells[0][1]
-    g_hat, g_check = sample_gains(first.N_C, first.n_dc, spec.trials, montecarlo.as_rng(spec.seed))
-    if spec.mode in ("sop_fixed_rate", "sop_opa"):
-        policy = "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean"
-        made = _sop_cells(cells, g_hat, g_check, policy)
-    else:
-        made = _throughput_cells(cells, g_hat, g_check)
-    rng = montecarlo.walk_rng(spec.seed, first.N_C, first.n_dc, first.n_ec)
-    walked = _walk_uv(rng, first.N_C, first.n_ec, spec.uv_samples, [cols for cols, _ in made])
-    return [finish(*w, spec.seed) for (_, finish), w in zip(made, walked)]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate every (value, variant, scheme) cell of a sweep.
 
     Cells are grouped by their draw key (N_C, n_dc, n_ec; the seed and
-    budgets are the spec's).  Each group draws its channel gains once from
-    ``spec.seed`` and walks its own u/v stream of the seed and the draw
-    key once, evaluating every cell of the group block by block as one
-    array; a cell gets exactly the numbers it would draw alone, so sweeps
-    share common random numbers.  A group of MRT throughput cells is one
-    batch as well: one closed-form integration and one draw of its
-    estimator's gains from ``spec.seed``, at its own oversampled budget.  ``workers`` threads evaluate groups in parallel;
-    rows come back in cell order and their bytes do not depend on the
-    worker count.
+    budgets are the spec's), and a walked mode runs in three stages.
+    Stage 1 draws each group's channel gains once from ``spec.seed``.
+    Stage 2 turns every cell of the spec into its event columns in one
+    stacked batch (``_sop_cells`` or ``_throughput_cells``), each state
+    with its own group's gains and n_ec.  Stage 3 walks each group's own
+    u/v stream of the seed and the draw key once, evaluating every cell of
+    the group block by block as one array.  A cell gets exactly the
+    numbers it would draw alone, so sweeps share common random numbers.
+    A group of MRT throughput cells is one batch of stage 3 instead: one
+    closed-form integration and one draw of its estimator's gains from
+    ``spec.seed``, at its own oversampled budget.  ``workers`` threads
+    run stage 3's walks and MRT groups in parallel; rows come back in cell
+    order and their bytes do not depend on the worker count.
     """
     jobs = spec.cells()
     groups: dict[tuple, list[int]] = {}
     for i, (_, _, _, cfg) in enumerate(jobs):
         groups.setdefault((cfg.N_C, cfg.n_dc, cfg.n_ec), []).append(i)
 
-    def work(members):
-        return _evaluate_group(spec, [jobs[i][2:] for i in members])
+    if spec.mode == "throughput_mrt":
+        def evaluate(key, members):
+            return _mrt_cells([jobs[i][2:] for i in members], spec.trials, spec.seed)
+    else:
+        gains = {}
+        for (n_c, n_dc, _), members in groups.items():
+            gains.update(dict.fromkeys(members, sample_gains(n_c, n_dc, spec.trials, montecarlo.as_rng(spec.seed))))
+        batch = [(scheme, cfg, *gains[i]) for i, (_, _, scheme, cfg) in enumerate(jobs)]
+        if spec.mode in ("sop_fixed_rate", "sop_opa"):
+            made = _sop_cells(batch, "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean")
+        else:
+            made = _throughput_cells(batch)
+
+        def evaluate(key, members):
+            rng = montecarlo.walk_rng(spec.seed, *key)
+            walked = _walk_uv(rng, key[0], key[2], spec.uv_samples, [made[i][0] for i in members])
+            return [made[i][1](*w, spec.seed) for i, w in zip(members, walked)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(work, groups.values()))
+            evaluated = list(pool.map(evaluate, groups, groups.values()))
     else:
-        evaluated = [work(members) for members in groups.values()]
+        evaluated = list(map(evaluate, groups, groups.values()))
     cells = {}
     for members, results in zip(groups.values(), evaluated):
         cells.update(zip(members, results))
@@ -714,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=None, help="channel draws per sweep point")
     sweep.add_argument("--uv-samples", type=int, default=None,
                        help="eavesdropper samples per draw for the MC columns")
-    sweep.add_argument("--workers", type=int, default=1, help="draw groups evaluated in parallel (at least 1)")
+    sweep.add_argument("--workers", type=int, default=1, help="draw groups walked in parallel (at least 1)")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     sweep.set_defaults(parser=sweep)
 

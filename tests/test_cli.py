@@ -305,6 +305,60 @@ def test_walk_matches_the_full_walk(n_c):
     assert np.array_equal(walked_rng.random(4), drawn.random(4))
 
 
+def _tau1_ties(rng, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta, thr) of tau = 1 events (beta a zero) whose state j
+    meets the samples u[j], and each event's kind: 0, thr at the product
+    fl(alpha*u_s) of a drawn sample or at one of its two neighbours, alpha
+    from 1e-300 to 1e300; 1, thr +0 or -0; 2, thr subnormal; 3, alpha < 0
+    at a tie as in 0, so thr < 0; 4, inf or NaN in alpha, beta or thr."""
+    m, uv = u.shape
+    kind = rng.integers(0, 5, m)
+    alpha = 10.0 ** rng.uniform(-300.0, 300.0, m)
+    alpha[kind == 3] *= -1.0
+    beta = rng.choice([0.0, -0.0], m)
+    tie = alpha * u[np.arange(m), rng.integers(0, uv, m)]
+    thr = np.choose(rng.integers(0, 3, m), [np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)])
+    thr[kind == 1] = rng.choice([0.0, -0.0], np.count_nonzero(kind == 1))
+    thr[kind == 2] = 5e-324 * rng.integers(1, 2**52, np.count_nonzero(kind == 2))
+    special = np.flatnonzero(kind == 4)
+    where = rng.integers(0, 3, special.size)
+    value = rng.choice([np.inf, np.nan], special.size)
+    for row, (i, x) in zip((alpha, beta, thr), ((special[where == k], value[where == k]) for k in range(3))):
+        row[i] = x
+    return np.array((alpha, beta, thr)), kind
+
+
+@pytest.mark.parametrize(("uv", "depth"), [(64, 400), (70_000, 12)])
+def test_walk_tau1_cutoff_at_its_ties(uv, depth):
+    # an event at tau = 1 with finite alpha > 0 is tested as u > t, the
+    # cutoff t of fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)); at
+    # thresholds on and next to a drawn product, at zero and subnormal
+    # thresholds (whose products can underflow, and the event keeps its
+    # product test), next to negative alpha and non-finite values, the walk
+    # must return what the full walk returns, bit for bit.  At 70,000
+    # samples a count past 65,535 would wrap in 16 bits.
+    n_c, n_ec = 9, 3
+    ahead = np.random.Generator(np.random.Philox(7))  # the walk's blocks, in its draw order
+    u = np.empty((depth, uv))
+    for j in range(depth):
+        ahead.standard_exponential(out=u[j])
+        ahead.standard_gamma(n_ec, uv)
+    rng = np.random.Generator(np.random.Philox(8))
+    made = [_tau1_ties(rng, u[:m]) for m in (depth, depth // 2, 1)]
+    cells = [cols for cols, _ in made]
+    walked = cli._walk_uv(np.random.Generator(np.random.Philox(7)), n_c, n_ec, uv, cells)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(7)), n_c, n_ec, uv, cells)
+    assert [(p.tobytes(), var) for p, var in walked] == [(p.tobytes(), var) for p, var in full]
+    cols, kind = (np.concatenate(x, axis=-1) for x in zip(*made))
+    cut, _ = cli._tau1_cutoffs(*cols)
+    assert np.all(cut[kind == 0]) and not np.any(cut[(kind == 3) | (kind == 4)])
+    assert 0 < np.count_nonzero(cut[(kind == 1) | (kind == 2)]) < np.count_nonzero((kind == 1) | (kind == 2))
+    hits = np.concatenate([p for p, _ in walked]) * uv
+    assert np.count_nonzero((hits > 0) & (hits < uv)) > hits.size // 4
+    if uv > 2**16:
+        assert hits.max() > 2**16
+
+
 def test_walk_without_open_events_draws_nothing():
     # events that signs decide, and every event of a preset's N_C = 0
     # group, are counted without a u/v draw
@@ -319,34 +373,45 @@ def test_walk_without_open_events_draws_nothing():
         g_hat, g_check, _, _ = sample_gain_scalars(0, first.n_dc, first.n_ec, spec.trials,
                                                    montecarlo.as_rng(spec.seed))
         for policy in ("min_sop", "phi_mean"):
-            cells = [cols for cols, _ in cli._sop_cells(group, g_hat, g_check, policy)]
+            cells = [cols for cols, _ in cli._sop_cells([(*cell, g_hat, g_check) for cell in group], policy)]
             walked = cli._walk_uv(_NoDraws(), 0, first.n_ec, spec.uv_samples, cells)
             assert sum(len(p) for p, _ in walked) > 0
 
 
-def test_stacked_sop_group_equals_its_cells_alone():
-    # _sop_cells stacks a draw group's cells into one batch; each cell must
-    # get the event columns (bitwise) and the row it gets when run alone
-    fig4 = SystemConfig(M=100, N_D=20, N_C=8, P_dBm=55.0)
-    fig5 = SystemConfig(M=150, N_D=20, N_C=16, R_s=5.0, k_tx=0.05, k_rx=0.05)
-    groups = (
-        ([(scheme, fig4.with_overrides(R_s=r_s, k_tx=k, k_rx=k))
-          for r_s in (4.0, 5.0, 6.0) for k in (0.0, 0.1) for scheme in ("mrt", "an_opa")], "min_sop"),
-        ([("an_opa", fig5.with_overrides(P_dBm=p)) for p in (56.0, 62.0, 68.0)], "phi_mean"),
-        # all silent; past the impairment ceiling (no Conditional state);
-        # two cells where some states are silent
-        ([("an_opa", fig4.with_overrides(P_dBm=0.0)), ("an_opa", fig4.with_overrides(k_tx=0.3, k_rx=0.3)),
-          ("mrt", fig4.with_overrides(R_s=4.0, P_dBm=44.0)), ("an_opa", fig4.with_overrides(R_s=4.0, P_dBm=46.0))],
-         "min_sop"),
-    )
-    tags, widths = [], set()
-    for cells, policy in groups:
+def _with_group_gains(groups, trials: int) -> list[tuple]:
+    """(scheme, config, g_hat, g_check) of every cell, each group's cells
+    with the gains of the group's first configuration."""
+    batch = []
+    for cells in groups:
         first = cells[0][1]
         rng = np.random.Generator(np.random.Philox(31))
-        g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, 120, rng)
-        stacked = cli._sop_cells(cells, g_hat, g_check, policy)
-        for cell, (cols, finish) in zip(cells, stacked, strict=True):
-            ((alone_cols, alone_finish),) = cli._sop_cells([cell], g_hat, g_check, policy)
+        g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, trials, rng)
+        batch += [(*cell, g_hat, g_check) for cell in cells]
+    return batch
+
+
+def test_stacked_sop_group_equals_its_cells_alone():
+    # _sop_cells stacks the cells of several draw groups (N_C, n_ec and R_s
+    # differ) into one batch; each cell must get the event columns
+    # (bitwise) and the row it gets when run alone
+    fig4 = SystemConfig(M=100, N_D=20, N_C=8, P_dBm=55.0)
+    fig5 = SystemConfig(M=150, N_D=20, N_C=16, R_s=5.0, k_tx=0.05, k_rx=0.05)
+    other = fig4.with_overrides(N_C=12, N_E=30)
+    batch = _with_group_gains((
+        [(scheme, fig4.with_overrides(R_s=r_s, k_tx=k, k_rx=k))
+         for r_s in (4.0, 5.0, 6.0) for k in (0.0, 0.1) for scheme in ("mrt", "an_opa")],
+        [("an_opa", fig5.with_overrides(P_dBm=p)) for p in (56.0, 62.0, 68.0)],
+        # all silent; past the impairment ceiling (no Conditional state);
+        # two cells where some states are silent
+        [("an_opa", other.with_overrides(P_dBm=0.0)), ("an_opa", other.with_overrides(k_tx=0.3, k_rx=0.3)),
+         ("mrt", other.with_overrides(R_s=4.0, P_dBm=44.0)), ("an_opa", other.with_overrides(R_s=4.0, P_dBm=46.0))],
+    ), 120)
+    assert len({(cfg.N_C, cfg.n_ec) for _, cfg, _, _ in batch}) == 3
+    for policy in ("min_sop", "phi_mean"):
+        tags, widths = [], set()
+        stacked = cli._sop_cells(batch, policy)
+        for cell, (cols, finish) in zip(batch, stacked, strict=True):
+            ((alone_cols, alone_finish),) = cli._sop_cells([cell], policy)
             assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
             hits = np.linspace(0.0, 1.0, cols.shape[1])
             row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
@@ -355,41 +420,39 @@ def test_stacked_sop_group_equals_its_cells_alone():
             widths.add(cols.shape[1])
             if cell[0] == "mrt" and cols.shape[1]:
                 assert row["tau_star_mean"] == "1.0"  # only an_opa cells choose a split
-    assert "all_silent" in tags and "AlwaysOutage:120" in tags
-    assert len(widths) >= 4  # cells leave the stack with different state counts
+        assert "all_silent" in tags and "AlwaysOutage:120" in tags, policy
+        assert len(widths) >= 4, policy  # cells leave the stack with different state counts
 
 
 def test_stacked_throughput_group_equals_its_cells_alone():
-    # _throughput_cells stacks a draw group's cells into one batch with a
-    # per-state epsilon; each cell must get the event columns (bitwise) and
-    # the row it gets when run alone
+    # _throughput_cells stacks the cells of several draw groups (N_C, n_ec
+    # and epsilon differ) into one batch with a per-state n_ec and epsilon;
+    # each cell must get the event columns (bitwise) and the row it gets
+    # when run alone
     fig7 = SystemConfig(M=100, N_D=20, N_C=16, epsilon=0.01)
-    dominated = fig7.with_overrides(P_dBm=28.0, d_D_m=300.0, d_E_m=5.0, k_tx=0.1, k_rx=0.1)
+    dominated = fig7.with_overrides(P_dBm=28.0, d_D_m=300.0, d_E_m=5.0, k_tx=0.1, k_rx=0.1, N_E=30)
     partly = dominated.with_overrides(P_dBm=45.0, d_E_m=80.0)  # some states transmit
     no_common = SystemConfig(M=100, N_D=20, N_C=0, epsilon=0.01)
-    groups = (
+    batch = _with_group_gains((
         [("opa", fig7.with_overrides(P_dBm=p, k_tx=k, k_rx=k)) for p in (35.0, 50.0, 65.0, 75.0) for k in (0.0, 0.1)],
-        [("equal", fig7.with_overrides(P_dBm=55.0, epsilon=eps)) for eps in (1e-4, 0.01, 0.3)],
+        [("equal", fig7.with_overrides(N_C=8, P_dBm=55.0, epsilon=eps)) for eps in (1e-4, 0.01, 0.3)],
         # silent cells of both schemes next to cells that transmit in part or in full
         [("opa", dominated), ("equal", dominated), ("opa", partly), ("equal", partly),
-         ("equal", fig7.with_overrides(P_dBm=45.0, epsilon=0.05))],
+         ("equal", fig7.with_overrides(P_dBm=45.0, epsilon=0.05, N_E=30))],
         # no common path: a = 0, so no state has an outage event to check
         [("opa", no_common.with_overrides(P_dBm=p)) for p in (40.0, 60.0)] + [("equal", no_common)],
-    )
+    ), 120)
+    assert len({(cfg.N_C, cfg.n_ec) for _, cfg, _, _ in batch}) == 4
     rows, widths = [], set()
-    for cells in groups:
-        first = cells[0][1]
-        rng = np.random.Generator(np.random.Philox(31))
-        g_hat, g_check, _, _ = sample_gain_scalars(first.N_C, first.n_dc, first.n_ec, 120, rng)
-        stacked = cli._throughput_cells(cells, g_hat, g_check)
-        for cell, (cols, finish) in zip(cells, stacked, strict=True):
-            ((alone_cols, alone_finish),) = cli._throughput_cells([cell], g_hat, g_check)
-            assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
-            hits = np.linspace(0.0, 0.02, cols.shape[1])
-            row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
-            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
-            rows.append(row)
-            widths.add(cols.shape[1])
+    stacked = cli._throughput_cells(batch)
+    for cell, (cols, finish) in zip(batch, stacked, strict=True):
+        ((alone_cols, alone_finish),) = cli._throughput_cells([cell])
+        assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
+        hits = np.linspace(0.0, 0.02, cols.shape[1])
+        row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
+        assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
+        rows.append(row)
+        widths.add(cols.shape[1])
     tags = [row["tags"] for row in rows]
     assert "fixed_tau" in tags and "Silent:120" in tags and any(";Silent:" in t for t in tags)
     assert sum(row["accept_rate"] == "0.0" for row in rows) == 2  # the dominated cells

@@ -287,22 +287,22 @@ def test_minimize_sop_tau_batch_fuzz(rng):
 def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
     # the Conditional states of fuzzed configurations, stacked with a
     # per-state R_s and n_ec (the N_C = 0 ones do not leak), give the same
-    # bits whole and scanned in blocks of 1 and of 7 states, whose brackets
-    # are refined in one call
+    # bits scanned in blocks of 1, 7 and 256 states and whole, whose
+    # brackets are refined in one call
     states, r_s, n_ec = [], [], []
-    for cfg, coeffs in fuzz_states(rng, 20, 12):
+    for cfg, coeffs in fuzz_states(rng, 20, 30):
         target = SecrecyTarget(cfg.R_s)
         split = np.flatnonzero(sop_overall(1.0, target, coeffs, cfg.n_ec).branch == SopBranch.CONDITIONAL)
         states.append(coeffs.take(split))
         r_s += [cfg.R_s] * split.size
         n_ec += [cfg.n_ec] * split.size
     stacked, target, n_ec = stack_coeffs(states), SecrecyTarget(np.array(r_s)), np.array(n_ec)
-    assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size
-    whole = minimize_sop_tau(target, stacked, n_ec)
-    for block in (1, 7):
+    assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size and stacked.a.size > 256
+    monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", 10**6)
+    whole = [x.tobytes() for x in minimize_sop_tau(target, stacked, n_ec)]
+    for block in (1, 7, 256):
         monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", block)
-        blocked = minimize_sop_tau(target, stacked, n_ec)
-        assert all(np.array_equal(x, y) for x, y in zip(whole, blocked)), block
+        assert [x.tobytes() for x in minimize_sop_tau(target, stacked, n_ec)] == whole, block
 
 
 def _slope_cols(states: EffectiveCoeffs):
