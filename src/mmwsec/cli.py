@@ -144,30 +144,31 @@ def _fmt(x) -> str:
 # j-th such state of every cell meets the j-th block.  Cells that share a
 # draw key therefore share one gain draw and one walk of the u/v stream.
 # ``_sop_cells`` and ``_throughput_cells`` take all SOP or all throughput
-# cells of a spec as one stacked batch, each cell with its group's gains,
-# and turn them into each cell's per-state columns (alpha, beta, thr) of
-# its event, y_E above a per-state threshold, plus a ``finish`` that
-# builds the row from the walk's per-state hit rates, their summed
-# binomial variance and the draws' seed.  ``_mrt_cells`` takes a group's
-# MRT cells as one batch too: one closed-form call over their
-# configurations and one estimator call that draws the shared gains once;
-# MRT rows have no outage event, so no u/v stream is walked.
+# cells of a spec as one stacked batch (``_stack_cells``), each cell with
+# its group's gains, and turn them into each cell's per-state columns
+# (alpha, beta, thr) of its event, y_E above a per-state threshold, plus a
+# ``finish`` that builds the row from the walk's per-state hit rates;
+# ``_gate`` alone turns those rates into the row's value and tolerance.
+# ``_mrt_cells`` takes a group's MRT cells as one batch too: one
+# closed-form call and one estimator call that draws the shared gains
+# once; MRT rows have no outage event, so no u/v stream is walked.
 # The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
 # y_E > thr is the linear event alpha*u - beta*v > thr with
-# alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b, over u >= 0 (u = 0
-# without common paths) and v >= 0.  IEEE products and differences keep
-# the signs of their operands, up to the sign of a zero, so signs alone
-# decide an event for every draw: it never hits when alpha*u <= 0 (alpha
-# <= 0, or N_C = 0), beta >= 0 and thr >= 0, and it always hits when
-# alpha*u >= 0, beta <= 0 and thr < 0 with alpha and beta finite.  Without
-# common paths beta has the sign of thr, so every event of an N_C = 0
-# group is decided.  At tau = 1 beta is a zero, beta*v is a zero too, and
-# the event is alpha*u > thr.  Rounding to nearest is monotone, so with
-# finite alpha > 0 the product fl(alpha*u) never falls as u grows: for the
-# cutoff t with fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)), u <= t
-# gives fl(alpha*u) <= thr and u > t gives fl(alpha*u) > thr, and the
-# event is exactly u > t.  Events without a cutoff (alpha < 0, non-finite
-# values, beta != 0, or products that underflow) keep the product test.
+# alpha = tau*(a - thr*c) and beta = thr*(1-tau)*b, over u, v >= 0.  IEEE
+# products and differences keep the signs of their operands, up to the
+# sign of a zero, so signs alone decide an event for every draw: it never
+# hits when alpha <= 0, beta >= 0 and thr >= 0, and it always hits when
+# alpha >= 0, beta <= 0 and thr < 0 with alpha and beta finite.  Without
+# common paths a = c = 0, so alpha = tau*(0 - thr*0) = +0 and beta has the
+# sign of thr: every event of an N_C = 0 group is decided, and the group
+# never walks.  Open events take one of two tests.  At tau = 1 beta*v is
+# a zero and the event is alpha*u > thr.  Rounding to nearest is monotone,
+# so with finite alpha > 0 the product fl(alpha*u) never falls as u grows:
+# for the cutoff t with fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)),
+# u <= t gives fl(alpha*u) <= thr and u > t gives fl(alpha*u) > thr, and
+# the event is exactly u > t.  Events without a cutoff (alpha < 0,
+# non-finite values, beta != 0, or products that underflow) take the
+# product test; a zero beta*v changes no comparison there.
 # ---------------------------------------------------------------------------
 
 def _event_columns(tau, a, b, c, thr) -> np.ndarray:
@@ -179,6 +180,28 @@ def _tallies(tags: np.ndarray, members) -> str:
     """``value:count`` of each enum member present in ``tags``, sorted."""
     counts = {m.value: np.count_nonzero(tags == m) for m in members}
     return ";".join(f"{k}:{n}" for k, n in sorted(counts.items()) if n)
+
+
+def _stack_cells(cells: list[tuple], keys: tuple[str, ...]):
+    """Per-cell state counts, their offsets, the stacked coefficients of
+    every (scheme, config, g_hat, g_check) cell's gains, and per state the
+    named fields of its cell's configuration."""
+    sizes = [len(g_hat) for _, _, g_hat, _ in cells]
+    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg, g_hat, g_check in cells])
+    columns = [np.repeat([getattr(cfg, key) for _, cfg, _, _ in cells], sizes) for key in keys]
+    return sizes, np.cumsum([0, *sizes]), coeffs, columns
+
+
+def _gate(p_hat: np.ndarray, uv_samples: int) -> tuple[float, float]:
+    """(mc_value, tol) of a walked row from its states' hit rates: their
+    mean, and the larger of 0.005 and 4 se, with se from the binomial
+    variances summed left to right in state order; (NaN, inf) for a row
+    without a state."""
+    if not len(p_hat):
+        return math.nan, math.inf
+    pair_var = np.cumsum(p_hat * (1.0 - p_hat) / uv_samples)[-1]
+    se = math.sqrt(pair_var) / len(p_hat)
+    return float(np.mean(p_hat)), max(0.005, 4.0 * se)
 
 
 def _sop_cells(cells: list[tuple], split_policy: str):
@@ -196,12 +219,8 @@ def _sop_cells(cells: list[tuple], split_policy: str):
     conditional SOP; the SOP curves) or ``phi_mean`` (the capacity-ratio
     optimizer at mean eavesdropper variables; when the split is reported).
     """
-    sizes = [len(g_hat) for _, _, g_hat, _ in cells]
-    offsets = np.cumsum([0, *sizes])
-    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg, g_hat, g_check in cells])
-    target = sop.SecrecyTarget(np.repeat([cfg.R_s for _, cfg, _, _ in cells], sizes))
-    n_ec = np.repeat([cfg.n_ec for _, cfg, _, _ in cells], sizes)
-
+    sizes, offsets, coeffs, (r_s, n_ec) = _stack_cells(cells, ("R_s", "n_ec"))
+    target = sop.SecrecyTarget(r_s)
     tau = np.ones(offsets[-1])
     opa = np.repeat([scheme == "an_opa" for scheme, *_ in cells], sizes)
     split = np.flatnonzero(opa & (sop.tau_min(target, coeffs) < 1.0))
@@ -220,25 +239,23 @@ def _sop_cells(cells: list[tuple], split_policy: str):
     bounds = np.searchsorted(accepted, offsets)
     branch = breakdown.branch[accepted]
 
-    def finish(n: int, lo: int, hi: int, empirical_vals: np.ndarray, pair_var: float, seed: int) -> dict:
-        m = int(hi - lo)
-        if m == 0:
+    def finish(n: int, lo: int, hi: int, p_hat: np.ndarray, uv_samples: int, seed: int) -> dict:
+        mc_value, tol = _gate(p_hat, uv_samples)
+        if hi == lo:
             return dict(
-                analytic=math.nan, mc_value=math.nan, mc_target=math.nan,
-                mc_stderr=0.0, tol=math.inf, tau_star_mean=math.nan,
+                analytic=math.nan, mc_value=mc_value, mc_target=math.nan,
+                mc_stderr=0.0, tol=tol, tau_star_mean=math.nan,
                 accept_rate=0.0, tags="all_silent",
             )
         analytic = float(np.mean(values[lo:hi]))
-        se_pair = math.sqrt(pair_var) / m
-        est = montecarlo.sample_mean(empirical_vals, seed)
         return dict(
             analytic=analytic,
-            mc_value=est.value,
+            mc_value=mc_value,
             mc_target=analytic,
-            mc_stderr=est.std_error,
-            tol=max(0.005, 4.0 * se_pair),
+            mc_stderr=montecarlo.sample_mean(p_hat, seed).std_error,
+            tol=tol,
             tau_star_mean=float(np.mean(tau[lo:hi])),
-            accept_rate=m / n,
+            accept_rate=int(hi - lo) / n,
             tags=_tallies(branch[lo:hi], sop.SopBranch),
         )
 
@@ -252,10 +269,7 @@ def _throughput_cells(cells: list[tuple]):
     columns, finish) pair.  The cells form one stacked batch with a
     per-state n_ec and epsilon, whatever draw group each cell belongs to
     (one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
-    sizes = [len(g_hat) for _, _, g_hat, _ in cells]
-    offsets = np.cumsum([0, *sizes])
-    coeffs = stack_coeffs([coeffs_from_gains(cfg, g_hat, g_check) for _, cfg, g_hat, g_check in cells])
-    n_ec, eps = (np.repeat([getattr(cfg, key) for _, cfg, _, _ in cells], sizes) for key in ("n_ec", "epsilon"))
+    sizes, offsets, coeffs, (n_ec, eps) = _stack_cells(cells, ("n_ec", "epsilon"))
     opa = np.repeat([scheme == "opa" for scheme, *_ in cells], sizes)
     res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec[opa], eps[opa])
     tau, k, case = np.full(opa.size, 0.5), np.empty(opa.size), np.empty(opa.size, object)
@@ -269,22 +283,16 @@ def _throughput_cells(cells: list[tuple]):
     cols = _event_columns(*(x[checked] for x in (tau, coeffs.a, coeffs.b, coeffs.c, tau * k)))
     bounds = np.searchsorted(checked, offsets)
 
-    def finish(i: int, outage_hats: np.ndarray, pair_var: float, seed: int) -> dict:
+    def finish(i: int, p_hat: np.ndarray, uv_samples: int, seed: int) -> dict:
         scheme, cfg, *_ = cells[i]
         n, rows = sizes[i], slice(offsets[i], offsets[i + 1])
         sent = transmit[rows]
         est = montecarlo.sample_mean(rates[rows], seed)
-        if len(outage_hats):
-            mc_value = float(np.mean(outage_hats))
-            se_pair = math.sqrt(pair_var) / len(outage_hats)
-            tol = max(0.005, 4.0 * se_pair)
-            target = cfg.epsilon
-        else:
-            mc_value, tol, target = math.nan, math.inf, math.nan
+        mc_value, tol = _gate(p_hat, uv_samples)
         return dict(
             analytic=est.value,
             mc_value=mc_value,
-            mc_target=target,
+            mc_target=cfg.epsilon if len(p_hat) else math.nan,
             mc_stderr=est.std_error,
             tol=tol,
             tau_star_mean=float(np.mean(tau[rows][sent])) if sent.any() else math.nan,
@@ -341,63 +349,57 @@ def _tau1_cutoffs(alpha: np.ndarray, beta: np.ndarray, thr: np.ndarray) -> tuple
     return cut, np.where(cut, t, thr)
 
 
-def _walk_uv(rng, n_c: int, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list:
+def _walk_uv(rng, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list[np.ndarray]:
     """Walk one draw group's u/v stream once, over the events its draws
-    can change.
+    can change, and return each cell's per-state hit rates.
 
     ``cells`` holds each cell's (3 x states) event columns (alpha, beta,
     thr) from ``_event_columns``; block j meets the j-th state of every
     cell that has one.  An event whose signs decide it gets 0 or
     ``uv_samples`` hits before the walk.  A block tests its open events
-    as one (events x uv) array and counts hits over the mask's bytes; an
-    event with beta = 0 skips the v product, and one with a cutoff
-    (``_tau1_cutoffs``) compares u with it and multiplies nothing.  The
-    walk stops after the last block with an open event, so
-    a group without one draws nothing.  ``rng`` is any numpy Generator; a
-    sweep passes its group's SFC64 ``montecarlo.walk_rng``, which no other
-    draw touches.  ``standard_exponential`` and ``standard_gamma`` draw
-    the same numbers as ``exponential(1.0)`` and ``gamma(n_ec, 1.0)``.
-    Returns per cell its per-state hit rates and their binomial variances
-    summed in state order.
+    as one (events x uv) array and counts hits over the mask's bytes: the
+    products alpha*u - beta*v > thr, then the events with a cutoff
+    (``_tau1_cutoffs``), which compare u with it.  The walk stops after
+    the last block with an open event, so a group without one draws
+    nothing.  ``rng`` is any numpy Generator; a sweep passes its group's
+    SFC64 ``montecarlo.walk_rng``, which no other draw touches.
+    ``standard_exponential`` and ``standard_gamma`` draw the same numbers
+    as ``exponential(1.0)`` and ``gamma(n_ec, 1.0)``.
     """
     counts = [cols.shape[1] for cols in cells]
     stacked = np.zeros((3, len(cells), max(counts)))  # the zero padding never hits
     for i, cols in enumerate(cells):
         stacked[:, i, : counts[i]] = cols
     alpha, beta, thr = stacked
-    never = ((alpha <= 0.0) | (n_c == 0)) & (beta >= 0.0) & (thr >= 0.0)
-    always = ((alpha >= 0.0) | (n_c == 0)) & np.isfinite(alpha) & np.isfinite(beta) & (beta <= 0.0) & (thr < 0.0)
+    never = (alpha <= 0.0) & (beta >= 0.0) & (thr >= 0.0)
+    always = (alpha >= 0.0) & np.isfinite(alpha) & np.isfinite(beta) & (beta <= 0.0) & (thr < 0.0)
     hits = np.where(always, uv_samples, 0)
     cell, block = np.nonzero(~(never | always))
     alpha, beta, thr = stacked[:, cell, block]
     cut, bound = _tau1_cutoffs(alpha, beta, thr)
-    # open events block by block: those with a v product, the other
-    # products, then those tested on u alone; block j holds rows
-    # edges[3j]:edges[3j+3], its v products end at edges[3j+1] and its
-    # products at edges[3j+2]
-    key = 3 * block + (beta == 0.0) + cut
+    # open events block by block: the products, then those tested on u
+    # alone; block j holds rows edges[2j]:edges[2j+2], and its products
+    # end at edges[2j+1]
+    key = 2 * block + cut
     order = np.argsort(key, kind="stable")
     cell, block, alpha, beta, bound = cell[order], block[order], alpha[order, None], beta[order, None], bound[order, None]
-    edges = np.searchsorted(key[order], np.arange(3 * block[-1] + 4 if block.size else 1)).tolist()
+    edges = np.searchsorted(key[order], np.arange(2 * block[-1] + 3 if block.size else 1)).tolist()
     open_hits = np.empty(len(cell), np.uint32)  # uv_samples < 2**32: a longer sample vector takes 32 GiB
-    width = max(np.diff(edges[::3]), default=0)
-    u, v = np.zeros(uv_samples), np.empty(uv_samples)  # u stays 0 without common paths
+    width = max(np.diff(edges[::2]), default=0)
+    u, v = np.empty((2, uv_samples))
     au, bv = np.empty((2, width, uv_samples))
     hit = np.empty((width, uv_samples), bool)
-    for lo, v_end, mul_end, hi in zip(edges[:-1:3], edges[1::3], edges[2::3], edges[3::3]):
-        if n_c > 0:
-            rng.standard_exponential(out=u)
+    for lo, mul_end, hi in zip(edges[:-1:2], edges[1::2], edges[2::2]):
+        rng.standard_exponential(out=u)
         rng.standard_gamma(n_ec, out=v)
         lhs = np.multiply(alpha[lo:mul_end], u, out=au[: mul_end - lo])
-        if v_end > lo:
-            np.subtract(lhs[: v_end - lo], np.multiply(beta[lo:v_end], v, out=bv[: v_end - lo]), out=lhs[: v_end - lo])
+        np.subtract(lhs, np.multiply(beta[lo:mul_end], v, out=bv[: mul_end - lo]), out=lhs)
         np.greater(lhs, bound[lo:mul_end], out=hit[: mul_end - lo])
         np.greater(u, bound[mul_end:hi], out=hit[mul_end - lo : hi - lo])
         hit[: hi - lo].view(np.uint8).sum(axis=1, dtype=np.uint32, out=open_hits[lo:hi])
     hits[cell, block] = open_hits
     p_hat = hits / uv_samples
-    pair_var = np.cumsum(p_hat * (1.0 - p_hat) / uv_samples, axis=1)  # left to right, as the states come
-    return [(p_hat[i, :m], float(pair_var[i, m - 1]) if m else 0.0) for i, m in enumerate(counts)]
+    return [p_hat[i, :m] for i, m in enumerate(counts)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
@@ -438,8 +440,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
 
         def evaluate(key, members):
             rng = montecarlo.walk_rng(spec.seed, *key)
-            walked = _walk_uv(rng, key[0], key[2], spec.uv_samples, [made[i][0] for i in members])
-            return [made[i][1](*w, spec.seed) for i, w in zip(members, walked)]
+            walked = _walk_uv(rng, key[2], spec.uv_samples, [made[i][0] for i in members])
+            return [made[i][1](p_hat, spec.uv_samples, spec.seed) for i, p_hat in zip(members, walked)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

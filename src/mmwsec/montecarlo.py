@@ -91,6 +91,20 @@ def sample_mean(values: np.ndarray, seed: int) -> McEstimate:
 # conditional SOP oracle (destination state fixed, eavesdropper random)
 # ---------------------------------------------------------------------------
 
+def _count_y_e_at_most(coeffs: EffectiveCoeffs, tau: float, levels, n_ec: int, n: int, seed: int) -> np.ndarray:
+    """Per level, how many of n eavesdropper draws (u, v) at a fixed state
+    have an SNDR y_E at most the level, counted chunk by chunk through the
+    SNDR expressions, independently of the closed-form algebra."""
+
+    def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
+        u = stream.exponential(1.0, size=m)
+        v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
+        y_e = sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c)
+        return np.array([np.count_nonzero(y_e <= level) for level in levels])
+
+    return _chunk_sums(n, seed, chunk, width=len(levels))
+
+
 def empirical_sop_conditional(
     coeffs: EffectiveCoeffs,
     tau: float,
@@ -99,23 +113,12 @@ def empirical_sop_conditional(
     n: int,
     seed: int,
 ) -> McEstimate:
-    """Frequency of the outage event over the eavesdropper randomness (u, v).
-
-    The event is evaluated through the SNDR expressions, independently of
-    the closed-form algebra it validates.
-    """
+    """Frequency of the outage event y_E > x_th over the eavesdropper
+    randomness (u, v)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    x_th = outage_threshold(tau, target, coeffs)
-
-    def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
-        u = stream.exponential(1.0, size=m)
-        v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
-        y_e = sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c)
-        return np.array([float(np.count_nonzero(y_e > x_th))])
-
-    hits = _chunk_sums(n, seed, chunk, width=1)[0]
-    p = hits / n
+    (at_most,) = _count_y_e_at_most(coeffs, tau, [outage_threshold(tau, target, coeffs)], n_ec, n, seed)
+    p = (n - at_most) / n
     return McEstimate(value=p, std_error=_binomial_se(p, n), n=n, seed=seed)
 
 
@@ -203,14 +206,7 @@ def empirical_cdf_Y_E(
     x_grid = np.asarray(x_grid, float)
     if np.any(np.diff(x_grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
-
-    def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
-        u = stream.exponential(1.0, size=m)
-        v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
-        y_e = np.sort(sndr_eve(tau, u, v, coeffs.a, coeffs.b, coeffs.c))
-        return np.searchsorted(y_e, x_grid, side="right").astype(float)
-
-    counts = _chunk_sums(n, seed, chunk, width=len(x_grid))
+    counts = _count_y_e_at_most(coeffs, tau, x_grid, n_ec, n, seed)
     return [
         McEstimate(value=c / n, std_error=_binomial_se(c / n, n), n=n, seed=seed)
         for c in counts

@@ -83,32 +83,22 @@ def rng():
     return np.random.Generator(np.random.Philox(20240801))
 
 
-def walk_uv_reference(rng, n_c: int, n_ec: int, uv_samples: int, cells):
+def walk_uv_reference(rng, n_ec: int, uv_samples: int, cells):
     """The u/v walk that evaluates every event of every block in full:
     alpha*u - beta*v > thr over all states, with a block drawn for every
     state index up to the deepest cell.  ``cli._walk_uv`` must return the
-    same (per-state hit rates, summed binomial variance) per cell, bit for
-    bit, while it skips what its draws cannot change."""
+    same per-state hit rates per cell, bit for bit, while it skips what its
+    draws cannot change."""
     counts = np.array([cols.shape[1] for cols in cells])
-    order = np.argsort(-counts, kind="stable")  # the cells still walking form a prefix
     depth = int(counts.max())
     stacked = np.zeros((3, len(cells), depth))
-    for row, i in enumerate(order):
-        stacked[:, row, : counts[i]] = cells[i]
-    walking = np.count_nonzero(counts[:, None] > np.arange(depth), axis=0)
+    for i, cols in enumerate(cells):
+        stacked[:, i, : counts[i]] = cols
     hits = np.zeros((len(cells), depth))
-    pair_var = np.zeros(len(cells))
-    u, v = np.zeros(uv_samples), np.empty(uv_samples)  # u stays 0 without common paths
+    u, v = np.empty((2, uv_samples))
     for j in range(depth):
-        if n_c > 0:
-            rng.standard_exponential(out=u)
+        rng.standard_exponential(out=u)
         rng.standard_gamma(n_ec, out=v)
-        live = walking[j]
-        alpha, beta, thr = stacked[:, :live, j, None]
-        p_hat = np.count_nonzero(alpha * u - beta * v > thr, axis=1) / uv_samples
-        hits[:live, j] = p_hat
-        pair_var[:live] += p_hat * (1.0 - p_hat) / uv_samples
-    walked = [None] * len(cells)
-    for row, i in enumerate(order):
-        walked[i] = (hits[row, : counts[i]], float(pair_var[row]))
-    return walked
+        alpha, beta, thr = stacked[:, :, j, None]
+        hits[:, j] = np.count_nonzero(alpha * u - beta * v > thr, axis=1) / uv_samples
+    return [hits[i, :m] for i, m in enumerate(counts)]

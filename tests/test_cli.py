@@ -209,18 +209,17 @@ def test_grouped_sweep_matches_one_cell_sweeps():
             assert len(rates) >= 3, (mode, value, rates)
 
 
-@pytest.mark.parametrize("n_c", [16, 0])
-def test_walk_counts_the_sndr_event(n_c):
+def test_walk_counts_the_sndr_event():
     # the walk tests y_E > thr as alpha*u - beta*v > thr; the two may differ
     # only by rounding, for samples within 1e-14*|thr| of the boundary.  The
-    # states cover tau = 1, a = 0, c = 0, thr < 0 and thr = 0 (u = 0 at
-    # N_C = 0); the other thresholds sit within 1e-12 relative of one
-    # sampled y_E, and the cells leave the walk at different blocks.
+    # states cover tau = 1, a = 0, c = 0, thr < 0 and thr = 0; the other
+    # thresholds sit within 1e-12 relative of one sampled y_E, and the
+    # cells leave the walk at different blocks.  An N_C = 0 group never
+    # walks (test_walk_without_open_events_draws_nothing).
     depth, uv, n_ec = 1500, 40, 5
     rng = np.random.Generator(np.random.Philox(4711))
     ahead = np.random.Generator(np.random.Philox(4712))  # the walk's blocks, in its draw order
-    blocks = [(ahead.exponential(1.0, uv) if n_c > 0 else np.zeros(uv), ahead.gamma(n_ec, 1.0, uv))
-              for _ in range(depth)]
+    blocks = [(ahead.exponential(1.0, uv), ahead.gamma(n_ec, 1.0, uv)) for _ in range(depth)]
     u, v = (np.array(x) for x in zip(*blocks))
     cells, refs = [], []
     for m in (depth, depth - 300, 700, 1, 0, depth):
@@ -236,15 +235,14 @@ def test_walk_counts_the_sndr_event(n_c):
         thr[kind == 4] = 0.0
         cells.append(cli._event_columns(tau, a, b, c, thr))
         refs.append((y_e, thr[:, None]))
-    walked = cli._walk_uv(np.random.Generator(np.random.Philox(4712)), n_c, n_ec, uv, cells)
+    walked = cli._walk_uv(np.random.Generator(np.random.Philox(4712)), n_ec, uv, cells)
     near_total = 0
-    for (p_hat, _), (y_e, thr) in zip(walked, refs):
+    for p_hat, (y_e, thr) in zip(walked, refs):
         hits = np.rint(p_hat * uv)
         near = np.count_nonzero(np.abs(y_e - thr) < 1e-14 * np.abs(thr), axis=1)
         assert np.all(np.abs(hits - np.count_nonzero(y_e > thr, axis=1)) <= near)
         near_total += near.sum()
-    if n_c:  # without common paths y_E = 0: no sample is near, and every count is exact
-        assert near_total > 1000
+    assert near_total > 1000
 
 
 def _mixed_events(rng, m: int, n_open: int) -> np.ndarray:
@@ -278,12 +276,12 @@ class _NoDraws:
     standard_gamma = standard_exponential
 
 
-@pytest.mark.parametrize("n_c", [9, 0])
-def test_walk_matches_the_full_walk(n_c):
-    # the walk decides events by their signs, skips the v product where beta
-    # is a zero and draws no block after its last open event; it must return
-    # what the full walk returns, bit for bit.  Every state from 250 on, and
-    # every state of block 100, is decided; block 249 has an open event.
+def test_walk_matches_the_full_walk():
+    # the walk decides events by their signs, tests tau = 1 events with a
+    # cutoff on u alone and draws no block after its last open event; it
+    # must return what the full walk returns, bit for bit.  Every state from
+    # 250 on, and every state of block 100, is decided; block 249 has an
+    # open event.
     uv, n_ec = 64, 3
     rng = np.random.Generator(np.random.Philox(97))
     cells = [_mixed_events(rng, m, 250) for m in (300, 0, 120, 1, 300, 45)]
@@ -291,16 +289,14 @@ def test_walk_matches_the_full_walk(n_c):
         cols[:, 100:101] = np.array([[-1.0], [1.0], [1.0]])
     cells[0][:, 249] = (1.0, -1.0, 0.5)
     walked_rng = np.random.Generator(np.random.Philox(5))
-    walked = cli._walk_uv(walked_rng, n_c, n_ec, uv, cells)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(5)), n_c, n_ec, uv, cells)
-    for (p_hat, pair_var), (p_ref, var_ref) in zip(walked, full, strict=True):
-        assert (p_hat.tobytes(), pair_var) == (p_ref.tobytes(), var_ref)
-    rates = np.concatenate([p for p, _ in walked])
+    walked = cli._walk_uv(walked_rng, n_ec, uv, cells)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(5)), n_ec, uv, cells)
+    assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
+    rates = np.concatenate(walked)
     assert {0.0, 1.0} < set(rates.tolist()) and np.count_nonzero((rates > 0.0) & (rates < 1.0)) > 20
     drawn = np.random.Generator(np.random.Philox(5))  # the walk stops after block 249
     for _ in range(250):
-        if n_c:
-            drawn.standard_exponential(uv)
+        drawn.standard_exponential(uv)
         drawn.standard_gamma(n_ec, uv)
     assert np.array_equal(walked_rng.random(4), drawn.random(4))
 
@@ -337,7 +333,7 @@ def test_walk_tau1_cutoff_at_its_ties(uv, depth):
     # product test), next to negative alpha and non-finite values, the walk
     # must return what the full walk returns, bit for bit.  At 70,000
     # samples a count past 65,535 would wrap in 16 bits.
-    n_c, n_ec = 9, 3
+    n_ec = 3
     ahead = np.random.Generator(np.random.Philox(7))  # the walk's blocks, in its draw order
     u = np.empty((depth, uv))
     for j in range(depth):
@@ -346,36 +342,63 @@ def test_walk_tau1_cutoff_at_its_ties(uv, depth):
     rng = np.random.Generator(np.random.Philox(8))
     made = [_tau1_ties(rng, u[:m]) for m in (depth, depth // 2, 1)]
     cells = [cols for cols, _ in made]
-    walked = cli._walk_uv(np.random.Generator(np.random.Philox(7)), n_c, n_ec, uv, cells)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(7)), n_c, n_ec, uv, cells)
-    assert [(p.tobytes(), var) for p, var in walked] == [(p.tobytes(), var) for p, var in full]
+    walked = cli._walk_uv(np.random.Generator(np.random.Philox(7)), n_ec, uv, cells)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(7)), n_ec, uv, cells)
+    assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     cols, kind = (np.concatenate(x, axis=-1) for x in zip(*made))
     cut, _ = cli._tau1_cutoffs(*cols)
     assert np.all(cut[kind == 0]) and not np.any(cut[(kind == 3) | (kind == 4)])
     assert 0 < np.count_nonzero(cut[(kind == 1) | (kind == 2)]) < np.count_nonzero((kind == 1) | (kind == 2))
-    hits = np.concatenate([p for p, _ in walked]) * uv
+    hits = np.concatenate(walked) * uv
     assert np.count_nonzero((hits > 0) & (hits < uv)) > hits.size // 4
     if uv > 2**16:
         assert hits.max() > 2**16
 
 
 def test_walk_without_open_events_draws_nothing():
-    # events that signs decide, and every event of a preset's N_C = 0
-    # group, are counted without a u/v draw
+    # events that signs decide are counted without a u/v draw, and every
+    # event of an N_C = 0 group is one of them: a = c = 0 makes alpha +0
     rng = np.random.Generator(np.random.Philox(98))
     decided = [_mixed_events(rng, m, 0) for m in (40, 0, 7)]
-    walked = cli._walk_uv(_NoDraws(), 12, 8, 50, decided)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(6)), 12, 8, 50, decided)
-    assert [(p.tobytes(), var) for p, var in walked] == [(p.tobytes(), var) for p, var in full]
-    for spec in cli.preset_specs("fig3", trials=60) + cli.preset_specs("fig4", trials=60):
-        group = [(scheme, cfg) for _, _, scheme, cfg in spec.cells() if cfg.N_C == 0]
+    walked = cli._walk_uv(_NoDraws(), 8, 50, decided)
+    full = walk_uv_reference(np.random.Generator(np.random.Philox(6)), 8, 50, decided)
+    assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
+    # each walked preset's cells without common paths: fig3's and fig4's
+    # N_C = 0 group, the others moved to N_C = 0
+    for spec in [spec for name in ("fig3", "fig4", "fig5", "fig6", "fig7")
+                 for spec in cli.preset_specs(name, trials=60) if spec.mode != "throughput_mrt"]:
+        group = [(scheme, cfg.with_overrides(N_C=0)) for _, _, scheme, cfg in spec.cells() if cfg.N_C == spec.base.N_C]
         first = group[0][1]
         g_hat, g_check, _, _ = sample_gain_scalars(0, first.n_dc, first.n_ec, spec.trials,
                                                    montecarlo.as_rng(spec.seed))
-        for policy in ("min_sop", "phi_mean"):
-            cells = [cols for cols, _ in cli._sop_cells([(*cell, g_hat, g_check) for cell in group], policy)]
-            walked = cli._walk_uv(_NoDraws(), 0, first.n_ec, spec.uv_samples, cells)
-            assert sum(len(p) for p, _ in walked) > 0
+        batch = [(*cell, g_hat, g_check) for cell in group]
+        sop_mode = spec.mode.startswith("sop")
+        for made in ([cli._sop_cells(batch, policy) for policy in ("min_sop", "phi_mean")] if sop_mode
+                     else [cli._throughput_cells(batch)]):
+            walked = cli._walk_uv(_NoDraws(), first.n_ec, spec.uv_samples, [cols for cols, _ in made])
+            rows = [finish(p_hat, spec.uv_samples, spec.seed) for (_, finish), p_hat in zip(made, walked)]
+            if sop_mode:  # events that the walk decides by their signs
+                assert sum(len(p) for p in walked) > 0, spec.preset
+            else:  # the throughput builder leaves out a = 0 states, and these transmit
+                assert sum(len(p) for p in walked) == 0 and any(row["accept_rate"] > 0 for row in rows), spec.preset
+
+
+def test_gate_scores_a_walked_row():
+    # _gate is the one rule of a walked row: the mean hit rate, and
+    # max(0.005, 4 se) with se from the binomial variances summed left to
+    # right in state order; a row without a walked state is unchecked
+    value, tol = cli._gate(np.empty(0), 100)
+    assert math.isnan(value) and tol == math.inf
+    floor = np.full(400, 0.01)  # 4 se = 6.3e-4
+    assert cli._gate(floor, 1000) == (float(np.mean(floor)), 0.005)
+    uv = 50
+    p_hat = np.random.Generator(np.random.Philox(41)).integers(0, uv + 1, 1000) / uv
+    pair_var = 0.0
+    for p in p_hat.tolist():
+        pair_var += p * (1.0 - p) / uv
+    assert np.sum(p_hat * (1.0 - p_hat) / uv) != pair_var  # numpy's pairwise order differs here
+    value, tol = cli._gate(p_hat, uv)
+    assert value == float(np.mean(p_hat)) and tol == 4.0 * (math.sqrt(pair_var) / len(p_hat)) > 0.005
 
 
 def _with_group_gains(groups, trials: int) -> list[tuple]:
@@ -414,8 +437,8 @@ def test_stacked_sop_group_equals_its_cells_alone():
             ((alone_cols, alone_finish),) = cli._sop_cells([cell], policy)
             assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
             hits = np.linspace(0.0, 1.0, cols.shape[1])
-            row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
-            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
+            row = {k: cli._fmt(v) for k, v in finish(hits, 40, 5).items()}
+            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
             tags.append(row["tags"])
             widths.add(cols.shape[1])
             if cell[0] == "mrt" and cols.shape[1]:
@@ -449,8 +472,8 @@ def test_stacked_throughput_group_equals_its_cells_alone():
         ((alone_cols, alone_finish),) = cli._throughput_cells([cell])
         assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
         hits = np.linspace(0.0, 0.02, cols.shape[1])
-        row = {k: cli._fmt(v) for k, v in finish(hits, 0.3, 5).items()}
-        assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 0.3, 5).items()}
+        row = {k: cli._fmt(v) for k, v in finish(hits, 40, 5).items()}
+        assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
         rows.append(row)
         widths.add(cols.shape[1])
     tags = [row["tags"] for row in rows]

@@ -8,7 +8,7 @@ from conftest import make_coeffs, workable_cfg
 from mmwsec import checks, montecarlo
 from mmwsec.config import SystemConfig
 from mmwsec.montecarlo import empirical_cdf_Y_E, empirical_sop, empirical_sop_conditional
-from mmwsec.sop import SecrecyTarget, sop_overall, SopBranch
+from mmwsec.sop import SecrecyTarget, SopBranch, outage_threshold, sop_overall
 
 
 def test_conditional_estimates_are_reproducible():
@@ -115,6 +115,21 @@ def test_empirical_cdf_limits_and_agreement():
     assert ests[-1].value == 1.0
     check = checks.cdf_Y_E_vs_mc([(co, tau, grid, cfg.n_ec, 17)], 200_000, 0.005, 4.0)
     assert check.margin <= 1.0, check.detail
+
+
+def test_conditional_sop_and_cdf_count_the_same_draws():
+    # both oracles count y_E <= level over the same chunked (u, v) draws,
+    # so at the outage threshold the SOP hits are the draws the CDF leaves
+    # out; n spans two chunks and ties the threshold to no sample
+    cfg = workable_cfg(N_C=8)
+    co = make_coeffs(cfg, 8.0, 12.0)
+    tau, target, n = 0.55, SecrecyTarget(cfg.R_s), montecarlo._CHUNK + 999
+    x_th = float(outage_threshold(tau, target, co))
+    sop_est = empirical_sop_conditional(co, tau, target, cfg.n_ec, n, 23)
+    (cdf_est,) = empirical_cdf_Y_E(co, tau, [x_th], n, 23, cfg.n_ec)
+    hits, at_most = round(sop_est.value * n), round(cdf_est.value * n)
+    assert hits + at_most == n and 0 < hits < n
+    assert sop_est.value == hits / n and cdf_est.value == at_most / n
 
 
 def test_empirical_cdf_rejects_unsorted():
