@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mmwsec.channel import ChannelDraw, sample_gain_scalars
+import math
+
+from mmwsec import montecarlo
+from mmwsec.channel import (
+    ChannelDraw, an_beamformer, build_basis, channel_row, complex_normal, sample_channel, sample_gain_scalars,
+    sample_path_sets,
+)
 from mmwsec.config import SystemConfig, coeffs_from_gains, derive_coeffs
 from mmwsec.sop import SopBranch
 
@@ -102,3 +108,55 @@ def walk_uv_reference(rng, n_ec: int, uv_samples: int, cells):
         alpha, beta, thr = stacked[:, :, j, None]
         hits[:, j] = np.count_nonzero(alpha * u - beta * v > thr, axis=1) / uv_samples
     return [hits[i, :m] for i, m in enumerate(counts)]
+
+
+def sndr_synthesis_reference(cfg: SystemConfig, tau: float, sizes, seed: int) -> list[np.ndarray]:
+    """The whole-vector distortion-level synthesis that
+    ``montecarlo.empirical_sndr_from_distortion`` streams in chunks.  From
+    the seed's chunk-0 stream it draws the path sets and the channel, then,
+    for each size in ``sizes``, that many transmissions as whole vectors
+    (s, z, s_dist, z_dist, eta_rx, noise_d, noise_e), and returns each
+    batch's powers as a (4, size) array: signal and impairment plus noise at
+    D, then at E.  ``sizes=[n]`` is the one-shot synthesis."""
+    gen = montecarlo._chunk_rng(seed, 0)
+    sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
+    g_d, g_e, _ = sample_channel(sets, 1, gen)
+    basis = build_basis(cfg.M)
+    h_d = channel_row(basis, sets.xi_d, g_d[0], cfg.alpha_d())
+    h_e = channel_row(basis, sets.xi_e, g_e[0], cfg.alpha_e())
+    f1, f_an = an_beamformer(basis, sets, h_d)
+    n_ec = cfg.n_ec
+    sig_amp = math.sqrt(tau * cfg.power_watt)
+    an_amp = math.sqrt((1.0 - tau) * cfg.power_watt / n_ec)
+    hd_f1, he_f1 = complex(h_d @ f1), complex(h_e @ f1)
+    hd_F, he_F = np.asarray(h_d @ f_an), np.asarray(h_e @ f_an)
+    batches = []
+    for n in sizes:
+        s = complex_normal(n, gen)
+        z = complex_normal((n_ec, n), gen)
+        s_dist = complex_normal(n, gen)
+        z_dist = complex_normal((n_ec, n), gen)
+        eta_rx = complex_normal(n, gen) * (cfg.k_rx * sig_amp * np.linalg.norm(h_d))
+        noise_d = complex_normal(n, gen) * math.sqrt(cfg.noise_watt)
+        noise_e = complex_normal(n, gen) * math.sqrt(cfg.noise_watt)
+        sig_d = sig_amp * hd_f1 * s
+        an_d = an_amp * (hd_F @ z)
+        dist_d = cfg.k_tx * (sig_amp * hd_f1 * s_dist + an_amp * (hd_F @ z_dist))
+        sig_e = sig_amp * he_f1 * s
+        an_e = an_amp * (he_F @ z)
+        dist_e = cfg.k_tx * (sig_amp * he_f1 * s_dist + an_amp * (he_F @ z_dist))
+        batches.append(np.stack([
+            np.abs(sig_d) ** 2, np.abs(an_d + dist_d + eta_rx + noise_d) ** 2,
+            np.abs(sig_e) ** 2, np.abs(an_e + dist_e + noise_e) ** 2,
+        ]))
+    return batches
+
+
+def ratio_estimate_reference(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
+    """The ratio of the sample means of num and den and its delta-method
+    standard error, from whole vectors with numpy's two-pass variance."""
+    n = len(num)
+    num_mean, den_mean = float(np.mean(num)), float(np.mean(den))
+    ratio = num_mean / den_mean
+    rel_var = np.var(num, ddof=1) / (n * num_mean**2) + np.var(den, ddof=1) / (n * den_mean**2)
+    return ratio, abs(ratio) * math.sqrt(rel_var)

@@ -1,13 +1,16 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_coeffs, workable_cfg
+from conftest import make_coeffs, ratio_estimate_reference, sndr_synthesis_reference, workable_cfg
 from mmwsec import checks, montecarlo
 from mmwsec.config import SystemConfig
-from mmwsec.montecarlo import empirical_cdf_Y_E, empirical_sop, empirical_sop_conditional
+from mmwsec.montecarlo import (
+    empirical_cdf_Y_E, empirical_sndr_from_distortion, empirical_sop, empirical_sop_conditional,
+)
 from mmwsec.sop import SecrecyTarget, SopBranch, outage_threshold, sop_overall
 
 
@@ -146,3 +149,57 @@ def test_sndr_reconstruction(k_tx, k_rx, tau, seed):
     cfg = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0, k_tx=k_tx, k_rx=k_rx)
     check = checks.sndr_reconstruction(cfg, tau, 100_000, seed, 3.0)
     assert check.margin <= 1.0, check.detail
+
+
+_SYNTH_CFG = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0)  # validate's sndr_reconstruction state
+
+
+@pytest.mark.parametrize("n", [2, 1000, montecarlo._SYNTH_CHUNK])
+def test_synthesis_within_one_chunk_is_the_one_shot_synthesis(n):
+    # up to one chunk the chunked synthesis draws and sums as the
+    # whole-vector one did, so its estimates keep their bits
+    for seed in (77, -7):
+        rec = empirical_sndr_from_distortion(_SYNTH_CFG, 0.6, n, seed)
+        (powers,) = sndr_synthesis_reference(_SYNTH_CFG, 0.6, [n], seed)
+        for est, (num, den) in ((rec.y_d, powers[:2]), (rec.y_e, powers[2:])):
+            assert (est.value, est.std_error) == ratio_estimate_reference(num, den)
+            assert est.n == n and est.seed == seed
+
+
+def test_synthesis_adds_its_chunks_in_order():
+    # 2.5 chunks: the power sums are the per-chunk sums of the one stream
+    # added in chunk order, and the pooled variance is the whole sample's
+    chunk = montecarlo._SYNTH_CHUNK
+    n = 2 * chunk + chunk // 2
+    rec = empirical_sndr_from_distortion(_SYNTH_CFG, 0.6, n, 4242)
+    batches = sndr_synthesis_reference(_SYNTH_CFG, 0.6, [chunk, chunk, chunk // 2], 4242)
+    sums = np.zeros(4)
+    for powers in batches:
+        sums += powers.sum(axis=1)
+    whole = np.concatenate(batches, axis=1)
+    for est, (num, den) in ((rec.y_d, (0, 1)), (rec.y_e, (2, 3))):
+        assert est.value == (sums[num] / n) / (sums[den] / n)
+        _, std_error = ratio_estimate_reference(whole[num], whole[den])
+        assert math.isclose(est.std_error, std_error, rel_tol=1e-12)
+        assert est.n == n
+
+
+def test_synthesis_memory_does_not_grow_with_n():
+    # numpy reports its buffers to tracemalloc; the whole-vector synthesis
+    # peaked at 40 MB for n = 100,000
+    peaks = []
+    for n in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            empirical_sndr_from_distortion(_SYNTH_CFG, 0.6, n, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4e6, peaks
+
+
+@pytest.mark.parametrize("tau, n, match", [(0.6, 1, "n must be at least 2"), (0.0, 1000, "tau must be in"),
+                                           (1.5, 1000, "tau must be in"), (math.nan, 1000, "tau must be in")])
+def test_synthesis_rejects_n_below_2_and_tau_outside_the_unit_interval(tau, n, match):
+    with pytest.raises(ValueError, match=match):
+        empirical_sndr_from_distortion(_SYNTH_CFG, tau, n, 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fuzz_states, make_coeffs, thresholds, workable_cfg
+from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, stack_coeffs
 from mmwsec.errors import SilentSourceError
 from mmwsec import checks, opa_sop
@@ -514,3 +516,22 @@ def test_capacity_ratio_split_never_beats_the_sop_minimum():
         seen["R_s=0"] += best.size * (cfg.R_s == 0.0)
         seen["ideal"] += best.size * (cfg.k_tot2 == 0.0)
     assert seen["states"] > 25_000 and seen["strictly_lower"] > 10_000 and min(seen.values()) > 0, seen
+
+
+def test_opa_sop_vs_grid_scans_in_state_blocks(rng):
+    # validate's 4,000-point grid over 100 states peaked at 13 MB as one
+    # (states x points) array; in blocks its arrays stay cache-sized
+    cfg = workable_cfg()
+    g_hat, g_check, _, _ = sample_gain_scalars(cfg.N_C, cfg.n_dc, cfg.n_ec, 200, rng)
+    coeffs = coeffs_from_gains(cfg, g_hat, g_check)
+    target = SecrecyTarget(cfg.R_s)
+    states = coeffs.take(np.flatnonzero(tau_min(target, coeffs) < 1.0)[:100])
+    assert states.a.size == 100
+    tracemalloc.start()
+    try:
+        check = checks.opa_sop_vs_grid(target, states, cfg.n_ec, 1.0, cfg.n_ec, 4000, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.margin <= 1.0, check.detail
+    assert peak < 2e6, peak
