@@ -7,7 +7,6 @@ margin <= 1 passes, and NaN fails."""
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -15,12 +14,6 @@ import numpy as np
 from . import montecarlo, opa_sop, sndr, sop, throughput
 from .config import coeffs_from_gains
 
-# A (states x points) grid runs in blocks of as many states as fit in this
-# many elements, at least one: a block's arrays stay in cache, which measured
-# faster than one whole grid or one state at a time at validate's 4,000 SOP
-# points (4 states) and 2,000 rate splits (8 states); at 10,000 splits a block
-# is one state, where each k(tau) solve settles on its own.
-_GRID_ELEMENTS = 1 << 14
 # the fall of k(tau) from one split to the next that a solved grid may show:
 # the secrecy cap is non-decreasing in tau, up to the solver's tolerance
 _K_DROP = 1e-9
@@ -37,11 +30,6 @@ class Check(NamedTuple):
 def _worst(x) -> float:
     """Largest element, 0 for none; NaN propagates."""
     return float(np.max(np.asarray(x, float), initial=0.0))
-
-
-def _state_blocks(n_states: int, n_points: int) -> list[slice]:
-    step = max(1, _GRID_ELEMENTS // n_points)
-    return [slice(i, i + step) for i in range(0, n_states, step)]
 
 
 def _vs_estimates(pairs, tol: float, sigmas: float) -> tuple[float, float]:
@@ -80,14 +68,7 @@ def opa_sop_vs_grid(target, states, n_ec, u, v, points: int, tol: float) -> Chec
     be able to transmit.  The gap is the grid's relative lead (best - phi*) /
     best, 0 where the optimizer wins; phi is a ratio of positive terms."""
     objective = opa_sop.optimize_tau_sop_batch(target, states, n_ec, u, v).objective_value
-    t_min = sop.tau_min(target, states)
-    pc = opa_sop.phi_coeffs(u, v, states)
-    steps = np.arange(1, points + 1) / points
-    per_state = [np.broadcast_to(getattr(pc, f.name), t_min.shape)[:, None] for f in fields(pc)]  # a row per state
-    best = np.empty(t_min.shape)
-    for rows in _state_blocks(t_min.size, points):
-        t = t_min[rows, None]
-        best[rows] = np.max(opa_sop.phi_rational(t + steps * (1.0 - t), opa_sop.PhiCoeffs(*(x[rows] for x in per_state))), axis=1)
+    best, _ = opa_sop.phi_grid_best(sop.tau_min(target, states), opa_sop.phi_coeffs(u, v, states), points)
     gap = _worst((best - objective) / np.abs(best))
     return Check(gap, gap / tol, f"worst relative shortfall = {gap:.2e}")
 
@@ -103,10 +84,10 @@ def throughput_opt_vs_grid(states, n_ec, epsilon, taus: np.ndarray, tol: float) 
     per_state = np.broadcast_arrays(states.a, states.b, states.c, states.d, states.e, n_ec, epsilon)
     best = np.empty(rate.shape)
     drops = []
-    for rows in _state_blocks(rate.size, taus.size):
+    for rows in throughput.state_blocks(rate.size, taus.size):
         a, b, c, d, e, n, eps = (x[rows, None] for x in per_state)  # a row per state
         ks = throughput.solve_k_batch(taus, a, b, c, n, eps)
-        best[rows] = np.max(np.log2((taus * (d + e) + 1.0) / ((taus * e + 1.0) * (1.0 + taus * ks))), axis=1)
+        best[rows] = np.max(throughput._rate(taus, ks, d, e), axis=1)
         drops.append(_worst(-np.diff(ks, axis=1)))
     gap, drop = _worst(best - rate), _worst(drops)
     detail = f"worst shortfall = {gap:.2e} bits"

@@ -23,7 +23,7 @@ import numpy as np
 from . import checks, montecarlo, opa_sop, sop, throughput
 from .channel import sample_gain_scalars, sample_gains
 from .config import SystemConfig, coeffs_from_gains, coerce_overrides, parse_value, read_key_values, stack_coeffs
-from .sndr import sndr_destination, sndr_eve
+from .sndr import sndr_eve
 
 SCHEMA_TAG = "mmwsec-sweep-csv v1"
 
@@ -232,9 +232,8 @@ def _sop_cells(cells: list[tuple], split_policy: str):
     breakdown = sop.sop_overall(tau, target, coeffs, n_ec)
     accepted = np.flatnonzero(breakdown.branch != sop.SopBranch.SOURCE_SILENT)
     tau, values = tau[accepted], breakdown.value[accepted]
-    y_d = sndr_destination(tau, coeffs.d[accepted], coeffs.e[accepted])
-    # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, solved for y_E
-    thr = (1.0 + y_d) / target.T[accepted] - 1.0
+    # secrecy outage, log2((1 + y_D) / (1 + y_E)) < R_s, is y_E above this level
+    thr = sop.outage_threshold(tau, target.take(accepted), coeffs.take(accepted))
     cols = _event_columns(tau, coeffs.a[accepted], coeffs.b[accepted], coeffs.c[accepted], thr)
     bounds = np.searchsorted(accepted, offsets)
     branch = breakdown.branch[accepted]

@@ -29,7 +29,7 @@ from .config import EffectiveCoeffs
 from .errors import SilentSourceError
 from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, per_state, sop_conditional, tau_min
-from .throughput import _best_candidates, bracketed_roots
+from .throughput import _best_candidates, bracketed_roots, state_blocks
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
@@ -38,10 +38,6 @@ _ENDPOINT_NUDGE = 1e-9
 # Relative margin by which the optimize_tau_sop grid audit must beat the
 # analytic split before the grid point replaces it.
 _GRID_AUDIT_RTOL = 1e-6
-# States per block of the (states x grid) audit in optimize_tau_sop_batch.
-# It bounds the audit's working set: at a 2048-point grid, 8 states add
-# about 1.3 MB of peak memory, 64 states about 9 MB.
-_SCAN_BLOCK_STATES = 8
 # Relative offsets s of the slope grid tau = t_min + s*(1 - t_min) in
 # minimize_sop_tau, 89 per state: 25 geometric steps from 1e-12 up to
 # 1/64, where the SOP falls steeply from 1 at tau_min, then 64 even steps
@@ -49,14 +45,6 @@ _SCAN_BLOCK_STATES = 8
 # neighbours brackets a local minimum; the first point is also the
 # candidate split of a state whose SOP rises from tau_min (R_s = 0).
 _SLOPE_GRID = np.concatenate([np.geomspace(1e-12, 1.0 / 64.0, 25, endpoint=False), np.arange(1, 65) / 64.0])
-# minimize_sop_tau scans its slope grid in blocks of this many states,
-# the rate scan's throughput._SCAN_BLOCK_STATES, which bounds its working
-# set: a block's (states x grid) temporaries take 0.18 MB each, and one
-# slope evaluation peaks at 1.5 MB of them (tracemalloc), inside a 2 MiB
-# per-core L2 cache.  At 1,024 states the peak is 6 MB, and the 4,500
-# leaking states of a 100-trial fig4 took 34 ms against 23 ms at 256
-# (Xeon, 2 cores, numpy 2.4.6); at 36,000 states both took 186 ms.
-_SLOPE_BLOCK_STATES = 256
 
 
 @dataclass(frozen=True)
@@ -156,6 +144,24 @@ def omega_roots(pc: PhiCoeffs) -> np.ndarray:
     return np.stack([lo, hi], axis=-1)
 
 
+def phi_grid_best(t_min: np.ndarray, pc: PhiCoeffs, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's largest phi over ``points`` even splits of (tau_min, 1],
+    and the first split that reaches it, over 1-d ``t_min``; the fields of
+    ``pc`` are shared or per state.  The grid is scanned in blocks of
+    states (``throughput.state_blocks``)."""
+    steps = np.arange(1, points + 1) / points
+    columns = [np.broadcast_to(getattr(pc, f.name), t_min.shape)[:, None] for f in fields(pc)]  # a row per state
+    best, best_tau = np.empty(t_min.shape), np.empty(t_min.shape)
+    for rows in state_blocks(t_min.size, points):
+        t0 = t_min[rows, None]
+        grid = t0 + steps * (1.0 - t0)
+        vals = phi_rational(grid, PhiCoeffs(*(x[rows] for x in columns)))
+        k = np.argmax(vals, axis=1)
+        at = np.arange(k.size)
+        best[rows], best_tau[rows] = vals[at, k], grid[at, k]
+    return best, best_tau
+
+
 def _feasible_tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndarray:
     """tau_min of every state; raises SilentSourceError when any state has
     no feasible split (tau_min >= 1, inf past the impairment ceiling)."""
@@ -215,19 +221,9 @@ def optimize_tau_sop_batch(
     )
 
     if grid_points > 0:
-        steps = np.arange(1, grid_points + 1) / grid_points
-        for start in range(0, t_min.size, _SCAN_BLOCK_STATES):
-            block = slice(start, start + _SCAN_BLOCK_STATES)
-            t0 = t_min[block, None]
-            grid = t0 + steps * (1.0 - t0)
-            vals = phi_rational(grid, PhiCoeffs(*(getattr(pc, f.name)[block, None] for f in fields(PhiCoeffs))))
-            k = np.argmax(vals, axis=1)
-            at = np.arange(k.size)
-            phi_star = objective[block]  # views: the fallbacks are written in place
-            moved = vals[at, k] - phi_star > _GRID_AUDIT_RTOL * np.maximum(1.0, np.abs(phi_star))
-            tau_star[block][moved] = grid[at, k][moved]
-            phi_star[moved] = vals[at, k][moved]
-            case[block][moved] = OpaCase.GRID_FALLBACK
+        grid_phi, grid_tau = phi_grid_best(t_min, pc, grid_points)
+        moved = grid_phi - objective > _GRID_AUDIT_RTOL * np.maximum(1.0, np.abs(objective))
+        tau_star[moved], objective[moved], case[moved] = grid_tau[moved], grid_phi[moved], OpaCase.GRID_FALLBACK
     return OpaResult(tau_star, case, objective)
 
 
@@ -271,7 +267,7 @@ def minimize_sop_tau(
     minimizes that averaged closed form directly and is what figure-level
     sweeps use.  The analytic slope of log SOP is evaluated on one fixed
     relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``), in
-    blocks of ``_SLOPE_BLOCK_STATES`` states; every change of its sign
+    blocks of states (``throughput.state_blocks``); every change of its sign
     from falling to rising brackets a local minimum, and one Illinois
     false-position loop refines the brackets of all states together, each
     stopping on its own.  No unimodality is assumed: every local minimum
@@ -296,15 +292,14 @@ def minimize_sop_tau(
         coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, target.T, n_ec
     )]
     brackets, firsts = [], []  # the bracket ends and slopes; the first split where the SOP rises
-    for start in range(0, max(t_min.size, 1), _SLOPE_BLOCK_STATES):  # one pass for an empty batch
-        rows = slice(start, start + _SLOPE_BLOCK_STATES)
+    for rows in state_blocks(t_min.size, _SLOPE_GRID.size):
         grid = t_min[rows, None] + _SLOPE_GRID * (1.0 - t_min[rows, None])
         g = _log_sop_slope(grid, *(x[rows, None] for x in args))
         rising = g > 0.0
         i, j = np.nonzero(~rising[:, :-1] & rising[:, 1:])
-        brackets.append((start + i, grid[i, j], grid[i, j + 1], g[i, j], g[i, j + 1]))
+        brackets.append((rows.start + i, grid[i, j], grid[i, j + 1], g[i, j], g[i, j + 1]))
         first = np.flatnonzero(rising[:, 0])
-        firsts.append((start + first, grid[first, 0]))
+        firsts.append((rows.start + first, grid[first, 0]))
     owner, lo, hi, f_lo, f_hi = (np.concatenate(x) for x in zip(*brackets))
     roots = bracketed_roots(_log_sop_slope, lo, hi, f_lo, f_hi, *(x[owner] for x in args))
 

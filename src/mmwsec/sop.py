@@ -120,6 +120,13 @@ def outage_threshold(tau: float, target: SecrecyTarget, coeffs: EffectiveCoeffs)
     return (tau * coeffs.d - target.T_bar * te1) / (target.T * te1)
 
 
+def eve_tail(r, tau, b, n_ec):
+    """P(Y_E > x) = exp(-r) * (1 + (1-tau)*b*r)^(-n_ec), r = x / (tau*(a - c*x)) as
+    each caller forms it, elementwise over broadcastable r, tau, b and n_ec; the
+    one tail of ``cdf_Y_E``, ``sop_conditional`` and ``throughput.q_of_k``."""
+    return np.exp(-r) * per_value(lambda n, y: np.power(y, -n), n_ec, 1.0 + (1.0 - tau) * b * r)
+
+
 def cdf_Y_E(x, tau, coeffs: EffectiveCoeffs, n_ec):
     """CDF of the eavesdropper SNDR at power split tau.
 
@@ -134,10 +141,8 @@ def cdf_Y_E(x, tau, coeffs: EffectiveCoeffs, n_ec):
     if not np.all((0.0 <= tau) & (tau <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
     rest = coeffs.a - coeffs.c * x
-    scale = tau * rest
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bracket = 1.0 + (1.0 - tau) * coeffs.b * x / scale
-        value = 1.0 - np.exp(-x / scale) * per_value(lambda n, y: np.power(y, -n), n_ec, bracket)
+        value = 1.0 - eve_tail(x / (tau * rest), tau, coeffs.b, n_ec)
     # rest <= 0: x at or past the distortion-imposed ceiling
     value = np.where((tau == 0.0) | (coeffs.a == 0.0) | (rest <= 0.0), 1.0, value)
     return np.where(x < 0.0, 0.0, value)
@@ -168,7 +173,7 @@ def sop_conditional(tau, target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: i
     den_core = te1 * target.T * coeffs.a - coeffs.c * num
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (tau * den_core)
-        value = np.exp(-ratio) * per_value(lambda n, x: np.power(x, -n), n_ec, 1.0 + (1.0 - tau) * coeffs.b * ratio)
+        value = eve_tail(ratio, tau, coeffs.b, n_ec)
     return np.where(coeffs.a == 0.0, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
 
 

@@ -31,7 +31,7 @@ from .config import EffectiveCoeffs, SystemConfig
 from .errors import ConvergenceError, InfeasibleError
 from .montecarlo import McEstimate, as_rng, sample_mean
 from .sndr import high_snr_ceiling, sndr_destination
-from .sop import per_value
+from .sop import eve_tail, per_value
 
 LN2 = math.log(2.0)
 
@@ -216,8 +216,7 @@ def q_of_k(k, tau, a, b, c, n_ec, epsilon):
     rest = a - c * tau * k
     if np.any(rest <= 0.0):
         raise ValueError(f"a - c*tau*k must stay positive (got {np.min(rest):.3g})")
-    bracket = 1.0 + (1.0 - tau) * b * k / rest
-    return np.exp(-k / rest) * per_value(lambda n, y: np.power(y, -n), n_ec, bracket) - epsilon
+    return eve_tail(k / rest, tau, b, n_ec) - epsilon
 
 
 def k_max_tau1(a, c, epsilon):
@@ -351,8 +350,19 @@ class ThroughputResult:
 # interior points.
 _SCAN_GRID = np.concatenate([np.geomspace(1e-6, 0.1, 33, endpoint=False), np.linspace(0.1, 1.0, 96)])
 _CONCAVITY_IDX = np.linspace(1, len(_SCAN_GRID) - 2, 64).astype(int)
-# states scanned together, which bounds the (states x 129) temporaries
-_SCAN_BLOCK_STATES = 256
+# Elements of one block of a (states x points) scan: a rate-scan block (127
+# states x 129 splits) or SOP-slope block (184 x 89) peaks near 1 MB, inside a
+# 2 MiB per-core L2; on 12,000 states both ran 15-20% faster than at twice this
+# budget or in blocks of 256 states (2-core Xeon, numpy 2.4.6).
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def state_blocks(n_states: int, n_points: int) -> list[slice]:
+    """Consecutive slices of the states, as many as fit in _BLOCK_ELEMENTS at
+    ``n_points`` each, at least one; an empty batch gets one empty block.
+    Every scan of a grid over states blocks with it; no result depends on it."""
+    step = max(1, _BLOCK_ELEMENTS // n_points)
+    return [slice(i, i + step) for i in range(0, max(n_states, 1), step)]
 
 
 def bracketed_roots(slope, lo, hi, f_lo, f_hi, *args):
@@ -400,8 +410,8 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> Thr
 
     ``coeffs``, ``n_ec`` and ``epsilon`` carry one channel state per
     element (scalars broadcast).  The analytic rate slope is scanned on a
-    fixed 129-point grid on [1e-6, 1], in blocks of ``_SCAN_BLOCK_STATES``
-    states; every fall of the slope from > 0 to <= 0 between two grid
+    fixed 129-point grid on [1e-6, 1], in blocks of states
+    (``state_blocks``); every fall of the slope from > 0 to <= 0 between two grid
     points brackets a local maximum, and the brackets of all states are
     refined together.  Full power and every local maximum compete; each
     state keeps its best rate, the larger split on a tie.  A state whose
@@ -425,8 +435,7 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> Thr
 
     concave, rising = np.empty((2, a.size), bool)
     brackets = []
-    for start in range(0, max(a.size, 1), _SCAN_BLOCK_STATES):  # one pass for an empty batch
-        rows = slice(start, start + _SCAN_BLOCK_STATES)
+    for rows in state_blocks(a.size, grid.size):
         rp = _rate_slope(grid, x_keys[key_of[rows]], *(x[rows, None] for x in (a, b, c, d, e, n_ec)))
         # concavity probe, for the tag: derivative differences at evenly spread interior points
         second = (rp[:, idx + 1] - rp[:, idx - 1]) / (grid[idx + 1] - grid[idx - 1])
@@ -434,7 +443,7 @@ def optimize_tau_throughput_batch(coeffs: EffectiveCoeffs, n_ec, epsilon) -> Thr
         rising[rows] = rp[:, -1] > 0.0  # the rate still climbs at full power
         up = rp > 0.0
         i, j = np.nonzero(up[:, :-1] & ~up[:, 1:])
-        brackets.append((start + i, j, rp[i, j], rp[i, j + 1]))
+        brackets.append((rows.start + i, j, rp[i, j], rp[i, j + 1]))
     owner, left, f_lo, f_hi = (np.concatenate(x) for x in zip(*brackets))
     roots = bracketed_roots(
         lambda t, a, b, c, d, e, n, ln_eps: _rate_slope(t, _solve_x(t, b, n, ln_eps), a, b, c, d, e, n),
@@ -513,17 +522,6 @@ class _MrtScales:
         v = self.a_bar / self.d_bar * self.log_eps
         a1 = g_hat * (2.0 - one_minus_u)
         return 0.5 * (-a1 + np.sqrt((g_hat * one_minus_u) ** 2 - 4.0 * v * g_hat))
-
-
-def _rgamma(n: int) -> float:
-    """1/Gamma(n) = 1/(n-1)! of an integer n >= 1, exactly rounded."""
-    return 1 / math.factorial(n - 1)
-
-
-def _factorial(k):
-    """k! of an array of non-negative integers as floats, inf past 170!
-    (the largest factorial below the double range)."""
-    return np.array([math.factorial(i) if i <= 170 else math.inf for i in k.flat], float).reshape(k.shape)
 
 
 def _config_batch(cfg: SystemConfig | Sequence[SystemConfig]) -> tuple[list[SystemConfig], bool]:
@@ -661,8 +659,29 @@ def log_moment(q: float, m: int) -> float:
     return float(_log_moments(q, m)[m])
 
 
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n-1, each from math.lgamma."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+
+
+def _log_poisson(x, k):
+    """log(x^k e^-x / k!), elementwise over x >= 0 and integers k >= 0 with
+    0^0 = 1: the log Poisson(x) mass at k, and the log Gamma(k + 1, 1)
+    density at x.  It stays finite where x^k or k! overflows.  A Python
+    int k = 0 skips the log of x."""
+    if not isinstance(k, np.ndarray):
+        if k == 0:
+            return -x
+        with np.errstate(divide="ignore"):
+            return k * np.log(x) - x - math.lgamma(k + 1.0)
+    log_fact = _log_factorials(int(k.max()) + 1)[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0, 0.0, k * np.log(x)) - x - log_fact
+
+
 def _gamma_pdf(x, shape: int):
-    return np.exp(-x) * x ** (shape - 1) * _rgamma(shape)
+    return np.exp(_log_poisson(x, shape - 1))
 
 
 def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
@@ -674,10 +693,10 @@ def _mrt_kernel(y, s: _MrtScales, n_c: int, n_dc: int):
     qs = np.stack([1.0 / (beta + y * s.c1), de / (de * g + 1.0),
                    1.0 / (beta + y * s.c3), s.e_bar / (s.e_bar * g + 1.0)])
     l1, l2, l3, l4 = np.moveaxis(_log_moments(qs, n_dc - 1), 1, 0)
-    # order m carries beta^k/k! with k = n_dc - 1 - m
+    # order m carries the Poisson(beta) mass at k = n_dc - 1 - m
     k = np.arange(n_dc - 1, -1, -1).reshape((-1,) + (1,) * beta.ndim)
-    total = np.sum(beta**k / _factorial(k) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
-    return np.exp(-beta) * _gamma_pdf(y, n_c) * total
+    total = np.sum(np.exp(_log_poisson(beta, k)) * (l1 + l2 - l3 - l4 + s.rate(y, beta)), axis=0)
+    return _gamma_pdf(y, n_c) * total
 
 
 # the probability mass of a gain law that the MRT integrals leave beyond their cap
@@ -691,11 +710,10 @@ def _gamma_cap(shape: int) -> float:
     is k = n - 1 for x >= n; ln Q falls from about ln(1/2) at x = n to below
     ln(_GAMMA_TAIL) at x = 2n + 40."""
     k = np.arange(shape)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(shape)])
 
     def log_q_excess(x):
-        terms = np.log(x)[:, None] * k - log_fact
-        return terms[:, -1] + np.log(np.sum(np.exp(terms - terms[:, -1:]), axis=1)) - x - math.log(_GAMMA_TAIL)
+        terms = _log_poisson(x[:, None], k)
+        return terms[:, -1] + np.log(np.sum(np.exp(terms - terms[:, -1:]), axis=1)) - math.log(_GAMMA_TAIL)
 
     lo, hi = np.array([float(shape)]), np.array([2.0 * shape + 40.0])
     return float(bracketed_roots(log_q_excess, lo, hi, log_q_excess(lo), log_q_excess(hi))[0])

@@ -78,6 +78,24 @@ def test_sweep_reports_unchecked_rows(tmp_path, capsys):
     assert "unchecked: 1 of 2 rows" in err
 
 
+def test_sop_walk_threshold_at_zero_rate(tmp_path, capsys):
+    # at R_s = 0 the an_opa split is the slope grid's first point, 1e-12,
+    # and y_D is about 4e-17: a threshold formed as (1 + y_D)/T - 1 rounded
+    # to 0, so every walked event hit (mc_value 1 against 4.3e-9) and the
+    # sweep exited 1.  sop.outage_threshold keeps the positive level
+    spec_path = tmp_path / "zero_rate.spec"
+    spec_path.write_text(
+        "mode=sop_fixed_rate\nswept_key=P_dBm\nvalues=-10\ntrials=40\nuv_samples=300\n"
+        "seed=20240801\nR_s=0\n"
+    )
+    rc = cli.main(["sweep", "--spec", str(spec_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    rows = {row["scheme"]: row for row in csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))}
+    assert float(rows["an_opa"]["tau_star_mean"]) == 1e-12
+    assert float(rows["an_opa"]["analytic"]) < 1e-8 and float(rows["an_opa"]["mc_value"]) == 0.0
+
+
 def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
     # N_C = 8 puts log moments of order up to 11 at small q through the
     # closed form; a cancellation there once gave analytic = -5150 at 60 dBm

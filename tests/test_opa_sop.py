@@ -11,7 +11,7 @@ from conftest import fuzz_states, make_coeffs, thresholds, workable_cfg
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import EffectiveCoeffs, SystemConfig, coeffs_from_gains, stack_coeffs
 from mmwsec.errors import SilentSourceError
-from mmwsec import checks, opa_sop
+from mmwsec import checks, opa_sop, throughput
 from mmwsec.opa_sop import (
     OpaCase,
     _log_sop_slope,
@@ -300,10 +300,13 @@ def test_minimize_sop_tau_batch_blocks_keep_the_bits(rng, monkeypatch):
         n_ec += [cfg.n_ec] * split.size
     stacked, target, n_ec = stack_coeffs(states), SecrecyTarget(np.array(r_s)), np.array(n_ec)
     assert 0 < np.count_nonzero(stacked.a == 0.0) < stacked.a.size and stacked.a.size > 256
-    monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", 10**6)
+    points = opa_sop._SLOPE_GRID.size
+    monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", 10**9)
+    assert len(throughput.state_blocks(stacked.a.size, points)) == 1
     whole = [x.tobytes() for x in minimize_sop_tau(target, stacked, n_ec)]
     for block in (1, 7, 256):
-        monkeypatch.setattr(opa_sop, "_SLOPE_BLOCK_STATES", block)
+        monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", block * points)
+        assert throughput.state_blocks(stacked.a.size, points)[0] == slice(0, block)
         assert [x.tobytes() for x in minimize_sop_tau(target, stacked, n_ec)] == whole, block
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import checks, throughput
@@ -464,14 +464,20 @@ def test_throughput_opt_vs_grid_fails_on_a_falling_cap(rng, monkeypatch):
 
 def test_optimizer_blocks_keep_the_bits(rng, monkeypatch):
     # fuzzed states with a per-state n_ec and epsilon give the same bits
-    # whole and scanned in blocks of 7 states
-    co = stack_coeffs([co for _, co in fuzz_states(rng, 20, 12)])
+    # whole and scanned in blocks of 1, 7 and 256 states
+    co = stack_coeffs([co for _, co in fuzz_states(rng, 24, 12)])
+    assert co.a.size > 256
     n_ec, eps = rng.integers(1, 20, co.a.size), rng.uniform(0.003, 0.3, co.a.size)
+    points = throughput._SCAN_GRID.size
+    monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", 10**9)
+    assert len(throughput.state_blocks(co.a.size, points)) == 1
     whole = optimize_tau_throughput_batch(co, n_ec, eps)
-    monkeypatch.setattr(throughput, "_SCAN_BLOCK_STATES", 7)
-    blocked = optimize_tau_throughput_batch(co, n_ec, eps)
-    for f in fields(ThroughputResult):
-        assert np.array_equal(getattr(whole, f.name), getattr(blocked, f.name)), f.name
+    for block in (1, 7, 256):
+        monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", block * points)
+        assert throughput.state_blocks(co.a.size, points)[0] == slice(0, block)
+        blocked = optimize_tau_throughput_batch(co, n_ec, eps)
+        for f in fields(ThroughputResult):
+            assert np.array_equal(getattr(whole, f.name), getattr(blocked, f.name)), (block, f.name)
 
 
 def test_candidates_do_not_depend_on_the_concavity_probe(rng, monkeypatch):
@@ -679,18 +685,22 @@ def test_gamma_cap_against_scipy_and_mpmath():
         assert abs(tail / 1e-10 - 1.0) <= 1e-11, n
 
 
-def test_integer_gammas_against_scipy():
-    # 1/Gamma(n) for 1-25 and k! for 0-25 within an ulp of scipy, exactly
-    # rounded from the integers; k! past 170! is inf
-    ns = np.arange(26)
-    rgamma = np.array([throughput._rgamma(int(n)) for n in ns[1:]])
-    fact = throughput._factorial(ns)
-    assert np.allclose(rgamma, special.rgamma(ns[1:]), rtol=2.3e-16, atol=0.0)
-    assert np.allclose(fact, special.factorial(ns), rtol=2.3e-16, atol=0.0)
-    assert all(r == 1 / math.factorial(n - 1) for n, r in zip(ns[1:], rgamma))
-    assert all(f == float(math.factorial(k)) for k, f in zip(ns, fact))
-    big = throughput._factorial(np.array([[170], [171]]))
-    assert big.shape == (2, 1) and np.isfinite(big[0, 0]) and big[1, 0] == np.inf
+def test_log_poisson_against_scipy():
+    # log(x^k e^-x / k!) for k = 0..119, past 170! in neither k! nor x^k,
+    # with an array k and with each int k alike; 0^0 = 1 gives 0 at
+    # x = 0, k = 0 and -inf at x = 0, k > 0
+    ks = np.arange(120)
+    xs = np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0, 60.0, 119.0, 500.0, 1e4])
+    ref = stats.poisson.logpmf(ks[:, None], xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = throughput._log_poisson(xs, ks[:, None])
+        by_int = np.array([throughput._log_poisson(xs, int(k)) for k in ks])
+    assert got.shape == (120, xs.size) and np.array_equal(got, by_int)
+    assert got[0, 0] == 0.0 and np.all(got[1:, 0] == -np.inf)
+    finite = np.isfinite(ref)
+    assert np.array_equal(finite, np.isfinite(got))
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
 
 
 def test_log_moments_of_zero_q_are_zero():
@@ -757,7 +767,7 @@ def test_gk21_raises_when_an_integral_cannot_settle():
 def test_library_loads_no_scipy():
     # scipy is the tests' and validate's reference only: neither the import
     # nor a sweep through fig6's MRT rows (E1, the Laguerre fallback, the
-    # gamma cap and the integer gammas) loads any part of it
+    # gamma cap and the log Poisson terms) loads any part of it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, mmwsec\n"
             "from mmwsec import cli\n"
@@ -778,6 +788,23 @@ def test_mrt_throughput_dual_quadrature():
     # asked, and returns the closed form
     cfg = SystemConfig(M=100, N_D=20, N_C=16, P_dBm=55.0, epsilon=0.01, k_tx=0.1, k_rx=0.1)
     assert math.isclose(mrt_throughput(cfg, cross_check=True), mrt_throughput_closed_form(cfg), rel_tol=1e-12)
+
+
+def test_mrt_closed_form_weights_do_not_overflow():
+    # beta^k/k! overflowed at a large threshold beta and a large N_D - N_C:
+    # "overflow encountered in power", then a NaN kernel and a
+    # ConvergenceError.  In log space both configurations are finite; the
+    # value they read (0.0) is not asserted here
+    for kw in (dict(N_D=60, N_C=4, P_dBm=100.0), dict(N_D=98, N_C=1, P_dBm=129.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(mrt_throughput_closed_form(SystemConfig(M=200, N_E=20, **kw))), kw
+    # the same weights agree with the direct 2-D quadrature where both
+    # routes were finite before
+    for kw in (dict(N_D=60, N_C=4, P_dBm=0.0), dict(N_D=100, N_C=4, P_dBm=30.0)):
+        cfg = SystemConfig(M=200, N_E=20, **kw)
+        closed, direct = mrt_throughput_closed_form(cfg), throughput.mrt_throughput_quad2d(cfg)
+        assert abs(closed - direct) <= 1e-6 * abs(direct), kw
 
 
 def test_mrt_closed_form_matches_quad2d_across_configs(rng):
