@@ -64,8 +64,30 @@ def test_e1_scaled_against_mpmath():
 def test_e1_scaled_against_scipy():
     # the whole of (0, 5], where the library took scipy's exp1 before
     zs = np.concatenate([np.geomspace(1e-300, 1e-3, 200), np.linspace(1e-3, 5.0, 4000)])
-    check = checks.e1_scaled(zs, 1e-12)
-    assert check.margin <= 1.0, check.detail
+    ref = special.exp1(zs) * np.exp(zs)
+    assert np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref) <= 1e-12
+
+
+def test_e1_check_integral_against_mpmath():
+    # the reference of checks.e1_scaled is the integral form, taken by the
+    # library's Gauss-Kronrod rule; it is not the series or the fraction
+    zs = np.concatenate([np.geomspace(1e-300, 1e7, 20), [1.0]])
+    got = checks._e1_scaled_integral(zs)
+    with mpmath.workdps(40):
+        for z, value in zip(zs, got):
+            zm = mpmath.mpf(float(z))
+            ref = float(mpmath.e1(zm) * mpmath.exp(zm))
+            assert abs(value - ref) <= 1e-14 * ref, z
+
+
+def test_e1_check_fails_a_planted_error(monkeypatch):
+    # a relative error of 1e-11 in the library's E1 must fail validate's
+    # check at its own grid and tolerance
+    zs = np.geomspace(1e-8, 600.0, 200)
+    assert checks.e1_scaled(zs, 1e-12).margin <= 1.0
+    exact = throughput._e1_scaled
+    monkeypatch.setattr(throughput, "_e1_scaled", lambda z: exact(z) * (1.0 + 1e-11))
+    assert checks.e1_scaled(zs, 1e-12).margin > 1.0
 
 
 def test_e1_tail_rule_is_the_fraction_tail():
@@ -765,9 +787,9 @@ def test_gk21_raises_when_an_integral_cannot_settle():
 
 
 def test_library_loads_no_scipy():
-    # scipy is the tests' and validate's reference only: neither the import
-    # nor a sweep through fig6's MRT rows (E1, the Laguerre fallback, the
-    # gamma cap and the log Poisson terms) loads any part of it
+    # scipy is the tests' reference only: neither the import, nor a sweep
+    # through fig6's MRT rows (E1, the Laguerre fallback, the gamma cap and
+    # the log Poisson terms), nor the validate suite loads any part of it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, mmwsec\n"
             "from mmwsec import cli\n"
@@ -776,11 +798,13 @@ def test_library_loads_no_scipy():
             "for fig in ('fig5', 'fig6'):\n"
             "    for spec in cli.preset_specs(fig, trials=4):\n"
             "        cli.run_sweep(spec)\n"
+            "print(loaded())\n"
+            "cli.run_validation(trials=2000, verbose=False)\n"
             "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert proc.stdout.split("\n") == ["[]", "[]", "[]", ""]
 
 
 def test_mrt_throughput_dual_quadrature():
