@@ -110,7 +110,12 @@ def mrt_throughput_dual_quadrature(configs, tol: float) -> Check:
 def sndr_reconstruction(cfg, tau: float, n: int, seed: int, sigmas: float) -> Check:
     """Both closed-form SNDRs vs ``montecarlo.empirical_sndr_from_distortion``,
     their signal-level synthesis at one drawn state: gap |mc - formula| /
-    formula, the larger of the two, tolerance ``sigmas`` standard errors."""
+    formula, the larger of the two, tolerance ``sigmas`` standard errors.
+    It needs a common path: at N_C = 0 the eavesdropper's SNDR is 0, and a
+    relative gap to it is undefined, so that is a ValueError."""
+    if cfg.N_C == 0:
+        raise ValueError("sndr_reconstruction needs N_C >= 1: at N_C = 0 the eavesdropper's SNDR is 0, "
+                         "so its relative gap is undefined")
     rec = montecarlo.empirical_sndr_from_distortion(cfg, tau, n, seed)
     formula = np.array([rec.y_d_formula, rec.y_e_formula])
     diff = np.abs([rec.y_d.value, rec.y_e.value] - formula)

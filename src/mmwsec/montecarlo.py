@@ -8,7 +8,10 @@ and its arithmetic then runs over blocks of ``_SYNTH_CHUNK`` draws whose
 exact counts add up (``_block_sums``).  The distortion-level synthesis
 draws from the seed's chunk-0 stream alone: the path sets and the channel
 first, then ``_SYNTH_CHUNK`` transmissions at a time, so its working set
-does not grow with its sample count.
+does not grow with its sample count.  Per transmission it draws s, s_dist,
+eta_rx, noise_d and noise_e, then the artificial noise and its distortion
+in the span of rank min(N_E - N_C, 2) that the two receivers observe: at
+most 9 complex normals at any N_E - N_C.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    an_beamformer, build_basis, channel_row, complex_normal, sample_channel, sample_gain_scalars, sample_path_sets,
+    an_beamformer, build_basis, channel_row, sample_channel, sample_gain_scalars, sample_path_sets,
 )
 from .config import EffectiveCoeffs, SystemConfig, derive_coeffs
 from .sndr import sndr_destination, sndr_eve
@@ -28,8 +31,9 @@ from .sop import SecrecyTarget, outage_threshold
 
 _CHUNK = 1 << 17
 # transmissions per chunk of the distortion-level synthesis: a chunk's
-# vectors and temporaries (2.5 MB at N_E - N_C = 6) stay near one core's L2
-# cache at any sample count; 8,192 took the same time with twice the memory.
+# draws and temporaries (a 1.3 MB peak at any N_E - N_C) stay within one
+# core's L2 cache at any sample count; 8,192 took the same time with twice
+# the memory.
 # It is also the block of the estimators' counting arithmetic: at 200,000
 # draws (2-core Xeon, numpy 2.4.6) the full SOP oracle peaks at 4.5 MB
 # (5.5 MB in blocks of 16,384, 13.8 MB over whole chunks) at one speed, and
@@ -285,13 +289,27 @@ def empirical_sndr_from_distortion(
     ratios must land on the closed-form SNDRs, which validates the algebra
     collapsing the received-signal expressions.
 
+    The artificial noise z ~ CN(0, I) and its transmit distortion reach
+    the receivers only through A z, with A the 2 x (N_E - N_C) matrix of
+    rows h_E F and h_D F.  With A^H = QR (Q with orthonormal columns), A z
+    = R^H (Q^H z), and Q^H z is again CN(0, I) (Tse and Viswanath, 2005,
+    App. A), of rank min(N_E - N_C, 2).  So both AN streams are drawn in
+    that span, as w and w_dist, and a transmission costs at most 9 complex
+    normals at any N_E - N_C.  The E row comes first, so E's AN is fixed by
+    its own channel, not by the rounding noise of the D row, which the
+    masking makes about 0.
+
     Every draw comes from the seed's chunk-0 stream, ``_chunk_rng(seed,
     0)``: the path sets and the channel, then, for each chunk of
-    ``_SYNTH_CHUNK`` transmissions (the last one partial), s, z, s_dist,
-    z_dist, eta_rx, noise_d and noise_e.  Each chunk's four powers (signal
-    and impairment plus noise, at D and at E) add their sums and squared
-    deviations to the totals in chunk order, so n up to one chunk draws and
-    sums as one whole-vector synthesis would.
+    ``_SYNTH_CHUNK`` transmissions (the last one partial), one
+    ``standard_normal`` call that draws what ``complex_normal`` would for
+    5 + 2 rank rows of complex normals, their real parts and then their
+    imaginary parts: s, s_dist, eta_rx, noise_d, noise_e, then the rank
+    rows of w and those of w_dist.  The four received fields (signal and
+    impairment plus noise, at D and at E) are one real matrix times those
+    parts, and their powers re^2 + im^2 add their sums and squared
+    deviations to the totals in chunk order, so n up to one chunk draws
+    and sums as one whole-vector synthesis would.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2 (a standard error needs two samples), got {n}")
@@ -307,35 +325,29 @@ def empirical_sndr_from_distortion(
     h_e = channel_row(basis, sets.xi_e, g_e[0], cfg.alpha_e())
     f1, f_an = an_beamformer(basis, sets, h_d)
 
-    p_watt, sigma2 = cfg.power_watt, cfg.noise_watt
-    n_ec = cfg.n_ec
-    sig_amp = math.sqrt(tau * p_watt)
-    an_amp = math.sqrt((1.0 - tau) * p_watt / n_ec)
-    rx_amp = cfg.k_rx * sig_amp * np.linalg.norm(h_d)
+    sig_amp = math.sqrt(tau * cfg.power_watt)
+    an_amp = math.sqrt((1.0 - tau) * cfg.power_watt / cfg.n_ec)
+    _, r = np.linalg.qr(np.array([h_e @ f_an, h_d @ f_an]).conj().T)
+    span = an_amp * r.conj().T[::-1]  # rows D, E: an_amp * A z ~ span @ w
+    rank = span.shape[1]
 
-    hd_f1 = complex(h_d @ f1)
-    hd_F = np.asarray(h_d @ f_an)
-    he_f1 = complex(h_e @ f1)
-    he_F = np.asarray(h_e @ f_an)
+    # the received fields are one linear map of the drawn columns: rows
+    # signal and impairment plus noise at D, then the same at E
+    gains = sig_amp * np.array([h_d @ f1, h_e @ f1])
+    field_map = np.zeros((4, 5 + 2 * rank), complex)
+    field_map[0::2, 0] = gains
+    field_map[1::2, 1] = cfg.k_tx * gains
+    field_map[1, 2:4] = cfg.k_rx * sig_amp * np.linalg.norm(h_d), math.sqrt(cfg.noise_watt)
+    field_map[3, 4] = math.sqrt(cfg.noise_watt)
+    field_map[1::2, 5:] = np.hstack([span, cfg.k_tx * span])
+    # the same map on real and imaginary parts, with complex_normal's 1/sqrt(2)
+    field_map = np.block([[field_map.real, -field_map.imag], [field_map.imag, field_map.real]]) / math.sqrt(2.0)
 
     total = (0, np.zeros(4), np.zeros(4))
     for start in range(0, n, _SYNTH_CHUNK):
         m = min(_SYNTH_CHUNK, n - start)
-        s = complex_normal(m, gen)
-        z = complex_normal((n_ec, m), gen)
-        s_dist = complex_normal(m, gen)
-        z_dist = complex_normal((n_ec, m), gen)
-        eta_rx = complex_normal(m, gen) * rx_amp
-        noise_d = complex_normal(m, gen) * math.sqrt(sigma2)
-        noise_e = complex_normal(m, gen) * math.sqrt(sigma2)
-
-        sig_d = sig_amp * hd_f1 * s
-        an_d = an_amp * (hd_F @ z)
-        dist_d = cfg.k_tx * (sig_amp * hd_f1 * s_dist + an_amp * (hd_F @ z_dist))
-        sig_e = sig_amp * he_f1 * s
-        an_e = an_amp * (he_F @ z)
-        dist_e = cfg.k_tx * (sig_amp * he_f1 * s_dist + an_amp * (he_F @ z_dist))
-        powers = np.abs([sig_d, an_d + dist_d + eta_rx + noise_d, sig_e, an_e + dist_e + noise_e]) ** 2
+        fields = field_map @ gen.standard_normal((field_map.shape[1], m))
+        powers = fields[:4] ** 2 + fields[4:] ** 2
         sums = np.sum(powers, axis=1)
         total = _pooled(total, (m, sums, np.sum((powers - (sums / m)[:, None]) ** 2, axis=1)))
 

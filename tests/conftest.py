@@ -5,7 +5,7 @@ import math
 
 from mmwsec import montecarlo
 from mmwsec.channel import (
-    ChannelDraw, an_beamformer, build_basis, channel_row, complex_normal, sample_channel, sample_gain_scalars,
+    ChannelDraw, an_beamformer, build_basis, channel_row, sample_channel, sample_gain_scalars,
     sample_path_sets,
 )
 from mmwsec.config import SystemConfig, coeffs_from_gains, derive_coeffs
@@ -114,10 +114,13 @@ def sndr_synthesis_reference(cfg: SystemConfig, tau: float, sizes, seed: int) ->
     """The whole-vector distortion-level synthesis that
     ``montecarlo.empirical_sndr_from_distortion`` streams in chunks.  From
     the seed's chunk-0 stream it draws the path sets and the channel, then,
-    for each size in ``sizes``, that many transmissions as whole vectors
-    (s, z, s_dist, z_dist, eta_rx, noise_d, noise_e), and returns each
-    batch's powers as a (4, size) array: signal and impairment plus noise at
-    D, then at E.  ``sizes=[n]`` is the one-shot synthesis."""
+    for each size in ``sizes``, that many transmissions as whole vectors of
+    complex normals, real parts then imaginary parts: s, s_dist, eta_rx,
+    noise_d, noise_e, and the artificial noise and its distortion in the
+    span the receivers observe, w and w_dist, with A z = R^H w for A =
+    [h_E F; h_D F] = R^H Q^H.  It returns each batch's powers as a (4,
+    size) array: signal and impairment plus noise at D, then at E.
+    ``sizes=[n]`` is the one-shot synthesis."""
     gen = montecarlo._chunk_rng(seed, 0)
     sets = sample_path_sets(cfg.M, cfg.N_D, cfg.N_E, cfg.N_C, gen)
     g_d, g_e, _ = sample_channel(sets, 1, gen)
@@ -125,30 +128,24 @@ def sndr_synthesis_reference(cfg: SystemConfig, tau: float, sizes, seed: int) ->
     h_d = channel_row(basis, sets.xi_d, g_d[0], cfg.alpha_d())
     h_e = channel_row(basis, sets.xi_e, g_e[0], cfg.alpha_e())
     f1, f_an = an_beamformer(basis, sets, h_d)
-    n_ec = cfg.n_ec
     sig_amp = math.sqrt(tau * cfg.power_watt)
-    an_amp = math.sqrt((1.0 - tau) * cfg.power_watt / n_ec)
-    hd_f1, he_f1 = complex(h_d @ f1), complex(h_e @ f1)
-    hd_F, he_F = np.asarray(h_d @ f_an), np.asarray(h_e @ f_an)
+    an_amp = math.sqrt((1.0 - tau) * cfg.power_watt / cfg.n_ec)
+    _, r = np.linalg.qr(np.array([h_e @ f_an, h_d @ f_an]).conj().T)
+    l_d, l_e = an_amp * r.conj().T[::-1]
+    sig_d, sig_e = sig_amp * (h_d @ f1), sig_amp * (h_e @ f1)
+    rx_amp, noise_amp, k_tx = cfg.k_rx * sig_amp * np.linalg.norm(h_d), math.sqrt(cfg.noise_watt), cfg.k_tx
+    none = [0.0] * (2 * len(l_d))
+    field_map = np.array([  # columns s, s_dist, eta_rx, noise_d, noise_e, w, w_dist
+        [sig_d, 0.0, 0.0, 0.0, 0.0, *none],
+        [0.0, k_tx * sig_d, rx_amp, noise_amp, 0.0, *l_d, *(k_tx * l_d)],
+        [sig_e, 0.0, 0.0, 0.0, 0.0, *none],
+        [0.0, k_tx * sig_e, 0.0, 0.0, noise_amp, *l_e, *(k_tx * l_e)],
+    ])
+    real_map = np.block([[field_map.real, -field_map.imag], [field_map.imag, field_map.real]]) / math.sqrt(2.0)
     batches = []
     for n in sizes:
-        s = complex_normal(n, gen)
-        z = complex_normal((n_ec, n), gen)
-        s_dist = complex_normal(n, gen)
-        z_dist = complex_normal((n_ec, n), gen)
-        eta_rx = complex_normal(n, gen) * (cfg.k_rx * sig_amp * np.linalg.norm(h_d))
-        noise_d = complex_normal(n, gen) * math.sqrt(cfg.noise_watt)
-        noise_e = complex_normal(n, gen) * math.sqrt(cfg.noise_watt)
-        sig_d = sig_amp * hd_f1 * s
-        an_d = an_amp * (hd_F @ z)
-        dist_d = cfg.k_tx * (sig_amp * hd_f1 * s_dist + an_amp * (hd_F @ z_dist))
-        sig_e = sig_amp * he_f1 * s
-        an_e = an_amp * (he_F @ z)
-        dist_e = cfg.k_tx * (sig_amp * he_f1 * s_dist + an_amp * (he_F @ z_dist))
-        batches.append(np.stack([
-            np.abs(sig_d) ** 2, np.abs(an_d + dist_d + eta_rx + noise_d) ** 2,
-            np.abs(sig_e) ** 2, np.abs(an_e + dist_e + noise_e) ** 2,
-        ]))
+        parts = real_map @ gen.standard_normal((real_map.shape[1], n))  # real parts, then imaginary parts
+        batches.append(parts[:4] ** 2 + parts[4:] ** 2)
     return batches
 
 

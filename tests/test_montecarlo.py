@@ -227,7 +227,41 @@ def test_sndr_reconstruction(k_tx, k_rx, tau, seed):
     assert check.margin <= 1.0, check.detail
 
 
+def test_sndr_reconstruction_needs_a_common_path():
+    # at N_C = 0 y_E's formula is exactly 0 and the synthesized y_E is rounding
+    # (3.5e-30 here): the relative gap divided by 0
+    cfg = SystemConfig(M=64, N_D=12, N_E=8, N_C=0, P_dBm=55.0)
+    with pytest.raises(ValueError, match="N_C"):
+        checks.sndr_reconstruction(cfg, 0.6, 20_000, 5, 3.0)
+
+
 _SYNTH_CFG = SystemConfig(M=64, N_D=12, N_C=6, P_dBm=55.0)  # validate's sndr_reconstruction state
+
+
+@pytest.mark.parametrize("cfg, tau", [
+    (SystemConfig(M=64, N_D=12, N_E=7, N_C=6, P_dBm=55.0), 0.6),
+    (_SYNTH_CFG, 0.6),
+    (SystemConfig(M=128, N_D=12, N_E=60, N_C=6, P_dBm=55.0), 0.6),
+    (_SYNTH_CFG, 1.0),
+], ids=["n_ec_1_rank_1", "n_ec_6", "n_ec_54", "tau_1_no_an"])
+def test_synthesis_z_scores_are_standard_normal(cfg, tau):
+    # the synthesis's law, not one seed's draw: over 40 seeds of one chunk
+    # each, (estimate - formula) / standard error of y_D and of y_E must have
+    # a mean within 5/sqrt(40) of 0 and a standard deviation within
+    # 5/sqrt(80) of 1, 5 standard errors of a standard normal sample's.  Over
+    # seeds 0-1999 the scores read means -0.03 to -0.06, SDs 0.95 to 0.99
+    # and kurtosis 2.9 to 3.2 at each state, and over seeds 10000-17999 at
+    # validate's state means -0.02 to -0.01 and SDs 1.00 to 1.02, so each
+    # band fails a correct synthesis with probability below 1.6e-6 (the
+    # chi-square tail of the SD), and the 16 bands of the four states below
+    # 3e-5 together.  Scaling the AN power by 1.1 moves the mean y_E score
+    # by -3 to -3.6.
+    z = np.array([
+        [(est.value - formula) / est.std_error for est, formula in ((rec.y_d, rec.y_d_formula), (rec.y_e, rec.y_e_formula))]
+        for rec in (empirical_sndr_from_distortion(cfg, tau, montecarlo._SYNTH_CHUNK, seed) for seed in range(40))
+    ])
+    assert np.all(np.abs(z.mean(axis=0)) <= 5.0 / math.sqrt(40)), z.mean(axis=0)
+    assert np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) <= 5.0 / math.sqrt(80)), z.std(axis=0, ddof=1)
 
 
 @pytest.mark.parametrize("n", [2, 1000, montecarlo._SYNTH_CHUNK])
