@@ -130,8 +130,9 @@ def _e1_scaled_integral(zs: np.ndarray) -> np.ndarray:
     bounded by 1, by ``throughput._gk21`` to 1e-14 relative.  Past s =
     log1p(745/z) the integrand is below exp(-745), under the smallest double."""
     zs = np.asarray(zs, float)
+    upper = np.log1p(745.0 / zs)
     return throughput._gk21(lambda s, owner: np.exp(-zs[owner, None] * np.expm1(s)),
-                            0.0, np.log1p(745.0 / zs), 0.0, 1e-14)
+                            np.stack([np.zeros_like(upper), upper], axis=-1), 0.0, 1e-14)
 
 
 def e1_scaled(zs: np.ndarray, tol: float) -> Check:

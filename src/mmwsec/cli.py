@@ -12,7 +12,6 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import pairwise
@@ -442,6 +441,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
             return [made[i][1](p_hat, spec.uv_samples, spec.seed) for i, p_hat in zip(members, walked)]
 
     if workers > 1:
+        # imported here, so that a one-worker sweep does not pay for it at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             evaluated = list(pool.map(evaluate, groups, groups.values()))
     else:

@@ -47,6 +47,9 @@ _EULER_GAMMA = 0.5772156649015329
 _E1_SERIES = [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1)]
 _E1_LEVELS = 10
 _E1_DEPTH = 100
+# arguments per block of the fraction's 91-node tail sum, evaluated in one
+# reused (block x 91) array of 1.5 MB, however many arguments a call has
+_E1_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +63,30 @@ def _e1_scaled(z):
     exp(z); above, 1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))) to level 100.
     """
     z = np.asarray(z, float)
-    small = np.minimum(z, 1.0)
-    series = np.zeros(z.shape)
+    out = np.empty(z.shape)
+    near = z <= 1.0
+    far = ~near
+    small = z[near]
+    series = np.zeros(small.shape)
     for coef in _E1_SERIES:
         series += coef
         series *= small
-    large = np.maximum(z, 1.0)
+    out[near] = (series - _EULER_GAMMA - np.log(small)) * np.exp(small)
+    large = z[far]
     nodes, weights = _laguerre_rule(0, _E1_LEVELS, _E1_DEPTH + 1 - _E1_LEVELS)
-    t = 1.0 / np.sum(weights / (large[..., None] + nodes), axis=-1)
+    tail = np.empty(large.shape)
+    work = np.empty((min(large.size, _E1_BLOCK), nodes.size))
+    for start in range(0, large.size, _E1_BLOCK):
+        part = large[start:start + _E1_BLOCK]
+        block = work[:part.size]
+        np.add(part[:, None], nodes, out=block)
+        np.divide(weights, block, out=block)
+        np.sum(block, axis=1, out=tail[start:start + part.size])
+    t = 1.0 / tail
     for i in range(_E1_LEVELS, 0, -1):
         t = large + (2.0 * i - 1.0) - (i * i) / t
-    return np.where(z <= 1.0, (series - _EULER_GAMMA - np.log(small)) * np.exp(small), 1.0 / t)
+    out[far] = 1.0 / t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +129,12 @@ _GK_MAX_ROUNDS = 50
 _GK_MAX_PANELS = 500
 
 
-def _gk21(f, a, b, epsabs: float, epsrel: float):
-    """Integrals of f from a to b, elementwise over broadcastable a/b arrays.
+def _gk21(f, breaks, epsabs: float, epsrel: float):
+    """Integrals of f over the ascending breakpoints ``breaks`` (integrals
+    x (panels + 1)), elementwise over its leading axes: integral i runs
+    from breaks[i, 0] to breaks[i, -1], starting from the panels between
+    consecutive breakpoints; a plain [a, b] is one panel, and a repeated
+    breakpoint gives no panel.
 
     An adaptive 21-point Gauss-Kronrod rule.  Each round evaluates the new
     panels of every open integral in one call ``f(x, owner)``: x is
@@ -128,25 +148,28 @@ def _gk21(f, a, b, epsabs: float, epsrel: float):
     panels, never on the rest of the batch.  Raises ConvergenceError after
     50 rounds or past 500 panels for one integral.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    width = b - a
-    value = np.empty(a.size)
-    live = np.ones(a.size, bool)
+    breaks = np.asarray(breaks, float)
+    shape = breaks.shape[:-1]
+    breaks = breaks.reshape(-1, breaks.shape[-1])
+    n = len(breaks)
+    width = breaks[:, -1] - breaks[:, 0]
+    value = np.empty(n)
+    live = np.ones(n, bool)
     # evaluated panels of the open integrals, and the panels still to evaluate
     lo, hi, own, val, err = np.empty(0), np.empty(0), np.empty(0, int), np.empty(0), np.empty(0)
-    new_lo, new_hi, new_own = a, b, np.arange(a.size)
+    nonempty = (breaks[:, 1:] > breaks[:, :-1]).ravel()
+    new_lo, new_hi = breaks[:, :-1].ravel()[nonempty], breaks[:, 1:].ravel()[nonempty]
+    new_own = np.repeat(np.arange(n), breaks.shape[1] - 1)[nonempty]
     for _ in range(_GK_MAX_ROUNDS):
         half = 0.5 * (new_hi - new_lo)
         fx = f((new_lo + half)[:, None] + half[:, None] * _GK_NODES, new_own)
         lo, hi, own = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi]), np.concatenate([own, new_own])
         val = np.concatenate([val, (fx * _GK_WEIGHTS).sum(axis=1) * half])
         err = np.concatenate([err, np.abs((fx * _GK_GAP).sum(axis=1)) * half])
-        total = np.bincount(own, val, a.size)
+        total = np.bincount(own, val, n)
         tol = np.maximum(epsabs, epsrel * np.abs(total))
         # written so that a NaN estimate keeps its integral open
-        settled = live & (np.bincount(own, err, a.size) <= tol)
+        settled = live & (np.bincount(own, err, n) <= tol)
         value[settled] = total[settled]
         live &= ~settled
         if not live.any():
@@ -719,6 +742,33 @@ def _gamma_cap(shape: int) -> float:
     return float(bracketed_roots(log_q_excess, lo, hi, log_q_excess(lo), log_q_excess(hi))[0])
 
 
+# the first breakpoints of an MRT integral's span as fractions of it: four
+# halvings toward its start, so panels grow geometrically from there
+_HALVINGS = np.concatenate([[0.0], np.ldexp(1.0, -np.arange(4, -1, -1))])
+# the dyadic fractions cap*2^-j, j < _CUT_LEVELS, where the outer cut may fall
+_CUT_LEVELS = 128
+
+
+def _mrt_panels(s: _MrtScales, count: int, n_c: int, n_dc: int) -> np.ndarray:
+    """First breakpoints of the MRT integrals over the common gain y, one
+    row per configuration: the halvings of [0, y_s], then [y_s, cap].
+
+    The cut y_s is the smallest dyadic fraction cap*2^-j from which on the
+    transmit threshold beta(y) exceeds n_dc + 40, so that past it the
+    kernel's Poisson(beta) weights at k < n_dc lie deep in their tail;
+    y_s = cap where beta(cap) does not.  beta is concave in y with
+    beta(0) = 0, so it exceeds the level on one interval, and the cut
+    ends the run of fractions from j = 0 inside it.  A kernel that sits near y = 0 at high power then meets
+    nodes on its own scale in the first round, where one panel [0, cap]
+    put its lowest node past it and settled on zeros."""
+    cap = _gamma_cap(n_c)
+    fractions = np.ldexp(cap, -np.arange(_CUT_LEVELS))
+    above = np.atleast_2d(s.rows(np.arange(count)).threshold(fractions) > n_dc + 40.0)
+    run = np.logical_and.accumulate(above, axis=1).sum(axis=1)
+    y_s = np.ldexp(cap, -np.maximum(run - 1, 0))
+    return np.column_stack([y_s[:, None] * _HALVINGS, np.full(count, cap)])
+
+
 def mrt_throughput_closed_form(cfg: SystemConfig | Sequence[SystemConfig]) -> float | np.ndarray:
     """Expected MRT secrecy throughput via the exponential-integral sum, of
     one configuration (a float) or of each of a sequence sharing N_C and
@@ -732,7 +782,7 @@ def mrt_throughput_closed_form(cfg: SystemConfig | Sequence[SystemConfig]) -> fl
         raise ValueError("closed form needs N_C >= 1 and N_D - N_C >= 1")
     s = _bar_scales(cfg)
     values = _gk21(lambda y, owner: _mrt_kernel(y, s.rows(owner), n_c, n_dc),
-                   np.zeros(len(cfgs)), _gamma_cap(n_c), 1e-12, 1e-9)
+                   _mrt_panels(s, len(cfgs), n_c, n_dc), 1e-12, 1e-9)
     return float(values[0]) if one else values
 
 
@@ -753,13 +803,14 @@ def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
     def outer(y, _):
         g_hat = y.ravel()
         beta = np.maximum(0.0, s.threshold(g_hat))
+        span = np.maximum(x_cap, beta * 4.0 + 40.0) - beta
         inner = _gk21(
             lambda x, node: _gamma_pdf(x, n_dc) * s.rate(g_hat[node, None], x),
-            beta, np.maximum(x_cap, beta * 4.0 + 40.0), 1e-12, 1e-9,
+            beta[:, None] + span[:, None] * _HALVINGS, 1e-12, 1e-9,
         )
         return _gamma_pdf(y, n_c) * inner.reshape(y.shape)
 
-    return float(_gk21(outer, 0.0, _gamma_cap(n_c), 1e-12, 1e-8))
+    return float(_gk21(outer, _mrt_panels(s, 1, n_c, n_dc), 1e-12, 1e-8)[0])
 
 
 def _mrt_throughput_no_common(cfg: SystemConfig | Sequence[SystemConfig]) -> float | np.ndarray:
@@ -776,7 +827,7 @@ def _mrt_throughput_no_common(cfg: SystemConfig | Sequence[SystemConfig]) -> flo
         at = s.rows(owner)
         return _gamma_pdf(g, n_d) * at.rate(0.0, g)
 
-    values = _gk21(integrand, np.zeros(len(cfgs)), _gamma_cap(n_d), 1e-12, 1e-9)
+    values = _gk21(integrand, np.tile([0.0, _gamma_cap(n_d)], (len(cfgs), 1)), 1e-12, 1e-9)
     return float(values[0]) if one else values
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
@@ -49,10 +51,11 @@ def test_e1_scaled_against_mpmath():
     # both branches: the power series up to z = 1, the continued fraction
     # above; z = 1e-12 is deep in the -gamma - ln(z) limit, z = 700 is where
     # exp(-z) nears the double underflow.  One array call over the grid,
-    # equal bit for bit to the calls on each 0-d element.
+    # equal bit for bit to the calls on each 0-d element and to a 3-d call.
     zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [1.0, np.nextafter(1.0, 2.0), 5.0, 700.0]])
     got = throughput._e1_scaled(zs)
     assert got.shape == zs.shape
+    assert np.array_equal(throughput._e1_scaled(zs[:300].reshape(3, 10, 10)), got[:300].reshape(3, 10, 10))
     with mpmath.workdps(40):
         for z, value in zip(zs, got):
             zm = mpmath.mpf(float(z))
@@ -755,25 +758,43 @@ def test_gk21_gamma_mass_matches_gammainc(rng):
     shapes = rng.integers(1, 40, 60).astype(float)
     lo = rng.uniform(0.0, 60.0, 60)
     hi = lo + rng.uniform(0.0, 80.0, 60)
-    got = throughput._gk21(_gamma_mass(shapes), lo, hi, 1e-14, 1e-12)
+    got = throughput._gk21(_gamma_mass(shapes), np.stack([lo, hi], axis=-1), 1e-14, 1e-12)
     ref = special.gammainc(shapes, hi) - special.gammainc(shapes, lo)
     assert got.shape == lo.shape
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_gk21_batch_equals_each_integral_alone(rng):
-    # a (3 x 4) batch with broadcast limits against 12 one-integral calls,
-    # each within its own tolerance
+    # a (3 x 4) batch of integrals, each from its own three panels, against
+    # 12 one-integral calls: each gets the bits it gets alone
     shapes = rng.integers(1, 20, 12).astype(float)
     lo = rng.uniform(0.0, 10.0, (3, 1))
     hi = lo + rng.uniform(0.5, 60.0, (1, 4))
-    epsabs, epsrel = 1e-12, 1e-9
-    batch = throughput._gk21(_gamma_mass(shapes), lo, hi, epsabs, epsrel)
+    breaks = lo[..., None] + (hi - lo)[..., None] * np.array([0.0, 0.1, 0.4, 1.0])
+    batch = throughput._gk21(_gamma_mass(shapes), breaks, 1e-12, 1e-9)
     assert batch.shape == (3, 4)
-    for i, (a, b) in enumerate(zip(np.broadcast_to(lo, (3, 4)).ravel(), np.broadcast_to(hi, (3, 4)).ravel())):
-        alone = throughput._gk21(_gamma_mass(shapes[i : i + 1]), a, b, epsabs, epsrel)
+    for i, row in enumerate(breaks.reshape(12, 4)):
+        alone = throughput._gk21(_gamma_mass(shapes[i : i + 1]), row, 1e-12, 1e-9)
         assert alone.shape == ()
-        assert abs(batch.flat[i] - alone) <= max(epsabs, epsrel * abs(alone))
+        assert alone == batch.flat[i]
+        assert abs(alone - special.gammainc(shapes[i], row[-1]) + special.gammainc(shapes[i], row[0])) <= 1e-11
+
+
+def test_gk21_starts_from_the_given_panels():
+    # exp(-x/1e-4) on [0, 23]: from the one panel [0, 23] every node reads
+    # below exp(-400), so the rule settles on 0; from breakpoints on the
+    # kernel's scale it finds 1e-4.  A repeated breakpoint adds no panel.
+    panels = []
+
+    def spike(x, owner):
+        panels.append(x.shape[0])
+        return np.exp(-x / 1e-4)
+
+    assert throughput._gk21(spike, np.array([0.0, 23.0]), 1e-30, 1e-9) < 1e-150
+    panels.clear()
+    got = throughput._gk21(spike, np.array([0.0, 1e-3, 1e-3, 4e-3, 23.0]), 1e-30, 1e-9)
+    assert panels[0] == 3
+    assert got == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_gk21_raises_when_an_integral_cannot_settle():
@@ -783,7 +804,7 @@ def test_gk21_raises_when_an_integral_cannot_settle():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
-            throughput._gk21(lambda x, _: 1.0 / x, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-12, 1e-9)
+            throughput._gk21(lambda x, _: 1.0 / x, np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-12, 1e-9)
 
 
 def test_library_loads_no_scipy():
@@ -818,7 +839,7 @@ def test_mrt_closed_form_weights_do_not_overflow():
     # beta^k/k! overflowed at a large threshold beta and a large N_D - N_C:
     # "overflow encountered in power", then a NaN kernel and a
     # ConvergenceError.  In log space both configurations are finite; the
-    # value they read (0.0) is not asserted here
+    # value they read is not asserted here
     for kw in (dict(N_D=60, N_C=4, P_dBm=100.0), dict(N_D=98, N_C=1, P_dBm=129.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -829,6 +850,58 @@ def test_mrt_closed_form_weights_do_not_overflow():
         cfg = SystemConfig(M=200, N_E=20, **kw)
         closed, direct = mrt_throughput_closed_form(cfg), throughput.mrt_throughput_quad2d(cfg)
         assert abs(closed - direct) <= 1e-6 * abs(direct), kw
+
+
+# kernels that sit near y = 0: at high power with one common path the
+# outer integrand is below 1e-37 from y = 0.05 on.  Both routes once
+# started from the one panel [0, cap], whose lowest node lies near y =
+# 0.05, and settled on its zeros, reading 6.5e-39, 6.4e-21 and 0.0
+_NEAR_ZERO_KERNELS = {
+    "M79_80dBm": SystemConfig(M=79, N_D=53, N_E=5, N_C=1, k_tx=0.0, k_rx=0.47, R_s=9.18,
+                              epsilon=0.0027, d_D_m=24.7, d_E_m=193.9, P_dBm=80.0),
+    "fig6_nc1_90dBm": SystemConfig(M=100, N_D=20, N_C=1, epsilon=0.01, k_tx=0.1, k_rx=0.1, P_dBm=90.0),
+    "fig6_nc1_100dBm": SystemConfig(M=100, N_D=20, N_C=1, epsilon=0.01, k_tx=0.1, k_rx=0.1, P_dBm=100.0),
+}
+
+
+@pytest.mark.parametrize("name", _NEAR_ZERO_KERNELS)
+def test_mrt_integrals_find_a_kernel_near_zero(name):
+    # both routes against the estimator at 200,000 draws, within 4 of its
+    # standard errors (about 3e-4 at 90 dBm, 1.2e-4 at 100)
+    cfg = _NEAR_ZERO_KERNELS[name]
+    est = avg_throughput_mrt(cfg, 200_000, 2024)
+    for route in (mrt_throughput_closed_form, throughput.mrt_throughput_quad2d):
+        assert abs(route(cfg) - est.value) <= 4.0 * est.std_error, route.__name__
+
+
+def _log_grid_integral(cfg: SystemConfig, points: int) -> float:
+    """The closed form's integral of ``_mrt_kernel`` over y in cap*[1e-16, 1]
+    by the composite Simpson rule on ``points`` (odd) nodes in s = ln y,
+    int K(y) dy = int K(e^s) e^s ds.  The grid starts above y = 0, where the
+    kernel divides by zero; below it the kernel adds at most about 1e-14."""
+    s = np.linspace(math.log(1e-16), 0.0, points)
+    y = throughput._gamma_cap(cfg.N_C) * np.exp(s)
+    f = throughput._mrt_kernel(y, throughput._bar_scales(cfg), cfg.N_C, cfg.n_dc) * y
+    return (s[1] - s[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+@st.composite
+def _few_common_path_configs(draw):
+    n_c = draw(st.integers(1, 4))
+    return SystemConfig(
+        M=100, N_C=n_c, N_D=n_c + draw(st.integers(1, 30)), N_E=n_c + draw(st.integers(0, 30)),
+        P_dBm=draw(st.floats(-20.0, 130.0)), k_tx=draw(st.floats(0.0, 0.5)), k_rx=draw(st.floats(0.0, 0.5)),
+        epsilon=draw(st.floats(1e-3, 0.5)), d_D_m=draw(st.floats(10.0, 300.0)), d_E_m=draw(st.floats(10.0, 300.0)),
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(cfg=_few_common_path_configs())
+def test_mrt_closed_form_matches_a_dense_log_grid(cfg):
+    # 30 examples on a 4,001-node grid, whose Simpson sum is within 6e-8
+    # relative (or 1e-14) of a 64,001-node one on each of them
+    closed, grid = mrt_throughput_closed_form(cfg), _log_grid_integral(cfg, 4001)
+    assert abs(closed - grid) <= max(1e-6 * abs(grid), 1e-12), (closed, grid)
 
 
 def test_mrt_closed_form_matches_quad2d_across_configs(rng):
