@@ -136,18 +136,23 @@ def _fmt(x) -> str:
 # sweep cells
 #
 # A cell's draws depend only on (seed, N_C, n_dc, n_ec, trials, uv_samples):
-# its channel gains come from the Philox stream ``as_rng(seed)``, and its
-# u/v blocks from a SFC64 stream of its own, ``walk_rng(seed, N_C, n_dc,
-# n_ec)``, one block per state that carries a Monte-Carlo event, so the
-# j-th such state of every cell meets the j-th block.  Cells that share a
-# draw key therefore share one gain draw and one walk of the u/v stream.
+# its channel gains come from the Philox stream ``as_rng(seed)``, shared
+# by the cells of one draw key (N_C, n_dc), and its u/v blocks from the
+# seed's walk streams ``walk_rng(seed, level)``: u ~ Exp(1), and the
+# canonical levels G_b ~ Gamma(2^b), of which a cell with n_ec = n sums
+# those of the set bits of n into its v ~ Gamma(n).  Every stream draws
+# one chunk per block from block 0, and the j-th state that carries a
+# Monte-Carlo event of every cell meets block j, so a cell meets the
+# numbers it meets alone, and the cells of one spec share u and the
+# levels of their v whatever their N_C: common random numbers, so the
+# rows of one run are correlated by design.
 # ``_sop_cells`` and ``_throughput_cells`` take all SOP or all throughput
 # cells of a spec as one stacked batch (``_stack_cells``), each cell with
-# its group's gains, and turn them into each cell's per-state columns
+# its draw key's gains, and turn them into each cell's per-state columns
 # (alpha, beta, thr) of its event, y_E above a per-state threshold, plus a
 # ``finish`` that builds the row from the walk's per-state hit rates;
 # ``_gate`` alone turns those rates into the row's value and tolerance.
-# ``_mrt_cells`` takes a group's MRT cells as one batch too: one
+# ``_mrt_cells`` takes a draw key's MRT cells as one batch too: one
 # closed-form call and one estimator call that draws the shared gains
 # once; MRT rows have no outage event, so no u/v stream is walked.
 # The denominator (1-tau)*b*v + tau*c*u + 1 of y_E is positive, so
@@ -158,10 +163,11 @@ def _fmt(x) -> str:
 # hits when alpha <= 0, beta >= 0 and thr >= 0, and it always hits when
 # alpha >= 0, beta <= 0 and thr < 0 with alpha and beta finite.  Without
 # common paths a = c = 0, so alpha = tau*(0 - thr*0) = +0 and beta has the
-# sign of thr: every event of an N_C = 0 group is decided, and the group
-# never walks.  Open events take one of two tests.  At tau = 1 beta*v is
-# a zero and the event is alpha*u > thr.  Rounding to nearest is monotone,
-# so with finite alpha > 0 the product fl(alpha*u) never falls as u grows:
+# sign of thr: every event of an N_C = 0 cell is decided, and the cell
+# adds nothing to the walk.  Open events take one of two tests.  At
+# tau = 1 beta*v is a zero and the event is alpha*u > thr.  Rounding to
+# nearest is monotone, so with finite alpha > 0 the product fl(alpha*u)
+# never falls as u grows:
 # for the cutoff t with fl(alpha*t) <= thr < fl(alpha*nextafter(t, inf)),
 # u <= t gives fl(alpha*u) <= thr and u > t gives fl(alpha*u) > thr, and
 # the event is exactly u > t.  Events without a cutoff (alpha < 0,
@@ -209,7 +215,7 @@ def _sop_cells(cells: list[tuple], split_policy: str):
     finish) pair per cell.
 
     The cells' states form one stacked batch with a per-state R_s and
-    n_ec, whatever draw group each cell belongs to: one split-optimizer
+    n_ec, whatever draw key each cell has: one split-optimizer
     call over the an_opa cells' states with tau_min < 1 and one
     ``sop_overall`` call at the chosen splits.  Every step is
     elementwise, so a cell gets the numbers it would get alone.  The
@@ -264,7 +270,7 @@ def _throughput_cells(cells: list[tuple]):
     throughput of the opa or equal-power split over the cell's gains,
     paired with the realized outage at the designed rate, as one (event
     columns, finish) pair.  The cells form one stacked batch with a
-    per-state n_ec and epsilon, whatever draw group each cell belongs to
+    per-state n_ec and epsilon, whatever draw key each cell has
     (one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
     sizes, offsets, coeffs, (n_ec, eps) = _stack_cells(cells, ("n_ec", "epsilon"))
     opa = np.repeat([scheme == "opa" for scheme, *_ in cells], sizes)
@@ -301,7 +307,7 @@ def _throughput_cells(cells: list[tuple]):
 
 
 def _mrt_cells(cells: list[tuple[str, SystemConfig]], trials: int, seed: int) -> list[dict]:
-    """Per (scheme, config) cell of one draw group: the average MRT secrecy
+    """Per (scheme, config) cell of one draw key: the average MRT secrecy
     throughput by quadrature, checked against its own Monte-Carlo
     estimator.  One closed-form call integrates every cell as one batch
     and one estimator call draws the gains once for all of them; a cell
@@ -346,111 +352,132 @@ def _tau1_cutoffs(alpha: np.ndarray, beta: np.ndarray, thr: np.ndarray) -> tuple
     return cut, np.where(cut, t, thr)
 
 
-def _walk_uv(rng, n_ec: int, uv_samples: int, cells: list[np.ndarray]) -> list[np.ndarray]:
-    """Walk one draw group's u/v stream once, over the events its draws
-    can change, and return each cell's per-state hit rates.
+def _walk_uv(stream, uv_samples: int, cells: list[np.ndarray], n_ec: list[int]) -> list[np.ndarray]:
+    """Walk a spec's u/v streams once, over the events their draws can
+    change, and return each cell's per-state hit rates.
 
     ``cells`` holds each cell's (3 x states) event columns (alpha, beta,
-    thr) from ``_event_columns``; block j meets the j-th state of every
-    cell that has one.  An event whose signs decide it gets 0 or
-    ``uv_samples`` hits before the walk.  A block tests its open events
-    as one (events x uv) array and counts hits over the mask's bytes: the
-    products alpha*u - beta*v > thr, then the events with a cutoff
-    (``_tau1_cutoffs``), which compare u with it.  The walk stops after
-    the last block with an open event, so a group without one draws
-    nothing.  ``rng`` is any numpy Generator; a sweep passes its group's
-    SFC64 ``montecarlo.walk_rng``, which no other draw touches.
-    ``standard_exponential`` and ``standard_gamma`` draw the same numbers
-    as ``exponential(1.0)`` and ``gamma(n_ec, 1.0)``.
+    thr) from ``_event_columns``, and ``n_ec`` each cell's N_E - N_C.
+    ``stream(level)`` is a stream's numpy Generator: ``None`` draws u,
+    and level b the canonical G_b ~ Gamma(2^b); a sweep passes its seed's
+    ``montecarlo.walk_rng``.  Block j meets the j-th state of every cell
+    that has one, and draws chunk j of ``uv_samples`` from u and from each
+    level that its events need (``standard_gamma(1.0)`` draws the
+    exponential's numbers).  An event of a cell with n_ec = n meets
+    v = sum of G_b over the set bits b of n, added in ascending b, which
+    is Gamma(n) by Gamma additivity; so a cell meets the numbers it meets
+    alone.  An event whose signs decide it gets 0 or ``uv_samples`` hits
+    before the walk.  A block tests its open events in segments: those
+    with a cutoff (``_tau1_cutoffs``), which compare u with it, then the
+    products alpha*u - beta*v > thr of each n_ec in turn, in buffers of
+    one segment's size; it counts hits over the mask's bytes.  The walk
+    draws u, and each level that some product adds, up to the last block
+    with an open event, so a spec without an open event draws nothing.
     """
-    counts = [cols.shape[1] for cols in cells]
-    stacked = np.zeros((3, len(cells), max(counts)))  # the zero padding never hits
-    for i, cols in enumerate(cells):
-        stacked[:, i, : counts[i]] = cols
-    alpha, beta, thr = stacked
+    offsets = np.cumsum([0, *(cols.shape[1] for cols in cells)])
+    alpha, beta, thr = np.concatenate([np.empty((3, 0)), *cells], axis=1)
     never = (alpha <= 0.0) & (beta >= 0.0) & (thr >= 0.0)
     always = (alpha >= 0.0) & np.isfinite(alpha) & np.isfinite(beta) & (beta <= 0.0) & (thr < 0.0)
     hits = np.where(always, uv_samples, 0)
-    cell, block = np.nonzero(~(never | always))
-    alpha, beta, thr = stacked[:, cell, block]
-    cut, bound = _tau1_cutoffs(alpha, beta, thr)
-    # open events block by block: the products, then those tested on u
-    # alone; block j holds rows edges[2j]:edges[2j+2], and its products
-    # end at edges[2j+1]
-    key = 2 * block + cut
+    events = np.flatnonzero(~(never | always))
+    cut, bound = _tau1_cutoffs(alpha[events], beta[events], thr[events])
+    # open events block by block, each block in segments of one n_ec: its
+    # events tested on u alone (n = 0), then the products of each n_ec
+    cell = np.searchsorted(offsets[1:], events, side="right")
+    width = max(n_ec, default=0) + 1
+    key = (events - offsets[cell]) * width + np.where(cut, 0, np.asarray(n_ec, int)[cell])
     order = np.argsort(key, kind="stable")
-    cell, block, alpha, beta, bound = cell[order], block[order], alpha[order, None], beta[order, None], bound[order, None]
-    edges = np.searchsorted(key[order], np.arange(2 * block[-1] + 3 if block.size else 1)).tolist()
-    open_hits = np.empty(len(cell), np.uint32)  # uv_samples < 2**32: a longer sample vector takes 32 GiB
-    width = max(np.diff(edges[::2]), default=0)
-    u, v = np.empty((2, uv_samples))
-    au, bv = np.empty((2, width, uv_samples))
-    hit = np.empty((width, uv_samples), bool)
-    for lo, mul_end, hi in zip(edges[:-1:2], edges[1::2], edges[2::2]):
-        rng.standard_exponential(out=u)
-        rng.standard_gamma(n_ec, out=v)
-        lhs = np.multiply(alpha[lo:mul_end], u, out=au[: mul_end - lo])
-        np.subtract(lhs, np.multiply(beta[lo:mul_end], v, out=bv[: mul_end - lo]), out=lhs)
-        np.greater(lhs, bound[lo:mul_end], out=hit[: mul_end - lo])
-        np.greater(u, bound[mul_end:hi], out=hit[mul_end - lo : hi - lo])
+    events, key = events[order], key[order]
+    alpha, beta, bound = alpha[events, None], beta[events, None], bound[order, None]
+    # each segment's first row, then the end
+    edges = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)] if len(key) else [0]
+    seg_block, seg_n = np.divmod(key[edges[:-1]], width)
+    depth = int(seg_block[-1]) + 1 if len(key) else 0
+    block_edges = np.searchsorted(key, width * np.arange(depth + 1)).tolist()
+    used = int(np.bitwise_or.reduce(seg_n, initial=0))  # bit b set: some product adds level b
+    level = {b: np.empty(uv_samples) for b in range(used.bit_length()) if used >> b & 1}
+    draws = [(stream(b), 2.0**b, g) for b, g in level.items()]
+    # per segment the level rows its v adds, in ascending b; none for u alone
+    adds = {n: tuple(g for b, g in level.items() if n >> b & 1) for n in set(seg_n.tolist())}
+    segments = [[] for _ in range(depth)]
+    for j, n, lo, hi in zip(seg_block.tolist(), seg_n.tolist(), edges, edges[1:]):
+        segments[j].append((lo, hi, adds[n]))
+    u_rng, (u, v) = stream(None), np.empty((2, uv_samples))
+    au, bv = np.empty((2, np.diff(edges)[seg_n > 0].max(initial=0), uv_samples))
+    hit = np.empty((np.diff(block_edges).max(initial=0), uv_samples), bool)
+    open_hits = np.empty(len(key), np.uint32)  # uv_samples < 2**32: a longer sample vector takes 32 GiB
+    for j, (lo, hi) in enumerate(pairwise(block_edges)):
+        u_rng.standard_exponential(out=u)
+        for rng, shape, g in draws:
+            rng.standard_gamma(shape, out=g)
+        for s_lo, s_hi, rows_v in segments[j]:
+            rows = hit[s_lo - lo : s_hi - lo]
+            if not rows_v:
+                np.greater(u, bound[s_lo:s_hi], out=rows)
+                continue
+            sum_v = rows_v[0]
+            for g in rows_v[1:]:
+                sum_v = np.add(sum_v, g, out=v)
+            lhs = np.multiply(alpha[s_lo:s_hi], u, out=au[: s_hi - s_lo])
+            np.subtract(lhs, np.multiply(beta[s_lo:s_hi], sum_v, out=bv[: s_hi - s_lo]), out=lhs)
+            np.greater(lhs, bound[s_lo:s_hi], out=rows)
         hit[: hi - lo].view(np.uint8).sum(axis=1, dtype=np.uint32, out=open_hits[lo:hi])
-    hits[cell, block] = open_hits
+    hits[events] = open_hits
     p_hat = hits / uv_samples
-    return [p_hat[i, :m] for i, m in enumerate(counts)]
+    return [p_hat[lo:hi] for lo, hi in pairwise(offsets.tolist())]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate every (value, variant, scheme) cell of a sweep.
 
-    Cells are grouped by their draw key (N_C, n_dc, n_ec; the seed and
-    budgets are the spec's), and a walked mode runs in three stages.
-    Stage 1 draws each group's channel gains once from ``spec.seed``.
+    Cells with the same draw key (N_C, n_dc; the seed and budgets are the
+    spec's) share one draw of channel gains, from ``spec.seed``.  A walked
+    mode runs in three stages.  Stage 1 draws each key's gains once.
     Stage 2 turns every cell of the spec into its event columns in one
     stacked batch (``_sop_cells`` or ``_throughput_cells``), each state
-    with its own group's gains and n_ec.  Stage 3 walks each group's own
-    u/v stream of the seed and the draw key once, evaluating every cell of
-    the group block by block as one array.  A cell gets exactly the
-    numbers it would draw alone, so sweeps share common random numbers.
-    A group of MRT throughput cells is one batch of stage 3 instead: one
-    closed-form integration and one draw of its estimator's gains from
-    ``spec.seed``, at its own oversampled budget.  ``workers`` threads
-    run stage 3's walks and MRT groups in parallel; rows come back in cell
-    order and their bytes do not depend on the worker count.
+    with its own gains and n_ec.  Stage 3 walks the spec's u/v streams of
+    the seed once (``_walk_uv``), evaluating every cell block by block.
+    A cell gets exactly the numbers it would draw alone, so sweeps share
+    common random numbers, and the cells of one sweep share u and the
+    levels of their v whatever their N_C.  A throughput_mrt spec instead
+    evaluates each draw key's cells as one batch: one closed-form
+    integration and one draw of its estimator's gains from ``spec.seed``,
+    at its own oversampled budget.  ``workers`` threads run those batches
+    in parallel; rows come back in cell order and their bytes do not
+    depend on the worker count.
     """
     jobs = spec.cells()
     groups: dict[tuple, list[int]] = {}
     for i, (_, _, _, cfg) in enumerate(jobs):
-        groups.setdefault((cfg.N_C, cfg.n_dc, cfg.n_ec), []).append(i)
+        groups.setdefault((cfg.N_C, cfg.n_dc), []).append(i)
 
     if spec.mode == "throughput_mrt":
-        def evaluate(key, members):
+        def evaluate(members):
             return _mrt_cells([jobs[i][2:] for i in members], spec.trials, spec.seed)
+
+        if workers > 1:
+            # imported here, so that a one-worker sweep does not pay for it at start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                evaluated = list(pool.map(evaluate, groups.values()))
+        else:
+            evaluated = list(map(evaluate, groups.values()))
+        cells = {}
+        for members, results in zip(groups.values(), evaluated):
+            cells.update(zip(members, results))
     else:
         gains = {}
-        for (n_c, n_dc, _), members in groups.items():
+        for (n_c, n_dc), members in groups.items():
             gains.update(dict.fromkeys(members, sample_gains(n_c, n_dc, spec.trials, montecarlo.as_rng(spec.seed))))
         batch = [(scheme, cfg, *gains[i]) for i, (_, _, scheme, cfg) in enumerate(jobs)]
         if spec.mode in ("sop_fixed_rate", "sop_opa"):
             made = _sop_cells(batch, "min_sop" if spec.mode == "sop_fixed_rate" else "phi_mean")
         else:
             made = _throughput_cells(batch)
-
-        def evaluate(key, members):
-            rng = montecarlo.walk_rng(spec.seed, *key)
-            walked = _walk_uv(rng, key[2], spec.uv_samples, [made[i][0] for i in members])
-            return [made[i][1](p_hat, spec.uv_samples, spec.seed) for i, p_hat in zip(members, walked)]
-
-    if workers > 1:
-        # imported here, so that a one-worker sweep does not pay for it at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, groups, groups.values()))
-    else:
-        evaluated = list(map(evaluate, groups, groups.values()))
-    cells = {}
-    for members, results in zip(groups.values(), evaluated):
-        cells.update(zip(members, results))
+        walked = _walk_uv(partial(montecarlo.walk_rng, spec.seed), spec.uv_samples,
+                          [cols for cols, _ in made], [cfg.n_ec for *_, cfg in jobs])
+        cells = [finish(p_hat, spec.uv_samples, spec.seed) for (_, finish), p_hat in zip(made, walked)]
 
     rows = []
     for i, (value, overrides, scheme, cfg) in enumerate(jobs):
@@ -754,7 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=None, help="channel draws per sweep point")
     sweep.add_argument("--uv-samples", type=int, default=None,
                        help="eavesdropper samples per draw for the MC columns")
-    sweep.add_argument("--workers", type=int, default=1, help="draw groups walked in parallel (at least 1)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="threads over a throughput_mrt sweep's draw keys (at least 1); "
+                       "the other modes walk their u/v streams once per sweep")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     sweep.set_defaults(parser=sweep)
 

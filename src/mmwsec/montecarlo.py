@@ -63,18 +63,19 @@ def _sfc64(entropy, spawn_key: tuple = ()) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy, spawn_key=spawn_key)))
 
 
-def walk_rng(seed: int, n_c: int, n_dc: int, n_ec: int) -> np.random.Generator:
-    """The SFC64 generator of a sweep draw group's u/v walk: a stream of
-    its own for the 64-bit seed and the group's path counts, apart from
-    the group's ``as_rng(seed)`` gains."""
-    return _sfc64([int(seed) & 0xFFFFFFFFFFFFFFFF, n_c, n_dc, n_ec])
+def walk_rng(seed: int, level: int | None) -> np.random.Generator:
+    """The SFC64 generator of one stream of a sweep's u/v walk:
+    ``SeedSequence(seed mod 2^64, spawn_key=(0, 0))`` draws u ~ Exp(1) for
+    ``level=None``, and ``spawn_key=(0, b + 1)`` the canonical level
+    G_b ~ Gamma(2^b) for ``level=b``.  Its two-word spawn key keeps it
+    apart from every estimator chunk's one-word key and from the sweep's
+    ``as_rng(seed)`` gains."""
+    return _sfc64(int(seed) & 0xFFFFFFFFFFFFFFFF, (0, 0 if level is None else level + 1))
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     """The SFC64 generator of an estimator's chunk: ``SeedSequence(seed
-    mod 2^64, spawn_key=(chunk,))``.  A spawn key, not the list ``[seed,
-    chunk]``: SeedSequence pads short entropy with zeros, so that list
-    would name ``walk_rng(seed, chunk, 0, 0)``'s stream."""
+    mod 2^64, spawn_key=(chunk,))``."""
     return _sfc64(int(seed) & 0xFFFFFFFFFFFFFFFF, (chunk,))
 
 

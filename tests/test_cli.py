@@ -1,16 +1,17 @@
-import copy
 import csv
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from conftest import walk_uv_reference
+from conftest import philox_streams, walk_uv_reference
 from mmwsec import cli, montecarlo, throughput
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import SystemConfig
@@ -116,7 +117,7 @@ def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
 
 
 def test_mrt_rows_equal_the_one_config_calls():
-    # _mrt_cells evaluates a draw group's MRT cells as one batch; each fig6
+    # _mrt_cells evaluates a draw key's MRT cells as one batch; each fig6
     # row carries exactly the one-config closed form and estimate
     (spec,) = [s for s in cli.preset_specs("fig6", trials=5, seed=11) if s.mode == "throughput_mrt"]
     rows = cli.run_sweep(spec)
@@ -191,9 +192,10 @@ def test_sweep_workers_do_not_change_rows():
 
 
 def test_grouped_sweep_matches_one_cell_sweeps():
-    # a sweep draws once per path-count group and walks the group's u/v
-    # stream once; a one-value, one-variant sweep is a group of its own, so
-    # the grouped rows must equal the concatenated one-cell rows byte for byte
+    # a sweep draws once per path-count pair and walks its u/v streams once;
+    # a one-value, one-variant sweep walks its cell alone, so the grouped
+    # rows must equal the concatenated one-cell rows byte for byte.  The
+    # last spec's n_ec 7, 6, 3 and 2 share the levels G_0, G_1 and G_2
     sop_base = SystemConfig(P_dBm=55.0, R_s=4.0)
     sop_variants = [{"k_tx": 0.1, "k_rx": 0.1}, {"P_dBm": 44.0}, {"R_s": 6.0}, {"P_dBm": 30.0}]
     rate_base = SystemConfig(P_dBm=55.0, epsilon=0.01)
@@ -204,6 +206,7 @@ def test_grouped_sweep_matches_one_cell_sweeps():
         ("sop_opa", sop_base, [0, 4, 10], sop_variants),
         ("throughput_opa", rate_base, [0, 8, 16], rate_variants),
         ("throughput_equal_power", rate_base, [0, 8, 16], rate_variants),
+        ("sop_fixed_rate", sop_base, [13, 14, 17, 18], [{}, {"k_tx": 0.1, "k_rx": 0.1}]),
     )
     for mode, base, values, variants in cases:
         spec = cli.SweepSpec(mode=mode, swept_key="N_C", values=values, base=base,
@@ -218,6 +221,9 @@ def test_grouped_sweep_matches_one_cell_sweeps():
         text = cli.render_csv([spec], grouped)
         assert text == cli.render_csv([spec], one_cell), mode
         assert text == cli.render_csv([spec], cli.run_sweep(spec, workers=2)), mode
+        if values[0] != 0:
+            assert {row["N_C"] for row in grouped if 0.0 < row["mc_value"] < 1.0} == set(values)
+            continue
         # the groups hold N_C = 0, cells with no Monte-Carlo state, and cells
         # whose states leave the walk at different blocks
         assert any(row["N_C"] == 0 for row in grouped)
@@ -233,11 +239,13 @@ def test_walk_counts_the_sndr_event():
     # states cover tau = 1, a = 0, c = 0, thr < 0 and thr = 0; the other
     # thresholds sit within 1e-12 relative of one sampled y_E, and the
     # cells leave the walk at different blocks.  An N_C = 0 group never
-    # walks (test_walk_without_open_events_draws_nothing).
+    # walks (test_walk_without_open_events_draws_nothing).  n_ec = 5 meets
+    # v = G_0 + G_2, the levels Gamma(1) and Gamma(4)
     depth, uv, n_ec = 1500, 40, 5
     rng = np.random.Generator(np.random.Philox(4711))
-    ahead = np.random.Generator(np.random.Philox(4712))  # the walk's blocks, in its draw order
-    blocks = [(ahead.exponential(1.0, uv), ahead.gamma(n_ec, 1.0, uv)) for _ in range(depth)]
+    ahead = philox_streams(4712)  # the walk's streams, drawn block by block
+    u_rng, g_0, g_2 = ahead(None), ahead(0), ahead(2)
+    blocks = [(u_rng.exponential(1.0, uv), g_0.gamma(1.0, 1.0, uv) + g_2.gamma(4.0, 1.0, uv)) for _ in range(depth)]
     u, v = (np.array(x) for x in zip(*blocks))
     cells, refs = [], []
     for m in (depth, depth - 300, 700, 1, 0, depth):
@@ -253,7 +261,7 @@ def test_walk_counts_the_sndr_event():
         thr[kind == 4] = 0.0
         cells.append(cli._event_columns(tau, a, b, c, thr))
         refs.append((y_e, thr[:, None]))
-    walked = cli._walk_uv(np.random.Generator(np.random.Philox(4712)), n_ec, uv, cells)
+    walked = cli._walk_uv(philox_streams(4712), uv, cells, [n_ec] * len(cells))
     near_total = 0
     for p_hat, (y_e, thr) in zip(walked, refs):
         hits = np.rint(p_hat * uv)
@@ -294,29 +302,43 @@ class _NoDraws:
     standard_gamma = standard_exponential
 
 
+def _no_draws(level):
+    return _NoDraws()
+
+
 def test_walk_matches_the_full_walk():
     # the walk decides events by their signs, tests tau = 1 events with a
-    # cutoff on u alone and draws no block after its last open event; it
-    # must return what the full walk returns, bit for bit.  Every state from
-    # 250 on, and every state of block 100, is decided; block 249 has an
-    # open event.
-    uv, n_ec = 64, 3
+    # cutoff on u alone, sums each cell's v from the levels of its n_ec's
+    # bits and draws no block after its last open event; it must return
+    # what the full walk returns, bit for bit.  Every state from 250 on,
+    # and every state of block 100, is decided; block 249 has an open
+    # event, so u and the levels G_0 to G_3 draw 250 chunks.  The n_ec
+    # share bits: 3 = 1 + 2, 6 = 2 + 4, 5 = 1 + 4, 12 = 4 + 8.
+    uv, n_ec = 64, [3, 6, 5, 1, 3, 12]
     rng = np.random.Generator(np.random.Philox(97))
     cells = [_mixed_events(rng, m, 250) for m in (300, 0, 120, 1, 300, 45)]
     for cols in cells:
         cols[:, 100:101] = np.array([[-1.0], [1.0], [1.0]])
     cells[0][:, 249] = (1.0, -1.0, 0.5)
-    walked_rng = np.random.Generator(np.random.Philox(5))
-    walked = cli._walk_uv(walked_rng, n_ec, uv, cells)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(5)), n_ec, uv, cells)
+    handed = {}
+
+    def stream(level):
+        handed[level] = philox_streams(5)(level)
+        return handed[level]
+
+    walked = cli._walk_uv(stream, uv, cells, n_ec)
+    full = walk_uv_reference(philox_streams(5), uv, cells, n_ec)
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     rates = np.concatenate(walked)
     assert {0.0, 1.0} < set(rates.tolist()) and np.count_nonzero((rates > 0.0) & (rates < 1.0)) > 20
-    drawn = np.random.Generator(np.random.Philox(5))  # the walk stops after block 249
-    for _ in range(250):
-        drawn.standard_exponential(uv)
-        drawn.standard_gamma(n_ec, uv)
-    assert np.array_equal(walked_rng.random(4), drawn.random(4))
+    assert set(handed) == {None, 0, 1, 2, 3}
+    # the streams stop after block 249; standard_gamma(1.0) draws the
+    # numbers of standard_exponential, which draws u
+    for level in handed:
+        drawn = philox_streams(5)(level)
+        for _ in range(250):
+            drawn.standard_gamma(1.0 if level is None else 2.0**level, uv)
+        assert np.array_equal(handed[level].random(4), drawn.random(4)), level
 
 
 def _tau1_ties(rng, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,17 +373,13 @@ def test_walk_tau1_cutoff_at_its_ties(uv, depth):
     # product test), next to negative alpha and non-finite values, the walk
     # must return what the full walk returns, bit for bit.  At 70,000
     # samples a count past 65,535 would wrap in 16 bits.
-    n_ec = 3
-    ahead = np.random.Generator(np.random.Philox(7))  # the walk's blocks, in its draw order
-    u = np.empty((depth, uv))
-    for j in range(depth):
-        ahead.standard_exponential(out=u[j])
-        ahead.standard_gamma(n_ec, uv)
+    n_ec = [3, 4, 3]
+    u = philox_streams(7)(None).standard_exponential((depth, uv))  # the walk's u, block by block
     rng = np.random.Generator(np.random.Philox(8))
     made = [_tau1_ties(rng, u[:m]) for m in (depth, depth // 2, 1)]
     cells = [cols for cols, _ in made]
-    walked = cli._walk_uv(np.random.Generator(np.random.Philox(7)), n_ec, uv, cells)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(7)), n_ec, uv, cells)
+    walked = cli._walk_uv(philox_streams(7), uv, cells, n_ec)
+    full = walk_uv_reference(philox_streams(7), uv, cells, n_ec)
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     cols, kind = (np.concatenate(x, axis=-1) for x in zip(*made))
     cut, _ = cli._tau1_cutoffs(*cols)
@@ -378,8 +396,8 @@ def test_walk_without_open_events_draws_nothing():
     # event of an N_C = 0 group is one of them: a = c = 0 makes alpha +0
     rng = np.random.Generator(np.random.Philox(98))
     decided = [_mixed_events(rng, m, 0) for m in (40, 0, 7)]
-    walked = cli._walk_uv(_NoDraws(), 8, 50, decided)
-    full = walk_uv_reference(np.random.Generator(np.random.Philox(6)), 8, 50, decided)
+    walked = cli._walk_uv(_no_draws, 50, decided, [8, 3, 5])
+    full = walk_uv_reference(philox_streams(6), 50, decided, [8, 3, 5])
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     # each walked preset's cells without common paths: fig3's and fig4's
     # N_C = 0 group, the others moved to N_C = 0
@@ -393,12 +411,57 @@ def test_walk_without_open_events_draws_nothing():
         sop_mode = spec.mode.startswith("sop")
         for made in ([cli._sop_cells(batch, policy) for policy in ("min_sop", "phi_mean")] if sop_mode
                      else [cli._throughput_cells(batch)]):
-            walked = cli._walk_uv(_NoDraws(), first.n_ec, spec.uv_samples, [cols for cols, _ in made])
+            walked = cli._walk_uv(_no_draws, spec.uv_samples, [cols for cols, _ in made], [first.n_ec] * len(made))
             rows = [finish(p_hat, spec.uv_samples, spec.seed) for (_, finish), p_hat in zip(made, walked)]
             if sop_mode:  # events that the walk decides by their signs
                 assert sum(len(p) for p in walked) > 0, spec.preset
             else:  # the throughput builder leaves out a = 0 states, and these transmit
                 assert sum(len(p) for p in walked) == 0 and any(row["accept_rate"] > 0 for row in rows), spec.preset
+
+
+@pytest.mark.parametrize("n_ec", [1, 3, 6, 7, 20, 98])
+def test_walk_level_sum_is_gamma_of_n_ec(n_ec):
+    # a cell with n_ec = n meets v = sum of the levels G_b ~ Gamma(2^b) over
+    # the set bits b of n (98 = 2 + 32 + 64).  One-state cells with the
+    # event v > t_k (alpha = 0, beta = -1) at the Gamma(n) quantiles
+    # t_k = F^-1(k / 201) count the walk's first block of v; the largest
+    # |F_emp(t_k) - F(t_k)| is at most the KS distance of that sample, so
+    # the Kolmogorov sf at 2,000 samples is a p-value with a false-alarm
+    # rate of at most 1e-3 per n_ec (six n_ec: at most 0.6% for the test)
+    uv, n_thr = 2000, 200
+    levels = stats.gamma(n_ec).ppf(np.arange(1, n_thr + 1) / (n_thr + 1))
+    cells = [np.array([[0.0], [-1.0], [t]]) for t in levels]
+    walked = cli._walk_uv(partial(montecarlo.walk_rng, 35117), uv, cells, [n_ec] * n_thr)
+    below = 1.0 - np.concatenate(walked)  # F_emp(t_k)
+    distance = np.max(np.abs(below - np.arange(1, n_thr + 1) / (n_thr + 1)))
+    assert stats.kstwo(uv).sf(distance) > 1e-3, distance
+
+
+def test_spec_walk_memory_stays_near_one_group():
+    # the walk's (events x uv) arithmetic buffers take the size of one
+    # (block, n_ec) segment, not of a whole block: a walk of 10 groups of 4
+    # cells (n_ec 1..10) peaks no higher than its largest one-group walk
+    # plus a margin that holds the larger hit mask (one byte per event and
+    # sample of a block), a sample row per level and the sum, and 64 kB of
+    # index arrays.  One float64 buffer of a whole block is 1.15 MB more.
+    import tracemalloc
+
+    uv, depth = 4000, 20
+    rng = np.random.Generator(np.random.Philox(33))
+    alpha, beta = rng.uniform(0.5, 1.0, (2, 40, depth))
+    cells = list(np.stack((alpha, -beta, np.full((40, depth), 3.0)), axis=1))
+    n_ec = [n for n in range(1, 11) for _ in range(4)]
+
+    def peak(members):
+        tracemalloc.start()
+        cli._walk_uv(partial(montecarlo.walk_rng, 5), uv, [cells[i] for i in members], [n_ec[i] for i in members])
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return top
+
+    one_group = max(peak(range(4 * g, 4 * g + 4)) for g in range(10))
+    margin = 40 * uv + 6 * 8 * uv + 64_000
+    assert peak(range(40)) <= one_group + margin
 
 
 def test_gate_scores_a_walked_row():
@@ -501,25 +564,24 @@ def test_stacked_throughput_group_equals_its_cells_alone():
     assert len(widths) >= 4  # cells leave the stack with different state counts
 
 
-def test_walk_draws_its_own_stream_of_the_draw_key(monkeypatch):
-    # a group walks a SFC64 stream of (seed, N_C, n_dc, n_ec), apart from
-    # the Philox stream of its gains
-    (spec,) = cli.preset_specs("fig4", trials=40)
-    one_group = replace(spec, values=[8])
+def test_walk_draws_the_level_streams_of_the_seed(monkeypatch):
+    # a sweep walks its seed's streams montecarlo.walk_rng(seed, level):
+    # SFC64 of SeedSequence(seed mod 2^64, spawn_key=(0, 0)) for u and
+    # spawn_key=(0, b + 1) for the level G_b, apart from the Philox stream
+    # of its gains.  fig4's n_ec 2..18 have bits 1 to 4.
+    (spec,) = cli.preset_specs("fig4", trials=40, seed=-7)
     handed, walk = [], cli._walk_uv
 
-    def spy(rng, *args):
-        handed.append(copy.deepcopy(rng))
-        return walk(rng, *args)
+    def spy(stream, *args):
+        handed.append(stream)
+        return walk(stream, *args)
 
     monkeypatch.setattr(cli, "_walk_uv", spy)
-    cli.run_sweep(one_group)
-    (rng,) = handed
-    cfg = one_group.cells()[0][3]
-    key = [spec.seed & 0xFFFFFFFFFFFFFFFF, cfg.N_C, cfg.n_dc, cfg.n_ec]
-    defined = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
-    assert rng.standard_exponential(spec.uv_samples).tobytes() == \
-        defined.standard_exponential(spec.uv_samples).tobytes()
+    cli.run_sweep(spec)
+    (stream,) = handed
+    for level, key in ((None, (0, 0)), (0, (0, 1)), (1, (0, 2)), (4, (0, 5))):
+        defined = np.random.Generator(np.random.SFC64(np.random.SeedSequence(2**64 - 7, spawn_key=key)))
+        assert stream(level).standard_gamma(3.0, 100).tobytes() == defined.standard_gamma(3.0, 100).tobytes()
     monkeypatch.undo()
 
     # the gain generator's end position reaches no row
@@ -532,7 +594,7 @@ def test_walk_draws_its_own_stream_of_the_draw_key(monkeypatch):
 
     monkeypatch.setattr(cli, "sample_gains", gains_then_more)
     moved = cli.run_sweep(spec)
-    assert len(extra) == 10  # one per draw group
+    assert len(extra) == 10  # one per draw key
     assert [cli._fmt(r["mc_value"]) for r in moved] == [cli._fmt(r["mc_value"]) for r in rows]
     assert sum(0.0 < r["mc_value"] < 1.0 for r in rows) > 20  # rows with open events
 

@@ -47,21 +47,15 @@ def test_chunks_draw_their_own_stream_of_the_seed():
     assert firsts[0] != firsts[1]
 
 
-def test_chunk_streams_are_not_walk_streams():
-    # SeedSequence pads short entropy with zeros, so a [seed, i] key would
-    # name walk_rng(seed, i, 0, 0); no chunk may meet a valid draw key's walk
-    keys = []
-    for n_c, n_dc, n_ec in np.ndindex(4, 4, 4):
-        try:
-            SystemConfig(M=100, N_D=n_c + n_dc, N_E=n_c + n_ec, N_C=n_c)
-        except ValueError:
-            continue
-        keys.append((n_c, n_dc, n_ec))
-    assert (1, 0, 0) in keys and len(keys) > 50
+def test_walk_streams_and_chunk_streams_are_pairwise_distinct():
+    # the sweep walk's u stream, its level streams G_b and the estimator
+    # chunks are SFC64 streams of one seed under different spawn keys:
+    # (0, 0), (0, b + 1) and (i,); no two may meet
     for seed in (4242, 2**64 - 7):
-        walks = {montecarlo.walk_rng(seed, *key).bit_generator.random_raw(4).tobytes() for key in keys}
-        chunks = {montecarlo._chunk_rng(seed, i).bit_generator.random_raw(4).tobytes() for i in range(4)}
-        assert len(chunks) == 4 and not chunks & walks
+        streams = [montecarlo.walk_rng(seed, level) for level in (None, *range(8))]
+        streams += [montecarlo._chunk_rng(seed, i) for i in range(8)]
+        firsts = {stream.bit_generator.random_raw(4).tobytes() for stream in streams}
+        assert len(firsts) == len(streams) == 17
 
 
 def test_full_sop_estimator_matches_analytic_average():
