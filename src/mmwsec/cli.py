@@ -271,16 +271,17 @@ def _throughput_cells(cells: list[tuple]):
     paired with the realized outage at the designed rate, as one (event
     columns, finish) pair.  The cells form one stacked batch with a
     per-state n_ec and epsilon, whatever draw key each cell has
-    (one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
+    (at most one optimizer call, one k(1/2) solve), elementwise like a cell alone."""
     sizes, offsets, coeffs, (n_ec, eps) = _stack_cells(cells, ("n_ec", "epsilon"))
     opa = np.repeat([scheme == "opa" for scheme, *_ in cells], sizes)
-    res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec[opa], eps[opa])
-    tau, k, case = np.full(opa.size, 0.5), np.empty(opa.size), np.empty(opa.size, object)
-    tau[opa], k[opa], case[opa] = res.tau_star, res.k_star, res.case_tag
+    tau, k, case = np.full(opa.size, 0.5), np.zeros(opa.size), np.empty(opa.size, object)
     k[~opa] = throughput.solve_k_batch(0.5, coeffs.a[~opa], coeffs.b[~opa], coeffs.c[~opa], n_ec[~opa], eps[~opa])
     rates = throughput.rs_of_tau(tau, k, coeffs)  # the equal-power rates; opa states take the optimizer's
     transmit, rates = rates >= 0.0, np.maximum(rates, 0.0)
-    rates[opa], transmit[opa] = res.R_s_star, res.transmit
+    if opa.any():  # an equal-power batch skips the optimizer
+        res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec[opa], eps[opa])
+        tau[opa], k[opa], case[opa] = res.tau_star, res.k_star, res.case_tag
+        rates[opa], transmit[opa] = res.R_s_star, res.transmit
     checked = np.flatnonzero(transmit & (coeffs.a > 0.0) & (k > 0.0))
     # rate outage: y_E above the designed margin tau * k
     cols = _event_columns(*(x[checked] for x in (tau, coeffs.a, coeffs.b, coeffs.c, tau * k)))

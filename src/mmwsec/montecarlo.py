@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -278,6 +279,16 @@ def _ratio_estimate(n: int, sums, m2, seed: int) -> McEstimate:
     return McEstimate(value=ratio, std_error=abs(ratio) * math.sqrt(rel_var), n=n, seed=seed)
 
 
+@lru_cache(maxsize=16)
+def _read_only_basis(m: int) -> np.ndarray:
+    """``build_basis(m)``, built once per M and shared read-only: the
+    synthesis only reads it, and rebuilding it cost 8-22% of a one-chunk
+    call at M 64-128."""
+    basis = build_basis(m)
+    basis.flags.writeable = False
+    return basis
+
+
 def empirical_sndr_from_distortion(
     cfg: SystemConfig, tau: float, n: int, seed: int
 ) -> SndrReconstruction:
@@ -321,7 +332,7 @@ def empirical_sndr_from_distortion(
     g_d, g_e, draw = sample_channel(sets, 1, gen)
     coeffs = derive_coeffs(cfg, draw).take(0)
 
-    basis = build_basis(cfg.M)
+    basis = _read_only_basis(cfg.M)
     h_d = channel_row(basis, sets.xi_d, g_d[0], cfg.alpha_d())
     h_e = channel_row(basis, sets.xi_e, g_e[0], cfg.alpha_e())
     f1, f_an = an_beamformer(basis, sets, h_d)

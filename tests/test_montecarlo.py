@@ -288,6 +288,22 @@ def test_synthesis_adds_its_chunks_in_order():
         assert est.n == n
 
 
+def test_synthesis_builds_the_basis_once_per_m(monkeypatch):
+    # the synthesis reads the angular basis from a read-only cache, one
+    # build per M with the bits of a fresh one; build_basis itself still
+    # returns a new writable array
+    real = montecarlo.build_basis
+    builds = []
+    monkeypatch.setattr(montecarlo, "build_basis", lambda m: builds.append(m) or real(m))
+    montecarlo._read_only_basis.cache_clear()
+    first = empirical_sndr_from_distortion(_SYNTH_CFG, 0.6, 1000, 9)
+    assert empirical_sndr_from_distortion(_SYNTH_CFG, 0.6, 1000, 9) == first
+    assert builds == [_SYNTH_CFG.M]
+    cached = montecarlo._read_only_basis(_SYNTH_CFG.M)
+    assert not cached.flags.writeable and np.array_equal(cached, real(_SYNTH_CFG.M))
+    assert real(_SYNTH_CFG.M).flags.writeable
+
+
 def test_synthesis_memory_does_not_grow_with_n():
     # numpy reports its buffers to tracemalloc; the whole-vector synthesis
     # peaked at 40 MB for n = 100,000

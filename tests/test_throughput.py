@@ -16,7 +16,7 @@ from scipy import integrate, special, stats
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import checks, throughput
 from mmwsec.cli import SweepSpec, run_sweep
-from mmwsec.config import SystemConfig, stack_coeffs
+from mmwsec.config import EffectiveCoeffs, SystemConfig, stack_coeffs
 from mmwsec.errors import ConvergenceError, InfeasibleError
 from mmwsec.sop import cdf_Y_E
 from mmwsec.throughput import (
@@ -580,6 +580,85 @@ def test_optimizer_silent_for_dominated_link():
     assert batch.transmit[1] and batch.R_s_star[1] > 0.0
 
 
+def _newton_in_illinois_optimum(a, b, c, d, e, n_ec, epsilon):
+    """(tau*, k*) by the refinement the optimizer ran before it moved onto the
+    cap's curve: false position in tau, with Newton solving x(tau) at every
+    step, and k* by solve_k_batch at every candidate; the scan and the pick
+    are the optimizer's."""
+    grid, log_eps = throughput._SCAN_GRID, math.log(epsilon)
+    rp = throughput._rate_slope(grid, throughput._solve_x(grid, b[:, None], n_ec, log_eps),
+                                *(v[:, None] for v in (a, b, c, d, e)), n_ec)
+    up = rp > 0.0
+    i, j = np.nonzero(up[:, :-1] & ~up[:, 1:])
+    roots = throughput.bracketed_roots(
+        lambda t, a, b, c, d, e: throughput._rate_slope(t, throughput._solve_x(t, b, n_ec, log_eps), a, b, c, d, e, n_ec),
+        grid[j], grid[j + 1], rp[i, j], rp[i, j + 1], *(v[i] for v in (a, b, c, d, e)),
+    )
+    state = np.concatenate([np.arange(a.size), i])
+    tau = np.concatenate([np.ones(a.size), roots])
+    k = solve_k_batch(tau, a[state], b[state], c[state], n_ec, epsilon)
+    best = throughput._best_candidates(state, -throughput._rate(tau, k, d[state], e[state]), -tau, a.size)
+    return tau[best], k[best]
+
+
+@pytest.mark.parametrize("n_ec", [1, 4, 18])
+@pytest.mark.parametrize("epsilon", [0.01, 0.2, 1.0])
+def test_optimizer_on_both_forms_of_the_cap_curve(n_ec, epsilon, monkeypatch):
+    # b from 1e-9 to 1e9 puts the local maxima on both sides of
+    # x = -ln(eps)/2, where the refinement switches from x to w = (1 - tau)*x.
+    # Each state's split is within 1e-10 of the Newton-in-Illinois
+    # refinement, its cap solves Q(k) = 0 to 1e-12, it has the bits of its
+    # one-state call, and a cap at full power has the bits of
+    # solve_k_batch(1.0, ...).  x alone put tau up to 1.2e-4 off at
+    # b = 1e-9, w alone 5.8e-7 at b = 1e7; without a Newton step at the
+    # stored split, |Q(k*)| reached 1.4e-11 at b = 1e9.  No Newton step runs inside the
+    # root search, and no RuntimeWarning is raised.
+    rng = np.random.default_rng(36)
+    b = np.repeat(np.geomspace(1e-9, 1e9, 19), 8)
+    a = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), b.size))
+    c = a * rng.uniform(0.0, 0.02, b.size)
+    d = a * np.exp(rng.uniform(math.log(0.1), math.log(1e4), b.size))
+    e = d * rng.uniform(0.0, 0.05, b.size)
+    co = EffectiveCoeffs(0.0, a, b, c, d, e)
+    solve_x, roots = throughput._solve_x, throughput.bracketed_roots
+    searching, newton_in_search = [False], []
+
+    def counting_solve_x(*args):
+        newton_in_search.append(searching[0])
+        return solve_x(*args)
+
+    def flagged_roots(*args, **kwargs):
+        searching[0] = True
+        try:
+            return roots(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref_tau, _ = _newton_in_illinois_optimum(a, b, c, d, e, n_ec, epsilon)
+        monkeypatch.setattr(throughput, "_solve_x", counting_solve_x)
+        monkeypatch.setattr(throughput, "bracketed_roots", flagged_roots)
+        res = optimize_tau_throughput_batch(co, n_ec, epsilon)
+        singles = [optimize_tau_throughput_batch(co.take(i), n_ec, epsilon) for i in range(b.size)]
+    assert newton_in_search and not any(newton_in_search)
+    assert np.max(np.abs(res.tau_star - ref_tau)) <= 1e-10
+    assert np.max(np.abs(q_of_k(res.k_star, res.tau_star, a, b, c, n_ec, epsilon))) <= 1e-12
+    for i, one in enumerate(singles):
+        for f in fields(ThroughputResult):
+            assert np.asarray(getattr(one, f.name)).tobytes() == np.asarray(getattr(res, f.name)[i:i + 1]).tobytes(), (i, f.name)
+    full = res.tau_star == 1.0
+    assert res.k_star[full].tobytes() == solve_k_batch(1.0, a[full], b[full], c[full], n_ec, epsilon).tobytes()
+    interior = ~full
+    if epsilon == 1.0:
+        # no cap at any split: the rate climbs to full power
+        assert not interior.any() and np.all(res.k_star == 0.0)
+        return
+    x = res.k_star / (a - c * res.tau_star * res.k_star)
+    low = x <= -0.5 * math.log(epsilon)
+    assert np.count_nonzero(interior & low) >= 20 and np.count_nonzero(interior & ~low) >= 10
+
+
 # ---------------------------------------------------------------------------
 # full-power (MRT) closed forms
 # ---------------------------------------------------------------------------
@@ -681,13 +760,72 @@ def test_log_moment_against_mpmath():
             assert log_moment(q, m) == moments[m, i]
 
 
+def log_moment_quad_oracle(q: float, m: int) -> float:
+    # E[log2(1 + qX)] as a 30-digit tanh-sinh integral of log1p(qx)/q against
+    # the Gamma(m+1, 1) density, split at multiples of m; at m >= 40 mpmath's
+    # E_n(w) behind log_moment_oracle goes wrong once n nears w
+    with mpmath.workdps(30):
+        qm = mpmath.mpf(q)
+        integral = mpmath.quad(
+            lambda x: mpmath.log1p(qm * x) / qm * mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1)),
+            [0] + [m * t for t in (0.25, 0.5, 1, 1.5, 2, 3, 5)] + [mpmath.inf],
+        )
+        return float(qm * integral / mpmath.log(2))
+
+
+def test_log_moment_fallback_against_mpmath(monkeypatch):
+    # every (q, m) that falls back to the Gauss rule, on a log grid of q from
+    # 1e-300 past the switch (q about 0.06) at the orders 0-19 and at 40, is
+    # within 1e-14 relative of mpmath, and the fallback builds no rule but
+    # its 16-point one.  log2(1 + q*x) on 160 nodes read up to 1.7e-12 off
+    # on this grid above q = 1e-6, 6.5e-6 between 1e-12 and 1e-6, where
+    # 1 + q*x keeps few digits of q*x, and 0 once it rounds to 1
+    rule, laguerre = throughput._log_moment_rule, throughput._laguerre_rule
+    fallbacks, sizes = [], []
+
+    def recording_rule(q, m):
+        value = rule(q, m)
+        fallbacks.append((q.copy(), m, value))
+        return value
+
+    def recording_laguerre(m, first=0, count=throughput._LOG_MOMENT_NODES):
+        sizes.append(count)
+        return laguerre(m, first, count)
+
+    monkeypatch.setattr(throughput, "_log_moment_rule", recording_rule)
+    monkeypatch.setattr(throughput, "_laguerre_rule", recording_laguerre)
+    qs = np.concatenate([[1e-300, 1e-100], np.geomspace(1e-20, 1e-3, 40), np.geomspace(1e-3, 0.07, 45)])
+    throughput._log_moments(qs, 19)
+    # orders 1-19 fall back, each below its own switch, inside the grid
+    assert [m for _, m, _ in fallbacks] == list(range(1, 20))
+    assert max(q.max() for q, _, _ in fallbacks) < qs[-1]
+    with mpmath.workdps(30):
+        # order m is e^w * sum_{n=1}^{m+1} E_n(w)/ln 2, cumulated over n per q
+        refs = {q: np.cumsum([float(mpmath.exp(1 / mpmath.mpf(q)) * mpmath.expint(n, 1 / mpmath.mpf(q))
+                                    / mpmath.log(2)) for n in range(1, 21)]) for q in qs.tolist()}
+    for q, m, value in fallbacks:
+        ref = np.array([refs[v][m] for v in q.tolist()])
+        assert np.max(np.abs(value - ref) / ref) <= 1e-14, m
+    fallbacks.clear()
+    qs = np.concatenate([[1e-300], np.geomspace(1e-12, 0.07, 8)])
+    throughput._log_moments(qs, 40)
+    q, m, value = fallbacks[-1]
+    assert m == 40 and q.size >= 8
+    ref = np.array([log_moment_quad_oracle(v, 40) for v in q.tolist()])
+    assert np.max(np.abs(value - ref) / ref) <= 1e-14
+    assert set(sizes) <= {throughput._LOG_MOMENT_NODES, 91} and throughput._LOG_MOMENT_NODES in sizes
+
+
 def test_laguerre_rule_against_scipy():
-    # every order the fallback can take with N_D = 20: the nodes, and the
-    # weights of the Gamma(m+1, 1) law, none of them underflowing to 0;
-    # a smooth integral against mpmath at the lowest, a middle and the top order
+    # every order the fallback can take with N_D = 20, at the fallback's own
+    # rule size: the nodes, and the weights of the Gamma(m+1, 1) law, none of
+    # them underflowing to 0; a smooth integral against mpmath at the lowest,
+    # a middle and the top order, at q = 1/20, inside the q the fallback takes
+    size = throughput._LOG_MOMENT_NODES
     for m in range(20):
         nodes, weights = throughput._laguerre_rule(m)
-        ref_nodes, ref_weights = special.roots_genlaguerre(160, m)
+        assert nodes.size == size
+        ref_nodes, ref_weights = special.roots_genlaguerre(size, m)
         ref_weights = ref_weights / math.factorial(m)
         assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-12, m
         assert np.all(weights > 0.0)
@@ -695,9 +833,9 @@ def test_laguerre_rule_against_scipy():
         if m not in (0, 7, 19):
             continue
         with mpmath.workdps(30):
-            ref = mpmath.quad(lambda x: mpmath.log(1 + x / 3) * x**m * mpmath.exp(-x), [0, mpmath.inf])
+            ref = mpmath.quad(lambda x: mpmath.log(1 + x / 20) * x**m * mpmath.exp(-x), [0, mpmath.inf])
             ref = float(ref / mpmath.factorial(m))
-        assert abs(np.sum(weights * np.log1p(nodes / 3.0)) - ref) <= 1e-13 * ref, m
+        assert abs(np.sum(weights * np.log1p(nodes / 20.0)) - ref) <= 1e-13 * ref, m
 
 
 def test_gamma_cap_against_scipy_and_mpmath():
