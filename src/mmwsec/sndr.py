@@ -18,7 +18,7 @@ def sndr_eve(tau, u, v, a, b, c):
     """Eavesdropper SNDR tau*a*u / ((1-tau)*b*v + tau*c*u + 1) at power split tau.
 
     The denominator is at least 1, so the sweeps test the event y_E > thr
-    in its linear form instead (``cli._event_columns``); this ratio is the
+    in its linear form instead (``sweep._event_columns``); this ratio is the
     oracle route of ``montecarlo``, ``validate`` and ``opa_sop.phi``.
     """
     return tau * a * u / ((1.0 - tau) * b * v + tau * c * u + 1.0)

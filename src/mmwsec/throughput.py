@@ -246,7 +246,11 @@ def q_of_k(k, tau, a, b, c, n_ec, epsilon):
 
     Zero at k = k(tau); positive below, negative above (Q is strictly
     decreasing in k on the feasible bracket).  Elementwise over
-    broadcastable k, tau, a, b, c, n_ec and epsilon.
+    broadcastable k, tau, a, b, c, n_ec and epsilon.  a - c*tau*k cancels,
+    so x = k/(a - c*tau*k), and Q with it, carry a relative error of about
+    1e-16*c*tau*x: at a = 1e11, c = 2e9, b = 1e9 a correct cap read |Q| up
+    to 9.4e-9.  A test that holds |Q| <= 1e-12 keeps c*x small, as
+    ``test_optimizer_on_both_forms_of_the_cap_curve`` does with a < 1e3.
     """
     rest = a - c * tau * k
     if np.any(rest <= 0.0):

@@ -110,7 +110,7 @@ def walk_uv_reference(stream, uv_samples: int, cells, n_ec):
     ``stream(b)``, a cell with n_ec = n meets the sum of G_b over the set
     bits b of n in ascending b, and alpha*u - beta*v > thr is tested over
     all states, with a block for every state index up to the deepest cell.
-    ``cli._walk_uv`` must return the same per-state hit rates per cell,
+    ``sweep._walk_uv`` must return the same per-state hit rates per cell,
     bit for bit, while it skips what its draws cannot change."""
     counts = [cols.shape[1] for cols in cells]
     bits = [[b for b in range(n.bit_length()) if n >> b & 1] for n in n_ec]
@@ -131,7 +131,7 @@ def walk_uv_reference(stream, uv_samples: int, cells, n_ec):
 
 
 def philox_streams(seed: int):
-    """A ``stream(level)`` for ``cli._walk_uv`` of Philox generators, each
+    """A ``stream(level)`` for ``sweep._walk_uv`` of Philox generators, each
     level its own seed (u at ``seed``, level b at ``seed + b + 1``)."""
     return lambda level: np.random.Generator(np.random.Philox(seed + (0 if level is None else level + 1)))
 

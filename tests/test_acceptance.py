@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import make_coeffs
-from mmwsec import checks, cli
+from mmwsec import checks, sweep
 from mmwsec.channel import (
     build_basis,
     channel_row,
@@ -202,9 +202,9 @@ def _rows_by(rows, **match):
 def test_acceptance_7_trend_suite():
     """Figure-level trends with Monte-Carlo error margins."""
     # SOP versus common paths (fig3 preset)
-    fig3 = cli.preset_specs("fig3", trials=500, uv_samples=800, seed=42)[0]
-    rows3 = cli.run_sweep(fig3)
-    assert cli.check_rows(rows3) == []
+    fig3 = sweep.preset_specs("fig3", trials=500, uv_samples=800, seed=42)[0]
+    rows3 = sweep.run_sweep(fig3)
+    assert sweep.check_rows(rows3) == []
     for variant in {r["variant"] for r in rows3}:
         for scheme in ("mrt", "an_opa"):
             series = _rows_by(rows3, variant=variant, scheme=scheme)
@@ -220,9 +220,9 @@ def test_acceptance_7_trend_suite():
             assert an_row["analytic"] <= mrt_row["analytic"] + 1e-9
 
     # optimal split versus power and impairment level (fig5 preset)
-    fig5 = cli.preset_specs("fig5", trials=300, uv_samples=500, seed=42)[0]
-    rows5 = cli.run_sweep(fig5)
-    assert cli.check_rows(rows5) == []
+    fig5 = sweep.preset_specs("fig5", trials=300, uv_samples=500, seed=42)[0]
+    rows5 = sweep.run_sweep(fig5)
+    assert sweep.check_rows(rows5) == []
     variants5 = sorted({r["variant"] for r in rows5})
     for variant in variants5:
         series = _rows_by(rows5, variant=variant)
@@ -242,9 +242,9 @@ def test_acceptance_7_trend_suite():
 
     # throughput ordering and growth (fig6 presets)
     rows6 = []
-    for spec in cli.preset_specs("fig6", trials=250, uv_samples=500, seed=42):
-        rows6.extend(cli.run_sweep(spec))
-    assert cli.check_rows(rows6) == []
+    for spec in sweep.preset_specs("fig6", trials=250, uv_samples=500, seed=42):
+        rows6.extend(sweep.run_sweep(spec))
+    assert sweep.check_rows(rows6) == []
     for variant in sorted({r["variant"] for r in rows6}):
         opa = _rows_by(rows6, variant=variant, scheme="opa")
         equal = _rows_by(rows6, variant=variant, scheme="equal")
@@ -266,9 +266,9 @@ def test_acceptance_7_trend_suite():
     # (fig7).  The collapse to zero needs the impairment ceiling: with ideal
     # hardware both link scales keep growing and the optimal split levels
     # off at a positive constant instead.
-    fig7 = cli.preset_specs("fig7", trials=250, uv_samples=400, seed=42)[0]
-    rows7 = cli.run_sweep(fig7)
-    assert cli.check_rows(rows7) == []
+    fig7 = sweep.preset_specs("fig7", trials=250, uv_samples=400, seed=42)[0]
+    rows7 = sweep.run_sweep(fig7)
+    assert sweep.check_rows(rows7) == []
     for variant in sorted({r["variant"] for r in rows7}):
         series = _rows_by(rows7, variant=variant)
         taus = [r["tau_star_mean"] for r in series]

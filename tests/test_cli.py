@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from conftest import philox_streams, walk_uv_reference
-from mmwsec import cli, montecarlo, throughput
+from mmwsec import cli, montecarlo, sweep, throughput
 from mmwsec.channel import sample_gain_scalars
 from mmwsec.config import SystemConfig
 from mmwsec.sndr import sndr_eve
@@ -30,7 +30,7 @@ def _tiny_spec(**overrides):
         seed=12,
     )
     params.update(overrides)
-    return cli.SweepSpec(**params)
+    return sweep.SweepSpec(**params)
 
 
 def test_spec_validation():
@@ -44,7 +44,7 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             _tiny_spec(**budgets)
     with pytest.raises(ValueError):
-        cli.preset_specs("fig6", trials=0)
+        sweep.preset_specs("fig6", trials=0)
 
 
 def _usage_error(argv, capsys) -> str:
@@ -119,8 +119,8 @@ def test_mrt_sweep_away_from_preset_common_paths(tmp_path, capsys):
 def test_mrt_rows_equal_the_one_config_calls():
     # _mrt_cells evaluates a draw key's MRT cells as one batch; each fig6
     # row carries exactly the one-config closed form and estimate
-    (spec,) = [s for s in cli.preset_specs("fig6", trials=5, seed=11) if s.mode == "throughput_mrt"]
-    rows = cli.run_sweep(spec)
+    (spec,) = [s for s in sweep.preset_specs("fig6", trials=5, seed=11) if s.mode == "throughput_mrt"]
+    rows = sweep.run_sweep(spec)
     assert len(rows) == 12
     for row, (_, _, _, cfg) in zip(rows, spec.cells(), strict=True):
         assert row["analytic"] == row["mc_target"] == throughput.mrt_throughput(cfg)
@@ -142,7 +142,7 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     # the throughput_opa cells keep their artificial-noise direction)
     assert "N_D - N_C >= 1" in _usage_error(["sweep", "--preset", "fig6", "--set", "N_D=16", "--set", "N_E=20"], capsys)
     with pytest.raises(ValueError):
-        cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[20])
+        sweep.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[20])
     # N_C = N_E leaves the artificial noise no eavesdropper-only path in
     # every mode but throughput_mrt, which carries none and still runs
     spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=18,20\ntrials=20\n")
@@ -150,7 +150,7 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     assert "N_C=20" in line and "N_E - N_C >= 1" in line
     for mode in ("sop_opa", "throughput_opa", "throughput_equal_power"):
         with pytest.raises(ValueError, match="N_E - N_C >= 1"):
-            cli.SweepSpec(mode=mode, swept_key="N_C", values=[16, 20])
+            sweep.SweepSpec(mode=mode, swept_key="N_C", values=[16, 20])
     # a cell whose configuration cannot be built is rejected at build in every mode
     spec_path.write_text("mode=throughput_opa\nswept_key=N_C\nvalues=16,21\ntrials=20\n")
     assert "N_C must satisfy" in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
@@ -160,9 +160,9 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, monkeypatch):
     assert "1 <= N_D, N_E < M (got N_D=0, N_E=5," in _usage_error(["sweep", "--spec", str(spec_path)], capsys)
     line = _usage_error(["sweep", "--preset", "fig3", "--set", "M=30"], capsys)
     assert "N_D + N_E - N_C <= M" in line and "M=30" in line
-    mrt = cli.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[16], base=SystemConfig(N_E=16), trials=20)
+    mrt = sweep.SweepSpec(mode="throughput_mrt", swept_key="N_C", values=[16], base=SystemConfig(N_E=16), trials=20)
     monkeypatch.undo()
-    assert cli.check_rows(cli.run_sweep(mrt)) == []
+    assert sweep.check_rows(sweep.run_sweep(mrt)) == []
 
 
 def test_module_entry_point():
@@ -177,17 +177,17 @@ def test_module_entry_point():
 
 
 def test_sweep_rows_and_mc_pairing():
-    rows = cli.run_sweep(_tiny_spec())
+    rows = sweep.run_sweep(_tiny_spec())
     assert len(rows) == 4  # 2 values x {mrt, an_opa}
     for row in rows:
         assert 0.0 <= row["analytic"] <= 1.0
         assert abs(row["mc_value"] - row["mc_target"]) <= row["tol"]
-    assert cli.check_rows(rows) == []
+    assert sweep.check_rows(rows) == []
 
 
 def test_sweep_workers_do_not_change_rows():
-    sequential = cli.run_sweep(_tiny_spec())
-    threaded = cli.run_sweep(_tiny_spec(), workers=4)
+    sequential = sweep.run_sweep(_tiny_spec())
+    threaded = sweep.run_sweep(_tiny_spec(), workers=4)
     assert sequential == threaded
 
 
@@ -209,18 +209,18 @@ def test_grouped_sweep_matches_one_cell_sweeps():
         ("sop_fixed_rate", sop_base, [13, 14, 17, 18], [{}, {"k_tx": 0.1, "k_rx": 0.1}]),
     )
     for mode, base, values, variants in cases:
-        spec = cli.SweepSpec(mode=mode, swept_key="N_C", values=values, base=base,
+        spec = sweep.SweepSpec(mode=mode, swept_key="N_C", values=values, base=base,
                              variants=variants, trials=40, uv_samples=200, seed=12)
-        grouped = cli.run_sweep(spec)
+        grouped = sweep.run_sweep(spec)
         one_cell = [
             row
             for value in values
             for overrides in variants
-            for row in cli.run_sweep(replace(spec, values=[value], variants=[overrides]))
+            for row in sweep.run_sweep(replace(spec, values=[value], variants=[overrides]))
         ]
-        text = cli.render_csv([spec], grouped)
-        assert text == cli.render_csv([spec], one_cell), mode
-        assert text == cli.render_csv([spec], cli.run_sweep(spec, workers=2)), mode
+        text = sweep.render_csv([spec], grouped)
+        assert text == sweep.render_csv([spec], one_cell), mode
+        assert text == sweep.render_csv([spec], sweep.run_sweep(spec, workers=2)), mode
         if values[0] != 0:
             assert {row["N_C"] for row in grouped if 0.0 < row["mc_value"] < 1.0} == set(values)
             continue
@@ -259,9 +259,9 @@ def test_walk_counts_the_sndr_event():
         thr *= 1.0 + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-17, -12, m)
         thr[kind == 3] = -(10.0 ** rng.uniform(-3, 3, np.count_nonzero(kind == 3)))
         thr[kind == 4] = 0.0
-        cells.append(cli._event_columns(tau, a, b, c, thr))
+        cells.append(sweep._event_columns(tau, a, b, c, thr))
         refs.append((y_e, thr[:, None]))
-    walked = cli._walk_uv(philox_streams(4712), uv, cells, [n_ec] * len(cells))
+    walked = sweep._walk_uv(philox_streams(4712), uv, cells, [n_ec] * len(cells))
     near_total = 0
     for p_hat, (y_e, thr) in zip(walked, refs):
         hits = np.rint(p_hat * uv)
@@ -326,7 +326,7 @@ def test_walk_matches_the_full_walk():
         handed[level] = philox_streams(5)(level)
         return handed[level]
 
-    walked = cli._walk_uv(stream, uv, cells, n_ec)
+    walked = sweep._walk_uv(stream, uv, cells, n_ec)
     full = walk_uv_reference(philox_streams(5), uv, cells, n_ec)
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     rates = np.concatenate(walked)
@@ -378,11 +378,11 @@ def test_walk_tau1_cutoff_at_its_ties(uv, depth):
     rng = np.random.Generator(np.random.Philox(8))
     made = [_tau1_ties(rng, u[:m]) for m in (depth, depth // 2, 1)]
     cells = [cols for cols, _ in made]
-    walked = cli._walk_uv(philox_streams(7), uv, cells, n_ec)
+    walked = sweep._walk_uv(philox_streams(7), uv, cells, n_ec)
     full = walk_uv_reference(philox_streams(7), uv, cells, n_ec)
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     cols, kind = (np.concatenate(x, axis=-1) for x in zip(*made))
-    cut, _ = cli._tau1_cutoffs(*cols)
+    cut, _ = sweep._tau1_cutoffs(*cols)
     assert np.all(cut[kind == 0]) and not np.any(cut[(kind == 3) | (kind == 4)])
     assert 0 < np.count_nonzero(cut[(kind == 1) | (kind == 2)]) < np.count_nonzero((kind == 1) | (kind == 2))
     hits = np.concatenate(walked) * uv
@@ -396,22 +396,22 @@ def test_walk_without_open_events_draws_nothing():
     # event of an N_C = 0 group is one of them: a = c = 0 makes alpha +0
     rng = np.random.Generator(np.random.Philox(98))
     decided = [_mixed_events(rng, m, 0) for m in (40, 0, 7)]
-    walked = cli._walk_uv(_no_draws, 50, decided, [8, 3, 5])
+    walked = sweep._walk_uv(_no_draws, 50, decided, [8, 3, 5])
     full = walk_uv_reference(philox_streams(6), 50, decided, [8, 3, 5])
     assert [p.tobytes() for p in walked] == [p.tobytes() for p in full]
     # each walked preset's cells without common paths: fig3's and fig4's
     # N_C = 0 group, the others moved to N_C = 0
     for spec in [spec for name in ("fig3", "fig4", "fig5", "fig6", "fig7")
-                 for spec in cli.preset_specs(name, trials=60) if spec.mode != "throughput_mrt"]:
+                 for spec in sweep.preset_specs(name, trials=60) if spec.mode != "throughput_mrt"]:
         group = [(scheme, cfg.with_overrides(N_C=0)) for _, _, scheme, cfg in spec.cells() if cfg.N_C == spec.base.N_C]
         first = group[0][1]
         g_hat, g_check, _, _ = sample_gain_scalars(0, first.n_dc, first.n_ec, spec.trials,
                                                    montecarlo.as_rng(spec.seed))
         batch = [(*cell, g_hat, g_check) for cell in group]
         sop_mode = spec.mode.startswith("sop")
-        for made in ([cli._sop_cells(batch, policy) for policy in ("min_sop", "phi_mean")] if sop_mode
-                     else [cli._throughput_cells(batch)]):
-            walked = cli._walk_uv(_no_draws, spec.uv_samples, [cols for cols, _ in made], [first.n_ec] * len(made))
+        for made in ([sweep._sop_cells(batch, policy) for policy in ("min_sop", "phi_mean")] if sop_mode
+                     else [sweep._throughput_cells(batch)]):
+            walked = sweep._walk_uv(_no_draws, spec.uv_samples, [cols for cols, _ in made], [first.n_ec] * len(made))
             rows = [finish(p_hat, spec.uv_samples, spec.seed) for (_, finish), p_hat in zip(made, walked)]
             if sop_mode:  # events that the walk decides by their signs
                 assert sum(len(p) for p in walked) > 0, spec.preset
@@ -431,7 +431,7 @@ def test_walk_level_sum_is_gamma_of_n_ec(n_ec):
     uv, n_thr = 2000, 200
     levels = stats.gamma(n_ec).ppf(np.arange(1, n_thr + 1) / (n_thr + 1))
     cells = [np.array([[0.0], [-1.0], [t]]) for t in levels]
-    walked = cli._walk_uv(partial(montecarlo.walk_rng, 35117), uv, cells, [n_ec] * n_thr)
+    walked = sweep._walk_uv(partial(montecarlo.walk_rng, 35117), uv, cells, [n_ec] * n_thr)
     below = 1.0 - np.concatenate(walked)  # F_emp(t_k)
     distance = np.max(np.abs(below - np.arange(1, n_thr + 1) / (n_thr + 1)))
     assert stats.kstwo(uv).sf(distance) > 1e-3, distance
@@ -454,7 +454,7 @@ def test_spec_walk_memory_stays_near_one_group():
 
     def peak(members):
         tracemalloc.start()
-        cli._walk_uv(partial(montecarlo.walk_rng, 5), uv, [cells[i] for i in members], [n_ec[i] for i in members])
+        sweep._walk_uv(partial(montecarlo.walk_rng, 5), uv, [cells[i] for i in members], [n_ec[i] for i in members])
         top = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return top
@@ -468,17 +468,17 @@ def test_gate_scores_a_walked_row():
     # _gate is the one rule of a walked row: the mean hit rate, and
     # max(0.005, 4 se) with se from the binomial variances summed left to
     # right in state order; a row without a walked state is unchecked
-    value, tol = cli._gate(np.empty(0), 100)
+    value, tol = sweep._gate(np.empty(0), 100)
     assert math.isnan(value) and tol == math.inf
     floor = np.full(400, 0.01)  # 4 se = 6.3e-4
-    assert cli._gate(floor, 1000) == (float(np.mean(floor)), 0.005)
+    assert sweep._gate(floor, 1000) == (float(np.mean(floor)), 0.005)
     uv = 50
     p_hat = np.random.Generator(np.random.Philox(41)).integers(0, uv + 1, 1000) / uv
     pair_var = 0.0
     for p in p_hat.tolist():
         pair_var += p * (1.0 - p) / uv
     assert np.sum(p_hat * (1.0 - p_hat) / uv) != pair_var  # numpy's pairwise order differs here
-    value, tol = cli._gate(p_hat, uv)
+    value, tol = sweep._gate(p_hat, uv)
     assert value == float(np.mean(p_hat)) and tol == 4.0 * (math.sqrt(pair_var) / len(p_hat)) > 0.005
 
 
@@ -513,13 +513,13 @@ def test_stacked_sop_group_equals_its_cells_alone():
     assert len({(cfg.N_C, cfg.n_ec) for _, cfg, _, _ in batch}) == 3
     for policy in ("min_sop", "phi_mean"):
         tags, widths = [], set()
-        stacked = cli._sop_cells(batch, policy)
+        stacked = sweep._sop_cells(batch, policy)
         for cell, (cols, finish) in zip(batch, stacked, strict=True):
-            ((alone_cols, alone_finish),) = cli._sop_cells([cell], policy)
+            ((alone_cols, alone_finish),) = sweep._sop_cells([cell], policy)
             assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
             hits = np.linspace(0.0, 1.0, cols.shape[1])
-            row = {k: cli._fmt(v) for k, v in finish(hits, 40, 5).items()}
-            assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
+            row = {k: sweep._fmt(v) for k, v in finish(hits, 40, 5).items()}
+            assert row == {k: sweep._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
             tags.append(row["tags"])
             widths.add(cols.shape[1])
             if cell[0] == "mrt" and cols.shape[1]:
@@ -548,13 +548,13 @@ def test_stacked_throughput_group_equals_its_cells_alone():
     ), 120)
     assert len({(cfg.N_C, cfg.n_ec) for _, cfg, _, _ in batch}) == 4
     rows, widths = [], set()
-    stacked = cli._throughput_cells(batch)
+    stacked = sweep._throughput_cells(batch)
     for cell, (cols, finish) in zip(batch, stacked, strict=True):
-        ((alone_cols, alone_finish),) = cli._throughput_cells([cell])
+        ((alone_cols, alone_finish),) = sweep._throughput_cells([cell])
         assert cols.shape == alone_cols.shape and cols.tobytes() == alone_cols.tobytes()
         hits = np.linspace(0.0, 0.02, cols.shape[1])
-        row = {k: cli._fmt(v) for k, v in finish(hits, 40, 5).items()}
-        assert row == {k: cli._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
+        row = {k: sweep._fmt(v) for k, v in finish(hits, 40, 5).items()}
+        assert row == {k: sweep._fmt(v) for k, v in alone_finish(hits, 40, 5).items()}
         rows.append(row)
         widths.add(cols.shape[1])
     tags = [row["tags"] for row in rows]
@@ -569,15 +569,15 @@ def test_walk_draws_the_level_streams_of_the_seed(monkeypatch):
     # SFC64 of SeedSequence(seed mod 2^64, spawn_key=(0, 0)) for u and
     # spawn_key=(0, b + 1) for the level G_b, apart from the Philox stream
     # of its gains.  fig4's n_ec 2..18 have bits 1 to 4.
-    (spec,) = cli.preset_specs("fig4", trials=40, seed=-7)
-    handed, walk = [], cli._walk_uv
+    (spec,) = sweep.preset_specs("fig4", trials=40, seed=-7)
+    handed, walk = [], sweep._walk_uv
 
     def spy(stream, *args):
         handed.append(stream)
         return walk(stream, *args)
 
-    monkeypatch.setattr(cli, "_walk_uv", spy)
-    cli.run_sweep(spec)
+    monkeypatch.setattr(sweep, "_walk_uv", spy)
+    sweep.run_sweep(spec)
     (stream,) = handed
     for level, key in ((None, (0, 0)), (0, (0, 1)), (1, (0, 2)), (4, (0, 5))):
         defined = np.random.Generator(np.random.SFC64(np.random.SeedSequence(2**64 - 7, spawn_key=key)))
@@ -585,17 +585,17 @@ def test_walk_draws_the_level_streams_of_the_seed(monkeypatch):
     monkeypatch.undo()
 
     # the gain generator's end position reaches no row
-    rows, gains, extra = cli.run_sweep(spec), cli.sample_gains, []
+    rows, gains, extra = sweep.run_sweep(spec), sweep.sample_gains, []
 
     def gains_then_more(n_c, n_dc, n, rng):
         drawn = gains(n_c, n_dc, n, rng)
         extra.append((rng.standard_exponential(1000), rng.standard_gamma(3.0, 1000)))
         return drawn
 
-    monkeypatch.setattr(cli, "sample_gains", gains_then_more)
-    moved = cli.run_sweep(spec)
+    monkeypatch.setattr(sweep, "sample_gains", gains_then_more)
+    moved = sweep.run_sweep(spec)
     assert len(extra) == 10  # one per draw key
-    assert [cli._fmt(r["mc_value"]) for r in moved] == [cli._fmt(r["mc_value"]) for r in rows]
+    assert [sweep._fmt(r["mc_value"]) for r in moved] == [sweep._fmt(r["mc_value"]) for r in rows]
     assert sum(0.0 < r["mc_value"] < 1.0 for r in rows) > 20  # rows with open events
 
 
@@ -616,18 +616,18 @@ def test_seed_is_taken_modulo_2_64(tmp_path):
 
 def test_csv_is_deterministic():
     spec = _tiny_spec()
-    text1 = cli.render_csv([spec], cli.run_sweep(spec))
-    text2 = cli.render_csv([spec], cli.run_sweep(_tiny_spec()))
+    text1 = sweep.render_csv([spec], sweep.run_sweep(spec))
+    text2 = sweep.render_csv([spec], sweep.run_sweep(_tiny_spec()))
     assert text1 == text2
-    assert text1.startswith(f"# {cli.SCHEMA_TAG}\n")
+    assert text1.startswith(f"# {sweep.SCHEMA_TAG}\n")
     header = [l for l in text1.splitlines() if not l.startswith("#")][0]
-    assert header.split(",") == list(cli.COLUMNS)
+    assert header.split(",") == list(sweep.COLUMNS)
 
 
 def test_check_rows_flags_mismatch():
-    rows = cli.run_sweep(_tiny_spec())
+    rows = sweep.run_sweep(_tiny_spec())
     rows[0]["mc_value"] = rows[0]["mc_target"] + 10 * rows[0]["tol"]
-    failures = cli.check_rows(rows)
+    failures = sweep.check_rows(rows)
     assert len(failures) == 1
 
 
@@ -641,7 +641,7 @@ def test_spec_file_round_trip(tmp_path):
     rc = cli.main(["sweep", "--spec", str(spec_path), "--out", str(out_path)])
     assert rc == 0
     text = out_path.read_text()
-    assert cli.SCHEMA_TAG in text
+    assert sweep.SCHEMA_TAG in text
     rc2 = cli.main(["sweep", "--spec", str(spec_path), "--out", str(out_path)])
     assert rc2 == 0
     assert out_path.read_text() == text  # byte-identical rerun
@@ -766,21 +766,21 @@ def test_sweep_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypat
 
 def test_preset_specs_exist():
     for name in ("fig3", "fig4", "fig5", "fig6", "fig7"):
-        specs = cli.preset_specs(name, trials=5, uv_samples=10, seed=1)
+        specs = sweep.preset_specs(name, trials=5, uv_samples=10, seed=1)
         assert specs and all(s.preset == name for s in specs)
     with pytest.raises(ValueError):
-        cli.preset_specs("fig9")
+        sweep.preset_specs("fig9")
 
 
 def test_throughput_sweep_modes_smoke():
     base = SystemConfig(M=100, N_D=20, N_C=16, epsilon=0.01, k_tx=0.1, k_rx=0.1)
     for mode in ("throughput_opa", "throughput_equal_power", "throughput_mrt"):
-        spec = cli.SweepSpec(mode=mode, swept_key="P_dBm", values=[55.0], base=base,
+        spec = sweep.SweepSpec(mode=mode, swept_key="P_dBm", values=[55.0], base=base,
                              variants=[{}], trials=40, uv_samples=200, seed=2)
-        rows = cli.run_sweep(spec)
+        rows = sweep.run_sweep(spec)
         assert len(rows) == 1
         assert rows[0]["analytic"] >= 0.0
-        assert cli.check_rows(rows) == []
+        assert sweep.check_rows(rows) == []
 
 
 def test_validate_runs_without_scipy():

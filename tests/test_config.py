@@ -168,7 +168,7 @@ def test_config_validation(bad):
 def test_path_counts_must_be_integers():
     # a float path count was accepted: N_C = 2.5 gave n_ec = 17.5, sweep
     # rows of NaN and a TypeError in the MRT closed form
-    from mmwsec import cli
+    from mmwsec import sweep
 
     for key in ("M", "N_D", "N_E", "N_C"):
         for value in (2.5, 16.0, "16"):
@@ -177,7 +177,7 @@ def test_path_counts_must_be_integers():
     cfg = SystemConfig(M=np.int64(100), N_D=np.int32(20), N_E=np.uint8(18), N_C=np.int64(16))
     assert cfg.n_ec == 2 and cfg.n_dc == 4
     with pytest.raises(ValueError, match="N_C must be an integer"):
-        cli.SweepSpec(mode="sop_fixed_rate", swept_key="N_C", values=[2.5])
+        sweep.SweepSpec(mode="sop_fixed_rate", swept_key="N_C", values=[2.5])
 
 
 def test_config_file_round_trip(tmp_path):

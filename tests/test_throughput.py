@@ -15,7 +15,7 @@ from scipy import integrate, special, stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
 from mmwsec import checks, throughput
-from mmwsec.cli import SweepSpec, run_sweep
+from mmwsec.sweep import SweepSpec, run_sweep
 from mmwsec.config import EffectiveCoeffs, SystemConfig, stack_coeffs
 from mmwsec.errors import ConvergenceError, InfeasibleError
 from mmwsec.sop import cdf_Y_E
@@ -734,7 +734,11 @@ def test_log_moment_against_quadrature(rng):
 def log_moment_oracle(q: float, m: int) -> float:
     # E[ln(1 + qX)] = e^w * sum_{n=1}^{m+1} E_n(w) with w = 1/q: each order
     # adds q * int_0^inf e^-s (1 + sq)^-(m+1) ds.  Generalized exponential
-    # integrals, no alternating sum, in 30-digit arithmetic.
+    # integrals, no alternating sum, in 30-digit arithmetic.  mpmath's
+    # E_n(w) goes wrong once n nears w, so orders past those the tests use
+    # are refused: at (q, m) = (0.0096, 99) the sum reads 30.2 against 0.969
+    if m >= 20:
+        raise ValueError(f"log_moment_oracle is exact at orders 0-19, not {m}; use log_moment_quad_oracle")
     with mpmath.workdps(30):
         w = 1 / mpmath.mpf(q)
         total = mpmath.fsum(mpmath.expint(n, w) for n in range(1, m + 2))
@@ -771,6 +775,12 @@ def log_moment_quad_oracle(q: float, m: int) -> float:
             [0] + [m * t for t in (0.25, 0.5, 1, 1.5, 2, 3, 5)] + [mpmath.inf],
         )
         return float(qm * integral / mpmath.log(2))
+
+
+def test_log_moment_oracle_refuses_orders_past_its_range():
+    # the E_n sum reads 30.2 here, where the quadrature reads 0.969
+    with pytest.raises(ValueError, match="log_moment_quad_oracle"):
+        log_moment_oracle(0.0096, 99)
 
 
 def test_log_moment_fallback_against_mpmath(monkeypatch):
@@ -951,12 +961,12 @@ def test_library_loads_no_scipy():
     # the log Poisson terms), nor the validate suite loads any part of it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, mmwsec\n"
-            "from mmwsec import cli\n"
+            "from mmwsec import cli, sweep\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             "for fig in ('fig5', 'fig6'):\n"
-            "    for spec in cli.preset_specs(fig, trials=4):\n"
-            "        cli.run_sweep(spec)\n"
+            "    for spec in sweep.preset_specs(fig, trials=4):\n"
+            "        sweep.run_sweep(spec)\n"
             "print(loaded())\n"
             "cli.run_validation(trials=2000, verbose=False)\n"
             "print(loaded())\n")
