@@ -171,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=None, help="channel draws per sweep point")
     sweep.add_argument("--uv-samples", type=int, default=None,
                        help="eavesdropper samples per draw for the MC columns")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="threads over a throughput_mrt sweep's draw keys (at least 1); "
-                       "the other modes walk their u/v streams once per sweep")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     sweep.set_defaults(parser=sweep)
 
@@ -195,8 +192,6 @@ def _sweep_specs(args) -> list[SweepSpec]:
     ``--trials``, ``--uv-samples`` and ``--seed`` replace the budgets.
     Raises ValueError on bad input and OSError on an unreadable file.
     """
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1 (got {args.workers})")
     overrides = _collect_overrides(args.set)
     if args.preset:
         if args.config:
@@ -212,7 +207,7 @@ def _sweep_specs(args) -> list[SweepSpec]:
 
 
 def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
-    rows = [row for spec in specs for row in run_sweep(spec, workers=args.workers)]
+    rows = [row for spec in specs for row in run_sweep(spec)]
     out.write(render_csv(specs, rows))
 
     failures = check_rows(rows)

@@ -428,11 +428,10 @@ def _walk_uv(stream, uv_samples: int, cells: list[np.ndarray], n_ec: list[int]) 
     return [p_hat[lo:hi] for lo, hi in pairwise(offsets.tolist())]
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
-    """Evaluate every (value, variant, scheme) cell of a sweep, in the
-    module docstring's stages.  ``workers`` threads run a throughput_mrt
-    spec's draw-key batches in parallel; rows come back in cell order and
-    their bytes do not depend on the worker count.
+def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
+    """Evaluate every (value, variant, scheme) cell of a sweep on the
+    calling thread, in the module docstring's stages.  ``workers`` is
+    ignored: the benchmark in ``perfbench/workloads.py`` still passes it.
     """
     jobs = spec.cells()
     groups: dict[tuple, list[int]] = {}
@@ -440,20 +439,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
         groups.setdefault((cfg.N_C, cfg.n_dc), []).append(i)
 
     if spec.mode == "throughput_mrt":
-        def evaluate(members):
-            return _mrt_cells([jobs[i][2:] for i in members], spec.trials, spec.seed)
-
-        if workers > 1:
-            # imported here, so that a one-worker sweep does not pay for it at start-up
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                evaluated = list(pool.map(evaluate, groups.values()))
-        else:
-            evaluated = list(map(evaluate, groups.values()))
         cells = {}
-        for members, results in zip(groups.values(), evaluated):
-            cells.update(zip(members, results))
+        for members in groups.values():
+            cells.update(zip(members, _mrt_cells([jobs[i][2:] for i in members], spec.trials, spec.seed)))
     else:
         gains = {}
         for (n_c, n_dc), members in groups.items():

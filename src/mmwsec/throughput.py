@@ -800,13 +800,8 @@ def _log_factorials(n: int) -> np.ndarray:
 def _log_poisson(x, k):
     """log(x^k e^-x / k!), elementwise over x >= 0 and integers k >= 0 with
     0^0 = 1: the log Poisson(x) mass at k, and the log Gamma(k + 1, 1)
-    density at x.  It stays finite where x^k or k! overflows.  A Python
-    int k = 0 skips the log of x."""
-    if not isinstance(k, np.ndarray):
-        if k == 0:
-            return -x
-        with np.errstate(divide="ignore"):
-            return k * np.log(x) - x - math.lgamma(k + 1.0)
+    density at x.  It stays finite where x^k or k! overflows."""
+    k = np.asarray(k)
     log_fact = _log_factorials(int(k.max()) + 1)[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(k == 0, 0.0, k * np.log(x)) - x - log_fact

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -183,54 +182,6 @@ def test_sweep_rows_and_mc_pairing():
         assert 0.0 <= row["analytic"] <= 1.0
         assert abs(row["mc_value"] - row["mc_target"]) <= row["tol"]
     assert sweep.check_rows(rows) == []
-
-
-def test_sweep_workers_do_not_change_rows():
-    sequential = sweep.run_sweep(_tiny_spec())
-    threaded = sweep.run_sweep(_tiny_spec(), workers=4)
-    assert sequential == threaded
-
-
-def test_grouped_sweep_matches_one_cell_sweeps():
-    # a sweep draws once per path-count pair and walks its u/v streams once;
-    # a one-value, one-variant sweep walks its cell alone, so the grouped
-    # rows must equal the concatenated one-cell rows byte for byte.  The
-    # last spec's n_ec 7, 6, 3 and 2 share the levels G_0, G_1 and G_2
-    sop_base = SystemConfig(P_dBm=55.0, R_s=4.0)
-    sop_variants = [{"k_tx": 0.1, "k_rx": 0.1}, {"P_dBm": 44.0}, {"R_s": 6.0}, {"P_dBm": 30.0}]
-    rate_base = SystemConfig(P_dBm=55.0, epsilon=0.01)
-    rate_variants = [{"P_dBm": 28.0, "d_E_m": 5.0}, {"P_dBm": 32.0, "d_E_m": 20.0},
-                     {"P_dBm": 40.0, "d_E_m": 20.0}, {"k_tx": 0.1, "k_rx": 0.1}]
-    cases = (
-        ("sop_fixed_rate", sop_base, [0, 4, 10], sop_variants),
-        ("sop_opa", sop_base, [0, 4, 10], sop_variants),
-        ("throughput_opa", rate_base, [0, 8, 16], rate_variants),
-        ("throughput_equal_power", rate_base, [0, 8, 16], rate_variants),
-        ("sop_fixed_rate", sop_base, [13, 14, 17, 18], [{}, {"k_tx": 0.1, "k_rx": 0.1}]),
-    )
-    for mode, base, values, variants in cases:
-        spec = sweep.SweepSpec(mode=mode, swept_key="N_C", values=values, base=base,
-                             variants=variants, trials=40, uv_samples=200, seed=12)
-        grouped = sweep.run_sweep(spec)
-        one_cell = [
-            row
-            for value in values
-            for overrides in variants
-            for row in sweep.run_sweep(replace(spec, values=[value], variants=[overrides]))
-        ]
-        text = sweep.render_csv([spec], grouped)
-        assert text == sweep.render_csv([spec], one_cell), mode
-        assert text == sweep.render_csv([spec], sweep.run_sweep(spec, workers=2)), mode
-        if values[0] != 0:
-            assert {row["N_C"] for row in grouped if 0.0 < row["mc_value"] < 1.0} == set(values)
-            continue
-        # the groups hold N_C = 0, cells with no Monte-Carlo state, and cells
-        # whose states leave the walk at different blocks
-        assert any(row["N_C"] == 0 for row in grouped)
-        assert any(math.isnan(row["mc_value"]) for row in grouped if row["N_C"] > 0)
-        for value in values[1:]:
-            rates = {row["accept_rate"] for row in grouped if row["N_C"] == value}
-            assert len(rates) >= 3, (mode, value, rates)
 
 
 def test_walk_counts_the_sndr_event():
@@ -680,7 +631,7 @@ def test_set_is_applied_last_over_the_sweep_base(tmp_path, capsys, monkeypatch):
     # has M = 150, so N_D = 70 (N_E follows it, 124 bins with N_C = 16) is
     # a valid path count there, and not under the default M = 100
     seen = []
-    monkeypatch.setattr(cli, "run_sweep", lambda spec, workers=1: seen.append(spec) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: seen.append(spec) or [])
     assert cli.main(["sweep", "--preset", "fig5", "--trials", "5", "--set", "N_D=70"]) == 0
     assert [cfg.N_D for spec in seen for *_, cfg in spec.cells()] == [70] * 15
     bases = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# base ")]
@@ -706,12 +657,6 @@ def test_sweep_refuses_inputs_it_would_ignore(tmp_path, capsys, monkeypatch):
     spec_path = tmp_path / "sweep.spec"
     spec_path.write_text("mode=sop_fixed_rate\nswept_key=N_C\nvalues=2\n")
     assert "N_C is the swept key" in _usage_error(["sweep", "--spec", str(spec_path), "--set", "N_C=4"], capsys)
-
-
-def test_sweep_rejects_fewer_than_one_worker(capsys):
-    for workers in ("0", "-2"):
-        line = _usage_error(["sweep", "--preset", "fig7", "--trials", "5", "--workers", workers], capsys)
-        assert line == f"mmwsec sweep: error: --workers must be at least 1 (got {workers})"
 
 
 def test_cli_rejects_unknown_override(tmp_path, capsys):
