@@ -68,7 +68,8 @@ def opa_sop_vs_grid(target, states, n_ec, u, v, points: int, tol: float) -> Chec
     be able to transmit.  The gap is the grid's relative lead (best - phi*) /
     best, 0 where the optimizer wins; phi is a ratio of positive terms."""
     objective = opa_sop.optimize_tau_sop_batch(target, states, n_ec, u, v).objective_value
-    best, _ = opa_sop.phi_grid_best(sop.tau_min(target, states), opa_sop.phi_coeffs(u, v, states), points)
+    t_min = np.atleast_1d(sop.tau_min(target, states))  # scalar coefficients are one state
+    best, _ = opa_sop.phi_grid_best(t_min, opa_sop.phi_coeffs(u, v, states), points)
     gap = _worst((best - objective) / np.abs(best))
     return Check(gap, gap / tol, f"worst relative shortfall = {gap:.2e}")
 

@@ -35,9 +35,6 @@ from .throughput import _best_candidates, bracketed_roots, state_blocks
 _LINEAR_RTOL = 1e-12
 # Offset used when the open tau_min endpoint wins the candidate comparison.
 _ENDPOINT_NUDGE = 1e-9
-# Relative margin by which the optimize_tau_sop grid audit must beat the
-# analytic split before the grid point replaces it.
-_GRID_AUDIT_RTOL = 1e-6
 # Relative offsets s of the slope grid tau = t_min + s*(1 - t_min) in
 # minimize_sop_tau, 89 per state: 25 geometric steps from 1e-12 up to
 # 1/64, where the SOP falls steeply from 1 at tau_min, then 64 even steps
@@ -70,7 +67,6 @@ class OpaCase(enum.Enum):
     CONVEX_ENDPOINTS = "ConvexEndpoints"
     CONCAVE_INTERIOR = "ConcaveInterior"
     DEGENERATE_LINEAR = "DegenerateLinear"
-    GRID_FALLBACK = "GridFallback"
 
 
 @dataclass(frozen=True)
@@ -175,9 +171,7 @@ def _feasible_tau_min(target: SecrecyTarget, coeffs: EffectiveCoeffs) -> np.ndar
     return t_min
 
 
-def optimize_tau_sop_batch(
-    target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u=1.0, v=None, grid_points: int = 0
-) -> OpaResult:
+def optimize_tau_sop_batch(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u=1.0, v=None) -> OpaResult:
     """Choose the power split maximizing phi over (tau_min, 1], per state.
 
     phi is a rational quadratic, so its maximum lies at tau_min, at 1, or
@@ -190,12 +184,8 @@ def optimize_tau_sop_batch(
     (``v`` None), since the source cannot observe the eavesdropper's
     channel, unless a realized (u, v) is passed, as the tests do.  ``u``,
     ``v``, ``n_ec``, the target's R_s and the coefficient b may be
-    per-state arrays.
-
-    When ``grid_points`` > 0 the analytic result is audited against a
-    uniform grid of that many splits, in blocks of states; where the grid
-    beats it by more than 1e-6 relative, the grid maximizer is returned
-    tagged GridFallback instead.  The tests turn it on.
+    per-state arrays.  ``checks.opa_sop_vs_grid`` audits the result
+    against a dense grid of splits (``phi_grid_best``).
 
     Returns an OpaResult of arrays over the states; scalar coefficients
     count as one state.  Raises SilentSourceError when any state has no
@@ -219,21 +209,19 @@ def optimize_tau_sop_batch(
         [OpaCase.DEGENERATE_LINEAR, OpaCase.CONCAVE_INTERIOR, OpaCase.CONVEX_ENDPOINTS],
         OpaCase.BOTH_SIGN,
     )
-
-    if grid_points > 0:
-        grid_phi, grid_tau = phi_grid_best(t_min, pc, grid_points)
-        moved = grid_phi - objective > _GRID_AUDIT_RTOL * np.maximum(1.0, np.abs(objective))
-        tau_star[moved], objective[moved], case[moved] = grid_tau[moved], grid_phi[moved], OpaCase.GRID_FALLBACK
     return OpaResult(tau_star, case, objective)
 
 
-def optimize_tau_sop(
-    target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, u: float = 1.0, v: float | None = None,
-    grid_points: int = 0,
-) -> OpaResult:
-    """The one-state call of ``optimize_tau_sop_batch``; returns floats and
-    one OpaCase.  Raises SilentSourceError when no feasible split exists."""
-    res = optimize_tau_sop_batch(target, coeffs, n_ec, u, v, grid_points)
+def optimize_tau_sop(target: SecrecyTarget, coeffs: EffectiveCoeffs, n_ec: int, grid_points: int = 0) -> OpaResult:
+    """The one-state call of ``optimize_tau_sop_batch`` at the mean (u, v);
+    returns floats and one OpaCase.  Raises SilentSourceError when no
+    feasible split exists.  ``grid_points`` is kept only because the
+    benchmark probe in ``perfbench/probes.py`` passes 0 (ROADMAP item 4
+    removes it); any other value raises ValueError, as the grid audit is
+    ``checks.opa_sop_vs_grid``."""
+    if grid_points != 0:
+        raise ValueError(f"grid_points={grid_points}: the split has no grid audit; use checks.opa_sop_vs_grid")
+    res = optimize_tau_sop_batch(target, coeffs, n_ec)
     return OpaResult(res.tau_star.item(), res.case_tag.item(), res.objective_value.item())
 
 

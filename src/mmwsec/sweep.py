@@ -326,7 +326,7 @@ def _mrt_cells(cells: list[tuple[str, SystemConfig]], trials: int, seed: int) ->
     and one estimator call draws the gains once for all of them; a cell
     gets the numbers it would get alone."""
     cfgs = [cfg for _, cfg in cells]
-    analytic = throughput.mrt_throughput(cfgs, cross_check=False).tolist()
+    analytic = throughput.mrt_throughput(cfgs).tolist()
     # the full-power region can be a rare event at high power under
     # impairments; the vectorized estimator is cheap, so oversample
     n_mrt = min(max(80 * trials, 20_000), 200_000)

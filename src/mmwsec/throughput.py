@@ -948,8 +948,9 @@ def mrt_throughput(cfg: SystemConfig | Sequence[SystemConfig], cross_check: bool
     exponential-integral closed form.  ``cross_check`` also runs the
     independent 2-D quadrature of the rate per configuration and raises
     ConvergenceError, reporting both estimates, when the two routes
-    disagree by more than 1e-3 relative.  The sweeps leave it off; the
-    tests and ``mmwsec validate`` compare the routes themselves.
+    disagree by more than 1e-3 relative; only the benchmark probe in
+    ``perfbench/probes.py`` turns it on (ROADMAP item 4 removes it).  The
+    tests and ``mmwsec validate`` use ``checks.mrt_throughput_dual_quadrature``.
     """
     cfgs, _ = _config_batch(cfg)
     if cfgs[0].N_C == 0:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fuzz_states, gate_branch, make_coeffs, thresholds, workable_cfg
 from mmwsec import checks
@@ -33,6 +35,33 @@ def test_target_rate_factors():
     for bad in (-1.0, math.nan, np.array([1.0, math.nan]), math.inf, -math.inf, np.array([1.0, math.inf])):
         with pytest.raises(ValueError, match="R_s"):
             SecrecyTarget(bad)
+
+
+# per-state rates: any finite non-negative float up to 1000 (2^R_s stays finite)
+_rate_lists = st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=12)
+_bad_rates = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-math.ulp(0.0))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(rates=_rate_lists, bad=_bad_rates, data=st.data())
+def test_per_state_target_rejects_nan_inf_and_negative_rates(rates, bad, data):
+    rates.insert(data.draw(st.integers(0, len(rates)), label="at"), bad)
+    with pytest.raises(ValueError, match="R_s"):
+        SecrecyTarget(np.array(rates))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(rates=_rate_lists, data=st.data())
+def test_per_state_target_take_keeps_each_rate_and_its_factor(rates, data):
+    # any index, one state or many (repeated, negative or none), picks the
+    # states' rates with the T a one-state target of each rate gets
+    n = len(rates)
+    one = st.integers(-n, n - 1)
+    index = data.draw(one | st.lists(one, max_size=12).map(lambda i: np.array(i, dtype=np.intp)), label="index")
+    taken = SecrecyTarget(np.array(rates)).take(index)
+    picked = np.array(rates)[index]
+    assert np.array_equal(taken.R_s, picked)
+    assert np.array_equal(taken.T, np.reshape([SecrecyTarget(r).T for r in np.ravel(picked).tolist()], picked.shape))
 
 
 def test_tau_min_values():
