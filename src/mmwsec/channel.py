@@ -189,9 +189,8 @@ def sample_channel(
 
 def sample_gains(n_c: int, n_dc: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n draws of (G_hat, G_check), the first draws of ``sample_gain_scalars``."""
-    g_hat = rng.gamma(n_c, 1.0, size=n) if n_c > 0 else np.zeros(n)
-    g_check = rng.gamma(n_dc, 1.0, size=n) if n_dc > 0 else np.zeros(n)
-    return g_hat, g_check
+    # a zero shape draws +0.0 and consumes nothing from the stream
+    return rng.gamma(n_c, 1.0, size=n), rng.gamma(n_dc, 1.0, size=n)
 
 
 def sample_gain_scalars(
@@ -205,8 +204,7 @@ def sample_gain_scalars(
     """
     g_hat, g_check = sample_gains(n_c, n_dc, n, rng)
     u = rng.exponential(1.0, size=n) if n_c > 0 else np.zeros(n)
-    v = rng.gamma(n_ec, 1.0, size=n) if n_ec > 0 else np.zeros(n)
-    return g_hat, g_check, u, v
+    return g_hat, g_check, u, rng.gamma(n_ec, 1.0, size=n)
 
 
 def channel_row(

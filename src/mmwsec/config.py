@@ -85,11 +85,23 @@ class SystemConfig:
         if not (0.0 <= self.k_tx < 1.0 and 0.0 <= self.k_rx < 1.0):
             raise ValueError("EVMs k_tx, k_rx must lie in [0, 1)")
         if self.d_D_m <= 0.0 or self.d_E_m <= 0.0:
-            raise ValueError("distances must be positive")
-        if self.R_s < 0.0:
-            raise ValueError("R_s must be non-negative")
+            raise ValueError("distances d_D_m, d_E_m must be positive")
+        if not (0.0 <= self.R_s < 1024.0):
+            raise ValueError(f"R_s must lie in [0, 1024), where 2^R_s is a finite double (got {self.R_s})")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
+        for keys, name, scale in (
+            ("P_dBm", "power_watt", lambda: self.power_watt),
+            ("sigma_n2_dBm", "noise_watt", lambda: self.noise_watt),
+            ("P_dBm, sigma_n2_dBm, M, N_D, d_D_m, pl_a, pl_b", "beta_d", self.beta_d),
+            ("P_dBm, sigma_n2_dBm, M, N_E, d_E_m, pl_a, pl_b", "beta_e", self.beta_e),
+        ):
+            try:  # a float ** past the doubles raises OverflowError, not inf
+                value = scale()
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{keys} give {name} = {value}, not a positive finite double")
 
     # -- derived scalars ---------------------------------------------------
 

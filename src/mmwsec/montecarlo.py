@@ -128,8 +128,7 @@ def _count_y_e_at_most(coeffs: EffectiveCoeffs, tau: float, levels, n_ec: int, n
 
     def chunk(stream: np.random.Generator, m: int) -> np.ndarray:
         u = stream.exponential(1.0, size=m)
-        v = stream.gamma(n_ec, 1.0, size=m) if n_ec > 0 else np.zeros(m)
-        return _block_sums(counts, u, v)
+        return _block_sums(counts, u, stream.gamma(n_ec, 1.0, size=m))
 
     return _chunk_sums(n, seed, chunk, width=len(levels))
 

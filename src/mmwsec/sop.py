@@ -62,8 +62,8 @@ class SecrecyTarget:
 
     def __post_init__(self):
         r_s = np.asarray(self.R_s, float)
-        if not np.all(np.isfinite(r_s) & (r_s >= 0.0)):
-            raise ValueError(f"R_s must be finite and non-negative, got {self.R_s}")
+        if not np.all((r_s >= 0.0) & (r_s < 1024.0)):  # 2^R_s is a finite double
+            raise ValueError(f"R_s must lie in [0, 1024), got {self.R_s}")
 
     def take(self, index) -> "SecrecyTarget":
         """The target of the states a numpy index picks; a shared R_s carries over."""

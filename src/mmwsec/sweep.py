@@ -147,12 +147,11 @@ class SweepSpec:
                 f"trials and uv_samples must be at least 1 (got {self.trials}, {self.uv_samples})"
             )
         cells = self.cells()  # builds, and so checks, every cell's configuration and the swept key
-        # with common paths the MRT closed form integrates over the non-common
-        # gain too; every other mode aims artificial noise at the
-        # eavesdropper-only paths
+        # the MRT closed form integrates over the non-common gain; every
+        # other mode aims artificial noise at the eavesdropper-only paths
         if self.mode == "throughput_mrt":
-            bad = [value for value, _, _, cfg in cells if cfg.N_C >= 1 and cfg.n_dc < 1]
-            need = "N_D - N_C >= 1 where N_C >= 1, not N_C = N_D"
+            bad = [value for value, _, _, cfg in cells if cfg.n_dc < 1]
+            need = "N_D - N_C >= 1, not N_C = N_D"
         else:
             bad = [value for value, _, _, cfg in cells if cfg.n_ec < 1]
             need = "N_E - N_C >= 1 for artificial noise, not N_C = N_E"

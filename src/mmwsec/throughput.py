@@ -879,14 +879,21 @@ def mrt_throughput_closed_form(cfg: SystemConfig | Sequence[SystemConfig]) -> fl
     N_D - N_C (an array).  The sequence is one batch of integrals whose
     kernel reads each panel's scales by its owner; every integral settles
     on its own panels, so a configuration gets the bits of its one-config
-    call."""
+    call.  Without common paths (N_C = 0) there is no leakage and no
+    threshold, and the sum is the kernel's own log-moment pair at
+    G_hat = beta = 0: E[log2(1 + (d_bar + e_bar)G)] - E[log2(1 + e_bar G)]
+    with G ~ Gamma(N_D), elementwise over the batch."""
     cfgs, one = _config_batch(cfg)
     n_c, n_dc = cfgs[0].N_C, cfgs[0].n_dc
-    if n_c < 1 or n_dc < 1:
-        raise ValueError("closed form needs N_C >= 1 and N_D - N_C >= 1")
+    if n_dc < 1:
+        raise ValueError("closed form needs N_D - N_C >= 1")
     s = _bar_scales(cfg)
-    values = _gk21(lambda y, owner: _mrt_kernel(y, s.rows(owner), n_c, n_dc),
-                   _mrt_panels(s, len(cfgs), n_c, n_dc), 1e-12, 1e-9)
+    if n_c == 0:
+        l2, l4 = _log_moments(np.array([s.d_bar + s.e_bar, s.e_bar]), n_dc - 1)[-1]
+        values = np.atleast_1d(l2 - l4)
+    else:
+        values = _gk21(lambda y, owner: _mrt_kernel(y, s.rows(owner), n_c, n_dc),
+                       _mrt_panels(s, len(cfgs), n_c, n_dc), 1e-12, 1e-9)
     return float(values[0]) if one else values
 
 
@@ -917,44 +924,23 @@ def mrt_throughput_quad2d(cfg: SystemConfig) -> float:
     return float(_gk21(outer, _mrt_panels(s, 1, n_c, n_dc), 1e-12, 1e-8)[0])
 
 
-def _mrt_throughput_no_common(cfg: SystemConfig | Sequence[SystemConfig]) -> float | np.ndarray:
-    """No common paths: no leakage, full region, rate log2(1 + Y_D(1)).
-
-    That is the full-power rate at G_hat = 0, integrated against the
-    gain law of all N_D paths (here N_D - N_C = N_D); one configuration or
-    a sequence, as in ``mrt_throughput_closed_form``.
-    """
-    cfgs, one = _config_batch(cfg)
-    s, n_d = _bar_scales(cfg), cfgs[0].N_D
-
-    def integrand(g, owner):
-        at = s.rows(owner)
-        return _gamma_pdf(g, n_d) * at.rate(0.0, g)
-
-    values = _gk21(integrand, np.tile([0.0, _gamma_cap(n_d)], (len(cfgs), 1)), 1e-12, 1e-9)
-    return float(values[0]) if one else values
-
-
 # relative gap allowed between the closed form and the 2-D quadrature
 _MRT_ROUTES_RTOL = 1e-3
 
 
 def mrt_throughput(cfg: SystemConfig | Sequence[SystemConfig], cross_check: bool = False) -> float | np.ndarray:
     """Expected MRT secrecy throughput of one configuration (a float) or of
-    each of a sequence sharing N_C and N_D - N_C (an array).
-
-    Without common paths (N_C = 0) there is no leakage and it is one 1-D
-    quadrature of log2(1 + Y_D(1)).  Otherwise it is the
-    exponential-integral closed form.  ``cross_check`` also runs the
-    independent 2-D quadrature of the rate per configuration and raises
-    ConvergenceError, reporting both estimates, when the two routes
-    disagree by more than 1e-3 relative; only the benchmark probe in
-    ``perfbench/probes.py`` turns it on (ROADMAP item 4 removes it).  The
-    tests and ``mmwsec validate`` use ``checks.mrt_throughput_dual_quadrature``.
+    each of a sequence sharing N_C and N_D - N_C (an array): the
+    exponential-integral closed form, which at N_C = 0 is a log-moment
+    pair.  ``cross_check`` also runs the independent 2-D quadrature of the
+    rate per configuration (which needs N_C >= 1 and raises ValueError at
+    N_C = 0) and raises ConvergenceError, reporting both estimates, when
+    the two routes disagree by more than 1e-3 relative; only the benchmark
+    probe in ``perfbench/probes.py`` turns it on (ROADMAP item 4 removes
+    it).  The tests and ``mmwsec validate`` use
+    ``checks.mrt_throughput_dual_quadrature``.
     """
     cfgs, _ = _config_batch(cfg)
-    if cfgs[0].N_C == 0:
-        return _mrt_throughput_no_common(cfg)
     closed = mrt_throughput_closed_form(cfg)
     if cross_check:
         for c, value in zip(cfgs, np.atleast_1d(closed)):

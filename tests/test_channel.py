@@ -103,6 +103,18 @@ def test_gain_scalar_means(rng):
     assert abs(np.mean(v) - 6.0) < 0.1
 
 
+def test_zero_path_counts_draw_zeros_and_consume_nothing():
+    # a zero shape draws +0.0 and leaves the stream where it was, on the
+    # sweep's Philox gain stream and the estimators' SFC64 chunk streams
+    for bit_generator in (np.random.Philox, np.random.SFC64):
+        rng, expect = (np.random.Generator(bit_generator(5)) for _ in range(2))
+        g_hat, g_check, u, v = sample_gain_scalars(0, 3, 0, 50, rng)
+        assert np.array_equal(g_check, expect.gamma(3, 1.0, size=50))
+        for zeros in (g_hat, u, v):
+            assert zeros.shape == (50,) and not np.any(zeros) and not np.any(np.signbit(zeros))
+        assert np.array_equal(rng.random(20), expect.random(20))
+
+
 def test_sample_channel_contract():
     # shapes, the xi order of the gain columns and their reductions, u = 0
     # without a common path, and bit-identical arrays from the same seed

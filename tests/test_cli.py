@@ -61,6 +61,8 @@ def test_sweep_rejects_non_finite_config_values(capsys):
     # input ends in one usage error, not a traceback
     assert "d_E_m" in _usage_error(["sweep", "--preset", "fig7", "--trials", "20", "--set", "d_E_m=nan"], capsys)
     assert "uv_samples" in _usage_error(["sweep", "--preset", "fig7", "--uv-samples", "0"], capsys)
+    # so does a finite value whose linear scale leaves the doubles (beta_D underflows to 0.0)
+    assert "pl_b" in _usage_error(["sweep", "--preset", "fig6", "--set", "pl_b=1000"], capsys)
 
 
 def test_sweep_reports_unchecked_rows(tmp_path, capsys):

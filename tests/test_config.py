@@ -153,14 +153,21 @@ def test_n_e_follows_an_n_d_override():
         dict(N_D=0),            # every closed form needs beta_D and beta_E
         dict(N_E=0),
         dict(M=30, N_D=20, N_C=0),  # 40 paths in 30 bins
+        # finite values whose linear scales leave the doubles: 2^R_s and
+        # 10^(x/10) overflow, the noise and beta_D underflow to 0.0
+        dict(R_s=1100.0),
+        dict(P_dBm=4000.0),
+        dict(sigma_n2_dBm=-4000.0),
+        dict(pl_a=-4000.0),
+        dict(d_E_m=1e-300),
+        dict(pl_b=1000.0),
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError) as err:
         SystemConfig(**bad)
     for key, value in bad.items():
-        if not math.isfinite(value):
-            assert key in str(err.value)
+        assert key in str(err.value)
         if str(err.value).startswith("path counts"):  # the error names the counts
             assert f"{key}={value}" in str(err.value)
 

@@ -37,7 +37,8 @@ def test_target_rate_factors():
             SecrecyTarget(bad)
 
 
-# per-state rates: any finite non-negative float up to 1000 (2^R_s stays finite)
+# per-state rates: any finite non-negative float up to 1000 (2^R_s stays
+# finite below 1024, and a rate from 1024 on raises)
 _rate_lists = st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=12)
 _bad_rates = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-math.ulp(0.0))
 
@@ -62,6 +63,9 @@ def test_per_state_target_take_keeps_each_rate_and_its_factor(rates, data):
     picked = np.array(rates)[index]
     assert np.array_equal(taken.R_s, picked)
     assert np.array_equal(taken.T, np.reshape([SecrecyTarget(r).T for r in np.ravel(picked).tolist()], picked.shape))
+    too_high = data.draw(st.floats(min_value=1024.0, allow_infinity=False), label="too_high")
+    with pytest.raises(ValueError, match="R_s"):
+        SecrecyTarget(np.append(rates, too_high))
 
 
 def test_tau_min_values():
