@@ -22,10 +22,7 @@ from .config import (
     coeffs_from_gains,
     dbm_to_watt,
     derive_coeffs,
-    load_config,
     path_loss_linear,
-    save_config,
-    watt_to_dbm,
 )
 from .errors import (
     ConvergenceError,
@@ -73,7 +70,6 @@ from .throughput import (
     k_max_tau1,
     mrt_rate,
     mrt_throughput,
-    mrt_transmit_threshold,
     optimize_tau_throughput,
     optimize_tau_throughput_batch,
     q_of_k,

@@ -2,7 +2,8 @@
 called by ``mmwsec validate``, the acceptance suite and the unit tests at
 their own budgets and tolerances.  A check takes the states, splits, seeds
 and grids its caller drew, runs both sides and returns a ``Check``; a
-margin <= 1 passes, and NaN fails."""
+margin <= 1 passes, and NaN fails.  The oracles' own quadrature and
+blocks of states are the public rules of ``numerics``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import montecarlo, opa_sop, sndr, sop, throughput
+from . import montecarlo, numerics, opa_sop, sndr, sop, throughput
 from .config import coeffs_from_gains
 
 # the fall of k(tau) from one split to the next that a solved grid may show:
@@ -85,10 +86,10 @@ def throughput_opt_vs_grid(states, n_ec, epsilon, taus: np.ndarray, tol: float) 
     per_state = np.broadcast_arrays(states.a, states.b, states.c, states.d, states.e, n_ec, epsilon)
     best = np.empty(rate.shape)
     drops = []
-    for rows in throughput.state_blocks(rate.size, taus.size):
+    for rows in numerics.state_blocks(rate.size, taus.size):
         a, b, c, d, e, n, eps = (x[rows, None] for x in per_state)  # a row per state
         ks = throughput.solve_k_batch(taus, a, b, c, n, eps)
-        best[rows] = np.max(throughput._rate(taus, ks, d, e), axis=1)
+        best[rows] = np.max(throughput.rs_of_tau(taus, ks, d, e), axis=1)
         drops.append(_worst(-np.diff(ks, axis=1)))
     gap, drop = _worst(best - rate), _worst(drops)
     detail = f"worst shortfall = {gap:.2e} bits"
@@ -128,19 +129,19 @@ def sndr_reconstruction(cfg, tau: float, n: int, seed: int, sigmas: float) -> Ch
 def _e1_scaled_integral(zs: np.ndarray) -> np.ndarray:
     """exp(z)*E1(z) = int_0^inf exp(-t)/(t + z) dt (NIST DLMF 6.7(i)), taken
     with t = z*(e^s - 1) as int_0^inf exp(-z*expm1(s)) ds, a smooth integrand
-    bounded by 1, by ``throughput._gk21`` to 1e-14 relative.  Past s =
+    bounded by 1, by ``numerics.gk21`` to 1e-14 relative.  Past s =
     log1p(745/z) the integrand is below exp(-745), under the smallest double."""
     zs = np.asarray(zs, float)
     upper = np.log1p(745.0 / zs)
-    return throughput._gk21(lambda s, owner: np.exp(-zs[owner, None] * np.expm1(s)),
-                            np.stack([np.zeros_like(upper), upper], axis=-1), 0.0, 1e-14)
+    return numerics.gk21(lambda s, owner: np.exp(-zs[owner, None] * np.expm1(s)),
+                         np.stack([np.zeros_like(upper), upper], axis=-1), 0.0, 1e-14)
 
 
 def e1_scaled(zs: np.ndarray, tol: float) -> Check:
-    """``throughput._e1_scaled``, exp(z)*E1(z), vs its integral form
+    """``numerics.e1_scaled``, exp(z)*E1(z), vs its integral form
     ``_e1_scaled_integral``: gap the worst relative error."""
     ref = _e1_scaled_integral(zs)
-    gap = _worst(np.abs(throughput._e1_scaled(zs) - ref) / ref)
+    gap = _worst(np.abs(numerics.e1_scaled(zs) - ref) / ref)
     return Check(gap, gap / tol, f"worst relative error = {gap:.2e}")
 
 

@@ -17,7 +17,7 @@ from . import checks, montecarlo, sop
 from .channel import sample_gain_scalars
 from .config import SystemConfig, coeffs_from_gains, coerce_overrides, parse_value, read_key_values, stack_coeffs
 from .sndr import sndr_eve
-from .sweep import SweepSpec, _unchecked, _with_budgets, check_rows, preset_specs, render_csv, run_sweep
+from .sweep import SweepSpec, check_rows, is_unchecked, preset_specs, render_csv, run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _sweep_specs(args) -> list[SweepSpec]:
     else:
         config = coerce_overrides(read_key_values(args.config), args.config) if args.config else {}
         specs = [_parse_spec_file(args.spec, config, overrides)]
-    return [_with_budgets(spec, args.trials, args.uv_samples, args.seed) for spec in specs]
+    return [spec.with_budgets(args.trials, args.uv_samples, args.seed) for spec in specs]
 
 
 def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
@@ -213,7 +213,7 @@ def cmd_sweep(args, specs: list[SweepSpec], out) -> int:
     failures = check_rows(rows)
     for failure in failures:
         print(f"MC mismatch: {failure}", file=sys.stderr)
-    unchecked = sum(_unchecked(row) for row in rows)
+    unchecked = sum(is_unchecked(row) for row in rows)
     if unchecked:
         print(f"unchecked: {unchecked} of {len(rows)} rows have no Monte-Carlo value or target",
               file=sys.stderr)

@@ -20,13 +20,6 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(p_watt: float) -> float:
-    """Convert a power in watts to dBm."""
-    if p_watt <= 0.0:
-        raise ValueError(f"power must be positive, got {p_watt}")
-    return 10.0 * math.log10(p_watt) + 30.0
-
-
 def path_loss_linear(d_m: float, pl_a: float, pl_b: float) -> float:
     """Linear attenuation of the log-distance path loss model.
 
@@ -281,11 +274,6 @@ def read_key_values(path: str, sweep_keys=()) -> dict:
     return values
 
 
-def load_config(path: str) -> SystemConfig:
-    """Read a flat ``key=value`` configuration file (see ``read_key_values``)."""
-    return SystemConfig(**coerce_overrides(read_key_values(path), path))
-
-
 def parse_value(key: str, text: str, kind: type, source: str = ""):
     """``kind(text)``; text that does not parse raises ValueError naming
     ``key``, ``kind`` and the text, after ``source: `` (a file) when given."""
@@ -309,10 +297,3 @@ def coerce_overrides(overrides: dict, source: str = "") -> dict:
             value = parse_value(key, value, int if key in _INT_FIELDS else float, source)
         out[key] = value
     return out
-
-
-def save_config(cfg: SystemConfig, path: str) -> None:
-    """Write a configuration in the flat key=value format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(SystemConfig):
-            fh.write(f"{f.name}={getattr(cfg, f.name)!r}\n")

@@ -13,9 +13,9 @@ coefficients are one state and give 0-d results) from the sign of the
 analytic slope of log SOP.  It searches as the throughput optimizer
 does: a scan of the slope in blocks of states brackets every
 falling-to-rising sign change, one Illinois false-position call
-(``throughput.bracketed_roots``) refines all brackets, each stopping on
-its own, and one helper picks each state's smallest SOP among the local
-minima and full power.  No SOP value is scanned.
+(``numerics.bracketed_roots``) refines all brackets, each stopping on
+its own, and ``numerics.best_candidates`` picks each state's smallest SOP
+among the local minima and full power.  No SOP value is scanned.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import EffectiveCoeffs
 from .errors import SilentSourceError
+from .numerics import best_candidates, bracketed_roots, state_blocks
 from .sndr import sndr_destination, sndr_eve
 from .sop import SecrecyTarget, per_state, sop_conditional, tau_min
-from .throughput import _best_candidates, bracketed_roots, state_blocks
 
 # Relative epsilon-1 magnitude below which Omega is treated as linear.
 _LINEAR_RTOL = 1e-12
@@ -144,7 +144,7 @@ def phi_grid_best(t_min: np.ndarray, pc: PhiCoeffs, points: int) -> tuple[np.nda
     """Each state's largest phi over ``points`` even splits of (tau_min, 1],
     and the first split that reaches it, over 1-d ``t_min``; the fields of
     ``pc`` are shared or per state.  The grid is scanned in blocks of
-    states (``throughput.state_blocks``)."""
+    states (``numerics.state_blocks``)."""
     steps = np.arange(1, points + 1) / points
     columns = [np.broadcast_to(getattr(pc, f.name), t_min.shape)[:, None] for f in fields(pc)]  # a row per state
     best, best_tau = np.empty(t_min.shape), np.empty(t_min.shape)
@@ -255,7 +255,7 @@ def minimize_sop_tau(
     minimizes that averaged closed form directly and is what figure-level
     sweeps use.  The analytic slope of log SOP is evaluated on one fixed
     relative grid t_min + s*(1 - t_min) per state (``_SLOPE_GRID``), in
-    blocks of states (``throughput.state_blocks``); every change of its sign
+    blocks of states (``numerics.state_blocks``); every change of its sign
     from falling to rising brackets a local minimum, and one Illinois
     false-position loop refines the brackets of all states together, each
     stopping on its own.  No unimodality is assumed: every local minimum
@@ -295,6 +295,6 @@ def minimize_sop_tau(
     cand_state = np.concatenate([owner, np.arange(t_min.size), first])
     cand_tau = np.concatenate([roots, np.ones(t_min.size), first_tau])
     cand_value = sop_conditional(cand_tau, target.take(cand_state), coeffs.take(cand_state), per_state(n_ec, cand_state))
-    best = _best_candidates(cand_state, cand_value, cand_tau, t_min.size)
+    best = best_candidates(cand_state, cand_value, cand_tau, t_min.size)
     tau_star[leak], value[leak] = cand_tau[best], cand_value[best]
     return tau_star.reshape(shape), value.reshape(shape)

@@ -167,11 +167,10 @@ class SweepSpec:
                 cells.extend((value, overrides, scheme, cfg) for scheme in _MODE_SCHEMES[self.mode])
         return cells
 
-
-def _with_budgets(spec: SweepSpec, trials=None, uv_samples=None, seed=None) -> SweepSpec:
-    """Copy of ``spec`` with the given budgets replaced and validated again."""
-    given = dict(trials=trials, uv_samples=uv_samples, seed=seed)
-    return replace(spec, **{k: v for k, v in given.items() if v is not None})
+    def with_budgets(self, trials=None, uv_samples=None, seed=None) -> SweepSpec:
+        """Copy with the given budgets replaced and validated again."""
+        given = dict(trials=trials, uv_samples=uv_samples, seed=seed)
+        return replace(self, **{k: v for k, v in given.items() if v is not None})
 
 
 def _variant_label(overrides: dict) -> str:
@@ -287,7 +286,7 @@ def _throughput_cells(cells: list[tuple]):
     opa = np.repeat([scheme == "opa" for scheme, *_ in cells], sizes)
     tau, k, case = np.full(opa.size, 0.5), np.zeros(opa.size), np.empty(opa.size, object)
     k[~opa] = throughput.solve_k_batch(0.5, coeffs.a[~opa], coeffs.b[~opa], coeffs.c[~opa], n_ec[~opa], eps[~opa])
-    rates = throughput.rs_of_tau(tau, k, coeffs)  # the equal-power rates; opa states take the optimizer's
+    rates = throughput.rs_of_tau(tau, k, coeffs.d, coeffs.e)  # the equal-power rates; opa states take the optimizer's
     transmit, rates = rates >= 0.0, np.maximum(rates, 0.0)
     if opa.any():  # an equal-power batch skips the optimizer
         res = throughput.optimize_tau_throughput_batch(coeffs.take(opa), n_ec[opa], eps[opa])
@@ -320,7 +319,8 @@ def _throughput_cells(cells: list[tuple]):
 
 def _mrt_cells(cells: list[tuple[str, SystemConfig]], trials: int, seed: int) -> list[dict]:
     """Per (scheme, config) cell of one draw key: the average MRT secrecy
-    throughput by quadrature, checked against its own Monte-Carlo
+    throughput in closed form (a quadrature over the common gain, at
+    N_C = 0 a log-moment pair), checked against its own Monte-Carlo
     estimator.  One closed-form call integrates every cell as one batch
     and one estimator call draws the gains once for all of them; a cell
     gets the numbers it would get alone."""
@@ -478,7 +478,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     return rows
 
 
-def _unchecked(row: dict) -> bool:
+def is_unchecked(row: dict) -> bool:
     """True when a row has no Monte-Carlo value or target to compare."""
     return math.isnan(row["mc_value"]) or math.isnan(row["mc_target"])
 
@@ -490,7 +490,7 @@ def check_rows(rows: list[dict]) -> list[str]:
     """
     failures = []
     for row in rows:
-        if _unchecked(row):
+        if is_unchecked(row):
             continue
         mc, target, tol = row["mc_value"], row["mc_target"], row["tol"]
         if abs(mc - target) > tol:
@@ -602,4 +602,4 @@ def preset_specs(name: str, trials=None, uv_samples=None, seed=None) -> list[Swe
         )]
     else:
         raise ValueError(f"unknown preset {name!r}; expected fig3..fig7")
-    return [_with_budgets(spec, trials, uv_samples, seed) for spec in specs]
+    return [spec.with_budgets(trials, uv_samples, seed) for spec in specs]

@@ -8,12 +8,11 @@ from mmwsec.channel import ChannelDraw
 from mmwsec.config import (
     SystemConfig,
     coeffs_from_gains,
+    coerce_overrides,
     dbm_to_watt,
     derive_coeffs,
-    load_config,
     path_loss_linear,
-    save_config,
-    watt_to_dbm,
+    read_key_values,
 )
 from mmwsec.errors import InfeasibleError
 from mmwsec.throughput import _bar_scales
@@ -39,10 +38,9 @@ def test_path_loss_rejects_nonpositive_distance():
 
 
 def test_dbm_round_trip():
-    for p in [-50.0, -10.0, 0.0, 5.0, 23.0, 46.0]:
-        assert math.isclose(watt_to_dbm(dbm_to_watt(p)), p, rel_tol=1e-12, abs_tol=1e-12)
-    for w in [1e-12, 1e-3, 1.0, 250.0]:
-        assert math.isclose(dbm_to_watt(watt_to_dbm(w)), w, rel_tol=1e-12)
+    # known points of P[W] = 10^((P[dBm] - 30)/10)
+    for p_dbm, watt in [(30.0, 1.0), (0.0, 1e-3), (-50.0, 1e-8), (60.0, 1e3), (46.0, 39.810717055349734)]:
+        assert math.isclose(dbm_to_watt(p_dbm), watt, rel_tol=1e-12)
 
 
 def test_beta_d_against_hand_arithmetic():
@@ -187,19 +185,16 @@ def test_path_counts_must_be_integers():
         sweep.SweepSpec(mode="sop_fixed_rate", swept_key="N_C", values=[2.5])
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = SystemConfig(M=64, N_D=10, N_E=12, N_C=4, P_dBm=37.5, k_tx=0.08)
-    path = tmp_path / "scenario.cfg"
-    save_config(cfg, str(path))
-    loaded = load_config(str(path))
-    assert loaded == cfg
+def read_config(path: str) -> SystemConfig:
+    # what ``mmwsec sweep --config`` reads a configuration file with
+    return SystemConfig(**coerce_overrides(read_key_values(path), path))
 
 
 def test_config_file_overrides_and_comments(tmp_path):
     # comments and blank lines are skipped, and a later line overrides an earlier one
     path = tmp_path / "scenario.cfg"
     path.write_text("# comment line\nM=64\nN_D=10\nN_C=4\n\nP_dBm=40\n k_tx = 0.05 \nP_dBm=55\n")
-    loaded = load_config(str(path))
+    loaded = read_config(str(path))
     assert loaded.M == 64 and loaded.P_dBm == 55.0 and loaded.k_tx == 0.05
 
 
@@ -207,7 +202,7 @@ def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("M=64\nbogus=1\n")
     with pytest.raises(ValueError, match="bad.cfg:2: unknown configuration key 'bogus'"):
-        load_config(str(path))
+        read_config(str(path))
 
 
 def test_key_value_files_name_the_bad_line(tmp_path):
@@ -218,7 +213,7 @@ def test_key_value_files_name_the_bad_line(tmp_path):
         return cli._parse_spec_file(path, {}, {})
 
     cases = [
-        ("bad.cfg", load_config, "no equals sign", "expected key=value"),
+        ("bad.cfg", read_config, "no equals sign", "expected key=value"),
         ("bad.spec", read_spec, "no equals sign", "expected key=value"),
         ("typo.spec", read_spec, "trails=3", "unknown sweep key 'trails'"),
         ("variants.spec", read_spec, "variants=k_tx=0.2", "unknown sweep key 'variants'"),
@@ -240,7 +235,7 @@ def test_key_value_files_name_the_bad_value(tmp_path):
 
     spec = "mode=sop_fixed_rate\nswept_key=P_dBm\n"
     cases = [
-        ("bad.cfg", load_config, "M=64\nN_C=4.5\n", "N_C: expected int, got '4.5'"),
+        ("bad.cfg", read_config, "M=64\nN_C=4.5\n", "N_C: expected int, got '4.5'"),
         ("p.spec", read_spec, spec + "values=56,58\nP_dBm=x\n", "P_dBm: expected float, got 'x'"),
         ("values.spec", read_spec, spec + "values=56,x\n", "values: P_dBm: expected float, got 'x'"),
         ("seed.spec", read_spec, spec + "values=56\nseed=1.5\n", "seed: expected int, got '1.5'"),

@@ -11,13 +11,18 @@ from mmwsec.config import SystemConfig
 
 def test_sweep_imports_no_command_line():
     # the engine is a library module: a fresh interpreter that imports it
-    # loads neither argparse nor the command line that drives it
+    # loads neither argparse nor the command line that drives it, and of the
+    # package exactly these modules, so that a new cycle or stray import shows
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, mmwsec.sweep\nprint(sorted({'argparse', 'mmwsec.cli'} & sys.modules.keys()))\n"
+    code = ("import sys, mmwsec.sweep\nprint('argparse' in sys.modules)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'mmwsec')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    loaded = ["mmwsec"] + [f"mmwsec.{name}" for name in (
+        "channel", "config", "errors", "montecarlo", "numerics", "opa_sop", "sndr", "sop", "sweep", "throughput"
+    )]
+    assert proc.stdout.splitlines() == ["False", " ".join(loaded)]
 
 
 def test_grouped_sweep_matches_one_cell_sweeps():

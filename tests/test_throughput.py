@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from conftest import fuzz_states, make_coeffs, workable_cfg
-from mmwsec import checks, throughput
+from mmwsec import checks, numerics, throughput
 from mmwsec.sweep import SweepSpec, run_sweep
 from mmwsec.config import EffectiveCoeffs, SystemConfig, stack_coeffs
 from mmwsec.errors import ConvergenceError, InfeasibleError
@@ -33,7 +33,6 @@ from mmwsec.throughput import (
     mrt_rate_direct,
     mrt_throughput,
     mrt_throughput_closed_form,
-    mrt_transmit_threshold,
     optimize_tau_throughput,
     optimize_tau_throughput_batch,
     q_of_k,
@@ -53,22 +52,22 @@ def test_e1_scaled_against_mpmath():
     # exp(-z) nears the double underflow.  One array call over the grid,
     # equal bit for bit to the calls on each 0-d element and to a 3-d call.
     zs = np.concatenate([np.geomspace(1e-12, 1e7, 300), [1.0, np.nextafter(1.0, 2.0), 5.0, 700.0]])
-    got = throughput._e1_scaled(zs)
+    got = numerics.e1_scaled(zs)
     assert got.shape == zs.shape
-    assert np.array_equal(throughput._e1_scaled(zs[:300].reshape(3, 10, 10)), got[:300].reshape(3, 10, 10))
+    assert np.array_equal(numerics.e1_scaled(zs[:300].reshape(3, 10, 10)), got[:300].reshape(3, 10, 10))
     with mpmath.workdps(40):
         for z, value in zip(zs, got):
             zm = mpmath.mpf(float(z))
             ref = float(mpmath.e1(zm) * mpmath.exp(zm))
             assert abs(value - ref) <= 1e-12 * ref, z
-            assert throughput._e1_scaled(np.asarray(z)) == value, z
+            assert numerics.e1_scaled(np.asarray(z)) == value, z
 
 
 def test_e1_scaled_against_scipy():
     # the whole of (0, 5], where the library took scipy's exp1 before
     zs = np.concatenate([np.geomspace(1e-300, 1e-3, 200), np.linspace(1e-3, 5.0, 4000)])
     ref = special.exp1(zs) * np.exp(zs)
-    assert np.max(np.abs(throughput._e1_scaled(zs) - ref) / ref) <= 1e-12
+    assert np.max(np.abs(numerics.e1_scaled(zs) - ref) / ref) <= 1e-12
 
 
 def test_e1_check_integral_against_mpmath():
@@ -88,8 +87,8 @@ def test_e1_check_fails_a_planted_error(monkeypatch):
     # check at its own grid and tolerance
     zs = np.geomspace(1e-8, 600.0, 200)
     assert checks.e1_scaled(zs, 1e-12).margin <= 1.0
-    exact = throughput._e1_scaled
-    monkeypatch.setattr(throughput, "_e1_scaled", lambda z: exact(z) * (1.0 + 1e-11))
+    exact = numerics.e1_scaled
+    monkeypatch.setattr(numerics, "e1_scaled", lambda z: exact(z) * (1.0 + 1e-11))
     assert checks.e1_scaled(zs, 1e-12).margin > 1.0
 
 
@@ -100,7 +99,7 @@ def test_e1_tail_rule_is_the_fraction_tail():
     t = z + 201.0
     for i in range(100, 10, -1):
         t = z + (2 * i - 1.0) - i * i / t
-    nodes, weights = throughput._laguerre_rule(0, 10, 91)
+    nodes, weights = numerics._laguerre_rule(0, 10, 91)
     tail = 1.0 / np.sum(weights / (z[:, None] + nodes), axis=1)
     assert np.max(np.abs(tail / t - 1.0)) <= 1e-13
 
@@ -127,7 +126,7 @@ def ei_oracle(x: float) -> float:
 
 
 def _ei_via_e1_scaled(x: float) -> float:
-    return -math.exp(x) * throughput._e1_scaled(-x)
+    return -math.exp(x) * numerics.e1_scaled(-x)
 
 
 def test_ei_known_point():
@@ -418,16 +417,16 @@ def test_rs_hand_values():
     from mmwsec.config import EffectiveCoeffs
 
     co = EffectiveCoeffs(k_tot2=0, a=1.0, b=1.0, c=0.0, d=10.0, e=0.0)
-    assert rs_of_tau(0.0, 5.0, co) == 0.0
-    assert math.isclose(rs_of_tau(0.5, 1.0, co), 2.0, rel_tol=1e-14)  # log2(6/1.5)
-    assert math.isclose(rs_of_tau(0.5, 0.0, co), math.log2(6.0), rel_tol=1e-14)
+    assert rs_of_tau(0.0, 5.0, co.d, co.e) == 0.0
+    assert math.isclose(rs_of_tau(0.5, 1.0, co.d, co.e), 2.0, rel_tol=1e-14)  # log2(6/1.5)
+    assert math.isclose(rs_of_tau(0.5, 0.0, co.d, co.e), math.log2(6.0), rel_tol=1e-14)
 
 
 def test_drs_matches_finite_differences(rng):
     h = 1e-5
     for _, co, n_ec, eps, tau in _slope_batches(rng):
         an = _assert_batch_is_per_state(drs_dtau, tau, co, n_ec, eps)
-        rate_of = lambda t: rs_of_tau(t, solve_k_batch(t, co.a, co.b, co.c, n_ec, eps), co)
+        rate_of = lambda t: rs_of_tau(t, solve_k_batch(t, co.a, co.b, co.c, n_ec, eps), co.d, co.e)
         fd = (rate_of(tau + h) - rate_of(tau - h)) / (2 * h)
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
@@ -494,12 +493,12 @@ def test_optimizer_blocks_keep_the_bits(rng, monkeypatch):
     assert co.a.size > 256
     n_ec, eps = rng.integers(1, 20, co.a.size), rng.uniform(0.003, 0.3, co.a.size)
     points = throughput._SCAN_GRID.size
-    monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", 10**9)
-    assert len(throughput.state_blocks(co.a.size, points)) == 1
+    monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 10**9)
+    assert len(numerics.state_blocks(co.a.size, points)) == 1
     whole = optimize_tau_throughput_batch(co, n_ec, eps)
     for block in (1, 7, 256):
-        monkeypatch.setattr(throughput, "_BLOCK_ELEMENTS", block * points)
-        assert throughput.state_blocks(co.a.size, points)[0] == slice(0, block)
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", block * points)
+        assert numerics.state_blocks(co.a.size, points)[0] == slice(0, block)
         blocked = optimize_tau_throughput_batch(co, n_ec, eps)
         for f in fields(ThroughputResult):
             assert np.array_equal(getattr(whole, f.name), getattr(blocked, f.name)), (block, f.name)
@@ -590,14 +589,14 @@ def _newton_in_illinois_optimum(a, b, c, d, e, n_ec, epsilon):
                                 *(v[:, None] for v in (a, b, c, d, e)), n_ec)
     up = rp > 0.0
     i, j = np.nonzero(up[:, :-1] & ~up[:, 1:])
-    roots = throughput.bracketed_roots(
+    roots = numerics.bracketed_roots(
         lambda t, a, b, c, d, e: throughput._rate_slope(t, throughput._solve_x(t, b, n_ec, log_eps), a, b, c, d, e, n_ec),
         grid[j], grid[j + 1], rp[i, j], rp[i, j + 1], *(v[i] for v in (a, b, c, d, e)),
     )
     state = np.concatenate([np.arange(a.size), i])
     tau = np.concatenate([np.ones(a.size), roots])
     k = solve_k_batch(tau, a[state], b[state], c[state], n_ec, epsilon)
-    best = throughput._best_candidates(state, -throughput._rate(tau, k, d[state], e[state]), -tau, a.size)
+    best = numerics.best_candidates(state, -rs_of_tau(tau, k, d[state], e[state]), -tau, a.size)
     return tau[best], k[best]
 
 
@@ -620,7 +619,7 @@ def test_optimizer_on_both_forms_of_the_cap_curve(n_ec, epsilon, monkeypatch):
     d = a * np.exp(rng.uniform(math.log(0.1), math.log(1e4), b.size))
     e = d * rng.uniform(0.0, 0.05, b.size)
     co = EffectiveCoeffs(0.0, a, b, c, d, e)
-    solve_x, roots = throughput._solve_x, throughput.bracketed_roots
+    solve_x, roots = throughput._solve_x, numerics.bracketed_roots
     searching, newton_in_search = [False], []
 
     def counting_solve_x(*args):
@@ -703,7 +702,7 @@ def test_mrt_threshold_flips_rate_sign(rng):
             P_dBm=float(rng.uniform(40, 65)),
         )
         g_hat = float(rng.gamma(cfg.N_C, 1))
-        beta = float(mrt_transmit_threshold(g_hat, cfg))
+        beta = float(throughput._bar_scales(cfg).threshold(g_hat))
         if beta <= 1e-6:
             continue
         eps = 1e-8 * max(1.0, beta)
@@ -714,9 +713,9 @@ def test_mrt_threshold_flips_rate_sign(rng):
 
 def test_mrt_threshold_trivial_cases():
     cfg = workable_cfg(epsilon=1.0)
-    assert float(mrt_transmit_threshold(10.0, cfg)) <= 0.0
+    assert float(throughput._bar_scales(cfg).threshold(10.0)) <= 0.0
     cfg2 = workable_cfg(epsilon=0.01)
-    assert float(mrt_transmit_threshold(0.0, cfg2)) <= 0.0
+    assert float(throughput._bar_scales(cfg2).threshold(0.0)) <= 0.0
 
 
 def test_log_moment_against_quadrature(rng):
@@ -754,10 +753,10 @@ def test_log_moment_against_mpmath():
     # the calls on each 0-d element.
     top = 19
     qs = np.geomspace(1e-7, 1e6, 14)
-    moments = throughput._log_moments(qs, top)
+    moments = numerics.log_moments(qs, top)
     assert moments.shape == (top + 1, qs.size)
     for i, q in enumerate(qs.tolist()):
-        assert np.array_equal(throughput._log_moments(np.asarray(q), top), moments[:, i]), q
+        assert np.array_equal(numerics.log_moments(np.asarray(q), top), moments[:, i]), q
         for m in range(top + 1):
             ref = log_moment_oracle(q, m)
             assert abs(moments[m, i] - ref) <= 1e-9 * abs(ref), (q, m, moments[m, i], ref)
@@ -790,7 +789,7 @@ def test_log_moment_fallback_against_mpmath(monkeypatch):
     # its 16-point one.  log2(1 + q*x) on 160 nodes read up to 1.7e-12 off
     # on this grid above q = 1e-6, 6.5e-6 between 1e-12 and 1e-6, where
     # 1 + q*x keeps few digits of q*x, and 0 once it rounds to 1
-    rule, laguerre = throughput._log_moment_rule, throughput._laguerre_rule
+    rule, laguerre = numerics._log_moment_rule, numerics._laguerre_rule
     fallbacks, sizes = [], []
 
     def recording_rule(q, m):
@@ -798,14 +797,14 @@ def test_log_moment_fallback_against_mpmath(monkeypatch):
         fallbacks.append((q.copy(), m, value))
         return value
 
-    def recording_laguerre(m, first=0, count=throughput._LOG_MOMENT_NODES):
+    def recording_laguerre(m, first=0, count=numerics._LOG_MOMENT_NODES):
         sizes.append(count)
         return laguerre(m, first, count)
 
-    monkeypatch.setattr(throughput, "_log_moment_rule", recording_rule)
-    monkeypatch.setattr(throughput, "_laguerre_rule", recording_laguerre)
+    monkeypatch.setattr(numerics, "_log_moment_rule", recording_rule)
+    monkeypatch.setattr(numerics, "_laguerre_rule", recording_laguerre)
     qs = np.concatenate([[1e-300, 1e-100], np.geomspace(1e-20, 1e-3, 40), np.geomspace(1e-3, 0.07, 45)])
-    throughput._log_moments(qs, 19)
+    numerics.log_moments(qs, 19)
     # orders 1-19 fall back, each below its own switch, inside the grid
     assert [m for _, m, _ in fallbacks] == list(range(1, 20))
     assert max(q.max() for q, _, _ in fallbacks) < qs[-1]
@@ -818,12 +817,12 @@ def test_log_moment_fallback_against_mpmath(monkeypatch):
         assert np.max(np.abs(value - ref) / ref) <= 1e-14, m
     fallbacks.clear()
     qs = np.concatenate([[1e-300], np.geomspace(1e-12, 0.07, 8)])
-    throughput._log_moments(qs, 40)
+    numerics.log_moments(qs, 40)
     q, m, value = fallbacks[-1]
     assert m == 40 and q.size >= 8
     ref = np.array([log_moment_quad_oracle(v, 40) for v in q.tolist()])
     assert np.max(np.abs(value - ref) / ref) <= 1e-14
-    assert set(sizes) <= {throughput._LOG_MOMENT_NODES, 91} and throughput._LOG_MOMENT_NODES in sizes
+    assert set(sizes) <= {numerics._LOG_MOMENT_NODES, 91} and numerics._LOG_MOMENT_NODES in sizes
 
 
 def test_laguerre_rule_against_scipy():
@@ -831,9 +830,9 @@ def test_laguerre_rule_against_scipy():
     # rule size: the nodes, and the weights of the Gamma(m+1, 1) law, none of
     # them underflowing to 0; a smooth integral against mpmath at the lowest,
     # a middle and the top order, at q = 1/20, inside the q the fallback takes
-    size = throughput._LOG_MOMENT_NODES
+    size = numerics._LOG_MOMENT_NODES
     for m in range(20):
-        nodes, weights = throughput._laguerre_rule(m)
+        nodes, weights = numerics._laguerre_rule(m)
         assert nodes.size == size
         ref_nodes, ref_weights = special.roots_genlaguerre(size, m)
         ref_weights = ref_weights / math.factorial(m)
@@ -851,7 +850,7 @@ def test_laguerre_rule_against_scipy():
 def test_gamma_cap_against_scipy_and_mpmath():
     # Q(n, cap) = 1e-10 for the shapes 1-20 of N_D = 20, and 100
     for n in [*range(1, 21), 100]:
-        cap = throughput._gamma_cap(n)
+        cap = numerics.gamma_cap(n)
         assert abs(cap - special.gammainccinv(n, 1e-10)) <= 1e-12 * cap, n
         with mpmath.workdps(30):
             tail = float(mpmath.gammainc(n, cap, mpmath.inf, regularized=True))
@@ -867,8 +866,8 @@ def test_log_poisson_against_scipy():
     ref = stats.poisson.logpmf(ks[:, None], xs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = throughput._log_poisson(xs, ks[:, None])
-        by_int = np.array([throughput._log_poisson(xs, int(k)) for k in ks])
+        got = numerics.log_poisson(xs, ks[:, None])
+        by_int = np.array([numerics.log_poisson(xs, int(k)) for k in ks])
     assert got.shape == (120, xs.size) and np.array_equal(got, by_int)
     assert got[0, 0] == 0.0 and np.all(got[1:, 0] == -np.inf)
     finite = np.isfinite(ref)
@@ -882,12 +881,12 @@ def test_log_moments_of_zero_q_are_zero():
     qs = np.array([[0.0, 1e-7], [0.3, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moments = throughput._log_moments(qs, 6)
+        moments = numerics.log_moments(qs, 6)
     assert moments.shape == (7, 2, 2)
     assert np.all(moments[:, qs == 0.0] == 0.0)
     assert np.all(moments[:, qs > 0.0] > 0.0)
     with pytest.raises(ValueError):
-        throughput._log_moments(np.array([0.5, -1e-3]), 2)
+        numerics.log_moments(np.array([0.5, -1e-3]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +905,7 @@ def test_gk21_gamma_mass_matches_gammainc(rng):
     shapes = rng.integers(1, 40, 60).astype(float)
     lo = rng.uniform(0.0, 60.0, 60)
     hi = lo + rng.uniform(0.0, 80.0, 60)
-    got = throughput._gk21(_gamma_mass(shapes), np.stack([lo, hi], axis=-1), 1e-14, 1e-12)
+    got = numerics.gk21(_gamma_mass(shapes), np.stack([lo, hi], axis=-1), 1e-14, 1e-12)
     ref = special.gammainc(shapes, hi) - special.gammainc(shapes, lo)
     assert got.shape == lo.shape
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -919,10 +918,10 @@ def test_gk21_batch_equals_each_integral_alone(rng):
     lo = rng.uniform(0.0, 10.0, (3, 1))
     hi = lo + rng.uniform(0.5, 60.0, (1, 4))
     breaks = lo[..., None] + (hi - lo)[..., None] * np.array([0.0, 0.1, 0.4, 1.0])
-    batch = throughput._gk21(_gamma_mass(shapes), breaks, 1e-12, 1e-9)
+    batch = numerics.gk21(_gamma_mass(shapes), breaks, 1e-12, 1e-9)
     assert batch.shape == (3, 4)
     for i, row in enumerate(breaks.reshape(12, 4)):
-        alone = throughput._gk21(_gamma_mass(shapes[i : i + 1]), row, 1e-12, 1e-9)
+        alone = numerics.gk21(_gamma_mass(shapes[i : i + 1]), row, 1e-12, 1e-9)
         assert alone.shape == ()
         assert alone == batch.flat[i]
         assert abs(alone - special.gammainc(shapes[i], row[-1]) + special.gammainc(shapes[i], row[0])) <= 1e-11
@@ -938,9 +937,9 @@ def test_gk21_starts_from_the_given_panels():
         panels.append(x.shape[0])
         return np.exp(-x / 1e-4)
 
-    assert throughput._gk21(spike, np.array([0.0, 23.0]), 1e-30, 1e-9) < 1e-150
+    assert numerics.gk21(spike, np.array([0.0, 23.0]), 1e-30, 1e-9) < 1e-150
     panels.clear()
-    got = throughput._gk21(spike, np.array([0.0, 1e-3, 1e-3, 4e-3, 23.0]), 1e-30, 1e-9)
+    got = numerics.gk21(spike, np.array([0.0, 1e-3, 1e-3, 4e-3, 23.0]), 1e-30, 1e-9)
     assert panels[0] == 3
     assert got == pytest.approx(1e-4, rel=1e-9)
 
@@ -952,7 +951,7 @@ def test_gk21_raises_when_an_integral_cannot_settle():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
-            throughput._gk21(lambda x, _: 1.0 / x, np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-12, 1e-9)
+            numerics.gk21(lambda x, _: 1.0 / x, np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-12, 1e-9)
 
 
 def test_library_loads_no_scipy():
@@ -1031,7 +1030,7 @@ def _log_grid_integral(cfg: SystemConfig, points: int) -> float:
     int K(y) dy = int K(e^s) e^s ds.  The grid starts above y = 0, where the
     kernel divides by zero; below it the kernel adds at most about 1e-14."""
     s = np.linspace(math.log(1e-16), 0.0, points)
-    y = throughput._gamma_cap(cfg.N_C) * np.exp(s)
+    y = numerics.gamma_cap(cfg.N_C) * np.exp(s)
     f = throughput._mrt_kernel(y, throughput._bar_scales(cfg), cfg.N_C, cfg.n_dc) * y
     return (s[1] - s[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
 
@@ -1282,7 +1281,7 @@ def test_high_snr_limits_meet_the_finite_power_solution():
         for i in range(tau.size):
             assert high_snr_k_and_rate(float(tau[i]), co.take(i), float(eps[i]), int(n_ec[i])) == (k_inf[i], rate_inf[i])
         k_p = solve_k_batch(tau, co.a, co.b, co.c, n_ec, eps)
-        rate_p = rs_of_tau(tau, k_p, co)
+        rate_p = rs_of_tau(tau, k_p, co.d, co.e)
         gaps[row] = [np.max(np.abs(k_p / k_inf - 1.0)), np.max(np.abs(rate_p / rate_inf - 1.0))]
     assert np.all(gaps[1:] <= 0.02 * gaps[:-1]), gaps
     assert gaps[-1, 0] <= 1e-7 and gaps[-1, 1] <= 1e-6, gaps
